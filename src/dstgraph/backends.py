@@ -115,7 +115,7 @@ class HttpBackend:
                 resp = self._session.post(
                     url, json=body, headers=headers, timeout=params.timeout
                 )
-            except Exception as exc:  # connection errors, timeouts
+            except OSError as exc:  # connection errors, timeouts
                 last_error = exc
                 continue
             if resp.status_code == 429 or resp.status_code >= 500:

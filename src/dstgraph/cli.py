@@ -96,7 +96,6 @@ class RunConfig:
     max_tokens: int = 256
     timeout: float = 30.0
     retries: int = 2
-    jobs: int = 1
     seed: int = 0
     top_k: int = 5
     epochs: int = 200
@@ -152,12 +151,13 @@ def make_generation_params(cfg: RunConfig) -> GenerationParams:
     )
 
 
-def make_prompt_spec(cfg: RunConfig, input_text: str) -> PromptSpec:
+def make_prompt_spec(
+    cfg: RunConfig, input_text: str, exemplars: tuple[tuple[str, str], ...]
+) -> PromptSpec:
     try:
         strategy = PromptStrategy(cfg.strategy)
     except ValueError as exc:
         raise UsageError(f"unknown strategy: {cfg.strategy}") from exc
-    exemplars = load_exemplars(cfg.exemplars_file) if cfg.exemplars_file else ()
     return PromptSpec(
         strategy=strategy,
         instruction=cfg.instruction or default_instruction(),
@@ -180,6 +180,7 @@ def extract_records(
     overrides = (
         load_template_overrides(cfg.templates_file) if cfg.templates_file else None
     )
+    exemplars = load_exemplars(cfg.exemplars_file) if cfg.exemplars_file else ()
     records: list[dict] = []
     for dialogue in sorted(dialogues, key=lambda d: d.dialogue_id):
         ctx = DialogueContext(turns=(), dialogue_id=dialogue.dialogue_id)
@@ -189,7 +190,7 @@ def extract_records(
             ctx = append_turn(ctx, turn)
             if turn.speaker is not Speaker.USER:
                 continue
-            spec = make_prompt_spec(cfg, serialize_context(ctx))
+            spec = make_prompt_spec(cfg, serialize_context(ctx), exemplars)
             prompt = build_prompt(spec, overrides)
             try:
                 completion = complete(backend, prompt, params)
@@ -471,6 +472,7 @@ def cmd_repl(cfg: RunConfig) -> int:
     (and next-state candidates if a model is given) printed after each."""
     backend = make_backend(cfg)
     params = make_generation_params(cfg)
+    exemplars = load_exemplars(cfg.exemplars_file) if cfg.exemplars_file else ()
     g = vgae_params = None
     if cfg.checkpoint and cfg.out_prefix:
         g = _load_graph_prefix(cfg.out_prefix)
@@ -484,7 +486,7 @@ def cmd_repl(cfg: RunConfig) -> int:
         if not text:
             continue
         ctx = append_turn(ctx, Turn(speaker=Speaker.USER, text=text))
-        spec = make_prompt_spec(cfg, serialize_context(ctx))
+        spec = make_prompt_spec(cfg, serialize_context(ctx), exemplars)
         try:
             completion = complete(backend, build_prompt(spec), params)
         except BackendError as exc:
@@ -525,7 +527,7 @@ def _parse_config_file(path: str) -> dict:
 
 _BOOL_FIELDS = {"anti_hallucination", "from_gold"}
 _INT_FIELDS = {
-    "max_tokens", "retries", "jobs", "seed", "top_k", "epochs",
+    "max_tokens", "retries", "seed", "top_k", "epochs",
     "hidden_dim", "latent_dim",
 }
 _FLOAT_FIELDS = {
@@ -600,7 +602,6 @@ def _build_parser() -> _Parser:
     add_prompt_flags(p)
     p.add_argument("--corpus")
     p.add_argument("--format", dest="corpus_format", choices=sorted(_FORMATS))
-    p.add_argument("--jobs", type=int, help="max concurrent dialogues (bound only)")
     p.add_argument("--out")
 
     p = sub.add_parser("evaluate", help="score predictions against gold states")

@@ -225,11 +225,6 @@ def split_edges(
     )
 
 
-def identity_features(g: StateGraph) -> np.ndarray:
-    """One-hot feature matrix: the n x n identity."""
-    return np.eye(g.n_nodes, dtype=np.float64)
-
-
 def dialogue_node_set(
     g: StateGraph, states: Sequence[DialogueState]
 ) -> DialogueNodes:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import EdgeSplit, NodeId, NodeKind, StateGraph, identity_features
+from .graph import EdgeSplit, NodeId, NodeKind, StateGraph
 from .vgae import TrainConfig, VgaeParams, decode_edge, encode, normalize_adjacency, train
 
 
@@ -95,10 +95,9 @@ def average_precision(scores: Sequence[float], labels: Sequence[bool]) -> float:
     return total / hits
 
 
-def mean_embeddings(params: VgaeParams, graph: StateGraph, adjacency: np.ndarray) -> np.ndarray:
+def mean_embeddings(params: VgaeParams, adjacency: np.ndarray) -> np.ndarray:
     """Posterior means for every node under the given adjacency."""
-    x = identity_features(graph)
-    return encode(x, normalize_adjacency(adjacency), params)[0]
+    return encode(normalize_adjacency(adjacency), params)[0]
 
 
 def evaluate_split(
@@ -114,7 +113,7 @@ def evaluate_split(
     """
     if not split.test or not split.neg_test:
         raise ValueError("split has no test edges to evaluate")
-    mu = mean_embeddings(params, graph, graph.adjacency().astype(np.float64))
+    mu = mean_embeddings(params, graph.adjacency().astype(np.float64))
     pairs = list(split.test) + list(split.neg_test)
     scores = [decode_edge(mu, i, j) for i, j in pairs]
     labels = [True] * len(split.test) + [False] * len(split.neg_test)
@@ -141,7 +140,7 @@ def rank_candidates(
     domains = sorted(
         (n for n in context if n.kind is NodeKind.DOMAIN), key=lambda n: n.index
     )
-    mu = mean_embeddings(params, graph, graph.adjacency().astype(np.float64))
+    mu = mean_embeddings(params, graph.adjacency().astype(np.float64))
 
     slot_values = [n for n in graph.nodes if n.kind is NodeKind.SLOT_VALUE]
     candidates: list[ScoredEdge] = []

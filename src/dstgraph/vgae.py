@@ -1,11 +1,13 @@
 """From-scratch variational graph auto-encoder on dense numpy arrays.
 
 Two-layer GCN encoder (shared ReLU layer, linear mean and log-variance
-heads), reparameterization trick, inner-product decoder.  The training
-objective is the negative ELBO: weighted full-matrix reconstruction BCE
-plus a KL term against a standard-normal prior.  Backpropagation is
-hand-derived and verified against central finite differences, so all
-arithmetic stays in double precision.
+heads), reparameterization trick, inner-product decoder.  Node features
+are one-hot (X = I), so the first layer Â X W_s is Â W_s and no feature
+matrix is built; one forward pass serves training, the gradient check
+and evaluation.  The training objective is the negative ELBO: weighted
+full-matrix reconstruction BCE plus a KL term against a standard-normal
+prior.  Backpropagation is hand-derived and verified against central
+finite differences, so all arithmetic stays in double precision.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import EdgeSplit, NodeId, StateGraph, identity_features
+from .graph import EdgeSplit, NodeId, StateGraph
 
 PROB_EPS = 1e-12
 _LOG_LO = float(np.log(PROB_EPS))
@@ -136,21 +138,25 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return a_hat * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
 
 
-def encode(
-    features: np.ndarray, norm_adj: np.ndarray, params: VgaeParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two GCN layers: h = relu(Â X W_s); mu = Â h W_mu; logvar = Â h W_lv."""
-    x = np.asarray(features, dtype=np.float64)
-    a = np.asarray(norm_adj, dtype=np.float64)
-    if a.shape[0] != a.shape[1] or a.shape[1] != x.shape[0]:
-        raise ValueError(f"norm_adj {a.shape} incompatible with features {x.shape}")
-    if x.shape[1] != params.n_features:
-        raise ValueError(
-            f"features have {x.shape[1]} columns, params expect {params.n_features}"
-        )
-    h = np.maximum(a @ x @ params.w_shared, 0.0)
-    mu = a @ h @ params.w_mu
-    logvar = a @ h @ params.w_logvar
+def _forward(
+    norm_adj: np.ndarray, params: VgaeParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Encoder pass; returns (m, Âh, mu, logvar), all the backward pass needs.
+
+    Features are one-hot, so the first layer Â X W_s is Â W_s.
+    """
+    a_hat = np.asarray(norm_adj, dtype=np.float64)
+    n = params.n_features
+    if a_hat.shape != (n, n):
+        raise ValueError(f"norm_adj {a_hat.shape} does not match params for {n} nodes")
+    m = a_hat @ params.w_shared
+    ah = a_hat @ np.maximum(m, 0.0)
+    return m, ah, ah @ params.w_mu, ah @ params.w_logvar
+
+
+def encode(norm_adj: np.ndarray, params: VgaeParams) -> tuple[np.ndarray, np.ndarray]:
+    """Two GCN layers: h = relu(Â W_s); mu = Â h W_mu; logvar = Â h W_lv."""
+    _, _, mu, logvar = _forward(norm_adj, params)
     return mu, logvar
 
 
@@ -176,9 +182,20 @@ def decode_edge(z: np.ndarray, i, j) -> float:
     return float(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
 
 
-def decode_all(z: np.ndarray) -> np.ndarray:
-    """All pairwise edge probabilities sigma(Z Z^T), clipped like decode_edge."""
-    return np.clip(_sigmoid(z @ z.T), PROB_EPS, 1.0 - PROB_EPS)
+def _bce(
+    adjacency: np.ndarray, s: np.ndarray, pos_weight: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Weighted BCE of scores S against A, plus the unclamped log terms."""
+    if pos_weight <= 0:
+        raise ValueError("pos_weight must be positive")
+    a = np.asarray(adjacency, dtype=np.float64)
+    # log sigma(s) = -softplus(-s); log(1 - sigma(s)) = -softplus(s)
+    logp_raw = -_softplus(-s)
+    log1mp_raw = -_softplus(s)
+    logp = np.clip(logp_raw, _LOG_LO, _LOG_HI)
+    log1mp = np.clip(log1mp_raw, _LOG_LO, _LOG_HI)
+    bce = float(-(pos_weight * a * logp + (1.0 - a) * log1mp).sum() / a.size)
+    return bce, logp_raw, log1mp_raw
 
 
 def reconstruction_loss(adjacency: np.ndarray, z: np.ndarray, pos_weight: float) -> float:
@@ -188,15 +205,7 @@ def reconstruction_loss(adjacency: np.ndarray, z: np.ndarray, pos_weight: float)
     Probabilities are clamped to [1e-12, 1 - 1e-12] before the log, which
     keeps the loss finite for arbitrary finite Z.
     """
-    if pos_weight <= 0:
-        raise ValueError("pos_weight must be positive")
-    a = np.asarray(adjacency, dtype=np.float64)
-    s = z @ z.T
-    # log sigma(s) = -softplus(-s); log(1 - sigma(s)) = -softplus(s)
-    logp = np.clip(-_softplus(-s), _LOG_LO, _LOG_HI)
-    log1mp = np.clip(-_softplus(s), _LOG_LO, _LOG_HI)
-    n_sq = a.shape[0] * a.shape[1]
-    return float(-(pos_weight * a * logp + (1.0 - a) * log1mp).sum() / n_sq)
+    return _bce(adjacency, z @ z.T, pos_weight)[0]
 
 
 def kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> float:
@@ -232,7 +241,6 @@ def train_adjacency(graph: StateGraph, split: EdgeSplit) -> np.ndarray:
 
 def loss_and_grads(
     params: VgaeParams,
-    features: np.ndarray,
     norm_adj: np.ndarray,
     adjacency: np.ndarray,
     pos_weight: float,
@@ -245,34 +253,23 @@ def loss_and_grads(
     reparameterization, so the function is pure and checkable against
     finite differences.  Returns (bce, kl, grads by weight name).
     """
-    x = np.asarray(features, dtype=np.float64)
     a_hat = np.asarray(norm_adj, dtype=np.float64)
     a = np.asarray(adjacency, dtype=np.float64)
     n = a.shape[0]
 
-    ax = a_hat @ x
-    m = ax @ params.w_shared
-    h = np.maximum(m, 0.0)
-    ah = a_hat @ h
-    mu = ah @ params.w_mu
-    logvar = ah @ params.w_logvar
+    m, ah, mu, logvar = _forward(a_hat, params)
     std = np.exp(logvar / 2.0)
     z = mu + std * noise
 
     s = z @ z.T
-    sig = _sigmoid(s)
-    logp_raw = -_softplus(-s)
-    log1mp_raw = -_softplus(s)
-    logp = np.clip(logp_raw, _LOG_LO, _LOG_HI)
-    log1mp = np.clip(log1mp_raw, _LOG_LO, _LOG_HI)
-    n_sq = n * n
-    bce = float(-(pos_weight * a * logp + (1.0 - a) * log1mp).sum() / n_sq)
-    kl = float(-0.5 / n * (1.0 + logvar - mu**2 - np.exp(logvar)).sum())
+    bce, logp_raw, log1mp_raw = _bce(a, s, pos_weight)
+    kl = kl_divergence(mu, logvar)
 
     # dBCE/dS: clamped terms contribute zero gradient
+    sig = _sigmoid(s)
     m1 = (logp_raw > _LOG_LO) & (logp_raw < _LOG_HI)
     m2 = (log1mp_raw > _LOG_LO) & (log1mp_raw < _LOG_HI)
-    g_s = (-pos_weight * a * (1.0 - sig) * m1 + (1.0 - a) * sig * m2) / n_sq
+    g_s = (-pos_weight * a * (1.0 - sig) * m1 + (1.0 - a) * sig * m2) / a.size
 
     # S = Z Z^T with S_ij = z_i . z_j, so dL/dZ = (G + G^T) Z
     g_z = (g_s + g_s.T) @ z
@@ -284,23 +281,10 @@ def loss_and_grads(
     g_w_logvar = ah.T @ g_logvar
     g_h = a_hat @ (g_mu @ params.w_mu.T + g_logvar @ params.w_logvar.T)
     g_m = g_h * (m > 0.0)
-    g_w_shared = ax.T @ g_m
+    g_w_shared = a_hat.T @ g_m
 
     grads = {"w_shared": g_w_shared, "w_mu": g_w_mu, "w_logvar": g_w_logvar}
     return bce, kl, grads
-
-
-def _forward_losses(
-    params: VgaeParams,
-    features: np.ndarray,
-    norm_adj: np.ndarray,
-    adjacency: np.ndarray,
-    pos_weight: float,
-    noise: np.ndarray,
-) -> tuple[float, float]:
-    mu, logvar = encode(features, norm_adj, params)
-    z = mu + np.exp(logvar / 2.0) * noise
-    return reconstruction_loss(adjacency, z, pos_weight), kl_divergence(mu, logvar)
 
 
 def train(
@@ -318,8 +302,7 @@ def train(
     if not split.train:
         raise ValueError("training edge set is empty")
     rng = np.random.default_rng(config.seed)
-    x = identity_features(graph)
-    params = glorot_init(x.shape[1], config, rng)
+    params = glorot_init(graph.n_nodes, config, rng)
 
     a = train_adjacency(graph, split)
     a_hat = normalize_adjacency(a)
@@ -344,7 +327,7 @@ def train(
         params = VgaeParams(**weights)
         noise = rng.standard_normal((graph.n_nodes, config.latent_dim))
         bce, kl, grads = loss_and_grads(
-            params, x, a_hat, a, pos_weight, config.kl_weight, noise
+            params, a_hat, a, pos_weight, config.kl_weight, noise
         )
         total = bce + config.kl_weight * kl
 
@@ -352,7 +335,7 @@ def train(
         if split.val:
             from .linkpred import auc
 
-            mu, _ = encode(x, a_hat_full, params)
+            mu, _ = encode(a_hat_full, params)
             pairs = list(split.val) + list(split.neg_val)
             scores = [decode_edge(mu, i, j) for i, j in pairs]
             labels = [True] * len(split.val) + [False] * len(split.neg_val)
@@ -396,7 +379,6 @@ def gradient_check(
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
     rng = np.random.default_rng(config.seed)
-    x = identity_features(graph)
     a = train_adjacency(graph, split)
     a_hat = normalize_adjacency(a)
     edge_sum = a.sum()
@@ -404,7 +386,7 @@ def gradient_check(
     noise = rng.standard_normal((graph.n_nodes, params.latent_dim))
 
     _, _, grads = loss_and_grads(
-        params, x, a_hat, a, pos_weight, config.kl_weight, noise
+        params, a_hat, a, pos_weight, config.kl_weight, noise
     )
 
     mats = {
@@ -423,7 +405,7 @@ def gradient_check(
 
     def total_loss() -> float:
         p = VgaeParams(**{k2: v.copy() for k2, v in mats.items()})
-        bce, kl = _forward_losses(p, x, a_hat, a, pos_weight, noise)
+        bce, kl, _ = loss_and_grads(p, a_hat, a, pos_weight, config.kl_weight, noise)
         return bce + config.kl_weight * kl
 
     max_rel = 0.0

@@ -132,6 +132,17 @@ def test_http_retries_on_connection_error(monkeypatch):
     assert backend.complete("p", GenerationParams(retries=1)) == "ok"
 
 
+def test_http_does_not_retry_programming_errors(monkeypatch):
+    monkeypatch.delenv(TOKEN_ENV_VAR, raising=False)
+    backend, sleeps = http_backend(
+        [TypeError("bad call"), FakeResponse(200, completion_payload("ok"))]
+    )
+    with pytest.raises(TypeError):
+        backend.complete("p", GenerationParams(retries=3))
+    assert len(backend._session.calls) == 1
+    assert sleeps == []
+
+
 def test_http_gives_up_after_retry_budget(monkeypatch):
     monkeypatch.delenv(TOKEN_ENV_VAR, raising=False)
     backend, sleeps = http_backend([FakeResponse(500)] * 3)

@@ -22,7 +22,9 @@ from dstgraph.dialogue import (
     append_turn,
     serialize_context,
 )
+from dstgraph.graph import planted_graph, split_edges
 from dstgraph.prompts import build_prompt
+from dstgraph.vgae import TrainConfig, save_checkpoint, train
 
 
 def parse(argv):
@@ -59,9 +61,10 @@ def test_cli_flags_override_config_file(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     conf = tmp_path / "run.conf"
-    conf.write_text("sede = 7\n", encoding="utf-8")
-    with pytest.raises(UsageError):
-        parse(["train", "--config", str(conf)])
+    for text in ("sede = 7\n", "jobs = 2\n"):
+        conf.write_text(text, encoding="utf-8")
+        with pytest.raises(UsageError):
+            parse(["train", "--config", str(conf)])
 
 
 def test_config_file_rejects_bad_syntax_and_bad_bool(tmp_path):
@@ -184,7 +187,7 @@ def test_extract_replay_miss_flushes_partial_output(tmp_path, capsys):
     write_corpus(corpus, [d1, d2])
 
     ctx = append_turn(DialogueContext(turns=(), dialogue_id="a1"), d1.turns[0])
-    prompt = build_prompt(cli.make_prompt_spec(RunConfig(), serialize_context(ctx)))
+    prompt = build_prompt(cli.make_prompt_spec(RunConfig(), serialize_context(ctx), ()))
     replay_path = tmp_path / "replay.jsonl"
     ReplayBackend(replay_path).store(
         prompt, "Domain : [`restaurant'] , Slot : [`food'] , Value : [`thai']"
@@ -316,6 +319,27 @@ def test_full_pipeline_smoke(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_predict_rejects_checkpoint_of_other_node_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    corpus = str(fixture_corpus_path())
+    assert cli.main(["extract", "--corpus", corpus, "--out", "pred.jsonl"]) == 0
+    assert cli.main(["graph", "--predictions", "pred.jsonl", "--out-prefix", "g"]) == 0
+    other = planted_graph(n_domains=2, values_per_domain=5, seed=1)
+    assert other.n_nodes != 28
+    cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=3)
+    params, _ = train(other, split_edges(other, 0.8, 0.1, 0.1, seed=0), cfg)
+    save_checkpoint("model.json", params, cfg)
+    capsys.readouterr()
+    code = cli.main(
+        ["predict", "--graph-prefix", "g", "--checkpoint", "model.json",
+         "--predictions", "pred.jsonl", "--out", "cand.jsonl"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "does not match params for 12 nodes" in err
+
+
 def test_graph_from_gold(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code = cli.main(
@@ -400,7 +424,7 @@ def test_repl_reports_backend_errors_and_continues(tmp_path, monkeypatch, capsys
 def test_make_prompt_spec_rejects_unknown_strategy():
     cfg = RunConfig(strategy="nope")
     with pytest.raises(UsageError):
-        cli.make_prompt_spec(cfg, "input")
+        cli.make_prompt_spec(cfg, "input", ())
 
 
 def test_make_backend_rejects_unknown_name():

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from dstgraph.dialogue import DialogueState
@@ -8,7 +7,6 @@ from dstgraph.graph import (
     StateGraph,
     build_graph,
     dialogue_node_set,
-    identity_features,
     load_graph,
     planted_graph,
     split_edges,
@@ -107,12 +105,6 @@ def test_candidate_pairs_and_non_edges_partition():
     non = set(g.non_edges())
     assert non.isdisjoint(g.edges)
     assert non | g.edges == set(cands)
-
-
-def test_identity_features_is_eye():
-    g = small_graph()
-    assert (identity_features(g) == np.eye(g.n_nodes)).all()
-    assert identity_features(g).dtype == np.float64
 
 
 def test_split_edges_partitions_exactly(rng):

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dstgraph.graph import identity_features, planted_graph, split_edges
+from dstgraph.graph import planted_graph, split_edges
 from dstgraph.vgae import (
     EpochRecord,
     TrainConfig,
     TrainingDiverged,
     VgaeParams,
-    decode_all,
     decode_edge,
     encode,
     glorot_init,
@@ -83,15 +82,26 @@ def test_encode_shapes_and_relu(rng):
     cfg = tiny_config()
     params = glorot_init(g.n_nodes, cfg, np.random.default_rng(0))
     a_hat = normalize_adjacency(g.adjacency().astype(float))
-    mu, logvar = encode(identity_features(g), a_hat, params)
+    mu, logvar = encode(a_hat, params)
     assert mu.shape == (g.n_nodes, cfg.latent_dim)
     assert logvar.shape == mu.shape
     # negated shared weights must change the hidden layer through the relu
     flipped = VgaeParams(
         w_shared=-params.w_shared, w_mu=params.w_mu, w_logvar=params.w_logvar
     )
-    mu2, _ = encode(identity_features(g), a_hat, flipped)
+    mu2, _ = encode(a_hat, flipped)
     assert not np.allclose(mu, mu2)
+
+
+def test_encode_equals_one_hot_reference_chain(rng):
+    g, _ = small_setup(rng)
+    params = glorot_init(g.n_nodes, tiny_config(), np.random.default_rng(0))
+    a_hat = normalize_adjacency(g.adjacency().astype(float))
+    x = np.eye(g.n_nodes)
+    h = np.maximum(a_hat @ x @ params.w_shared, 0.0)
+    mu, logvar = encode(a_hat, params)
+    assert np.array_equal(mu, a_hat @ h @ params.w_mu)
+    assert np.array_equal(logvar, a_hat @ h @ params.w_logvar)
 
 
 def test_encode_validates_shapes(rng):
@@ -99,7 +109,9 @@ def test_encode_validates_shapes(rng):
     params = glorot_init(g.n_nodes, tiny_config(), np.random.default_rng(0))
     a_hat = normalize_adjacency(g.adjacency().astype(float))
     with pytest.raises(ValueError):
-        encode(np.eye(g.n_nodes + 1), a_hat, params)
+        encode(np.eye(g.n_nodes + 1), params)
+    with pytest.raises(ValueError):
+        encode(a_hat[:, :-1], params)
 
 
 def test_reparameterize_mean_and_spread():
@@ -138,16 +150,6 @@ def test_decode_edge_clips_to_open_interval():
     assert decode_edge(z, 0, 2) == 1e-12
     with pytest.raises(IndexError):
         decode_edge(z, 0, 9)
-
-
-def test_decode_all_matches_pairwise():
-    z = np.random.default_rng(3).standard_normal((5, 3))
-    full = decode_all(z)
-    assert full.shape == (5, 5)
-    for i in range(5):
-        for j in range(5):
-            if i != j:
-                assert full[i, j] == pytest.approx(decode_edge(z, i, j), abs=1e-15)
 
 
 def test_reconstruction_loss_at_zero_latent_is_ln2():

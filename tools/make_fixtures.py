@@ -417,7 +417,7 @@ def build_replay(dialogues, mock: RuleMockBackend, replay: ReplayBackend) -> int
             ctx = append_turn(ctx, turn)
             if turn.speaker is not Speaker.USER:
                 continue
-            prompt = build_prompt(make_prompt_spec(cfg, serialize_context(ctx)))
+            prompt = build_prompt(make_prompt_spec(cfg, serialize_context(ctx), ()))
             replay.store(prompt, mock.complete(prompt, params))
             n += 1
     return n
