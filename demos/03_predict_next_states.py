@@ -18,6 +18,7 @@ from dstgraph import (
     evaluate_split,
     fixture_corpus_path,
     load_corpus,
+    mean_embeddings,
     rank_candidates,
     split_edges,
     train,
@@ -54,12 +55,14 @@ for record in history[:: len(history) // 5]:
 scores = evaluate_split(params, graph, split)
 print(f"held-out test edges: auc {scores['auc']:.4f} ap {scores['ap']:.4f}")
 
-# rank unseen pairs for one dialogue's context
+# rank unseen pairs for one dialogue's context; the posterior means are
+# computed once and can rank any number of dialogues
+mu = mean_embeddings(params, graph.adjacency())
 dialogue = corpus.dialogues[0]
 found = dialogue_node_set(graph, dialogue.gold_states)
 print()
 print(f"dialogue {dialogue.dialogue_id} touches {len(found.nodes)} graph nodes")
-for edge in rank_candidates(params, graph, found.nodes, top_k=5):
+for edge in rank_candidates(mu, graph, found.nodes, top_k=5):
     domain, slot_value = edge.pair
     print(f"  candidate next state: ({domain.label}, {slot_value.label}) "
           f"p={edge.score:.4f}")

@@ -175,10 +175,6 @@ class ReplayBackend:
                 f.write(record + "\n")
 
 
-def replay_store(backend: ReplayBackend, prompt: str, completion: str) -> None:
-    backend.store(prompt, completion)
-
-
 _INPUT_MARKER = "Input:"
 _RESPONSE_MARKER = "Response:"
 
@@ -235,11 +231,3 @@ class RuleMockBackend:
         hits.sort()
         triples = [StateTriple(domain=d, slot=s, value=v) for _, _, (d, s, v) in hits]
         return format_state(DialogueState(triples))
-
-
-Backend = HttpBackend | ReplayBackend | RuleMockBackend
-
-
-def complete(backend: Backend, prompt: str, params: GenerationParams) -> str:
-    """Obtain a completion for a rendered prompt from any backend."""
-    return backend.complete(prompt, params)

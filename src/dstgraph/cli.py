@@ -24,7 +24,6 @@ from .backends import (
     HttpBackend,
     ReplayBackend,
     RuleMockBackend,
-    complete,
 )
 from .datasets import (
     CorpusFormat,
@@ -52,7 +51,7 @@ from .graph import (
     write_edge_list,
     write_node_table,
 )
-from .linkpred import candidate_records, evaluate_split, rank_candidates
+from .linkpred import candidate_records, evaluate_split, mean_embeddings, rank_candidates
 from .metrics import TurnPair, jga, slot_accuracy, slot_f1
 from .parsing import DiagnosticKind, classify_errors, merge_error_reports, parse_state
 from .prompts import (
@@ -193,7 +192,7 @@ def extract_records(
             spec = make_prompt_spec(cfg, serialize_context(ctx), exemplars)
             prompt = build_prompt(spec, overrides)
             try:
-                completion = complete(backend, prompt, params)
+                completion = backend.complete(prompt, params)
             except BackendError as exc:
                 return records, exc
             outcome = parse_state(completion)
@@ -442,6 +441,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         )
     g = _load_graph_prefix(cfg.out_prefix)
     params, _ = load_checkpoint(cfg.checkpoint)
+    mu = mean_embeddings(params, g.adjacency())
     records, _ = read_predictions(cfg.predictions)
 
     by_dialogue: dict[str, list[DialogueState]] = {}
@@ -457,7 +457,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         if not found.nodes:
             skipped.append(dialogue_id)
             continue
-        ranked = rank_candidates(params, g, found.nodes, cfg.top_k)
+        ranked = rank_candidates(mu, g, found.nodes, cfg.top_k)
         out_records.extend(candidate_records(dialogue_id, ranked))
     meta = _meta(cfg, _PREDICT_KEYS, skipped_dialogues=skipped)
     write_predictions(cfg.out, out_records, meta=meta)
@@ -473,10 +473,10 @@ def cmd_repl(cfg: RunConfig) -> int:
     backend = make_backend(cfg)
     params = make_generation_params(cfg)
     exemplars = load_exemplars(cfg.exemplars_file) if cfg.exemplars_file else ()
-    g = vgae_params = None
+    g = mu = None
     if cfg.checkpoint and cfg.out_prefix:
         g = _load_graph_prefix(cfg.out_prefix)
-        vgae_params, _ = load_checkpoint(cfg.checkpoint)
+        mu = mean_embeddings(load_checkpoint(cfg.checkpoint)[0], g.adjacency())
 
     ctx = DialogueContext(turns=(), dialogue_id="repl")
     state = DialogueState()
@@ -488,7 +488,7 @@ def cmd_repl(cfg: RunConfig) -> int:
         ctx = append_turn(ctx, Turn(speaker=Speaker.USER, text=text))
         spec = make_prompt_spec(cfg, serialize_context(ctx), exemplars)
         try:
-            completion = complete(backend, build_prompt(spec), params)
+            completion = backend.complete(build_prompt(spec), params)
         except BackendError as exc:
             print(f"! backend error: {exc}")
             continue
@@ -498,10 +498,10 @@ def cmd_repl(cfg: RunConfig) -> int:
         state = accumulate_state(state, outcome.state.triples())
         for t in state.triples():
             print(f"({t.domain}, {t.slot}, {t.value})")
-        if g is not None and vgae_params is not None:
+        if mu is not None:
             found = dialogue_node_set(g, [state])
             if found.nodes:
-                for e in rank_candidates(vgae_params, g, found.nodes, cfg.top_k):
+                for e in rank_candidates(mu, g, found.nodes, cfg.top_k):
                     print(
                         f"next: ({e.pair[0].label}, {e.pair[1].label}) "
                         f"p={e.score:.4f}"

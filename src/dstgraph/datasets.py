@@ -251,10 +251,6 @@ def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadRes
     return LoadResult(dialogues=tuple(dialogues), manifest=manifest, skipped=skipped)
 
 
-def load_dialogues(manifest: CorpusManifest) -> tuple[AnnotatedDialogue, ...]:
-    return load_corpus(manifest.path, manifest.format).dialogues
-
-
 def write_corpus(path: str | Path, dialogues: Iterable[AnnotatedDialogue]) -> None:
     """Write dialogues in the plain JSONL schema (the normal form)."""
     with open(path, "w", encoding="utf-8") as f:

@@ -2,7 +2,9 @@
 and ranked next-state candidates for a dialogue.
 
 Evaluation always uses mean embeddings (Z = mu, no sampling), so results
-are deterministic given trained parameters and a split.
+are deterministic given trained parameters and a split.  Posterior means
+are computed once per (checkpoint, graph) and every pair, held-out or
+candidate, is scored by the one vectorised scorer `edge_probabilities`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from .graph import EdgeSplit, NodeId, NodeKind, StateGraph
-from .vgae import TrainConfig, VgaeParams, decode_edge, encode, normalize_adjacency, train
+from .vgae import (
+    TrainConfig,
+    VgaeParams,
+    edge_probabilities,
+    encode,
+    normalize_adjacency,
+    train,
+)
 
 
 @dataclass(frozen=True)
@@ -86,13 +95,10 @@ def average_precision(scores: Sequence[float], labels: Sequence[bool]) -> float:
     if not y.any():
         raise ValueError("average_precision needs at least one positive label")
     order = np.argsort(-s, kind="stable")
-    hits = 0
-    total = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if y[idx]:
-            hits += 1
-            total += hits / rank
-    return total / hits
+    hit_ranks = np.flatnonzero(y[order]) + 1
+    precisions = np.arange(1, len(hit_ranks) + 1) / hit_ranks
+    # cumsum adds in sequence; np.sum's pairwise order would change the last bits
+    return float(np.cumsum(precisions)[-1] / len(hit_ranks))
 
 
 def mean_embeddings(params: VgaeParams, adjacency: np.ndarray) -> np.ndarray:
@@ -113,46 +119,50 @@ def evaluate_split(
     """
     if not split.test or not split.neg_test:
         raise ValueError("split has no test edges to evaluate")
-    mu = mean_embeddings(params, graph.adjacency().astype(np.float64))
-    pairs = list(split.test) + list(split.neg_test)
-    scores = [decode_edge(mu, i, j) for i, j in pairs]
+    mu = mean_embeddings(params, graph.adjacency())
+    scores = edge_probabilities(mu, *np.array(split.test + split.neg_test).T)
     labels = [True] * len(split.test) + [False] * len(split.neg_test)
     return {"auc": auc(scores, labels), "ap": average_precision(scores, labels)}
 
 
 def rank_candidates(
-    params: VgaeParams,
+    mu: np.ndarray,
     graph: StateGraph,
     context_nodes: Sequence[NodeId] | frozenset[NodeId],
     top_k: int,
 ) -> list[ScoredEdge]:
     """Top-k unobserved (Domain, SlotValue) pairs for a dialogue's domains.
 
+    ``mu`` holds the posterior means over the full observed adjacency
+    (`mean_embeddings`), computed once and shared by every dialogue.
     Candidates are the graph's non-edges incident to the context's Domain
-    nodes, scored with mean embeddings over the full observed adjacency.
-    Sorted by descending probability; ties resolve by node index.
+    nodes.  Sorted by descending probability; ties resolve by domain
+    index, then slot-value index.
     """
     context = set(context_nodes)
     if not context:
         raise ValueError("context_nodes must be non-empty")
     if top_k <= 0:
         raise ValueError("top_k must be positive")
-    domains = sorted(
-        (n for n in context if n.kind is NodeKind.DOMAIN), key=lambda n: n.index
-    )
-    mu = mean_embeddings(params, graph.adjacency().astype(np.float64))
-
-    slot_values = [n for n in graph.nodes if n.kind is NodeKind.SLOT_VALUE]
-    candidates: list[ScoredEdge] = []
-    for d in domains:
-        for sv in slot_values:
-            key = (d.index, sv.index) if d.index < sv.index else (sv.index, d.index)
-            if key in graph.edges:
-                continue
-            score = decode_edge(mu, d.index, sv.index)
-            candidates.append(ScoredEdge(pair=(d, sv), score=score))
-    candidates.sort(key=lambda e: (-e.score, e.pair[0].index, e.pair[1].index))
-    return candidates[:top_k]
+    domains = sorted(n.index for n in context if n.kind is NodeKind.DOMAIN)
+    slot_values = [n.index for n in graph.nodes if n.kind is NodeKind.SLOT_VALUE]
+    d_idx, sv_idx = np.array(
+        [
+            (d, sv)
+            for d in domains
+            for sv in slot_values
+            if (min(d, sv), max(d, sv)) not in graph.edges
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 2).T
+    scores = edge_probabilities(mu, d_idx, sv_idx)
+    best = np.lexsort((sv_idx, d_idx, -scores))[:top_k]
+    return [
+        ScoredEdge(
+            pair=(graph.nodes[d_idx[k]], graph.nodes[sv_idx[k]]), score=float(scores[k])
+        )
+        for k in best
+    ]
 
 
 def candidate_records(dialogue_id: str, ranked: Sequence[ScoredEdge]) -> list[dict]:

@@ -139,11 +139,6 @@ def format_state(state: DialogueState) -> str:
     return f"Domain : [{ds}] , Slot : [{ss}] , Value : [{vs}]"
 
 
-def normalize_triple(t: StateTriple) -> StateTriple:
-    """Already-normalized triples pass through; raw field text is cleaned."""
-    return StateTriple(domain=t.domain, slot=t.slot, value=t.value)
-
-
 DEFAULT_JUNK_TOKENS = frozenset(
     {"unknown", "n/a", "na", "null", "nil", "tbd", "placeholder", "xxx", "value"}
 )

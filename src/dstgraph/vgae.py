@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import EdgeSplit, NodeId, StateGraph
+from .graph import EdgeSplit, StateGraph
 
 PROB_EPS = 1e-12
 _LOG_LO = float(np.log(PROB_EPS))
@@ -170,16 +170,25 @@ def reparameterize(
     return mu + np.exp(logvar / 2.0) * eps
 
 
-def decode_edge(z: np.ndarray, i, j) -> float:
-    """Edge probability sigma(z_i . z_j), clipped into the open unit interval."""
-    ii = i.index if isinstance(i, NodeId) else int(i)
-    jj = j.index if isinstance(j, NodeId) else int(j)
+def edge_probabilities(z: np.ndarray, rows, cols) -> np.ndarray:
+    """Edge probabilities sigma(z_r . z_c) for index pairs (rows[k], cols[k]),
+    clipped into the open unit interval.
+
+    Each pair's dot product is its own 1×d by d×1 product, so a score does
+    not depend on which other pairs share the call; a gemm over blocks of
+    pairs may reassociate the sum and change the last bits.
+    """
+    r = np.asarray(rows, dtype=np.intp)
+    c = np.asarray(cols, dtype=np.intp)
+    if r.ndim != 1 or r.shape != c.shape:
+        raise ValueError(
+            f"rows and cols must be equal-length 1-d arrays, got {r.shape} and {c.shape}"
+        )
     n = z.shape[0]
-    if not (0 <= ii < n and 0 <= jj < n):
-        raise IndexError(f"node index out of range: ({ii}, {jj}) for {n} nodes")
-    s = float(z[ii] @ z[jj])
-    p = float(_sigmoid(np.array([s]))[0])
-    return float(np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
+    if r.size and (min(r.min(), c.min()) < 0 or max(r.max(), c.max()) >= n):
+        raise IndexError(f"node index out of range for {n} nodes")
+    s = (z[r][:, None, :] @ z[c][:, :, None])[:, 0, 0]
+    return np.clip(_sigmoid(s), PROB_EPS, 1.0 - PROB_EPS)
 
 
 def _bce(
@@ -309,9 +318,10 @@ def train(
     edge_sum = a.sum()
     pos_weight = (a.size - edge_sum) / edge_sum
     # validation monitoring mirrors evaluate_split: encode the full graph
-    a_hat_full = (
-        normalize_adjacency(graph.adjacency().astype(np.float64)) if split.val else None
-    )
+    if split.val:
+        a_hat_full = normalize_adjacency(graph.adjacency())
+        val_pairs = np.array(split.val + split.neg_val)
+        val_labels = [True] * len(split.val) + [False] * len(split.neg_val)
 
     weights = {
         "w_shared": params.w_shared.copy(),
@@ -336,10 +346,7 @@ def train(
             from .linkpred import auc
 
             mu, _ = encode(a_hat_full, params)
-            pairs = list(split.val) + list(split.neg_val)
-            scores = [decode_edge(mu, i, j) for i, j in pairs]
-            labels = [True] * len(split.val) + [False] * len(split.neg_val)
-            val_auc = auc(scores, labels)
+            val_auc = auc(edge_probabilities(mu, *val_pairs.T), val_labels)
 
         record = EpochRecord(epoch=epoch, bce=bce, kl=kl, total=total, val_auc=val_auc)
         history.append(record)

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dstgraph
 from dstgraph.dialogue import DialogueState, StateTriple
 from dstgraph.graph import StateGraph, build_graph
 
@@ -50,6 +54,17 @@ def random_bipartite_graph(
                 triples.append((f"d{d}", f"s{j}", f"v{j}"))
         states.append(make_state(*triples))
     return build_graph(states)
+
+
+def child_env() -> dict:
+    """The environment for Python subprocesses (CLI runs, demos): PYTHONPATH
+    leads with the absolute directory holding the imported dstgraph, so a
+    child started in a tmp cwd runs the same code this process tests (a
+    relative PYTHONPATH such as `src` would resolve against the child's cwd)."""
+    package_root = str(Path(dstgraph.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    paths = [package_root, inherited] if inherited else [package_root]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 @pytest.fixture

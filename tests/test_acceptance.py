@@ -9,7 +9,6 @@ golden files) rather than trusting the implementation under test.
 
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -19,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dstgraph
 from dstgraph.datasets import (
     fixture_error_cases_path,
     state_from_jsonable,
@@ -45,7 +43,7 @@ from dstgraph.vgae import (
     train,
 )
 
-from conftest import random_bipartite_graph, random_states
+from conftest import child_env, random_bipartite_graph, random_states
 
 TESTS = Path(__file__).resolve().parent
 REPO = TESTS.parent
@@ -445,17 +443,6 @@ OUTPUTS = [
     "train_metrics.json",
     "candidates.jsonl",
 ]
-
-
-def child_env() -> dict:
-    """The environment for the CLI subprocesses: PYTHONPATH leads with the
-    absolute directory holding the imported dstgraph, so a child started
-    in a tmp cwd runs the same code this process tests (a relative
-    PYTHONPATH such as `src` would resolve against the child's cwd)."""
-    package_root = str(Path(dstgraph.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    paths = [package_root, inherited] if inherited else [package_root]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def run_pipeline(workdir: Path) -> None:

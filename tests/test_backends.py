@@ -11,7 +11,6 @@ from dstgraph.backends import (
     RequestFailed,
     RuleMockBackend,
     TOKEN_ENV_VAR,
-    complete,
     live_input_section,
     prompt_hash,
 )
@@ -312,12 +311,3 @@ def test_rulemock_from_json_round_trip(tmp_path):
 def test_rulemock_rejects_empty_table():
     with pytest.raises(ValueError):
         RuleMockBackend({})
-
-
-# --- dispatcher ---
-
-
-def test_complete_dispatches_to_any_backend():
-    backend = ReplayBackend()
-    backend.store("p", "c")
-    assert complete(backend, "p", PARAMS) == "c"

@@ -24,7 +24,7 @@ from dstgraph.dialogue import (
 )
 from dstgraph.graph import planted_graph, split_edges
 from dstgraph.prompts import build_prompt
-from dstgraph.vgae import TrainConfig, save_checkpoint, train
+from dstgraph.vgae import TrainConfig, encode, save_checkpoint, train
 
 
 def parse(argv):
@@ -278,6 +278,18 @@ def test_evaluate_rejects_unknown_turn(tmp_path, capsys):
 # --- graph, train, predict pipeline ---
 
 
+def count_encodes(monkeypatch) -> list[int]:
+    """Patch the encoder that candidate ranking uses; the list holds its call count."""
+    calls = [0]
+
+    def counting(norm_adj, params):
+        calls[0] += 1
+        return encode(norm_adj, params)
+
+    monkeypatch.setattr("dstgraph.linkpred.encode", counting)
+    return calls
+
+
 def test_full_pipeline_smoke(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     corpus = str(fixture_corpus_path())
@@ -300,6 +312,7 @@ def test_full_pipeline_smoke(tmp_path, monkeypatch, capsys):
     assert {"auc", "ap", "epochs", "final_bce", "split_sizes"} <= set(metrics)
     assert metrics["epochs"] == 60
     assert metrics["n_edges"] == 27
+    encodes = count_encodes(monkeypatch)
     assert (
         cli.main(
             ["predict", "--graph-prefix", "g", "--checkpoint", "model.json",
@@ -307,6 +320,8 @@ def test_full_pipeline_smoke(tmp_path, monkeypatch, capsys):
         )
         == 0
     )
+    # the posterior means are computed once per run, not once per dialogue
+    assert encodes == [1]
     records, meta = read_predictions(Path("cand.jsonl"))
     assert meta["skipped_dialogues"] == []
     by_dialogue: dict[str, list[dict]] = {}
@@ -396,13 +411,17 @@ def test_repl_prints_candidates_with_model(tmp_path, monkeypatch, capsys):
         )
         == 0
     )
-    monkeypatch.setattr("sys.stdin", io.StringIO("i want thai food\n"))
+    monkeypatch.setattr(
+        "sys.stdin", io.StringIO("i want thai food\nand a cheap price range\n")
+    )
+    encodes = count_encodes(monkeypatch)
     code = cli.main(
         ["repl", "--graph-prefix", "g", "--checkpoint", "model.json", "--top-k", "2"]
     )
     assert code == 0
+    assert encodes == [1]
     out = capsys.readouterr().out
-    assert "next: (restaurant, " in out
+    assert out.count("next: (restaurant, ") == 4
     assert "p=0." in out
 
 

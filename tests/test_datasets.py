@@ -11,7 +11,6 @@ from dstgraph.datasets import (
     fixture_replay_path,
     kfold_split,
     load_corpus,
-    load_dialogues,
     read_predictions,
     sniff_format,
     state_from_jsonable,
@@ -243,13 +242,6 @@ def test_load_corpus_zero_valid_dialogues(tmp_path):
     path.write_text('{"dialogue_id": "d"}\n', encoding="utf-8")
     with pytest.raises(ValueError):
         load_corpus(path)
-
-
-def test_load_dialogues_from_manifest(tmp_path):
-    path = tmp_path / "c.jsonl"
-    path.write_text(json.dumps(plain_record()) + "\n", encoding="utf-8")
-    result = load_corpus(path)
-    assert load_dialogues(result.manifest) == result.dialogues
 
 
 # --- state (de)serialization ---

@@ -10,6 +10,7 @@ from dstgraph.linkpred import (
     candidate_records,
     cross_validate,
     evaluate_split,
+    mean_embeddings,
     rank_candidates,
 )
 from dstgraph.vgae import TrainConfig, glorot_init, train
@@ -169,7 +170,9 @@ def ranked_fixture(rng, top_k=6):
     cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=30, seed=2)
     params, _ = train(g, split, cfg)
     domains = [n for n in g.nodes if n.kind is NodeKind.DOMAIN]
-    ranked = rank_candidates(params, g, frozenset(domains[:2]), top_k=top_k)
+    ranked = rank_candidates(
+        mean_embeddings(params, g.adjacency()), g, frozenset(domains[:2]), top_k=top_k
+    )
     return g, ranked
 
 
@@ -196,8 +199,9 @@ def test_rank_candidates_ignores_slotvalue_context_nodes(rng):
     params, _ = train(g, split, cfg)
     domains = [n for n in g.nodes if n.kind is NodeKind.DOMAIN]
     svs = [n for n in g.nodes if n.kind is NodeKind.SLOT_VALUE]
-    with_sv = rank_candidates(params, g, frozenset([domains[0], svs[0]]), top_k=5)
-    without = rank_candidates(params, g, frozenset([domains[0]]), top_k=5)
+    mu = mean_embeddings(params, g.adjacency())
+    with_sv = rank_candidates(mu, g, frozenset([domains[0], svs[0]]), top_k=5)
+    without = rank_candidates(mu, g, frozenset([domains[0]]), top_k=5)
     assert with_sv == without
 
 
@@ -206,10 +210,25 @@ def test_rank_candidates_validates_arguments(rng):
     split = split_edges(g, 0.85, 0.10, 0.05, seed=2)
     cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=5)
     params, _ = train(g, split, cfg)
+    mu = mean_embeddings(params, g.adjacency())
     with pytest.raises(ValueError):
-        rank_candidates(params, g, frozenset(), top_k=5)
+        rank_candidates(mu, g, frozenset(), top_k=5)
     with pytest.raises(ValueError):
-        rank_candidates(params, g, frozenset([g.nodes[0]]), top_k=0)
+        rank_candidates(mu, g, frozenset([g.nodes[0]]), top_k=0)
+
+
+def test_rank_candidates_ties_resolve_by_domain_then_slotvalue_index(rng):
+    # all-zero embeddings score every pair 0.5, so only the tie-break orders
+    g = random_bipartite_graph(rng, 3, 12, 0.4)
+    domains = sorted(n.index for n in g.nodes if n.kind is NodeKind.DOMAIN)
+    svs = sorted(n.index for n in g.nodes if n.kind is NodeKind.SLOT_VALUE)
+    non_edges = [
+        (d, sv) for d in domains for sv in svs if (min(d, sv), max(d, sv)) not in g.edges
+    ]
+    context = frozenset(g.nodes[d] for d in domains)
+    ranked = rank_candidates(np.zeros((g.n_nodes, 4)), g, context, top_k=10)
+    assert [(e.pair[0].index, e.pair[1].index) for e in ranked] == non_edges[:10]
+    assert all(e.score == 0.5 for e in ranked)
 
 
 def test_candidate_records_schema(rng):

@@ -9,7 +9,8 @@ from dstgraph.vgae import (
     TrainConfig,
     TrainingDiverged,
     VgaeParams,
-    decode_edge,
+    _sigmoid,
+    edge_probabilities,
     encode,
     glorot_init,
     gradient_check,
@@ -131,25 +132,45 @@ def test_reparameterize_shape_mismatch():
 # --- decoder and losses ---
 
 
-def test_decode_edge_sigmoid_hand_value():
+def test_edge_probabilities_sigmoid_hand_value():
     # z_0 . z_1 = 4.0; sigma(4) = 0.98201...
     z = np.array([[2.0, 0.0], [2.0, 0.0]])
-    assert decode_edge(z, 0, 1) == pytest.approx(0.9820137900379085, abs=1e-12)
+    (p,) = edge_probabilities(z, [0], [1])
+    assert p == pytest.approx(0.9820137900379085, abs=1e-12)
 
 
-def test_decode_edge_accepts_node_ids(rng):
-    g, _ = small_setup(rng)
-    z = np.random.default_rng(0).standard_normal((g.n_nodes, 4))
-    d, sv = g.nodes[0], g.nodes[-1]
-    assert decode_edge(z, d, sv) == decode_edge(z, d.index, sv.index)
-
-
-def test_decode_edge_clips_to_open_interval():
+def test_edge_probabilities_clips_to_open_interval():
     z = np.array([[100.0], [100.0], [-100.0]])
-    assert decode_edge(z, 0, 1) == 1.0 - 1e-12
-    assert decode_edge(z, 0, 2) == 1e-12
+    assert edge_probabilities(z, [0, 0], [1, 2]).tolist() == [1.0 - 1e-12, 1e-12]
+    assert edge_probabilities(z, [], []).shape == (0,)
     with pytest.raises(IndexError):
-        decode_edge(z, 0, 9)
+        edge_probabilities(z, [0], [9])
+    with pytest.raises(IndexError):
+        edge_probabilities(z, [-1], [0])
+
+
+def test_edge_probabilities_rejects_malformed_index_arrays():
+    z = np.zeros((3, 2))
+    with pytest.raises(ValueError):
+        edge_probabilities(z, [0, 1], [2])
+    with pytest.raises(ValueError):
+        edge_probabilities(z, [[0, 1]], [[1, 2]])
+
+
+@pytest.mark.parametrize("latent_dim", [1, 2, 16, 17, 64])
+def test_edge_probabilities_equal_scalar_reference_bit_for_bit(latent_dim):
+    # each score must not depend on the other pairs in the call: a gemm
+    # over blocks of pairs reassociates the dot product at some widths
+    rng = np.random.default_rng(latent_dim)
+    z = rng.standard_normal((40, latent_dim))
+    rows = rng.integers(0, 40, size=300)
+    cols = rng.integers(0, 40, size=300)
+    # the scalar decoder this scorer replaced, one pair per call
+    reference = [
+        np.clip(_sigmoid(np.array([float(z[i] @ z[j])]))[0], 1e-12, 1.0 - 1e-12)
+        for i, j in zip(rows, cols)
+    ]
+    assert np.array_equal(edge_probabilities(z, rows, cols), np.array(reference))
 
 
 def test_reconstruction_loss_at_zero_latent_is_ln2():
