@@ -56,8 +56,9 @@ scores = evaluate_split(params, graph, split)
 print(f"held-out test edges: auc {scores['auc']:.4f} ap {scores['ap']:.4f}")
 
 # rank unseen pairs for one dialogue's context; the posterior means are
-# computed once and can rank any number of dialogues
-mu = mean_embeddings(params, graph.adjacency())
+# computed once, by encoding the propagation matrix built straight from
+# the graph's edge list, and can rank any number of dialogues
+mu = mean_embeddings(params, graph)
 dialogue = corpus.dialogues[0]
 found = dialogue_node_set(graph, dialogue.gold_states)
 print()

@@ -441,7 +441,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         )
     g = _load_graph_prefix(cfg.out_prefix)
     params, _ = load_checkpoint(cfg.checkpoint)
-    mu = mean_embeddings(params, g.adjacency())
+    mu = mean_embeddings(params, g)
     records, _ = read_predictions(cfg.predictions)
 
     by_dialogue: dict[str, list[DialogueState]] = {}
@@ -476,7 +476,7 @@ def cmd_repl(cfg: RunConfig) -> int:
     g = mu = None
     if cfg.checkpoint and cfg.out_prefix:
         g = _load_graph_prefix(cfg.out_prefix)
-        mu = mean_embeddings(load_checkpoint(cfg.checkpoint)[0], g.adjacency())
+        mu = mean_embeddings(load_checkpoint(cfg.checkpoint)[0], g)
 
     ctx = DialogueContext(turns=(), dialogue_id="repl")
     state = DialogueState()

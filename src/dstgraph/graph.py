@@ -76,6 +76,14 @@ class StateGraph:
                 raise ValueError(f"edge ({i}, {j}) joins two {self.nodes[a].kind.value} nodes")
             normalized.add((a, b))
         self.edges = frozenset(normalized)
+        # sorted keys i * n + j of the edges (i < j), and the slot-value node
+        # indices in node order, for vectorised candidate masks
+        self.edge_keys = np.sort(
+            np.array([a * len(self.nodes) + b for a, b in self.edges], dtype=np.int64)
+        )
+        self.slotvalue_indices = np.array(
+            [v.index for v in self.nodes if v.kind is NodeKind.SLOT_VALUE], dtype=np.intp
+        )
 
         self._domain_index = {
             n.label: n.index for n in self.nodes if n.kind is NodeKind.DOMAIN
@@ -93,14 +101,6 @@ class StateGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric boolean adjacency matrix."""
-        a = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
-        for i, j in self.edges:
-            a[i, j] = True
-            a[j, i] = True
-        return a
 
     def domain_node(self, label: str) -> NodeId | None:
         idx = self._domain_index.get(label)

@@ -3,8 +3,9 @@ and ranked next-state candidates for a dialogue.
 
 Evaluation always uses mean embeddings (Z = mu, no sampling), so results
 are deterministic given trained parameters and a split.  Posterior means
-are computed once per (checkpoint, graph) and every pair, held-out or
-candidate, is scored by the one vectorised scorer `edge_probabilities`.
+are computed once per (checkpoint, graph), encoding Â built straight from
+the graph's edge list, and every pair, held-out or candidate, is scored by
+the one vectorised scorer `edge_probabilities`.
 """
 
 from __future__ import annotations
@@ -50,17 +51,10 @@ class CvReport:
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks in ascending score order; ties get their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    # a tie group spanning ranks first..last gets (first + last) / 2, exact
+    return ((last - counts + 1 + last) / 2.0)[inverse]
 
 
 def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
@@ -101,9 +95,9 @@ def average_precision(scores: Sequence[float], labels: Sequence[bool]) -> float:
     return float(np.cumsum(precisions)[-1] / len(hit_ranks))
 
 
-def mean_embeddings(params: VgaeParams, adjacency: np.ndarray) -> np.ndarray:
-    """Posterior means for every node under the given adjacency."""
-    return encode(normalize_adjacency(adjacency), params)[0]
+def mean_embeddings(params: VgaeParams, graph: StateGraph) -> np.ndarray:
+    """Posterior means for every node, encoding the graph's full edge list."""
+    return encode(normalize_adjacency(graph.n_nodes, graph.edges), params)[0]
 
 
 def evaluate_split(
@@ -119,7 +113,7 @@ def evaluate_split(
     """
     if not split.test or not split.neg_test:
         raise ValueError("split has no test edges to evaluate")
-    mu = mean_embeddings(params, graph.adjacency())
+    mu = mean_embeddings(params, graph)
     scores = edge_probabilities(mu, *np.array(split.test + split.neg_test).T)
     labels = [True] * len(split.test) + [False] * len(split.neg_test)
     return {"auc": auc(scores, labels), "ap": average_precision(scores, labels)}
@@ -144,17 +138,15 @@ def rank_candidates(
         raise ValueError("context_nodes must be non-empty")
     if top_k <= 0:
         raise ValueError("top_k must be positive")
-    domains = sorted(n.index for n in context if n.kind is NodeKind.DOMAIN)
-    slot_values = [n.index for n in graph.nodes if n.kind is NodeKind.SLOT_VALUE]
-    d_idx, sv_idx = np.array(
-        [
-            (d, sv)
-            for d in domains
-            for sv in slot_values
-            if (min(d, sv), max(d, sv)) not in graph.edges
-        ],
-        dtype=np.intp,
-    ).reshape(-1, 2).T
+    domains = np.array(
+        sorted(n.index for n in context if n.kind is NodeKind.DOMAIN), dtype=np.intp
+    )
+    slot_values = graph.slotvalue_indices
+    d_idx = np.repeat(domains, len(slot_values))
+    sv_idx = np.tile(slot_values, len(domains))
+    keys = np.minimum(d_idx, sv_idx) * graph.n_nodes + np.maximum(d_idx, sv_idx)
+    unobserved = ~np.isin(keys, graph.edge_keys, assume_unique=True)
+    d_idx, sv_idx = d_idx[unobserved], sv_idx[unobserved]
     scores = edge_probabilities(mu, d_idx, sv_idx)
     best = np.lexsort((sv_idx, d_idx, -scores))[:top_k]
     return [

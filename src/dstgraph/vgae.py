@@ -1,19 +1,21 @@
 """From-scratch variational graph auto-encoder on dense numpy arrays.
 
 Two-layer GCN encoder (shared ReLU layer, linear mean and log-variance
-heads), reparameterization trick, inner-product decoder.  Node features
-are one-hot (X = I), so the first layer Â X W_s is Â W_s and no feature
-matrix is built; one forward pass serves training, the gradient check
-and evaluation.  The training objective is the negative ELBO: weighted
-full-matrix reconstruction BCE plus a KL term against a standard-normal
-prior.  Backpropagation is hand-derived and verified against central
-finite differences, so all arithmetic stays in double precision.
+heads), reparameterization trick, inner-product decoder.  The propagation
+matrix Â is written straight from an edge list by `normalize_adjacency`,
+the only place that builds it.  Node features are one-hot (X = I), so the
+first layer Â X W_s is Â W_s and no feature matrix is built; one forward
+pass serves training, the gradient check and evaluation.  The training
+objective is the negative ELBO: weighted full-matrix reconstruction BCE
+plus a KL term against a standard-normal prior.  Backpropagation is
+hand-derived and verified against central finite differences, so all
+arithmetic stays in double precision.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -120,22 +122,36 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Symmetric GCN propagation matrix D^(-1/2) (A + I) D^(-1/2).
+def _edge_matrix(n_nodes: int, edges) -> np.ndarray:
+    """Symmetric 0/1 float matrix A with a one at both orientations of each
+    edge.  Checks are O(E): an endpoint outside [0, n) or a self-loop raises
+    ValueError; duplicate or reversed pairs write the same entries.
+    """
+    e = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+    if e.size and (e.min() < 0 or e.max() >= n_nodes):
+        raise ValueError(f"edge endpoint out of range for {n_nodes} nodes")
+    rows, cols = e.T
+    if np.any(rows == cols):
+        raise ValueError("self-loops are not allowed")
+    a = np.zeros((n_nodes, n_nodes))
+    a[rows, cols] = 1.0
+    a[cols, rows] = 1.0
+    return a
+
+
+def normalize_adjacency(n_nodes: int, edges) -> np.ndarray:
+    """Symmetric GCN propagation matrix D^(-1/2) (A + I) D^(-1/2), built
+    straight from an edge list of (i, j) pairs over ``n_nodes`` nodes.
 
     D is the degree matrix of A + I, so isolated nodes get degree 1 and
     the result is always finite.
     """
-    a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {a.shape}")
-    if not np.array_equal(a, a.T):
-        raise ValueError("adjacency must be symmetric")
-    if np.any(np.diag(a) != 0):
-        raise ValueError("adjacency must have a zero diagonal")
-    a_hat = a + np.eye(a.shape[0])
+    a_hat = _edge_matrix(n_nodes, edges)
+    np.fill_diagonal(a_hat, 1.0)
     inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+    a_hat *= inv_sqrt_deg[:, None]
+    a_hat *= inv_sqrt_deg[None, :]
+    return a_hat
 
 
 def _forward(
@@ -158,16 +174,6 @@ def encode(norm_adj: np.ndarray, params: VgaeParams) -> tuple[np.ndarray, np.nda
     """Two GCN layers: h = relu(Â W_s); mu = Â h W_mu; logvar = Â h W_lv."""
     _, _, mu, logvar = _forward(norm_adj, params)
     return mu, logvar
-
-
-def reparameterize(
-    mu: np.ndarray, logvar: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample Z = mu + exp(logvar / 2) * eps with eps ~ N(0, I)."""
-    if mu.shape != logvar.shape:
-        raise ValueError(f"shape mismatch: mu {mu.shape}, logvar {logvar.shape}")
-    eps = rng.standard_normal(mu.shape)
-    return mu + np.exp(logvar / 2.0) * eps
 
 
 def edge_probabilities(z: np.ndarray, rows, cols) -> np.ndarray:
@@ -194,7 +200,13 @@ def edge_probabilities(z: np.ndarray, rows, cols) -> np.ndarray:
 def _bce(
     adjacency: np.ndarray, s: np.ndarray, pos_weight: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted BCE of scores S against A, plus the unclamped log terms."""
+    """Weighted BCE of scores S against A, averaged over all ordered pairs,
+    plus the unclamped log terms.
+
+    Positive terms are scaled by pos_weight to counter edge sparsity.  The
+    log-probabilities are clamped to [log 1e-12, log(1 - 1e-12)], which
+    keeps the loss finite for arbitrary finite S.
+    """
     if pos_weight <= 0:
         raise ValueError("pos_weight must be positive")
     a = np.asarray(adjacency, dtype=np.float64)
@@ -205,16 +217,6 @@ def _bce(
     log1mp = np.clip(log1mp_raw, _LOG_LO, _LOG_HI)
     bce = float(-(pos_weight * a * logp + (1.0 - a) * log1mp).sum() / a.size)
     return bce, logp_raw, log1mp_raw
-
-
-def reconstruction_loss(adjacency: np.ndarray, z: np.ndarray, pos_weight: float) -> float:
-    """Weighted BCE between A and sigma(Z Z^T), averaged over all ordered pairs.
-
-    Positive terms are scaled by pos_weight to counter edge sparsity.
-    Probabilities are clamped to [1e-12, 1 - 1e-12] before the log, which
-    keeps the loss finite for arbitrary finite Z.
-    """
-    return _bce(adjacency, z @ z.T, pos_weight)[0]
 
 
 def kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> float:
@@ -238,14 +240,17 @@ def glorot_init(n_features: int, config: TrainConfig, rng: np.random.Generator) 
     return VgaeParams(w_shared=w_shared, w_mu=w_mu, w_logvar=w_logvar)
 
 
-def train_adjacency(graph: StateGraph, split: EdgeSplit) -> np.ndarray:
-    """Symmetric 0/1 adjacency holding only the training edges."""
-    n = graph.n_nodes
-    a = np.zeros((n, n), dtype=np.float64)
-    for i, j in split.train:
-        a[i, j] = 1.0
-        a[j, i] = 1.0
-    return a
+def _training_inputs(
+    n_nodes: int, split: EdgeSplit
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Â, the 0/1 BCE target and pos_weight, from the training edges only.
+
+    pos_weight is the ratio of non-edge to edge entries of the target.
+    """
+    target = _edge_matrix(n_nodes, split.train)
+    n_pos = np.count_nonzero(target)
+    pos_weight = (target.size - n_pos) / n_pos
+    return normalize_adjacency(n_nodes, split.train), target, pos_weight
 
 
 def loss_and_grads(
@@ -313,13 +318,10 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = glorot_init(graph.n_nodes, config, rng)
 
-    a = train_adjacency(graph, split)
-    a_hat = normalize_adjacency(a)
-    edge_sum = a.sum()
-    pos_weight = (a.size - edge_sum) / edge_sum
+    a_hat, a, pos_weight = _training_inputs(graph.n_nodes, split)
     # validation monitoring mirrors evaluate_split: encode the full graph
     if split.val:
-        a_hat_full = normalize_adjacency(graph.adjacency())
+        a_hat_full = normalize_adjacency(graph.n_nodes, graph.edges)
         val_pairs = np.array(split.val + split.neg_val)
         val_labels = [True] * len(split.val) + [False] * len(split.neg_val)
 
@@ -386,10 +388,7 @@ def gradient_check(
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
     rng = np.random.default_rng(config.seed)
-    a = train_adjacency(graph, split)
-    a_hat = normalize_adjacency(a)
-    edge_sum = a.sum()
-    pos_weight = (a.size - edge_sum) / edge_sum
+    a_hat, a, pos_weight = _training_inputs(graph.n_nodes, split)
     noise = rng.standard_normal((graph.n_nodes, params.latent_dim))
 
     _, _, grads = loss_and_grads(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dstgraph.dialogue import DialogueState
@@ -13,6 +14,7 @@ from dstgraph.graph import (
     write_edge_list,
     write_node_table,
 )
+from dstgraph.vgae import normalize_adjacency
 
 from conftest import make_state, random_bipartite_graph
 
@@ -87,13 +89,14 @@ def test_state_graph_validates_structure():
         StateGraph([d, v], [(0, 7)])  # unknown endpoint
 
 
-def test_adjacency_symmetric_zero_diagonal():
+def test_propagation_matrix_symmetric_with_edge_pattern():
     g = small_graph()
-    a = g.adjacency()
-    assert a.shape == (g.n_nodes, g.n_nodes)
-    assert (a == a.T).all()
-    assert not a.diagonal().any()
-    assert a.sum() == 2 * len(g.edges)
+    a_hat = normalize_adjacency(g.n_nodes, g.edges)
+    assert a_hat.shape == (g.n_nodes, g.n_nodes)
+    assert (a_hat == a_hat.T).all()
+    assert (a_hat.diagonal() > 0).all()
+    off_diagonal = {(int(i), int(j)) for i, j in zip(*np.nonzero(a_hat)) if i < j}
+    assert off_diagonal == set(g.edges)
 
 
 def test_candidate_pairs_and_non_edges_partition():

@@ -171,7 +171,7 @@ def ranked_fixture(rng, top_k=6):
     params, _ = train(g, split, cfg)
     domains = [n for n in g.nodes if n.kind is NodeKind.DOMAIN]
     ranked = rank_candidates(
-        mean_embeddings(params, g.adjacency()), g, frozenset(domains[:2]), top_k=top_k
+        mean_embeddings(params, g), g, frozenset(domains[:2]), top_k=top_k
     )
     return g, ranked
 
@@ -199,7 +199,7 @@ def test_rank_candidates_ignores_slotvalue_context_nodes(rng):
     params, _ = train(g, split, cfg)
     domains = [n for n in g.nodes if n.kind is NodeKind.DOMAIN]
     svs = [n for n in g.nodes if n.kind is NodeKind.SLOT_VALUE]
-    mu = mean_embeddings(params, g.adjacency())
+    mu = mean_embeddings(params, g)
     with_sv = rank_candidates(mu, g, frozenset([domains[0], svs[0]]), top_k=5)
     without = rank_candidates(mu, g, frozenset([domains[0]]), top_k=5)
     assert with_sv == without
@@ -210,7 +210,7 @@ def test_rank_candidates_validates_arguments(rng):
     split = split_edges(g, 0.85, 0.10, 0.05, seed=2)
     cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=5)
     params, _ = train(g, split, cfg)
-    mu = mean_embeddings(params, g.adjacency())
+    mu = mean_embeddings(params, g)
     with pytest.raises(ValueError):
         rank_candidates(mu, g, frozenset(), top_k=5)
     with pytest.raises(ValueError):
@@ -226,8 +226,12 @@ def test_rank_candidates_ties_resolve_by_domain_then_slotvalue_index(rng):
         (d, sv) for d in domains for sv in svs if (min(d, sv), max(d, sv)) not in g.edges
     ]
     context = frozenset(g.nodes[d] for d in domains)
-    ranked = rank_candidates(np.zeros((g.n_nodes, 4)), g, context, top_k=10)
+    mu = np.zeros((g.n_nodes, 4))
+    ranked = rank_candidates(mu, g, context, top_k=10)
     assert [(e.pair[0].index, e.pair[1].index) for e in ranked] == non_edges[:10]
+    # with top_k past the candidate count the whole list is every non-edge
+    ranked = rank_candidates(mu, g, context, top_k=len(non_edges) + 5)
+    assert [(e.pair[0].index, e.pair[1].index) for e in ranked] == non_edges
     assert all(e.score == 0.5 for e in ranked)
 
 

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dstgraph.graph import planted_graph, split_edges
+from dstgraph.datasets import fixture_corpus_path, load_corpus
+from dstgraph.graph import build_graph, planted_graph, split_edges
 from dstgraph.vgae import (
     EpochRecord,
     TrainConfig,
     TrainingDiverged,
     VgaeParams,
+    _bce,
     _sigmoid,
+    _training_inputs,
     edge_probabilities,
     encode,
     glorot_init,
@@ -17,11 +20,8 @@ from dstgraph.vgae import (
     kl_divergence,
     load_checkpoint,
     normalize_adjacency,
-    reconstruction_loss,
-    reparameterize,
     save_checkpoint,
     train,
-    train_adjacency,
 )
 
 from conftest import random_bipartite_graph
@@ -42,16 +42,24 @@ def small_setup(rng, seed=5):
 # --- propagation matrix ---
 
 
+def dense_reference(n, edges):
+    """The dense expression the edge-list builder replaced: A + I, then
+    both degree scalings, from a 0/1 adjacency written pair by pair."""
+    a = np.zeros((n, n))
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1.0
+    a_hat = a + np.eye(n)
+    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return a_hat * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
+
+
 def test_normalize_adjacency_two_node_hand_value():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
     want = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert np.allclose(normalize_adjacency(a), want, atol=1e-15)
+    assert np.allclose(normalize_adjacency(2, [(0, 1)]), want, atol=1e-15)
 
 
 def test_normalize_adjacency_isolated_node_stays_finite():
-    a = np.zeros((3, 3))
-    out = normalize_adjacency(a)
-    assert np.allclose(out, np.eye(3))
+    assert np.array_equal(normalize_adjacency(3, []), np.eye(3))
 
 
 def test_normalize_adjacency_matches_dense_formula(rng):
@@ -63,26 +71,45 @@ def test_normalize_adjacency_matches_dense_formula(rng):
         a_hat = a + np.eye(n)
         d_inv_sqrt = np.diag(1.0 / np.sqrt(a_hat.sum(axis=1)))
         want = d_inv_sqrt @ a_hat @ d_inv_sqrt
-        assert np.allclose(normalize_adjacency(a), want, atol=1e-14)
+        edges = list(zip(*np.nonzero(np.triu(a, 1))))
+        assert np.allclose(normalize_adjacency(n, edges), want, atol=1e-14)
+
+
+def test_normalize_adjacency_equals_dense_reference_bit_for_bit(rng):
+    corpus = load_corpus(fixture_corpus_path())
+    fixture = build_graph([s for d in corpus.dialogues for s in d.gold_states])
+    cases = []
+    for g in (fixture, planted_graph()):
+        train_edges = split_edges(g, 0.85, 0.10, 0.05, seed=1).train
+        cases += [(g.n_nodes, g.edges), (g.n_nodes, train_edges)]
+    for n_isolated in (1, 5):
+        g = random_bipartite_graph(rng, 4, 30, 0.2)
+        cases.append((g.n_nodes + n_isolated, g.edges))
+    for n, edges in cases:
+        assert np.array_equal(normalize_adjacency(n, edges), dense_reference(n, edges))
 
 
 def test_normalize_adjacency_validates_input():
     with pytest.raises(ValueError):
-        normalize_adjacency(np.zeros((2, 3)))
+        normalize_adjacency(3, [(0, 3)])  # endpoint past the last node
     with pytest.raises(ValueError):
-        normalize_adjacency(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        normalize_adjacency(3, [(-1, 2)])
     with pytest.raises(ValueError):
-        normalize_adjacency(np.eye(2))
+        normalize_adjacency(3, [(0, 1), (2, 2)])  # self-loop
+    # duplicate and reversed pairs describe the same undirected edge
+    once = normalize_adjacency(3, [(0, 1)])
+    assert np.array_equal(normalize_adjacency(3, [(1, 0)]), once)
+    assert np.array_equal(normalize_adjacency(3, [(0, 1), (1, 0), (0, 1)]), once)
 
 
-# --- encoder and sampling ---
+# --- encoder ---
 
 
 def test_encode_shapes_and_relu(rng):
     g, _ = small_setup(rng)
     cfg = tiny_config()
     params = glorot_init(g.n_nodes, cfg, np.random.default_rng(0))
-    a_hat = normalize_adjacency(g.adjacency().astype(float))
+    a_hat = normalize_adjacency(g.n_nodes, g.edges)
     mu, logvar = encode(a_hat, params)
     assert mu.shape == (g.n_nodes, cfg.latent_dim)
     assert logvar.shape == mu.shape
@@ -97,7 +124,7 @@ def test_encode_shapes_and_relu(rng):
 def test_encode_equals_one_hot_reference_chain(rng):
     g, _ = small_setup(rng)
     params = glorot_init(g.n_nodes, tiny_config(), np.random.default_rng(0))
-    a_hat = normalize_adjacency(g.adjacency().astype(float))
+    a_hat = normalize_adjacency(g.n_nodes, g.edges)
     x = np.eye(g.n_nodes)
     h = np.maximum(a_hat @ x @ params.w_shared, 0.0)
     mu, logvar = encode(a_hat, params)
@@ -108,25 +135,11 @@ def test_encode_equals_one_hot_reference_chain(rng):
 def test_encode_validates_shapes(rng):
     g, _ = small_setup(rng)
     params = glorot_init(g.n_nodes, tiny_config(), np.random.default_rng(0))
-    a_hat = normalize_adjacency(g.adjacency().astype(float))
+    a_hat = normalize_adjacency(g.n_nodes, g.edges)
     with pytest.raises(ValueError):
         encode(np.eye(g.n_nodes + 1), params)
     with pytest.raises(ValueError):
         encode(a_hat[:, :-1], params)
-
-
-def test_reparameterize_mean_and_spread():
-    mu = np.arange(6.0).reshape(3, 2)
-    z = reparameterize(mu, np.zeros_like(mu), np.random.default_rng(0))
-    eps = np.random.default_rng(0).standard_normal(mu.shape)
-    assert np.allclose(z, mu + eps)  # logvar 0 means unit scale
-    z2 = reparameterize(mu, np.full_like(mu, -50.0), np.random.default_rng(1))
-    assert np.allclose(z2, mu, atol=1e-9)  # vanishing variance collapses to mu
-
-
-def test_reparameterize_shape_mismatch():
-    with pytest.raises(ValueError):
-        reparameterize(np.zeros((2, 2)), np.zeros((3, 2)), np.random.default_rng(0))
 
 
 # --- decoder and losses ---
@@ -176,7 +189,7 @@ def test_edge_probabilities_equal_scalar_reference_bit_for_bit(latent_dim):
 def test_reconstruction_loss_at_zero_latent_is_ln2():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.zeros((2, 3))
-    assert reconstruction_loss(a, z, pos_weight=1.0) == pytest.approx(
+    assert _bce(a, z @ z.T, 1.0)[0] == pytest.approx(
         math.log(2.0), abs=1e-15
     )
 
@@ -185,17 +198,17 @@ def test_reconstruction_loss_pos_weight_scales_positive_terms():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.zeros((2, 3))
     # at z=0 every pair contributes ln2; positives are half the mass here
-    base = reconstruction_loss(a, z, pos_weight=1.0)
-    up = reconstruction_loss(a, z, pos_weight=3.0)
+    base = _bce(a, z @ z.T, 1.0)[0]
+    up = _bce(a, z @ z.T, 3.0)[0]
     assert up == pytest.approx(base + 2 * math.log(2.0) * 2 / 4, abs=1e-12)
     with pytest.raises(ValueError):
-        reconstruction_loss(a, z, pos_weight=0.0)
+        _bce(a, z @ z.T, 0.0)
 
 
 def test_reconstruction_loss_finite_for_extreme_latents():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.array([[1e3, 0.0], [-1e3, 0.0]])
-    assert np.isfinite(reconstruction_loss(a, z, pos_weight=5.0))
+    assert np.isfinite(_bce(a, z @ z.T, 5.0)[0])
 
 
 def test_kl_divergence_hand_values():
@@ -277,11 +290,13 @@ def test_train_records_val_auc_iff_val_edges(rng):
 
 def test_train_adjacency_contains_only_train_edges(rng):
     g, split = small_setup(rng)
-    a = train_adjacency(g, split)
+    a_hat, a, pos_weight = _training_inputs(g.n_nodes, split)
     assert (a == a.T).all()
     assert a.sum() == 2 * len(split.train)
     for i, j in split.test:
         assert a[i, j] == 0.0
+    assert np.array_equal(a_hat, normalize_adjacency(g.n_nodes, split.train))
+    assert pos_weight == (a.size - a.sum()) / a.sum()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
