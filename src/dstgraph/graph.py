@@ -122,7 +122,14 @@ class StateGraph:
         )
 
     def non_edges(self) -> list[Edge]:
-        return [p for p in self.candidate_pairs() if p not in self.edges]
+        """Domain x SlotValue pairs that are not edges, normalized i < j, sorted."""
+        n = self.n_nodes
+        domains = np.array(sorted(self._domain_index.values()), dtype=np.int64)
+        d_idx = np.repeat(domains, len(self.slotvalue_indices))
+        sv_idx = np.tile(self.slotvalue_indices, len(domains))
+        keys = np.sort(np.minimum(d_idx, sv_idx) * n + np.maximum(d_idx, sv_idx))
+        keys = keys[~np.isin(keys, self.edge_keys, assume_unique=True)]
+        return list(zip(*(part.tolist() for part in np.divmod(keys, n))))
 
 
 def build_graph(states: Sequence[DialogueState]) -> StateGraph:

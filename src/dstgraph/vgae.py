@@ -7,9 +7,11 @@ the only place that builds it.  Node features are one-hot (X = I), so the
 first layer Â X W_s is Â W_s and no feature matrix is built; one forward
 pass serves training, the gradient check and evaluation.  The training
 objective is the negative ELBO: weighted full-matrix reconstruction BCE
-plus a KL term against a standard-normal prior.  Backpropagation is
-hand-derived and verified against central finite differences, so all
-arithmetic stays in double precision.
+plus a KL term against a standard-normal prior, evaluated in one pass
+from exp(-|S|), S = Z Z^T, with the positive terms gathered at the
+training edges and no dense 0/1 target.  Backpropagation is hand-derived
+and verified against central finite differences, so all arithmetic stays
+in double precision.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import numpy as np
 from .graph import EdgeSplit, StateGraph
 
 PROB_EPS = 1e-12
-_LOG_LO = float(np.log(PROB_EPS))
-_LOG_HI = float(np.log1p(-PROB_EPS))
+# bounds of -log p for p clamped to [1e-12, 1 - 1e-12]
+_SP_LO = -float(np.log1p(-PROB_EPS))
+_SP_HI = -float(np.log(PROB_EPS))
 
 
 class TrainingDiverged(RuntimeError):
@@ -108,18 +111,15 @@ class EpochRecord:
 TrainHistory = list[EpochRecord]
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-free sigma(x) from e = exp(-|x|): 1/(1+e) where x >= 0 and
+    e/(1+e) elsewhere.  ``e`` is computed when not given."""
+    if e is None:
+        e = np.exp(-np.abs(x))
+    # 0 <= e <= 1, so max(e, x >= 0) is 1 where x >= 0 and e elsewhere
+    out = np.maximum(e, x >= 0)
+    out /= 1.0 + e
     return out
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    # max(x, 0) + log1p(exp(-|x|)): overflow-free for any finite x
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def _edge_matrix(n_nodes: int, edges) -> np.ndarray:
@@ -197,26 +197,36 @@ def edge_probabilities(z: np.ndarray, rows, cols) -> np.ndarray:
     return np.clip(_sigmoid(s), PROB_EPS, 1.0 - PROB_EPS)
 
 
-def _bce(
-    adjacency: np.ndarray, s: np.ndarray, pos_weight: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted BCE of scores S against A, averaged over all ordered pairs,
-    plus the unclamped log terms.
+def _bce(s: np.ndarray, pos_index, pos_weight: float) -> tuple[float, np.ndarray]:
+    """Weighted BCE of the n x n scores S against the 0/1 target that is one
+    exactly at ``pos_index`` (a (rows, cols) pair of index arrays), averaged
+    over all ordered pairs, and its gradient dBCE/dS.
 
     Positive terms are scaled by pos_weight to counter edge sparsity.  The
     log-probabilities are clamped to [log 1e-12, log(1 - 1e-12)], which
-    keeps the loss finite for arbitrary finite S.
+    keeps the loss finite for arbitrary finite S; clamped terms get zero
+    gradient.  One e = exp(-|S|) gives sigma(S) and both log terms:
+    -log sigma(s) = max(-s, 0) + log1p(e), -log(1 - sigma(s)) = max(s, 0) +
+    log1p(e).  Every entry is scored densely as a non-edge, then the
+    positive terms are computed at ``pos_index`` only and scattered there.
     """
     if pos_weight <= 0:
         raise ValueError("pos_weight must be positive")
-    a = np.asarray(adjacency, dtype=np.float64)
-    # log sigma(s) = -softplus(-s); log(1 - sigma(s)) = -softplus(s)
-    logp_raw = -_softplus(-s)
-    log1mp_raw = -_softplus(s)
-    logp = np.clip(logp_raw, _LOG_LO, _LOG_HI)
-    log1mp = np.clip(log1mp_raw, _LOG_LO, _LOG_HI)
-    bce = float(-(pos_weight * a * logp + (1.0 - a) * log1mp).sum() / a.size)
-    return bce, logp_raw, log1mp_raw
+    t = np.abs(s)
+    np.exp(np.negative(t, out=t), out=t)
+    g = _sigmoid(s, t)  # sigma(S), turned into dBCE/dS in place
+    np.log1p(t, out=t)
+    sp_pos = np.maximum(-s[pos_index], 0.0) + t[pos_index]  # -log sigma(s)
+    sig_pos = g[pos_index]
+    t += np.maximum(s, 0.0)  # -log(1 - sigma(s))
+
+    g *= (t > _SP_LO) & (t < _SP_HI)
+    np.clip(t, _SP_LO, _SP_HI, out=t)
+    t[pos_index] = pos_weight * np.clip(sp_pos, _SP_LO, _SP_HI)
+    keep_pos = (sp_pos > _SP_LO) & (sp_pos < _SP_HI)
+    g[pos_index] = -pos_weight * (1.0 - sig_pos) * keep_pos
+    g /= s.size
+    return float(t.sum() / s.size), g
 
 
 def kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> float:
@@ -242,51 +252,47 @@ def glorot_init(n_features: int, config: TrainConfig, rng: np.random.Generator) 
 
 def _training_inputs(
     n_nodes: int, split: EdgeSplit
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Â, the 0/1 BCE target and pos_weight, from the training edges only.
-
-    pos_weight is the ratio of non-edge to edge entries of the target.
-    """
-    target = _edge_matrix(n_nodes, split.train)
-    n_pos = np.count_nonzero(target)
-    pos_weight = (target.size - n_pos) / n_pos
-    return normalize_adjacency(n_nodes, split.train), target, pos_weight
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], float]:
+    """Â, the BCE target's positive entries (both orientations of each
+    training edge, as (rows, cols) index arrays) and pos_weight, the ratio
+    of non-edge to edge entries of the n x n target."""
+    a_hat = normalize_adjacency(n_nodes, split.train)
+    rows, cols = np.array(split.train, dtype=np.intp).reshape(-1, 2).T
+    keys = np.unique(np.concatenate([rows * n_nodes + cols, cols * n_nodes + rows]))
+    pos_weight = (n_nodes * n_nodes - keys.size) / keys.size
+    return a_hat, np.divmod(keys, n_nodes), pos_weight
 
 
 def loss_and_grads(
     params: VgaeParams,
     norm_adj: np.ndarray,
-    adjacency: np.ndarray,
+    pos_index: tuple[np.ndarray, np.ndarray],
     pos_weight: float,
     kl_weight: float,
     noise: np.ndarray,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Forward pass plus hand-derived gradients of BCE + kl_weight * KL.
 
+    ``pos_index`` holds the target's positive entries (`_training_inputs`).
     ``noise`` is the frozen standard-normal draw used by the
     reparameterization, so the function is pure and checkable against
     finite differences.  Returns (bce, kl, grads by weight name).
     """
     a_hat = np.asarray(norm_adj, dtype=np.float64)
-    a = np.asarray(adjacency, dtype=np.float64)
-    n = a.shape[0]
+    n = a_hat.shape[0]
 
     m, ah, mu, logvar = _forward(a_hat, params)
     std = np.exp(logvar / 2.0)
     z = mu + std * noise
 
-    s = z @ z.T
-    bce, logp_raw, log1mp_raw = _bce(a, s, pos_weight)
+    bce, g_s = _bce(z @ z.T, pos_index, pos_weight)
     kl = kl_divergence(mu, logvar)
 
-    # dBCE/dS: clamped terms contribute zero gradient
-    sig = _sigmoid(s)
-    m1 = (logp_raw > _LOG_LO) & (logp_raw < _LOG_HI)
-    m2 = (log1mp_raw > _LOG_LO) & (log1mp_raw < _LOG_HI)
-    g_s = (-pos_weight * a * (1.0 - sig) * m1 + (1.0 - a) * sig * m2) / a.size
-
-    # S = Z Z^T with S_ij = z_i . z_j, so dL/dZ = (G + G^T) Z
-    g_z = (g_s + g_s.T) @ z
+    # S = Z Z^T with S_ij = z_i . z_j, so dL/dZ = (G + G^T) Z.  numpy computes
+    # z @ z.T as one symmetric (syrk) product, so S and G are exactly
+    # symmetric and G + G^T is 2G, bit for bit.
+    g_s *= 2.0
+    g_z = g_s @ z
 
     g_mu = g_z + kl_weight * mu / n
     g_logvar = g_z * noise * 0.5 * std + kl_weight * 0.5 / n * (np.exp(logvar) - 1.0)
@@ -318,7 +324,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = glorot_init(graph.n_nodes, config, rng)
 
-    a_hat, a, pos_weight = _training_inputs(graph.n_nodes, split)
+    a_hat, pos_index, pos_weight = _training_inputs(graph.n_nodes, split)
     # validation monitoring mirrors evaluate_split: encode the full graph
     if split.val:
         a_hat_full = normalize_adjacency(graph.n_nodes, graph.edges)
@@ -339,7 +345,7 @@ def train(
         params = VgaeParams(**weights)
         noise = rng.standard_normal((graph.n_nodes, config.latent_dim))
         bce, kl, grads = loss_and_grads(
-            params, a_hat, a, pos_weight, config.kl_weight, noise
+            params, a_hat, pos_index, pos_weight, config.kl_weight, noise
         )
         total = bce + config.kl_weight * kl
 
@@ -388,11 +394,11 @@ def gradient_check(
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
     rng = np.random.default_rng(config.seed)
-    a_hat, a, pos_weight = _training_inputs(graph.n_nodes, split)
+    a_hat, pos_index, pos_weight = _training_inputs(graph.n_nodes, split)
     noise = rng.standard_normal((graph.n_nodes, params.latent_dim))
 
     _, _, grads = loss_and_grads(
-        params, a_hat, a, pos_weight, config.kl_weight, noise
+        params, a_hat, pos_index, pos_weight, config.kl_weight, noise
     )
 
     mats = {
@@ -411,7 +417,9 @@ def gradient_check(
 
     def total_loss() -> float:
         p = VgaeParams(**{k2: v.copy() for k2, v in mats.items()})
-        bce, kl, _ = loss_and_grads(p, a_hat, a, pos_weight, config.kl_weight, noise)
+        bce, kl, _ = loss_and_grads(
+            p, a_hat, pos_index, pos_weight, config.kl_weight, noise
+        )
         return bce + config.kl_weight * kl
 
     max_rel = 0.0

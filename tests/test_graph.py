@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dstgraph.datasets import fixture_corpus_path, load_corpus
 from dstgraph.dialogue import DialogueState
 from dstgraph.graph import (
     NodeId,
@@ -108,6 +109,24 @@ def test_candidate_pairs_and_non_edges_partition():
     non = set(g.non_edges())
     assert non.isdisjoint(g.edges)
     assert non | g.edges == set(cands)
+
+
+def test_non_edges_equal_comprehension_reference(rng):
+    corpus = load_corpus(fixture_corpus_path())
+    fixture = build_graph([s for d in corpus.dialogues for s in d.gold_states])
+    graphs = [fixture, planted_graph(), small_graph()]
+    for n_domains, p in ((1, 0.3), (4, 0.0), (5, 0.6)):
+        graphs.append(random_bipartite_graph(rng, n_domains, 25, p))
+    edgeless = StateGraph(
+        [NodeId(0, NodeKind.DOMAIN, "d"), NodeId(1, NodeKind.SLOT_VALUE, "s-v")], []
+    )
+    assert edgeless.non_edges() == [(0, 1)]
+    for g in graphs + [edgeless]:
+        # the per-pair comprehension the vectorised form replaced
+        reference = [p for p in g.candidate_pairs() if p not in g.edges]
+        got = g.non_edges()
+        assert got == reference
+        assert all(type(i) is int and type(j) is int for i, j in got)
 
 
 def test_split_edges_partitions_exactly(rng):

@@ -11,6 +11,7 @@ from dstgraph.vgae import (
     TrainingDiverged,
     VgaeParams,
     _bce,
+    _forward,
     _sigmoid,
     _training_inputs,
     edge_probabilities,
@@ -19,6 +20,7 @@ from dstgraph.vgae import (
     gradient_check,
     kl_divergence,
     load_checkpoint,
+    loss_and_grads,
     normalize_adjacency,
     save_checkpoint,
     train,
@@ -186,10 +188,26 @@ def test_edge_probabilities_equal_scalar_reference_bit_for_bit(latent_dim):
     assert np.array_equal(edge_probabilities(z, rows, cols), np.array(reference))
 
 
+def masked_sigmoid(x):
+    """The boolean-mask sigmoid the shared exp(-|x|) form replaced."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_masked_form_bit_for_bit(rng):
+    edge = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0])
+    for x in (edge, rng.normal(scale=30.0, size=500), np.array([])):
+        assert _sigmoid(x).tobytes() == masked_sigmoid(x).tobytes()
+
+
 def test_reconstruction_loss_at_zero_latent_is_ln2():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.zeros((2, 3))
-    assert _bce(a, z @ z.T, 1.0)[0] == pytest.approx(
+    assert _bce(z @ z.T, np.nonzero(a), 1.0)[0] == pytest.approx(
         math.log(2.0), abs=1e-15
     )
 
@@ -198,17 +216,91 @@ def test_reconstruction_loss_pos_weight_scales_positive_terms():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.zeros((2, 3))
     # at z=0 every pair contributes ln2; positives are half the mass here
-    base = _bce(a, z @ z.T, 1.0)[0]
-    up = _bce(a, z @ z.T, 3.0)[0]
+    base = _bce(z @ z.T, np.nonzero(a), 1.0)[0]
+    up = _bce(z @ z.T, np.nonzero(a), 3.0)[0]
     assert up == pytest.approx(base + 2 * math.log(2.0) * 2 / 4, abs=1e-12)
     with pytest.raises(ValueError):
-        _bce(a, z @ z.T, 0.0)
+        _bce(z @ z.T, np.nonzero(a), 0.0)
 
 
 def test_reconstruction_loss_finite_for_extreme_latents():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.array([[1e3, 0.0], [-1e3, 0.0]])
-    assert np.isfinite(_bce(a, z @ z.T, 5.0)[0])
+    assert np.isfinite(_bce(z @ z.T, np.nonzero(a), 5.0)[0])
+
+
+LOG_LO, LOG_HI = math.log(1e-12), math.log1p(-1e-12)
+
+
+def softplus(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def dense_loss_reference(params, a_hat, a, pos_weight, kl_weight, noise):
+    """The full-matrix objective against a dense 0/1 target ``a``, as it
+    was before the one-pass form; also returns S and both log terms."""
+    n = a.shape[0]
+    m, ah, mu, logvar = _forward(a_hat, params)
+    std = np.exp(logvar / 2.0)
+    z = mu + std * noise
+    s = z @ z.T
+    logp_raw = -softplus(-s)
+    log1mp_raw = -softplus(s)
+    logp = np.clip(logp_raw, LOG_LO, LOG_HI)
+    log1mp = np.clip(log1mp_raw, LOG_LO, LOG_HI)
+    bce = float(-(pos_weight * a * logp + (1.0 - a) * log1mp).sum() / a.size)
+    kl = kl_divergence(mu, logvar)
+    sig = masked_sigmoid(s)
+    m1 = (logp_raw > LOG_LO) & (logp_raw < LOG_HI)
+    m2 = (log1mp_raw > LOG_LO) & (log1mp_raw < LOG_HI)
+    g_s = (-pos_weight * a * (1.0 - sig) * m1 + (1.0 - a) * sig * m2) / a.size
+    g_z = (g_s + g_s.T) @ z
+    g_mu = g_z + kl_weight * mu / n
+    g_logvar = g_z * noise * 0.5 * std + kl_weight * 0.5 / n * (np.exp(logvar) - 1.0)
+    g_h = a_hat @ (g_mu @ params.w_mu.T + g_logvar @ params.w_logvar.T)
+    grads = {
+        "w_shared": a_hat.T @ (g_h * (m > 0.0)),
+        "w_mu": ah.T @ g_mu,
+        "w_logvar": ah.T @ g_logvar,
+    }
+    return bce, kl, grads, s, logp_raw, log1mp_raw
+
+
+def test_loss_and_grads_equals_dense_reference_bit_for_bit(rng):
+    corpus = load_corpus(fixture_corpus_path())
+    fixture = build_graph([s for d in corpus.dialogues for s in d.gold_states])
+    cases = [(fixture, 0), (planted_graph(), 0)]
+    cases += [(random_bipartite_graph(rng, 4, 30, 0.2), k) for k in (1, 5)]
+    cfg = tiny_config()
+    for g, n_isolated in cases:
+        n = g.n_nodes + n_isolated
+        split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+        a_hat, pos_index, pos_weight = _training_inputs(n, split)
+        a = np.zeros((n, n))
+        for i, j in split.train:
+            a[i, j] = a[j, i] = 1.0
+        base = glorot_init(n, cfg, np.random.default_rng(0))
+        noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
+        for scale in (1, 30, 300):
+            params = VgaeParams(
+                w_shared=scale * base.w_shared, w_mu=base.w_mu, w_logvar=base.w_logvar
+            )
+            bce, kl, grads, s, logp_raw, log1mp_raw = dense_loss_reference(
+                params, a_hat, a, pos_weight, 0.5, noise
+            )
+            got = loss_and_grads(params, a_hat, pos_index, pos_weight, 0.5, noise)
+            assert got[0] == bce and got[1] == kl
+            for name, want in grads.items():
+                # tobytes also tells -0.0 from 0.0
+                assert got[2][name].tobytes() == want.tobytes(), name
+            # the 2G form of G + G^T rests on z @ z.T being exactly symmetric
+            assert np.array_equal(s, s.T)
+            if scale > 1:
+                # both clamps fire: log sigma and log(1 - sigma) reach log 1e-12
+                assert (logp_raw < LOG_LO).any() and (log1mp_raw < LOG_LO).any()
+            if scale == 300:
+                # also at training edges, where the gathered terms are used
+                assert (logp_raw[a == 1.0] < LOG_LO).any()
 
 
 def test_kl_divergence_hand_values():
@@ -290,13 +382,14 @@ def test_train_records_val_auc_iff_val_edges(rng):
 
 def test_train_adjacency_contains_only_train_edges(rng):
     g, split = small_setup(rng)
-    a_hat, a, pos_weight = _training_inputs(g.n_nodes, split)
-    assert (a == a.T).all()
-    assert a.sum() == 2 * len(split.train)
-    for i, j in split.test:
-        assert a[i, j] == 0.0
+    a_hat, (rows, cols), pos_weight = _training_inputs(g.n_nodes, split)
+    positives = set(zip(rows.tolist(), cols.tolist()))
+    assert positives == set(split.train) | {(j, i) for i, j in split.train}
+    assert len(rows) == len(cols) == 2 * len(split.train)
+    assert positives.isdisjoint(split.test)
     assert np.array_equal(a_hat, normalize_adjacency(g.n_nodes, split.train))
-    assert pos_weight == (a.size - a.sum()) / a.sum()
+    n_pos = 2 * len(split.train)
+    assert pos_weight == (g.n_nodes**2 - n_pos) / n_pos
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
