@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 user/config error, 2 backend failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +55,13 @@ from .graph import (
 )
 from .linkpred import candidate_records, evaluate_split, mean_embeddings, rank_candidates
 from .metrics import TurnPair, jga, slot_accuracy, slot_f1
-from .parsing import DiagnosticKind, classify_errors, merge_error_reports, parse_state
+from .parsing import (
+    DiagnosticKind,
+    ParseOutcome,
+    classify_errors,
+    merge_error_reports,
+    parse_state,
+)
 from .prompts import (
     PromptSpec,
     PromptStrategy,
@@ -125,6 +133,14 @@ def _meta(config: RunConfig, keys: tuple[str, ...], **extra) -> dict:
     return meta
 
 
+def _write_json(path: str, payload: dict) -> None:
+    """Write a report as indented, key-sorted UTF-8 JSON with a final newline."""
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+        encoding="utf-8",
+    )
+
+
 def make_backend(cfg: RunConfig):
     if cfg.backend == "rulemock":
         path = cfg.keywords or str(fixture_keywords_path())
@@ -140,46 +156,62 @@ def make_backend(cfg: RunConfig):
     raise UsageError(f"unknown backend: {cfg.backend}")
 
 
-def make_generation_params(cfg: RunConfig) -> GenerationParams:
-    return GenerationParams(
-        temperature=cfg.temperature,
-        max_tokens=cfg.max_tokens,
-        model_name=cfg.model,
-        timeout=cfg.timeout,
-        retries=cfg.retries,
-    )
+class TurnTracker:
+    """One tracking step per user turn: prompt -> completion -> parse -> accumulate.
 
+    Built once per run: the strategy, instruction, exemplars, template
+    overrides and generation parameters are resolved here, not per turn.
+    """
 
-def make_prompt_spec(
-    cfg: RunConfig, input_text: str, exemplars: tuple[tuple[str, str], ...]
-) -> PromptSpec:
-    try:
-        strategy = PromptStrategy(cfg.strategy)
-    except ValueError as exc:
-        raise UsageError(f"unknown strategy: {cfg.strategy}") from exc
-    return PromptSpec(
-        strategy=strategy,
-        instruction=cfg.instruction or default_instruction(),
-        input_text=input_text,
-        anti_hallucination=cfg.anti_hallucination,
-        exemplars=exemplars,
-    )
+    def __init__(self, cfg: RunConfig, backend):
+        try:
+            strategy = PromptStrategy(cfg.strategy)
+        except ValueError as exc:
+            raise UsageError(f"unknown strategy: {cfg.strategy}") from exc
+        self._spec = functools.partial(
+            PromptSpec,
+            strategy=strategy,
+            instruction=cfg.instruction or default_instruction(),
+            anti_hallucination=cfg.anti_hallucination,
+            exemplars=load_exemplars(cfg.exemplars_file) if cfg.exemplars_file else (),
+        )
+        self._overrides = (
+            load_template_overrides(cfg.templates_file) if cfg.templates_file else None
+        )
+        self._params = GenerationParams(
+            temperature=cfg.temperature,
+            max_tokens=cfg.max_tokens,
+            model_name=cfg.model,
+            timeout=cfg.timeout,
+            retries=cfg.retries,
+        )
+        self._backend = backend
+
+    def prompt(self, ctx: DialogueContext) -> str:
+        spec = self._spec(input_text=serialize_context(ctx))
+        return build_prompt(spec, self._overrides)
+
+    def step(
+        self, ctx: DialogueContext, state: DialogueState
+    ) -> tuple[ParseOutcome, DialogueState]:
+        """Track the last turn of ``ctx`` on top of ``state``.
+
+        A BackendError propagates; the caller decides whether to abort.
+        """
+        outcome = parse_state(self._backend.complete(self.prompt(ctx), self._params))
+        return outcome, accumulate_state(state, outcome.state.triples())
 
 
 def extract_records(
     dialogues, backend, cfg: RunConfig
 ) -> tuple[list[dict], BackendError | None]:
-    """Run the prompt -> completion -> parse -> accumulate loop.
+    """Run the tracking step over every user turn of every dialogue.
 
     Dialogues are processed in dialogue_id order for deterministic output.
     On a backend failure the records completed so far are returned with
     the error, so the caller can flush partial output before aborting.
     """
-    params = make_generation_params(cfg)
-    overrides = (
-        load_template_overrides(cfg.templates_file) if cfg.templates_file else None
-    )
-    exemplars = load_exemplars(cfg.exemplars_file) if cfg.exemplars_file else ()
+    tracker = TurnTracker(cfg, backend)
     records: list[dict] = []
     for dialogue in sorted(dialogues, key=lambda d: d.dialogue_id):
         ctx = DialogueContext(turns=(), dialogue_id=dialogue.dialogue_id)
@@ -189,14 +221,10 @@ def extract_records(
             ctx = append_turn(ctx, turn)
             if turn.speaker is not Speaker.USER:
                 continue
-            spec = make_prompt_spec(cfg, serialize_context(ctx), exemplars)
-            prompt = build_prompt(spec, overrides)
             try:
-                completion = backend.complete(prompt, params)
+                outcome, state = tracker.step(ctx, state)
             except BackendError as exc:
                 return records, exc
-            outcome = parse_state(completion)
-            state = accumulate_state(state, outcome.state.triples())
             records.append(
                 {
                     "dialogue_id": dialogue.dialogue_id,
@@ -321,10 +349,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         },
         **_meta(cfg, _EVALUATE_KEYS),
     }
-    Path(cfg.out).write_text(
-        json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(cfg.out, report)
     print(f"jga={report['jga']:.4f} slot_f1={report['slot_f1']:.4f} -> {cfg.out}")
     return 0
 
@@ -358,10 +383,7 @@ def cmd_graph(cfg: RunConfig) -> int:
     manifest = _meta(
         cfg, _GRAPH_KEYS, n_nodes=g.n_nodes, n_edges=len(g.edges)
     )
-    Path(cfg.out_prefix + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(cfg.out_prefix + ".manifest.json", manifest)
     print(f"graph: {g.n_nodes} nodes, {len(g.edges)} edges -> {cfg.out_prefix}.*")
     return 0
 
@@ -420,10 +442,7 @@ def cmd_train(cfg: RunConfig) -> int:
         **_meta(cfg, _TRAIN_KEYS),
     }
     out = cfg.metrics_out or str(Path(cfg.checkpoint).with_suffix(".metrics.json"))
-    Path(out).write_text(
-        json.dumps(metrics, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out, metrics)
     print(
         f"trained {len(history)} epochs: test auc={result['auc']:.4f} "
         f"ap={result['ap']:.4f} -> {cfg.checkpoint}"
@@ -470,11 +489,11 @@ def cmd_predict(cfg: RunConfig) -> int:
 def cmd_repl(cfg: RunConfig) -> int:
     """Line-oriented tracker: one user utterance per line, tracked triples
     (and next-state candidates if a model is given) printed after each."""
-    backend = make_backend(cfg)
-    params = make_generation_params(cfg)
-    exemplars = load_exemplars(cfg.exemplars_file) if cfg.exemplars_file else ()
+    if bool(cfg.out_prefix) != bool(cfg.checkpoint):
+        raise UsageError("repl needs both --graph-prefix and --checkpoint, or neither")
+    tracker = TurnTracker(cfg, make_backend(cfg))
     g = mu = None
-    if cfg.checkpoint and cfg.out_prefix:
+    if cfg.checkpoint:
         g = _load_graph_prefix(cfg.out_prefix)
         mu = mean_embeddings(load_checkpoint(cfg.checkpoint)[0], g)
 
@@ -486,16 +505,13 @@ def cmd_repl(cfg: RunConfig) -> int:
         if not text:
             continue
         ctx = append_turn(ctx, Turn(speaker=Speaker.USER, text=text))
-        spec = make_prompt_spec(cfg, serialize_context(ctx), exemplars)
         try:
-            completion = backend.complete(build_prompt(spec), params)
+            outcome, state = tracker.step(ctx, state)
         except BackendError as exc:
             print(f"! backend error: {exc}")
             continue
-        outcome = parse_state(completion)
         for d in outcome.diagnostics:
             print(f"! {d.kind.value}: {d.detail}")
-        state = accumulate_state(state, outcome.state.triples())
         for t in state.triples():
             print(f"({t.domain}, {t.slot}, {t.value})")
         if mu is not None:
@@ -525,19 +541,12 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-_BOOL_FIELDS = {"anti_hallucination", "from_gold"}
-_INT_FIELDS = {
-    "max_tokens", "retries", "seed", "top_k", "epochs",
-    "hidden_dim", "latent_dim",
-}
-_FLOAT_FIELDS = {
-    "temperature", "timeout", "learning_rate", "kl_weight",
-    "train_frac", "test_frac", "val_frac",
-}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _coerce(key: str, value: str):
-    if key in _BOOL_FIELDS:
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
         lowered = value.lower()
         if lowered in ("true", "yes", "1"):
             return True
@@ -545,13 +554,9 @@ def _coerce(key: str, value: str):
             return False
         raise UsageError(f"config key {key}: expected a boolean, got {value!r}")
     try:
-        if key in _INT_FIELDS:
-            return int(value)
-        if key in _FLOAT_FIELDS:
-            return float(value)
+        return kind(value)
     except ValueError as exc:
         raise UsageError(f"config key {key}: {exc}") from exc
-    return value
 
 
 class _Parser(argparse.ArgumentParser):

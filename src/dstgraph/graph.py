@@ -121,15 +121,22 @@ class StateGraph:
             (d, v) if d < v else (v, d) for d in domains for v in values
         )
 
-    def non_edges(self) -> list[Edge]:
-        """Domain x SlotValue pairs that are not edges, normalized i < j, sorted."""
+    def non_edge_keys(self) -> np.ndarray:
+        """Sorted keys i * n + j (i < j) of the Domain x SlotValue non-edges."""
         n = self.n_nodes
         domains = np.array(sorted(self._domain_index.values()), dtype=np.int64)
         d_idx = np.repeat(domains, len(self.slotvalue_indices))
         sv_idx = np.tile(self.slotvalue_indices, len(domains))
         keys = np.sort(np.minimum(d_idx, sv_idx) * n + np.maximum(d_idx, sv_idx))
-        keys = keys[~np.isin(keys, self.edge_keys, assume_unique=True)]
-        return list(zip(*(part.tolist() for part in np.divmod(keys, n))))
+        return keys[~np.isin(keys, self.edge_keys, assume_unique=True)]
+
+    def key_edges(self, keys: np.ndarray) -> list[Edge]:
+        """The (i, j) pairs of keys i * n + j, as Python ints, in key order."""
+        return list(zip(*(part.tolist() for part in np.divmod(keys, self.n_nodes))))
+
+    def non_edges(self) -> list[Edge]:
+        """Domain x SlotValue pairs that are not edges, normalized i < j, sorted."""
+        return self.key_edges(self.non_edge_keys())
 
 
 def build_graph(states: Sequence[DialogueState]) -> StateGraph:
@@ -218,14 +225,15 @@ def split_edges(
     val = tuple(shuffled[n_test : n_test + n_val])
     train = tuple(shuffled[n_test + n_val :])
 
-    non_edges = g.non_edges()
-    if n_test + n_val > len(non_edges):
+    non_edge_keys = g.non_edge_keys()
+    if n_test + n_val > len(non_edge_keys):
         raise ValueError(
-            f"cannot sample {n_test + n_val} negatives from {len(non_edges)} non-edges"
+            f"cannot sample {n_test + n_val} negatives "
+            f"from {len(non_edge_keys)} non-edges"
         )
-    neg_order = rng.permutation(len(non_edges))
-    neg_test = tuple(non_edges[i] for i in neg_order[:n_test])
-    neg_val = tuple(non_edges[i] for i in neg_order[n_test : n_test + n_val])
+    neg_order = rng.permutation(len(non_edge_keys))
+    neg_test = tuple(g.key_edges(non_edge_keys[neg_order[:n_test]]))
+    neg_val = tuple(g.key_edges(non_edge_keys[neg_order[n_test : n_test + n_val]]))
 
     return EdgeSplit(
         train=train, val=val, test=test, neg_val=neg_val, neg_test=neg_test, seed=seed

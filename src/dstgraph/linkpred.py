@@ -188,7 +188,7 @@ def cross_validate(graph: StateGraph, k: int = 10, config: TrainConfig | None = 
     from .datasets import kfold_split
 
     folds = kfold_split(edges, k, seed=config.seed)
-    non_edges = graph.non_edges()
+    non_edge_keys = graph.non_edge_keys()
 
     fold_auc: list[float] = []
     fold_ap: list[float] = []
@@ -198,15 +198,15 @@ def cross_validate(graph: StateGraph, k: int = 10, config: TrainConfig | None = 
         if not rest:
             raise ValueError("a fold consumed every edge; graph too small for CV")
         rng = np.random.default_rng([config.seed, fold_index])
-        if len(fold) > len(non_edges):
+        if len(fold) > len(non_edge_keys):
             raise ValueError("not enough non-edges to sample fold negatives")
-        neg_idx = rng.choice(len(non_edges), size=len(fold), replace=False)
+        neg_idx = rng.choice(len(non_edge_keys), size=len(fold), replace=False)
         split = EdgeSplit(
             train=rest,
             val=(),
             test=tuple(fold),
             neg_val=(),
-            neg_test=tuple(non_edges[i] for i in neg_idx),
+            neg_test=tuple(graph.key_edges(non_edge_keys[neg_idx])),
             seed=config.seed,
         )
         params, _ = train(graph, split, config)

@@ -17,7 +17,7 @@ in double precision.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -450,17 +450,7 @@ def save_checkpoint(path: str | Path, params: VgaeParams, config: TrainConfig) -
         "n_features": params.n_features,
         "hidden_dim": params.hidden_dim,
         "latent_dim": params.latent_dim,
-        "config": {
-            "hidden_dim": config.hidden_dim,
-            "latent_dim": config.latent_dim,
-            "learning_rate": config.learning_rate,
-            "epochs": config.epochs,
-            "kl_weight": config.kl_weight,
-            "seed": config.seed,
-            "adam_beta1": config.adam_beta1,
-            "adam_beta2": config.adam_beta2,
-            "adam_epsilon": config.adam_epsilon,
-        },
+        "config": asdict(config),
         "w_shared": params.w_shared.tolist(),
         "w_mu": params.w_mu.tolist(),
         "w_logvar": params.w_logvar.tolist(),

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import json
+import typing
 from pathlib import Path
 
 import pytest
@@ -15,15 +17,8 @@ from dstgraph.datasets import (
     read_predictions,
     write_corpus,
 )
-from dstgraph.dialogue import (
-    DialogueContext,
-    Speaker,
-    Turn,
-    append_turn,
-    serialize_context,
-)
+from dstgraph.dialogue import DialogueContext, Speaker, Turn, append_turn
 from dstgraph.graph import planted_graph, split_edges
-from dstgraph.prompts import build_prompt
 from dstgraph.vgae import TrainConfig, encode, save_checkpoint, train
 
 
@@ -75,6 +70,23 @@ def test_config_file_rejects_bad_syntax_and_bad_bool(tmp_path):
     conf.write_text("anti_hallucination = maybe\n", encoding="utf-8")
     with pytest.raises(UsageError):
         parse(["extract", "--config", str(conf)])
+
+
+def test_config_file_values_take_each_fields_annotated_type(tmp_path):
+    hints = typing.get_type_hints(RunConfig)
+    samples = {bool: ("no", False), int: ("3", 3), float: ("2", 2.0)}
+    typed = [f.name for f in dataclasses.fields(RunConfig) if hints[f.name] is not str]
+    assert {hints[name] for name in typed} == set(samples)
+    conf = tmp_path / "run.conf"
+    conf.write_text(
+        "".join(f"{name} = {samples[hints[name]][0]}\n" for name in typed),
+        encoding="utf-8",
+    )
+    cfg = parse(["train", "--config", str(conf)])
+    for name in typed:
+        value = getattr(cfg, name)
+        assert type(value) is hints[name], name
+        assert value == samples[hints[name]][1], name
 
 
 def test_config_file_boolean_coercion(tmp_path):
@@ -187,7 +199,7 @@ def test_extract_replay_miss_flushes_partial_output(tmp_path, capsys):
     write_corpus(corpus, [d1, d2])
 
     ctx = append_turn(DialogueContext(turns=(), dialogue_id="a1"), d1.turns[0])
-    prompt = build_prompt(cli.make_prompt_spec(RunConfig(), serialize_context(ctx), ()))
+    prompt = cli.TurnTracker(RunConfig(), backend=None).prompt(ctx)
     replay_path = tmp_path / "replay.jsonl"
     ReplayBackend(replay_path).store(
         prompt, "Domain : [`restaurant'] , Slot : [`food'] , Value : [`thai']"
@@ -437,13 +449,43 @@ def test_repl_reports_backend_errors_and_continues(tmp_path, monkeypatch, capsys
     assert "! backend error" in capsys.readouterr().out
 
 
-# --- prompt spec integration ---
+def test_repl_applies_template_overrides(tmp_path, monkeypatch, capsys):
+    templates = tmp_path / "t.txt"
+    templates.write_text("[instruction]\nList every tracked pair.\n", encoding="utf-8")
+    prompts = []
+
+    class Recorder:
+        def complete(self, prompt, params):
+            prompts.append(prompt)
+            return "Domain : [`restaurant'] , Slot : [`food'] , Value : [`thai']"
+
+    monkeypatch.setattr(cli, "make_backend", lambda cfg: Recorder())
+    monkeypatch.setattr("sys.stdin", io.StringIO("i want thai food\n"))
+    assert cli.main(["repl", "--templates", str(templates)]) == 0
+    assert len(prompts) == 1
+    assert "Instruction: List every tracked pair. Input:" in prompts[0]
+    assert "(restaurant, food, thai)" in capsys.readouterr().out
 
 
-def test_make_prompt_spec_rejects_unknown_strategy():
+@pytest.mark.parametrize(
+    "flags", [["--graph-prefix", "g"], ["--checkpoint", "model.json"]]
+)
+def test_repl_needs_graph_prefix_and_checkpoint_together(flags, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("i want thai food\n"))
+    assert cli.main(["repl", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "--graph-prefix and --checkpoint" in captured.err
+    assert captured.out == ""
+
+
+# --- turn tracker ---
+
+
+def test_turn_tracker_rejects_unknown_strategy():
     cfg = RunConfig(strategy="nope")
     with pytest.raises(UsageError):
-        cli.make_prompt_spec(cfg, "input", ())
+        cli.TurnTracker(cfg, backend=None)
 
 
 def test_make_backend_rejects_unknown_name():

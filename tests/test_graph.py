@@ -112,9 +112,7 @@ def test_candidate_pairs_and_non_edges_partition():
 
 
 def test_non_edges_equal_comprehension_reference(rng):
-    corpus = load_corpus(fixture_corpus_path())
-    fixture = build_graph([s for d in corpus.dialogues for s in d.gold_states])
-    graphs = [fixture, planted_graph(), small_graph()]
+    graphs = [fixture_graph(), planted_graph(), small_graph()]
     for n_domains, p in ((1, 0.3), (4, 0.0), (5, 0.6)):
         graphs.append(random_bipartite_graph(rng, n_domains, 25, p))
     edgeless = StateGraph(
@@ -127,6 +125,35 @@ def test_non_edges_equal_comprehension_reference(rng):
         got = g.non_edges()
         assert got == reference
         assert all(type(i) is int and type(j) is int for i, j in got)
+
+
+def fixture_graph() -> StateGraph:
+    corpus = load_corpus(fixture_corpus_path())
+    return build_graph([s for d in corpus.dialogues for s in d.gold_states])
+
+
+def test_split_edges_negatives_equal_list_based_draws(rng):
+    graphs = [
+        fixture_graph(),
+        planted_graph(),
+        random_bipartite_graph(rng, 3, 30, 0.3),
+        random_bipartite_graph(rng, 5, 40, 0.5),
+    ]
+    for g in graphs:
+        non_edges = g.non_edges()
+        for seed in range(6):
+            split = split_edges(g, 0.85, 0.10, 0.05, seed=seed)
+            # the list-based draws: edge order first, then indices into non_edges
+            reference = np.random.default_rng(seed)
+            reference.permutation(len(g.edges))
+            neg_order = reference.permutation(len(non_edges))
+            n_test, n_val = len(split.test), len(split.val)
+            assert split.neg_test == tuple(non_edges[i] for i in neg_order[:n_test])
+            assert split.neg_val == tuple(
+                non_edges[i] for i in neg_order[n_test : n_test + n_val]
+            )
+            picks = split.neg_test + split.neg_val
+            assert all(type(i) is int and type(j) is int for i, j in picks)
 
 
 def test_split_edges_partitions_exactly(rng):

@@ -21,19 +21,10 @@ import json
 import sys
 from pathlib import Path
 
-from dstgraph.backends import GenerationParams, ReplayBackend, RuleMockBackend
-from dstgraph.cli import RunConfig, extract_records, make_prompt_spec
+from dstgraph.backends import ReplayBackend, RuleMockBackend
+from dstgraph.cli import RunConfig, extract_records
 from dstgraph.datasets import AnnotatedDialogue, load_corpus, write_corpus
-from dstgraph.dialogue import (
-    DialogueContext,
-    DialogueState,
-    Speaker,
-    StateTriple,
-    Turn,
-    append_turn,
-    serialize_context,
-)
-from dstgraph.prompts import build_prompt
+from dstgraph.dialogue import DialogueState, Speaker, StateTriple, Turn
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "dstgraph" / "fixtures"
 
@@ -406,21 +397,24 @@ def build_dialogues() -> list[AnnotatedDialogue]:
     return out
 
 
+class _Recorder:
+    """Pass the mock's completions through, storing each one for replay."""
+
+    def __init__(self, mock: RuleMockBackend, replay: ReplayBackend):
+        self.mock, self.replay = mock, replay
+
+    def complete(self, prompt, params):
+        completion = self.mock.complete(prompt, params)
+        self.replay.store(prompt, completion)
+        return completion
+
+
 def build_replay(dialogues, mock: RuleMockBackend, replay: ReplayBackend) -> int:
     """Store the mock's completion for every extract prompt."""
-    cfg = RunConfig()
-    params = GenerationParams()
-    n = 0
-    for dialogue in dialogues:
-        ctx = DialogueContext(turns=(), dialogue_id=dialogue.dialogue_id)
-        for turn in dialogue.turns:
-            ctx = append_turn(ctx, turn)
-            if turn.speaker is not Speaker.USER:
-                continue
-            prompt = build_prompt(make_prompt_spec(cfg, serialize_context(ctx), ()))
-            replay.store(prompt, mock.complete(prompt, params))
-            n += 1
-    return n
+    records, failure = extract_records(dialogues, _Recorder(mock, replay), RunConfig())
+    if failure is not None:
+        raise failure
+    return len(records)
 
 
 def main() -> int:
