@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,6 +71,10 @@ class HttpBackend:
     The bearer token comes from the environment only (never a CLI flag).
     Transient failures (connection errors, HTTP 429/5xx) retry with
     exponential backoff up to ``params.retries`` extra attempts.
+
+    One backend may serve several threads: each thread posts through its
+    own ``requests.Session``, unless a ``session`` is injected, which
+    every thread then shares.
     """
 
     kind = "http"
@@ -86,11 +91,18 @@ class HttpBackend:
         self.base_url = base_url.rstrip("/")
         self.token_env = token_env
         self._sleep = sleep
+        self._session = session
+        self._local = threading.local()
+
+    def _thread_session(self):
+        if self._session is not None:
+            return self._session
+        session = getattr(self._local, "session", None)
         if session is None:
             import requests
 
-            session = requests.Session()
-        self._session = session
+            session = self._local.session = requests.Session()
+        return session
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         if not prompt:
@@ -107,12 +119,13 @@ class HttpBackend:
         }
         url = f"{self.base_url}/chat/completions"
 
+        session = self._thread_session()
         last_error: Exception | None = None
         for attempt in range(params.retries + 1):
             if attempt:
                 self._sleep(0.5 * 2 ** (attempt - 1))
             try:
-                resp = self._session.post(
+                resp = session.post(
                     url, json=body, headers=headers, timeout=params.timeout
                 )
             except OSError as exc:  # connection errors, timeouts

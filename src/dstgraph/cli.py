@@ -16,6 +16,8 @@ import functools
 import json
 import sys
 import typing
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from .backends import (
 )
 from .datasets import (
     CorpusFormat,
+    atomic_writer,
     fixture_keywords_path,
     load_corpus,
     read_predictions,
@@ -135,10 +138,8 @@ def _meta(config: RunConfig, keys: tuple[str, ...], **extra) -> dict:
 
 def _write_json(path: str, payload: dict) -> None:
     """Write a report as indented, key-sorted UTF-8 JSON with a final newline."""
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_writer(path) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def make_backend(cfg: RunConfig):
@@ -202,42 +203,98 @@ class TurnTracker:
         return outcome, accumulate_state(state, outcome.state.triples())
 
 
+def _track_dialogue(
+    tracker: TurnTracker, dialogue
+) -> tuple[list[dict], BackendError | None]:
+    """Track every user turn of one dialogue, in order.
+
+    On a backend failure the turns tracked so far are returned with the
+    error; the dialogue's remaining turns are not tried.
+    """
+    ctx = DialogueContext(turns=(), dialogue_id=dialogue.dialogue_id)
+    state = DialogueState()
+    records: list[dict] = []
+    for turn in dialogue.turns:
+        ctx = append_turn(ctx, turn)
+        if turn.speaker is not Speaker.USER:
+            continue
+        try:
+            outcome, state = tracker.step(ctx, state)
+        except BackendError as exc:
+            return records, exc
+        records.append(
+            {
+                "dialogue_id": dialogue.dialogue_id,
+                "turn": len(records),
+                "predicted_state": state_to_jsonable(state),
+                "diagnostics": [
+                    {"kind": d.kind.value, "detail": d.detail}
+                    for d in outcome.diagnostics
+                ],
+            }
+        )
+    return records, None
+
+
+# Dialogues tracked at once over the http backend, whose time is spent
+# waiting on the endpoint.  The offline backends are CPU-bound under the
+# GIL and stay sequential.
+_HTTP_WORKERS = 4
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
+    """Yield ``fn(item)`` for each item in order, computed on ``pool``.
+
+    At most ``window`` items are submitted ahead of the consumer: the next
+    one is submitted only after a result is taken, so a consumer that
+    stops early never has more than ``window - 1`` later items submitted.
+    """
+    pending: deque[Future] = deque()
+    for item in items:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(pool.submit(fn, item))
+    while pending:
+        yield pending.popleft().result()
+
+
+def _merge(results) -> tuple[list[dict], BackendError | None]:
+    """Concatenate per-dialogue records, stopping at the first failure."""
+    records: list[dict] = []
+    for dialogue_records, failure in results:
+        records.extend(dialogue_records)
+        if failure is not None:
+            return records, failure
+    return records, None
+
+
 def extract_records(
     dialogues, backend, cfg: RunConfig
 ) -> tuple[list[dict], BackendError | None]:
     """Run the tracking step over every user turn of every dialogue.
 
-    Dialogues are processed in dialogue_id order for deterministic output.
-    On a backend failure the records completed so far are returned with
-    the error, so the caller can flush partial output before aborting.
+    Records come out in dialogue_id order for deterministic output.  Over
+    the http backend up to ``_HTTP_WORKERS`` dialogues are tracked at once
+    (the turns of one dialogue always run in order), and the output is
+    the same as the sequential run's.  On a backend failure the records
+    of every earlier dialogue and of the failing dialogue's turns before
+    the failure are returned with the error, so the caller can flush
+    partial output before aborting; later dialogues are discarded.
     """
-    tracker = TurnTracker(cfg, backend)
-    records: list[dict] = []
-    for dialogue in sorted(dialogues, key=lambda d: d.dialogue_id):
-        ctx = DialogueContext(turns=(), dialogue_id=dialogue.dialogue_id)
-        state = DialogueState()
-        turn_index = 0
-        for turn in dialogue.turns:
-            ctx = append_turn(ctx, turn)
-            if turn.speaker is not Speaker.USER:
-                continue
-            try:
-                outcome, state = tracker.step(ctx, state)
-            except BackendError as exc:
-                return records, exc
-            records.append(
-                {
-                    "dialogue_id": dialogue.dialogue_id,
-                    "turn": turn_index,
-                    "predicted_state": state_to_jsonable(state),
-                    "diagnostics": [
-                        {"kind": d.kind.value, "detail": d.detail}
-                        for d in outcome.diagnostics
-                    ],
-                }
-            )
-            turn_index += 1
-    return records, None
+    track = functools.partial(_track_dialogue, TurnTracker(cfg, backend))
+    ordered = sorted(dialogues, key=lambda d: d.dialogue_id)
+    if not isinstance(backend, HttpBackend) or not ordered:
+        return _merge(map(track, ordered))
+    workers = min(_HTTP_WORKERS, len(ordered))
+    pool = ThreadPoolExecutor(workers)
+    try:
+        # two dialogues per worker in the window, so a worker never idles
+        # behind a slow dialogue at the head of the merge order
+        return _merge(_in_order(pool, track, ordered, 2 * workers))
+    finally:
+        # after a failure, queued dialogues are dropped unstarted and the
+        # ones in flight run out before returning
+        pool.shutdown(cancel_futures=True)
 
 
 _EXTRACT_KEYS = (

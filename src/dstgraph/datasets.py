@@ -15,7 +15,10 @@ where gold, when present, holds the cumulative state after each user turn.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import uuid
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -251,9 +254,29 @@ def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadRes
     return LoadResult(dialogues=tuple(dialogues), manifest=manifest, skipped=skipped)
 
 
+@contextlib.contextmanager
+def atomic_writer(path: str | Path):
+    """Open a UTF-8 text file that replaces ``path`` only when the block
+    completes, so an aborted write never leaves a truncated file.
+
+    The text goes to a uniquely named temp file in the target's directory,
+    then ``os.replace`` moves it over ``path``.  If the block raises, the
+    temp file is removed and ``path`` keeps its previous content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_corpus(path: str | Path, dialogues: Iterable[AnnotatedDialogue]) -> None:
     """Write dialogues in the plain JSONL schema (the normal form)."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_writer(path) as f:
         for d in dialogues:
             rec: dict = {
                 "dialogue_id": d.dialogue_id,
@@ -276,8 +299,9 @@ def write_predictions(
 
     When given, ``meta`` (run config, version) becomes a first line tagged
     record_type=meta so downstream readers can separate it from data.
+    The file is replaced only once every record is written.
     """
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_writer(path) as f:
         if meta is not None:
             f.write(json.dumps({META_KEY: "meta", **meta}, ensure_ascii=False) + "\n")
         for rec in records:

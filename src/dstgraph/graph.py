@@ -8,6 +8,7 @@ after construction; splitting and negative sampling take an explicit seed.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -16,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .datasets import atomic_writer
 from .dialogue import DialogueState
 
 Edge = tuple[int, int]
@@ -101,6 +103,16 @@ class StateGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+    @functools.cached_property
+    def norm_adj(self) -> np.ndarray:
+        """Read-only GCN propagation matrix Â of the full edge list, built
+        once per graph and shared by every full-graph encode."""
+        from .vgae import normalize_adjacency
+
+        a_hat = normalize_adjacency(self.n_nodes, self.edges)
+        a_hat.flags.writeable = False
+        return a_hat
 
     def domain_node(self, label: str) -> NodeId | None:
         idx = self._domain_index.get(label)
@@ -306,12 +318,13 @@ def planted_graph(
 def write_edge_list(g: StateGraph, path: str | Path) -> None:
     """Write one "i j" pair per line, sorted, for cross-tool use."""
     lines = [f"{i} {j}" for i, j in g.sorted_edges()]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    with atomic_writer(path) as f:
+        f.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 def write_node_table(g: StateGraph, path: str | Path) -> None:
     """Write the node table as JSONL: {index, kind, label} plus identity fields."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_writer(path) as f:
         for node in g.nodes:
             rec: dict = {"index": node.index, "kind": node.kind.value, "label": node.label}
             if node.kind is NodeKind.SLOT_VALUE:

@@ -21,7 +21,6 @@ from .vgae import (
     VgaeParams,
     edge_probabilities,
     encode,
-    normalize_adjacency,
     train,
 )
 
@@ -97,7 +96,7 @@ def average_precision(scores: Sequence[float], labels: Sequence[bool]) -> float:
 
 def mean_embeddings(params: VgaeParams, graph: StateGraph) -> np.ndarray:
     """Posterior means for every node, encoding the graph's full edge list."""
-    return encode(normalize_adjacency(graph.n_nodes, graph.edges), params)[0]
+    return encode(graph.norm_adj, params)[0]
 
 
 def evaluate_split(

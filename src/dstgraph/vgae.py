@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import atomic_writer
 from .graph import EdgeSplit, StateGraph
 
 PROB_EPS = 1e-12
@@ -325,9 +326,9 @@ def train(
     params = glorot_init(graph.n_nodes, config, rng)
 
     a_hat, pos_index, pos_weight = _training_inputs(graph.n_nodes, split)
-    # validation monitoring mirrors evaluate_split: encode the full graph
+    # validation monitoring mirrors evaluate_split: encode the full graph,
+    # through the graph's one Â, which evaluate_split reuses
     if split.val:
-        a_hat_full = normalize_adjacency(graph.n_nodes, graph.edges)
         val_pairs = np.array(split.val + split.neg_val)
         val_labels = [True] * len(split.val) + [False] * len(split.neg_val)
 
@@ -353,7 +354,7 @@ def train(
         if split.val:
             from .linkpred import auc
 
-            mu, _ = encode(a_hat_full, params)
+            mu, _ = encode(graph.norm_adj, params)
             val_auc = auc(edge_probabilities(mu, *val_pairs.T), val_labels)
 
         record = EpochRecord(epoch=epoch, bce=bce, kl=kl, total=total, val_auc=val_auc)
@@ -455,7 +456,8 @@ def save_checkpoint(path: str | Path, params: VgaeParams, config: TrainConfig) -
         "w_mu": params.w_mu.tolist(),
         "w_logvar": params.w_logvar.tolist(),
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with atomic_writer(path) as f:
+        f.write(json.dumps(payload))
 
 
 def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:

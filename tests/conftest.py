@@ -56,6 +56,24 @@ def random_bipartite_graph(
     return build_graph(states)
 
 
+class FakeResponse:
+    """A chat-completions HTTP response for fake sessions."""
+
+    def __init__(self, status_code, payload=None, text=""):
+        self.status_code = status_code
+        self._payload = payload
+        self._text = text
+
+    def json(self):
+        if self._payload is None:
+            raise ValueError("not json")
+        return self._payload
+
+
+def completion_payload(content):
+    return {"choices": [{"message": {"content": content}}]}
+
+
 def child_env() -> dict:
     """The environment for Python subprocesses (CLI runs, demos): PYTHONPATH
     leads with the absolute directory holding the imported dstgraph, so a

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -15,24 +16,10 @@ from dstgraph.backends import (
     prompt_hash,
 )
 
+from conftest import FakeResponse, completion_payload
+
 
 PARAMS = GenerationParams()
-
-
-class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self._text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
-
-
-def completion_payload(content):
-    return {"choices": [{"message": {"content": content}}]}
 
 
 class FakeSession:
@@ -170,6 +157,40 @@ def test_http_malformed_payloads(monkeypatch):
         backend, _ = http_backend([FakeResponse(200, payload)])
         with pytest.raises(MalformedResponse):
             backend.complete("p", PARAMS)
+
+
+def test_http_threads_post_through_their_own_sessions(monkeypatch):
+    import requests
+
+    made = []
+
+    class RecordingSession:
+        def __init__(self):
+            self.threads = set()
+            made.append(self)
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.threads.add(threading.get_ident())
+            return FakeResponse(200, completion_payload("ok"))
+
+    monkeypatch.setattr(requests, "Session", RecordingSession)
+    backend = HttpBackend("https://api.example.test/v1")
+    both_running = threading.Barrier(2)
+
+    def work():
+        both_running.wait(timeout=10)
+        for _ in range(3):
+            assert backend.complete("p", PARAMS) == "ok"
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert len(made) == 2  # one session per thread, reused across its calls
+    assert {len(s.threads) for s in made} == {1}
+    assert made[0].threads != made[1].threads
 
 
 def test_http_rejects_empty_arguments():

@@ -1,25 +1,37 @@
 import dataclasses
 import io
 import json
+import sys
+import threading
+import types
 import typing
 from pathlib import Path
 
 import pytest
 
-from dstgraph import __version__, cli
-from dstgraph.backends import ReplayBackend, prompt_hash
+from dstgraph import __version__, cli, vgae
+from dstgraph.backends import (
+    GenerationParams,
+    ReplayBackend,
+    RuleMockBackend,
+    live_input_section,
+    prompt_hash,
+)
 from dstgraph.cli import RunConfig, UsageError, resolve_config
 from dstgraph.datasets import (
     AnnotatedDialogue,
     fixture_corpus_path,
     fixture_keywords_path,
     fixture_replay_path,
+    load_corpus,
     read_predictions,
     write_corpus,
 )
 from dstgraph.dialogue import DialogueContext, Speaker, Turn, append_turn
 from dstgraph.graph import planted_graph, split_edges
 from dstgraph.vgae import TrainConfig, encode, save_checkpoint, train
+
+from conftest import FakeResponse, completion_payload
 
 
 def parse(argv):
@@ -218,6 +230,143 @@ def test_extract_replay_miss_flushes_partial_output(tmp_path, capsys):
     assert "no recorded completion" in meta["failure"]
 
 
+# --- concurrent http extraction ---
+
+
+class CorpusEndpoint:
+    """Thread-safe fake chat-completions transport over the fixture corpus.
+
+    Answers every prompt with the keyword mock's completion, so replies
+    depend on prompt content only, never on request order.  Each request
+    is traced to its dialogue by the first line of the prompt's live
+    input.  ``fail_on=(dialogue_id, user_turn)`` answers that turn with
+    HTTP 404, which the backend does not retry.  With ``hold_until``, the
+    first dialogue's first request waits up to ``hold_s`` seconds for a
+    request of that dialogue; ``held`` tells whether one came.
+    """
+
+    def __init__(self, fail_on=None, hold_until=None, hold_s=10.0):
+        dialogues = load_corpus(fixture_corpus_path()).dialogues
+        self.order = sorted(d.dialogue_id for d in dialogues)
+        self._by_first_line = {d.turns[0].render(): d.dialogue_id for d in dialogues}
+        self._mock = RuleMockBackend.from_json(fixture_keywords_path())
+        self._fail_on = fail_on
+        self._hold_until, self._hold_s = hold_until, hold_s
+        self._arrived = threading.Event()
+        self._lock = threading.Lock()
+        self.started: list[str] = []
+        self.held = False
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["messages"][-1]["content"]
+        lines = live_input_section(prompt).strip().splitlines()
+        dialogue_id = self._by_first_line[lines[0]]
+        user_turn = sum(line.startswith("USER:") for line in lines)
+        with self._lock:
+            if dialogue_id not in self.started:
+                self.started.append(dialogue_id)
+        if dialogue_id == self._hold_until:
+            self._arrived.set()
+        elif self._hold_until and (dialogue_id, user_turn) == (self.order[0], 1):
+            self.held = self._arrived.wait(timeout=self._hold_s)
+        if (dialogue_id, user_turn) == self._fail_on:
+            return FakeResponse(404)
+        completion = self._mock.complete(prompt, GenerationParams())
+        return FakeResponse(200, completion_payload(completion))
+
+
+def http_extract(tmp_path, monkeypatch, endpoint):
+    """Run `extract --backend http` with every thread's session bound to
+    ``endpoint``; returns (exit code, output bytes)."""
+    import requests
+
+    monkeypatch.setattr(requests, "Session", lambda: endpoint)
+    out = tmp_path / "pred.jsonl"
+    code = cli.main(
+        ["extract", "--corpus", str(fixture_corpus_path()), "--backend", "http",
+         "--endpoint", "http://127.0.0.1:9/v1", "--out", str(out)]
+    )
+    return code, out.read_bytes()
+
+
+def sequential_http_extract(tmp_path, monkeypatch, endpoint):
+    """`http_extract` on the sequential driver: the backend is wrapped so
+    extract_records does not see an HttpBackend."""
+    with monkeypatch.context() as m:
+        make = cli.make_backend
+        m.setattr(cli, "make_backend", lambda cfg: types.SimpleNamespace(
+            complete=make(cfg).complete))
+        m.setattr(cli, "ThreadPoolExecutor", None)
+        return http_extract(tmp_path, m, endpoint)
+
+
+def test_http_extract_on_pool_matches_sequential_bytes(tmp_path, monkeypatch, capsys):
+    code, sequential = sequential_http_extract(tmp_path, monkeypatch, CorpusEndpoint())
+    assert code == 0
+
+    # the first dialogue waits for the second: only a concurrent run
+    # passes.  A short switch interval interleaves the workers finely.
+    endpoint = CorpusEndpoint(hold_until="fx002")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        code, pooled = http_extract(tmp_path, monkeypatch, endpoint)
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 0
+    assert endpoint.held, "dialogues were not tracked concurrently"
+    assert pooled == sequential
+    records, _ = read_predictions(tmp_path / "pred.jsonl")
+    assert len(records) == 41
+    capsys.readouterr()
+
+
+def test_http_extract_failure_writes_sequential_partial_output(
+    tmp_path, monkeypatch, capsys
+):
+    fail_on = ("fx003", 2)  # the second user turn of the third dialogue
+    sequential_endpoint = CorpusEndpoint(fail_on)
+    code, sequential = sequential_http_extract(tmp_path, monkeypatch, sequential_endpoint)
+    assert code == 2
+    assert sequential_endpoint.started == ["fx001", "fx002", "fx003"]
+
+    # dialogues are submitted at most two per worker ahead of the merge.
+    # While the first dialogue is held, the workers run ahead to the end
+    # of that window and no further, so the failure is seen before any
+    # dialogue past it has started
+    window_end = 2 + 2 * cli._HTTP_WORKERS
+    endpoint = CorpusEndpoint(fail_on, hold_until=f"fx{window_end + 1:03d}", hold_s=0.5)
+    code, pooled = http_extract(tmp_path, monkeypatch, endpoint)
+    assert code == 2
+    assert pooled == sequential
+    records, meta = read_predictions(tmp_path / "pred.jsonl")
+    assert [(r["dialogue_id"], r["turn"]) for r in records] == [
+        ("fx001", 0), ("fx001", 1), ("fx002", 0), ("fx002", 1), ("fx003", 0)
+    ]
+    assert "HTTP 404" in meta["failure"]
+    assert not endpoint.held
+    assert set(endpoint.started) <= set(endpoint.order[:window_end])
+    assert "extract aborted after 5 turns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend_flags", [
+    [],
+    ["--backend", "replay", "--replay", str(fixture_replay_path())],
+])
+def test_offline_extraction_starts_no_thread(backend_flags, tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("offline extraction must not start a thread pool")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    out = tmp_path / "pred.jsonl"
+    code = cli.main(
+        ["extract", "--corpus", str(fixture_corpus_path()), *backend_flags,
+         "--out", str(out)]
+    )
+    assert code == 0
+    assert len(read_predictions(out)[0]) == 41
+
+
 def test_replay_backend_requires_path(capsys):
     code = cli.main(
         ["extract", "--corpus", str(fixture_corpus_path()),
@@ -394,6 +543,39 @@ def test_train_default_metrics_path(tmp_path, monkeypatch, capsys):
     )
     assert Path("model.metrics.json").exists()
     capsys.readouterr()
+
+
+def test_train_builds_each_propagation_matrix_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    corpus = str(fixture_corpus_path())
+    assert cli.main(["extract", "--corpus", corpus, "--out", "pred.jsonl"]) == 0
+    assert cli.main(["graph", "--predictions", "pred.jsonl", "--out-prefix", "g"]) == 0
+    built = []
+    original = vgae.normalize_adjacency
+
+    def counting(n_nodes, edges):
+        built.append(len(edges))
+        return original(n_nodes, edges)
+
+    monkeypatch.setattr(vgae, "normalize_adjacency", counting)
+    assert cli.main(
+        ["train", "--graph-prefix", "g", "--checkpoint", "model.json", "--epochs", "3"]
+    ) == 0
+    metrics = json.loads(Path("model.metrics.json").read_text())
+    assert metrics["split_sizes"]["val"] > 0  # the val AUC encodes the full graph
+    # the training-edge Â, then the full-graph Â shared by val AUC and test AUC
+    assert built == [metrics["split_sizes"]["train"], metrics["n_edges"]]
+    capsys.readouterr()
+
+
+def test_write_json_keeps_previous_report_on_failure(tmp_path):
+    out = tmp_path / "report.json"
+    cli._write_json(str(out), {"jga": 0.5})
+    before = out.read_bytes()
+    with pytest.raises(TypeError):
+        cli._write_json(str(out), {"jga": object()})
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 # --- interactive tracker ---

@@ -279,6 +279,21 @@ def test_write_read_predictions_without_meta(tmp_path):
     assert meta is None
 
 
+def test_write_predictions_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "pred.jsonl"
+    write_predictions(path, [{"a": 1}], meta={"run": 1})
+    before = path.read_bytes()
+
+    def records():
+        yield {"a": 2}
+        raise RuntimeError("aborted midway")
+
+    with pytest.raises(RuntimeError):
+        write_predictions(path, records(), meta={"run": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pred.jsonl"]
+
+
 # --- fold arithmetic ---
 
 

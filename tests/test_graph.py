@@ -90,6 +90,15 @@ def test_state_graph_validates_structure():
         StateGraph([d, v], [(0, 7)])  # unknown endpoint
 
 
+def test_norm_adj_is_built_once_and_read_only():
+    g = small_graph()
+    a_hat = g.norm_adj
+    assert g.norm_adj is a_hat
+    assert np.array_equal(a_hat, normalize_adjacency(g.n_nodes, g.edges))
+    with pytest.raises(ValueError):
+        a_hat[0, 0] = 0.0
+
+
 def test_propagation_matrix_symmetric_with_edge_pattern():
     g = small_graph()
     a_hat = normalize_adjacency(g.n_nodes, g.edges)
