@@ -8,8 +8,10 @@ bit-identical across process restarts, which the golden-file tests rely on.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -204,13 +206,40 @@ def live_input_section(prompt: str) -> str:
     return section
 
 
+def _keyword_trie(words: list[str]) -> str:
+    """Regex for a sorted list of distinct words, read as a radix trie.
+
+    Siblings start with distinct characters, and a word that ends inside
+    the trie makes the rest of its branch an optional greedy tail, so at
+    a given position the regex matches the longest listed word.  The
+    empty string in ``words`` marks a word ending at this node.
+    """
+    terminal = bool(words) and words[0] == ""
+    rest = words[1:] if terminal else words
+    branches = []
+    for _, group in itertools.groupby(rest, key=lambda w: w[0]):
+        group = list(group)
+        prefix = os.path.commonprefix([group[0], group[-1]])
+        tail = _keyword_trie([w[len(prefix) :] for w in group])
+        branches.append(re.escape(prefix) + tail)
+    if not branches:
+        return ""
+    body = "|".join(branches)
+    if terminal:
+        return f"(?:{body})?"
+    return body if len(branches) == 1 else f"(?:{body})"
+
+
 class RuleMockBackend:
     """Deterministic completions from a keyword table.
 
-    Scans only the live input section for keyword substrings and emits the
-    matched triples in canonical completion format.  Matches are ordered
-    by first occurrence so a later mention overrides an earlier value for
-    the same (domain, slot) key.
+    The normalized table is compiled once into a single scan that, in one
+    pass over the live input section, finds the longest keyword starting
+    at each position; every keyword's first occurrence is recorded, so
+    overlapping keywords ("museum" inside "whipple museum") each keep
+    their own position.  The matched triples are emitted in canonical
+    completion format, ordered by first occurrence so a later mention
+    overrides an earlier value for the same (domain, slot) key.
     """
 
     kind = "rulemock"
@@ -222,6 +251,19 @@ class RuleMockBackend:
             normalize_text(k): (str(d), str(s), str(v))
             for k, (d, s, v) in keyword_table.items()
         }
+        if "" in self._table:
+            raise ValueError("keywords must be non-empty after normalization")
+        words = sorted(self._table)
+        # each keyword with the shorter keywords it starts with: in sorted
+        # order, a keyword's prefixes are exactly the stack below it
+        self._same_start: dict[str, tuple[str, ...]] = {}
+        stack: list[str] = []
+        for w in words:
+            while stack and not w.startswith(stack[-1]):
+                stack.pop()
+            stack.append(w)
+            self._same_start[w] = tuple(stack)
+        self._scan = re.compile(f"(?=({_keyword_trie(words)}))")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RuleMockBackend":
@@ -236,11 +278,16 @@ class RuleMockBackend:
         if not prompt:
             raise ValueError("prompt must be non-empty")
         text = normalize_text(live_input_section(prompt))
-        hits = []
-        for keyword, triple in self._table.items():
-            pos = text.find(keyword)
-            if pos >= 0:
-                hits.append((pos, keyword, triple))
-        hits.sort()
+        first: dict[str, int] = {}
+        for m in self._scan.finditer(text):
+            longest = m.group(1)
+            # a keyword seen before had all its same-start keywords seen
+            # at that earlier position too
+            if longest in first:
+                continue
+            pos = m.start()
+            for keyword in self._same_start[longest]:
+                first.setdefault(keyword, pos)
+        hits = sorted((pos, k, self._table[k]) for k, pos in first.items())
         triples = [StateTriple(domain=d, slot=s, value=v) for _, _, (d, s, v) in hits]
         return format_state(DialogueState(triples))

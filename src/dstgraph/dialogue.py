@@ -9,6 +9,7 @@ pure function, so everything in this module is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -20,7 +21,12 @@ NONE_VALUE = "none"
 
 _WS = re.compile(r"\s+")
 
+# Domain, slot and value strings repeat across every turn of a corpus, so
+# a small memo serves nearly every call; unique turn texts cycle through.
+_NORMALIZE_CACHE_SIZE = 4096
 
+
+@functools.lru_cache(maxsize=_NORMALIZE_CACHE_SIZE)
 def normalize_text(s: str) -> str:
     """Case-fold, trim, and collapse internal whitespace runs to one space."""
     return _WS.sub(" ", s.strip()).casefold()
@@ -90,9 +96,16 @@ class StateTriple:
     value: str
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", normalize_text(self.domain))
-        object.__setattr__(self, "slot", normalize_text(self.slot))
-        object.__setattr__(self, "value", normalize_text(self.value))
+        domain, slot, value = self.domain, self.slot, self.value
+        if not (
+            isinstance(domain, str) and isinstance(slot, str) and isinstance(value, str)
+        ):
+            raise TypeError(
+                f"triple fields must be str, got ({domain!r}, {slot!r}, {value!r})"
+            )
+        object.__setattr__(self, "domain", normalize_text(domain))
+        object.__setattr__(self, "slot", normalize_text(slot))
+        object.__setattr__(self, "value", normalize_text(value))
         if not self.domain:
             raise ValueError("triple domain must be non-empty")
         if not self.slot:
@@ -126,7 +139,8 @@ class DialogueState:
         raise AttributeError("DialogueState is immutable")
 
     def triples(self) -> tuple[StateTriple, ...]:
-        return tuple(sorted(self._by_key.values()))
+        # keys are unique, so ordering by key orders the triples
+        return tuple(t for _, t in sorted(self._by_key.items()))
 
     def as_set(self) -> frozenset[StateTriple]:
         return frozenset(self._by_key.values())
@@ -139,6 +153,8 @@ class DialogueState:
 
     def without_none(self) -> "DialogueState":
         """Drop sentinel-valued triples (used before graphing and scoring)."""
+        if not any(t.is_none for t in self._by_key.values()):
+            return self
         return DialogueState(t for t in self._by_key.values() if not t.is_none)
 
     def __iter__(self) -> Iterator[StateTriple]:
@@ -175,7 +191,7 @@ def accumulate_state(
     state; in particular a NONE for an already-tracked key does not erase
     the earlier value.
     """
-    merged = {t.key: t for t in prev}
+    merged = dict(prev._by_key)
     for t in new_triples:
         if t.is_none:
             continue

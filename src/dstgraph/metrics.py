@@ -27,8 +27,8 @@ class PrfScore:
     f1: float
 
 
-def _scorable(state: DialogueState) -> set[StateTriple]:
-    return {t for t in state.without_none()}
+def _scorable(state: DialogueState) -> frozenset[StateTriple]:
+    return state.without_none().as_set()
 
 
 def jga(turns: Sequence[TurnPair]) -> float:

@@ -181,8 +181,6 @@ def classify_errors(
     a subset or superset of the predicted value's tokens.  Without turns
     the substring rule is skipped, never assumed to fail.
     """
-    turn_texts = [normalize_text(t.text) for t in turns] if turns is not None else None
-
     nonexistent = 0
     synonym = 0
     samples: list[dict] = []
@@ -195,6 +193,9 @@ def classify_errors(
         elif gold_real[t.key] != t.value:
             wrong.append((t, gold_real[t.key]))
 
+    turn_texts = None
+    if turns is not None and wrong:
+        turn_texts = [normalize_text(t.text) for t in turns]
     for t, gold_value in wrong:
         unsupported = turn_texts is not None and not any(
             t.value in text for text in turn_texts

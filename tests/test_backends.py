@@ -2,6 +2,8 @@ import json
 import threading
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dstgraph.backends import (
     GenerationParams,
@@ -15,6 +17,8 @@ from dstgraph.backends import (
     live_input_section,
     prompt_hash,
 )
+from dstgraph.dialogue import DialogueState, StateTriple, normalize_text
+from dstgraph.parsing import format_state
 
 from conftest import FakeResponse, completion_payload
 
@@ -332,3 +336,97 @@ def test_rulemock_from_json_round_trip(tmp_path):
 def test_rulemock_rejects_empty_table():
     with pytest.raises(ValueError):
         RuleMockBackend({})
+
+
+@pytest.mark.parametrize("keyword", ["", "   ", "\t\n"])
+def test_rulemock_rejects_empty_keyword(keyword):
+    with pytest.raises(ValueError):
+        RuleMockBackend({"cheap": ("restaurant", "pricerange", "cheap"),
+                         keyword: ("restaurant", "area", "centre")})
+
+
+def test_rulemock_reports_same_start_nested_and_literal_keywords():
+    backend = RuleMockBackend(
+        {
+            "cam": ("a", "x", "cam"),
+            "cambridge": ("a", "y", "cambridge"),
+            "camel": ("a", "z", "camel"),
+            "park": ("a", "x", "park"),
+            "museum": ("b", "x", "museum"),
+            "whipple museum": ("b", "y", "whipple"),
+            "c++": ("c", "x", "plus"),
+            "a.b": ("c", "y", "dot"),
+        }
+    )
+    # "cam" keeps its first position, inside "cambridge", so "park" wins
+    # (a, x); "museum" keeps its own position inside "whipple museum"
+    got = backend.complete(
+        wrap("the Whipple  Museum in Cambridge park, axb c++ camel"), PARAMS
+    )
+    assert got == (
+        "Domain : [`a', `a', `a', `b', `b', `c'] , "
+        "Slot : [`x', `y', `z', `x', `y', `x'] , "
+        "Value : [`park', `cambridge', `camel', `museum', `whipple', `plus']"
+    )
+
+
+def reference_rulemock(table, prompt):
+    """The scan the compiled one replaced: one ``str.find`` per keyword."""
+    normalized = {
+        normalize_text(k): (str(d), str(s), str(v)) for k, (d, s, v) in table.items()
+    }
+    text = normalize_text(live_input_section(prompt))
+    hits = []
+    for keyword, triple in normalized.items():
+        pos = text.find(keyword)
+        if pos >= 0:
+            hits.append((pos, keyword, triple))
+    hits.sort()
+    triples = [StateTriple(domain=d, slot=s, value=v) for _, _, (d, s, v) in hits]
+    return format_state(DialogueState(triples))
+
+
+# regex metacharacters, case and whitespace variants, and characters whose
+# case-folding changes the length ("ß" -> "ss", "İ" -> "i̇")
+_KW_CHARS = "abAB .*+?[](){}|\\^$\tßẞſİ"
+
+
+@st.composite
+def keyword_scans(draw):
+    base = draw(st.text(alphabet=_KW_CHARS, min_size=1, max_size=12))
+    # slices of one string give nested, overlapping and same-start keywords
+    bounds = st.integers(0, len(base))
+    keys = [base] + [
+        base[i:j] for i, j in draw(st.lists(st.tuples(bounds, bounds), max_size=8))
+    ]
+    keys += draw(st.lists(st.text(alphabet=_KW_CHARS, min_size=1, max_size=5), max_size=6))
+    # spellings that collide after normalization
+    keys += [k.swapcase() for k in keys[: draw(st.integers(0, 3))]]
+    keys += [k.replace(" ", "  ") for k in keys[: draw(st.integers(0, 3))]]
+    keys = [k for k in keys if normalize_text(k)]
+    assume(keys)
+    table = {
+        k: (
+            draw(st.sampled_from(["d", "e"])),
+            draw(st.sampled_from(["s", "t"])),
+            draw(st.text(alphabet="xyz", min_size=1, max_size=2)),
+        )
+        for k in keys
+    }
+    pieces = draw(
+        st.lists(
+            st.one_of(st.sampled_from(keys), st.text(alphabet=_KW_CHARS, max_size=4)),
+            max_size=8,
+        )
+    )
+    flips = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
+    text = "".join(p.swapcase() if f else p for p, f in zip(pieces, flips))
+    return table, wrap(text)
+
+
+@given(keyword_scans())
+def test_rulemock_matches_per_keyword_find_reference(case):
+    table, prompt = case
+    assert RuleMockBackend(table).complete(prompt, PARAMS) == reference_rulemock(
+        table, prompt
+    )

@@ -79,6 +79,17 @@ def test_plain_jsonl_counts_malformed_lines(tmp_path):
     assert result.skipped == 2
 
 
+def test_plain_jsonl_skips_non_string_gold_field(tmp_path):
+    path = tmp_path / "c.jsonl"
+    bad = plain_record("d2")
+    bad["gold"][0][0]["domain"] = 5
+    lines = [json.dumps(plain_record()), json.dumps(bad), json.dumps(plain_record("d3"))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = load_corpus(path)
+    assert [d.dialogue_id for d in result.dialogues] == ["d1", "d3"]
+    assert result.skipped == 1
+
+
 def test_plain_jsonl_gold_optional(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(plain_record(gold=False)) + "\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,6 +76,14 @@ def test_triple_none_sentinel_is_case_insensitive():
     assert StateTriple(domain="d", slot="s", value="NONE").is_none
     assert StateTriple(domain="d", slot="s", value="none").is_none
     assert not StateTriple(domain="d", slot="s", value="nones").is_none
+
+
+@pytest.mark.parametrize("field", ["domain", "slot", "value"])
+@pytest.mark.parametrize("bad", [5, None, ["x"]])
+def test_triple_rejects_non_string_fields(field, bad):
+    fields = {"domain": "d", "slot": "s", "value": "v", field: bad}
+    with pytest.raises(TypeError):
+        StateTriple(**fields)
 
 
 def test_triple_requires_domain_and_slot():
@@ -160,3 +170,54 @@ def test_accumulate_keys_grow_monotonically(first, second):
     s2 = accumulate_state(s1, second)
     assert set(s1.keys()) <= set(s2.keys())
     assert all(not t.is_none for t in s2)
+
+
+@given(st.text())
+def test_memoised_normalize_text_matches_its_definition(s):
+    expected = re.sub(r"\s+", " ", s.strip()).casefold()
+    normalize_text.cache_clear()
+    assert normalize_text(s) == expected  # computed
+    assert normalize_text(s) == expected  # served from the memo
+
+
+# few distinct keys, so latest-wins collisions are common
+_keyed_triples = st.builds(
+    StateTriple,
+    domain=st.sampled_from(["hotel", "Taxi", "a b"]),
+    slot=st.sampled_from(["area", "day", "b"]),
+    value=st.one_of(_words, st.just(NONE_VALUE), st.just("NONE")),
+)
+
+
+@given(st.lists(_keyed_triples, max_size=12))
+def test_state_triples_order_matches_sorting_the_triples(triples):
+    s = DialogueState(triples)
+    assert s.triples() == tuple(sorted(s.as_set()))
+
+
+@given(st.lists(_keyed_triples, max_size=12))
+def test_without_none_matches_rebuilt_state(triples):
+    s = DialogueState(triples)
+    kept = s.without_none()
+    assert kept == DialogueState(t for t in s.triples() if not t.is_none)
+    if not any(t.is_none for t in s):
+        assert kept is s
+
+
+def reference_accumulate(prev, new_triples):
+    """Merge by iterating the previous state, as before the fast path."""
+    merged = {t.key: t for t in prev}
+    for t in new_triples:
+        if not t.is_none:
+            merged[t.key] = t
+    return DialogueState(merged.values())
+
+
+@given(st.lists(st.lists(_keyed_triples, max_size=6), max_size=6))
+def test_accumulate_matches_iterate_and_merge_reference(turns):
+    state = expected = DialogueState()
+    for new in turns:
+        state = accumulate_state(state, new)
+        expected = reference_accumulate(expected, new)
+        assert state == expected
+        assert state.triples() == expected.triples()
