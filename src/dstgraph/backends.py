@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .dialogue import DialogueState, StateTriple, normalize_text
+from .dialogue import DialogueState, normalize_text, state_triple
 from .parsing import format_state
 
 
@@ -289,5 +289,5 @@ class RuleMockBackend:
             for keyword in self._same_start[longest]:
                 first.setdefault(keyword, pos)
         hits = sorted((pos, k, self._table[k]) for k, pos in first.items())
-        triples = [StateTriple(domain=d, slot=s, value=v) for _, _, (d, s, v) in hits]
+        triples = [state_triple(d, s, v) for _, _, (d, s, v) in hits]
         return format_state(DialogueState(triples))

@@ -200,7 +200,7 @@ class TurnTracker:
         A BackendError propagates; the caller decides whether to abort.
         """
         outcome = parse_state(self._backend.complete(self.prompt(ctx), self._params))
-        return outcome, accumulate_state(state, outcome.state.triples())
+        return outcome, accumulate_state(state, outcome.state.unordered())
 
 
 def _track_dialogue(
@@ -335,11 +335,28 @@ def cmd_extract(cfg: RunConfig) -> int:
     return 0
 
 
+def _predicted_state(path: str, rec: dict) -> DialogueState:
+    """A record's predicted state; a malformed one is a located UsageError."""
+    try:
+        return state_from_jsonable(rec["predicted_state"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(
+            f"{path}: dialogue {rec.get('dialogue_id')!r} turn {rec.get('turn')!r}: "
+            f"malformed predicted_state: {exc!r}"
+        ) from exc
+
+
 def _pair_turns(
-    records: list[dict], dialogues
+    path: str, records: list[dict], dialogues
 ) -> tuple[list[TurnPair], list]:
-    """Align prediction records with gold states by (dialogue_id, turn)."""
-    by_key = {(r["dialogue_id"], r["turn"]): r for r in records}
+    """Align the records of predictions file ``path`` with gold states by
+    (dialogue_id, turn)."""
+    try:
+        by_key = {(r["dialogue_id"], r["turn"]): r for r in records}
+    except KeyError as exc:
+        raise UsageError(f"{path}: a prediction record has no {exc} key") from exc
+    except TypeError as exc:  # an unhashable dialogue_id or turn
+        raise UsageError(f"{path}: bad prediction record key: {exc}") from exc
     pairs: list[TurnPair] = []
     contexts = []
     seen = set()
@@ -354,9 +371,7 @@ def _pair_turns(
                 )
             seen.add((d.dialogue_id, i))
             pairs.append(
-                TurnPair(
-                    predicted=state_from_jsonable(rec["predicted_state"]), gold=gold
-                )
+                TurnPair(predicted=_predicted_state(path, rec), gold=gold)
             )
             contexts.append((rec, d.turns))
     extra = set(by_key) - seen
@@ -375,7 +390,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         raise UsageError("evaluate requires --predictions, --corpus and --out")
     records, _ = read_predictions(cfg.predictions)
     result = load_corpus(cfg.corpus, _FORMATS[cfg.corpus_format])
-    pairs, contexts = _pair_turns(records, result.dialogues)
+    pairs, contexts = _pair_turns(cfg.predictions, records, result.dialogues)
 
     prf = slot_f1(pairs)
     parse_failures = sum(
@@ -431,7 +446,7 @@ def cmd_graph(cfg: RunConfig) -> int:
         if not cfg.predictions:
             raise UsageError("graph requires --predictions (or --from-gold)")
         records, _ = read_predictions(cfg.predictions)
-        states = [state_from_jsonable(r["predicted_state"]) for r in records]
+        states = [_predicted_state(cfg.predictions, r) for r in records]
     g = build_graph(states)
     if not g.edges:
         raise UsageError("state graph has no edges; nothing to train on")
@@ -523,7 +538,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     by_dialogue: dict[str, list[DialogueState]] = {}
     for r in records:
         by_dialogue.setdefault(r["dialogue_id"], []).append(
-            state_from_jsonable(r["predicted_state"])
+            _predicted_state(cfg.predictions, r)
         )
 
     out_records: list[dict] = []

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dialogue import DialogueState, Speaker, StateTriple, Turn
+from .dialogue import DialogueState, Speaker, StateTriple, Turn, state_triple
 
 _FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -78,9 +78,7 @@ def state_to_jsonable(state: DialogueState) -> list[dict]:
 
 
 def state_from_jsonable(items: Sequence[dict]) -> DialogueState:
-    return DialogueState(
-        StateTriple(domain=i["domain"], slot=i["slot"], value=i["value"]) for i in items
-    )
+    return DialogueState(state_triple(i["domain"], i["slot"], i["value"]) for i in items)
 
 
 def _turn_from_json(rec: dict) -> Turn:
@@ -128,7 +126,7 @@ def _belief_triples(metadata: dict) -> list[StateTriple]:
                     continue
                 if value.strip().lower() in _ABSENT_VALUES:
                     continue
-                triples.append(StateTriple(domain=domain, slot=slot, value=value))
+                triples.append(state_triple(domain, slot, value))
     return triples
 
 
@@ -201,9 +199,7 @@ def _load_sgd_json(path: Path) -> tuple[list[AnnotatedDialogue], int]:
                         slot_values = frame.get("state", {}).get("slot_values", {})
                         for slot, values in slot_values.items():
                             if values:
-                                triples.append(
-                                    StateTriple(domain=domain, slot=slot, value=values[0])
-                                )
+                                triples.append(state_triple(domain, slot, values[0]))
                     gold.append(DialogueState(triples))
             dialogues.append(
                 AnnotatedDialogue(
@@ -309,13 +305,25 @@ def write_predictions(
 
 
 def read_predictions(path: str | Path) -> tuple[list[dict], dict | None]:
-    """Read a predictions JSONL file back; returns (records, meta or None)."""
+    """Read a predictions JSONL file back; returns (records, meta or None).
+
+    A line that is not a JSON object raises ``ValueError`` naming the file
+    and the line.
+    """
     records: list[dict] = []
     meta: dict | None = None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ValueError(
+                f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}"
+            )
         if rec.get(META_KEY) == "meta":
             meta = {k: v for k, v in rec.items() if k != META_KEY}
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -74,7 +74,7 @@ class DialogueContext:
 
 def append_turn(ctx: DialogueContext, turn: Turn) -> DialogueContext:
     """Return a new context with ``turn`` appended; ``ctx`` is unchanged."""
-    return replace(ctx, turns=ctx.turns + (turn,))
+    return DialogueContext(turns=ctx.turns + (turn,), dialogue_id=ctx.dialogue_id)
 
 
 def serialize_context(ctx: DialogueContext) -> str:
@@ -120,6 +120,25 @@ class StateTriple:
         return self.value == NONE_VALUE
 
 
+# A dialogue restates its accumulated triples turn after turn, so recent
+# triples serve nearly every call.  The bound stays small because cached
+# triples outlive the command that built them: a process that runs
+# `graph` and then `train` carries them into training.
+_TRIPLE_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_TRIPLE_CACHE_SIZE)
+def state_triple(domain: str, slot: str, value: str) -> StateTriple:
+    """``StateTriple(domain, slot, value)``, shared between equal inputs.
+
+    Triples are immutable, so one instance serves every turn that names
+    the same raw strings.  Bad fields raise exactly as the constructor
+    does (an unhashable one raises ``TypeError`` from the cache lookup),
+    and a raised exception is never cached.
+    """
+    return StateTriple(domain, slot, value)
+
+
 class DialogueState:
     """A set of triples keyed by (domain, slot); at most one value per key.
 
@@ -130,9 +149,7 @@ class DialogueState:
     __slots__ = ("_by_key",)
 
     def __init__(self, triples: Iterable[StateTriple] = ()):
-        by_key: dict[tuple[str, str], StateTriple] = {}
-        for t in triples:
-            by_key[t.key] = t
+        by_key = {(t.domain, t.slot): t for t in triples}
         object.__setattr__(self, "_by_key", by_key)
 
     def __setattr__(self, name, value):
@@ -141,6 +158,15 @@ class DialogueState:
     def triples(self) -> tuple[StateTriple, ...]:
         # keys are unique, so ordering by key orders the triples
         return tuple(t for _, t in sorted(self._by_key.items()))
+
+    def unordered(self) -> Iterable[StateTriple]:
+        """Read-only view of the triples in no fixed order; iterate the
+        state itself where the order is observed."""
+        return self._by_key.values()
+
+    def value_by_key(self) -> dict[tuple[str, str], str]:
+        """Each (domain, slot) key's value, sentinel-valued keys left out."""
+        return {k: t.value for k, t in self._by_key.items() if t.value != NONE_VALUE}
 
     def as_set(self) -> frozenset[StateTriple]:
         return frozenset(self._by_key.values())
@@ -153,9 +179,11 @@ class DialogueState:
 
     def without_none(self) -> "DialogueState":
         """Drop sentinel-valued triples (used before graphing and scoring)."""
-        if not any(t.is_none for t in self._by_key.values()):
+        if not any(t.value == NONE_VALUE for t in self._by_key.values()):
             return self
-        return DialogueState(t for t in self._by_key.values() if not t.is_none)
+        return DialogueState(
+            t for t in self._by_key.values() if t.value != NONE_VALUE
+        )
 
     def __iter__(self) -> Iterator[StateTriple]:
         return iter(self.triples())
@@ -193,7 +221,7 @@ def accumulate_state(
     """
     merged = dict(prev._by_key)
     for t in new_triples:
-        if t.is_none:
+        if t.value == NONE_VALUE:
             continue
-        merged[t.key] = t
+        merged[(t.domain, t.slot)] = t
     return DialogueState(merged.values())

@@ -335,18 +335,28 @@ def write_node_table(g: StateGraph, path: str | Path) -> None:
 
 
 def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
-    """Rebuild a StateGraph from its edge-list and node-table exports."""
+    """Rebuild a StateGraph from its edge-list and node-table exports.
+
+    A malformed node-table line raises ``ValueError`` naming the file and
+    the line.
+    """
     nodes: list[NodeId] = []
     slot_values: dict[int, tuple[str, str]] = {}
     with open(node_path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            kind = NodeKind(rec["kind"])
-            nodes.append(NodeId(rec["index"], kind, rec["label"]))
-            if kind is NodeKind.SLOT_VALUE:
-                slot_values[rec["index"]] = (rec["slot"], rec["value"])
+            try:
+                rec = json.loads(line)
+                index = rec["index"]
+                if type(index) is not int:
+                    raise ValueError(f"index must be an int, got {index!r}")
+                kind = NodeKind(rec["kind"])
+                nodes.append(NodeId(index, kind, rec["label"]))
+                if kind is NodeKind.SLOT_VALUE:
+                    slot_values[index] = (rec["slot"], rec["value"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{node_path}:{lineno}: {exc!r}") from exc
     nodes.sort(key=lambda n: n.index)
 
     edges: list[Edge] = []

@@ -71,8 +71,8 @@ def slot_accuracy(turns: Sequence[TurnPair]) -> float:
         raise ValueError("slot_accuracy needs at least one turn")
     total = correct = 0
     for t in turns:
-        gold = {x.key: x.value for x in t.gold.without_none()}
-        pred = {x.key: x.value for x in t.predicted.without_none()}
+        gold = t.gold.value_by_key()
+        pred = t.predicted.value_by_key()
         total += len(gold)
         correct += sum(1 for key, value in gold.items() if pred.get(key) == value)
     if total == 0:

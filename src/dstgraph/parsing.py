@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .dialogue import DialogueState, StateTriple, Turn, normalize_text
+from .dialogue import DialogueState, StateTriple, Turn, normalize_text, state_triple
 
 
 class DiagnosticKind(Enum):
@@ -115,7 +115,7 @@ def parse_state(text: str) -> ParseOutcome:
             )
             continue
         try:
-            triples.append(StateTriple(domain=d, slot=s, value=v))
+            triples.append(state_triple(d, s, v))
         except ValueError:
             diagnostics.append(
                 Diagnostic(DiagnosticKind.EMPTY_FIELD, f"empty field in ({d}, {s}, {v})")
@@ -184,26 +184,26 @@ def classify_errors(
     nonexistent = 0
     synonym = 0
     samples: list[dict] = []
-    gold_real = {t.key: t.value for t in gold.without_none()}
-
-    wrong: list[tuple[StateTriple, str | None]] = []
-    for t in pred.without_none():
-        if t.key not in gold_real:
-            wrong.append((t, None))
-        elif gold_real[t.key] != t.value:
-            wrong.append((t, gold_real[t.key]))
+    gold_real = gold.value_by_key()
+    # (key, predicted, gold or None) in key order, for the samples; keys
+    # are unique, so the sort never compares past them
+    wrong = sorted(
+        (key, value, gold_real.get(key))
+        for key, value in pred.value_by_key().items()
+        if gold_real.get(key) != value
+    )
 
     turn_texts = None
     if turns is not None and wrong:
         turn_texts = [normalize_text(t.text) for t in turns]
-    for t, gold_value in wrong:
+    for (domain, slot), predicted, gold_value in wrong:
         unsupported = turn_texts is not None and not any(
-            t.value in text for text in turn_texts
+            predicted in text for text in turn_texts
         )
-        if _is_junk(t.value, junk_tokens) or unsupported:
+        if _is_junk(predicted, junk_tokens) or unsupported:
             kind = "nonexistent_value"
             nonexistent += 1
-        elif gold_value is not None and _token_containment(t.value, gold_value):
+        elif gold_value is not None and _token_containment(predicted, gold_value):
             kind = "synonym"
             synonym += 1
         else:
@@ -211,9 +211,9 @@ def classify_errors(
         samples.append(
             {
                 "kind": kind,
-                "domain": t.domain,
-                "slot": t.slot,
-                "predicted": t.value,
+                "domain": domain,
+                "slot": slot,
+                "predicted": predicted,
                 "gold": gold_value,
             }
         )

@@ -471,5 +471,10 @@ def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:
         w_mu=np.asarray(raw["w_mu"], dtype=np.float64),
         w_logvar=np.asarray(raw["w_logvar"], dtype=np.float64),
     )
-    config = TrainConfig(**raw["config"])
-    return params, config
+    config = raw["config"]
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(config) - set(TrainConfig.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"{path}: unknown checkpoint config keys: {unknown}")
+    return params, TrainConfig(**config)

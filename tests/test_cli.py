@@ -529,6 +529,115 @@ def test_graph_from_gold(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+def replace_line(path: Path, lineno: int, text: str) -> None:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def edit_checkpoint_config(path: Path, **extra) -> None:
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw["config"].update(extra)
+    path.write_text(json.dumps(raw), encoding="utf-8")
+
+
+_FIRST_RECORD = {"dialogue_id": "fx001", "turn": 0, "diagnostics": []}
+_GRAPH_ARGV = ["graph", "--predictions", "pred.jsonl", "--out-prefix", "out"]
+_PREDICT_ARGV = ["predict", "--graph-prefix", "g", "--checkpoint", "model.json",
+                 "--predictions", "pred.jsonl", "--out", "cand.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "edit, argv, located",
+    [
+        pytest.param(
+            lambda: replace_line(Path("pred.jsonl"), 3, "[1, 2]"),
+            ["evaluate", "--predictions", "pred.jsonl",
+             "--corpus", str(fixture_corpus_path()), "--out", "r.json"],
+            "pred.jsonl:3: expected a JSON object, got list",
+            id="predictions-line-is-a-list",
+        ),
+        pytest.param(
+            lambda: replace_line(
+                Path("pred.jsonl"), 2, json.dumps({**_FIRST_RECORD, "predicted_state": 5})
+            ),
+            _GRAPH_ARGV,
+            "pred.jsonl: dialogue 'fx001' turn 0: malformed predicted_state",
+            id="predicted-state-is-an-int",
+        ),
+        pytest.param(
+            lambda: replace_line(
+                Path("pred.jsonl"),
+                2,
+                json.dumps(
+                    {**_FIRST_RECORD,
+                     "predicted_state": [{"domain": "hotel", "slot": "area", "value": 5}]}
+                ),
+            ),
+            _GRAPH_ARGV,
+            "pred.jsonl: dialogue 'fx001' turn 0: malformed predicted_state",
+            id="predicted-value-is-an-int",
+        ),
+        pytest.param(
+            lambda: replace_line(
+                Path("g.nodes.jsonl"),
+                2,
+                json.dumps({"index": "1", "kind": "slot_value", "label": "area-centre",
+                            "slot": "area", "value": "centre"}),
+            ),
+            _PREDICT_ARGV,
+            "g.nodes.jsonl:2: ValueError(\"index must be an int, got '1'\")",
+            id="node-index-is-a-string",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint_config(Path("model.json"), dropout=0.5),
+            _PREDICT_ARGV,
+            "model.json: unknown checkpoint config keys: ['dropout']",
+            id="checkpoint-config-has-unknown-key",
+        ),
+    ],
+)
+def test_malformed_input_exits_1_with_located_message(
+    edit, argv, located, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    for golden, name in [
+        ("predictions.jsonl", "pred.jsonl"),
+        ("graph.nodes.jsonl", "g.nodes.jsonl"),
+        ("graph.edges.txt", "g.edges.txt"),
+        ("checkpoint.json", "model.json"),
+    ]:
+        (tmp_path / name).write_bytes((GOLDENS / golden).read_bytes())
+    edit()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert located in err
+
+
+@pytest.mark.parametrize(
+    "record, located",
+    [
+        ({"dialogue_id": "fx001", "predicted_state": []},
+         "pred.jsonl: a prediction record has no 'turn' key"),
+        ({"dialogue_id": ["fx001"], "turn": 0, "predicted_state": []},
+         "pred.jsonl: bad prediction record key: unhashable type: 'list'"),
+    ],
+)
+def test_evaluate_locates_a_bad_record_key(record, located, tmp_path, capsys):
+    pred = run_extract(tmp_path)
+    replace_line(pred, 2, json.dumps(record))
+    code = cli.main(
+        ["evaluate", "--predictions", str(pred),
+         "--corpus", str(fixture_corpus_path()), "--out", str(tmp_path / "r.json")]
+    )
+    assert code == 1
+    assert located in capsys.readouterr().err
+
+
 def test_train_default_metrics_path(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     corpus = str(fixture_corpus_path())

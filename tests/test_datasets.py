@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dstgraph import cli
 from dstgraph.datasets import (
     AnnotatedDialogue,
     CorpusFormat,
@@ -88,6 +89,24 @@ def test_plain_jsonl_skips_non_string_gold_field(tmp_path):
     result = load_corpus(path)
     assert [d.dialogue_id for d in result.dialogues] == ["d1", "d3"]
     assert result.skipped == 1
+
+
+def test_extract_skips_and_counts_malformed_gold_lines(tmp_path, capsys):
+    int_field = plain_record("d2")
+    int_field["gold"][1][1]["value"] = 3
+    missing_key = plain_record("d3")
+    del missing_key["gold"][0][0]["slot"]
+    empty_domain = plain_record("d4")
+    empty_domain["gold"][1][0]["domain"] = " "
+    records = [plain_record("d1"), int_field, missing_key, empty_domain, plain_record("d5")]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "pred.jsonl"
+    assert cli.main(["extract", "--corpus", str(corpus), "--out", str(out)]) == 0
+    capsys.readouterr()
+    predictions, meta = read_predictions(out)
+    assert meta["corpus_skipped"] == 3
+    assert sorted({r["dialogue_id"] for r in predictions}) == ["d1", "d5"]
 
 
 def test_plain_jsonl_gold_optional(tmp_path):

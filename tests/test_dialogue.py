@@ -15,6 +15,7 @@ from dstgraph.dialogue import (
     append_turn,
     normalize_text,
     serialize_context,
+    state_triple,
 )
 
 from conftest import make_state, make_triple
@@ -221,3 +222,52 @@ def test_accumulate_matches_iterate_and_merge_reference(turns):
         expected = reference_accumulate(expected, new)
         assert state == expected
         assert state.triples() == expected.triples()
+
+
+@given(st.lists(_keyed_triples, max_size=12))
+def test_unordered_views_hold_the_sorted_triples(triples):
+    s = DialogueState(triples)
+    assert tuple(sorted(s.unordered())) == s.triples()
+    assert s.value_by_key() == {t.key: t.value for t in s if not t.is_none}
+
+
+def _outcome(make, domain, slot, value):
+    """The triple ``make`` returns, or the type of exception it raises."""
+    try:
+        return make(domain, slot, value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@given(st.text(), st.text(), st.text())
+def test_state_triple_equals_the_constructor_on_any_strings(domain, slot, value):
+    expected = _outcome(StateTriple, domain, slot, value)
+    assert _outcome(state_triple, domain, slot, value) == expected
+    if isinstance(expected, StateTriple):
+        # served from the cache the second time, as the same instance
+        assert state_triple(domain, slot, value) is state_triple(domain, slot, value)
+
+
+# strings, including empty and blank ones, and non-strings both hashable
+# and unhashable
+_any_field = st.one_of(
+    st.sampled_from(["", " ", "\t", "d", "Hotel"]),
+    st.integers(),
+    st.none(),
+    st.floats(allow_nan=False),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@given(_any_field, _any_field, _any_field)
+def test_state_triple_raises_like_the_constructor_and_caches_no_error(
+    domain, slot, value
+):
+    expected = _outcome(StateTriple, domain, slot, value)
+    size = state_triple.cache_info().currsize
+    got = _outcome(state_triple, domain, slot, value)
+    assert got == expected
+    if not isinstance(expected, StateTriple):
+        assert state_triple.cache_info().currsize == size
+        assert _outcome(state_triple, domain, slot, value) == expected

@@ -269,3 +269,35 @@ def test_merge_error_reports_sums_and_caps_samples():
     assert merged.nonexistent_value_count == 30
     assert merged.total_errors == 30
     assert len(merged.samples) == 20
+
+
+def reference_wrong_values(pred, gold):
+    """(triple, gold value) of each wrong prediction, iterating both states
+    in sorted order as before the unsorted dict views."""
+    gold_real = {t.key: t.value for t in gold.without_none()}
+    wrong = []
+    for t in pred.without_none():
+        if t.key not in gold_real:
+            wrong.append((t, None))
+        elif gold_real[t.key] != t.value:
+            wrong.append((t, gold_real[t.key]))
+    return wrong
+
+
+_few_keys = st.builds(
+    StateTriple,
+    domain=st.sampled_from(["hotel", "Taxi", "a b"]),
+    slot=st.sampled_from(["area", "day", "b"]),
+    value=st.sampled_from(["east", "west", "none", "NONE", "xxx", "monday"]),
+)
+
+
+@given(st.lists(_few_keys, max_size=9), st.lists(_few_keys, max_size=9))
+def test_classify_samples_follow_sorted_prediction_order(pred, gold):
+    pred, gold = DialogueState(pred), DialogueState(gold)
+    rep = classify_errors(pred, gold)
+    expected = reference_wrong_values(pred, gold)
+    assert rep.total_errors == len(expected)
+    assert [(s["domain"], s["slot"], s["predicted"], s["gold"]) for s in rep.samples] == [
+        (t.domain, t.slot, t.value, g) for t, g in expected
+    ]
