@@ -62,8 +62,8 @@ mu = mean_embeddings(params, graph)
 dialogue = corpus.dialogues[0]
 found = dialogue_node_set(graph, dialogue.gold_states)
 print()
-print(f"dialogue {dialogue.dialogue_id} touches {len(found.nodes)} graph nodes")
-for edge in rank_candidates(mu, graph, found.nodes, top_k=5):
+print(f"dialogue {dialogue.dialogue_id} touches {len(found)} graph nodes")
+for edge in rank_candidates(mu, graph, found, top_k=5):
     domain, slot_value = edge.pair
     print(f"  candidate next state: ({domain.label}, {slot_value.label}) "
           f"p={edge.score:.4f}")

@@ -79,8 +79,6 @@ class HttpBackend:
     every thread then shares.
     """
 
-    kind = "http"
-
     def __init__(
         self,
         base_url: str,
@@ -157,8 +155,6 @@ class ReplayBackend:
     Records live in a JSONL file of {prompt_hash, completion}; the latest
     record for a hash wins, so fixtures can be amended append-only.
     """
-
-    kind = "replay"
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
@@ -241,8 +237,6 @@ class RuleMockBackend:
     completion format, ordered by first occurrence so a later mention
     overrides an earlier value for the same (domain, slot) key.
     """
-
-    kind = "rulemock"
 
     def __init__(self, keyword_table: dict[str, tuple[str, str, str]]):
         if not keyword_table:

@@ -335,15 +335,42 @@ def cmd_extract(cfg: RunConfig) -> int:
     return 0
 
 
+def _where(path: str, rec: dict) -> str:
+    return f"{path}: dialogue {rec.get('dialogue_id')!r} turn {rec.get('turn')!r}"
+
+
 def _predicted_state(path: str, rec: dict) -> DialogueState:
     """A record's predicted state; a malformed one is a located UsageError."""
     try:
         return state_from_jsonable(rec["predicted_state"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(
-            f"{path}: dialogue {rec.get('dialogue_id')!r} turn {rec.get('turn')!r}: "
-            f"malformed predicted_state: {exc!r}"
+            f"{_where(path, rec)}: malformed predicted_state: {exc!r}"
         ) from exc
+
+
+def _has_parse_failure(path: str, rec: dict) -> bool:
+    """Whether a record's diagnostics hold a parse failure; malformed
+    diagnostics are a located UsageError."""
+    diagnostics = rec.get("diagnostics", [])
+    if not isinstance(diagnostics, list) or not all(
+        isinstance(d, dict) and "kind" in d for d in diagnostics
+    ):
+        raise UsageError(f"{_where(path, rec)}: malformed diagnostics: {diagnostics!r}")
+    return any(d["kind"] == DiagnosticKind.PARSE_FAILURE.value for d in diagnostics)
+
+
+def _record_key(path: str, rec: dict, fields: tuple[str, ...]) -> tuple:
+    """The values of ``fields`` in a record of predictions file ``path``; a
+    missing or unhashable one is a located UsageError."""
+    try:
+        key = tuple(rec[f] for f in fields)
+        hash(key)
+    except KeyError as exc:
+        raise UsageError(f"{path}: a prediction record has no {exc} key") from exc
+    except TypeError as exc:
+        raise UsageError(f"{path}: bad prediction record key: {exc}") from exc
+    return key
 
 
 def _pair_turns(
@@ -351,12 +378,7 @@ def _pair_turns(
 ) -> tuple[list[TurnPair], list]:
     """Align the records of predictions file ``path`` with gold states by
     (dialogue_id, turn)."""
-    try:
-        by_key = {(r["dialogue_id"], r["turn"]): r for r in records}
-    except KeyError as exc:
-        raise UsageError(f"{path}: a prediction record has no {exc} key") from exc
-    except TypeError as exc:  # an unhashable dialogue_id or turn
-        raise UsageError(f"{path}: bad prediction record key: {exc}") from exc
+    by_key = {_record_key(path, r, ("dialogue_id", "turn")): r for r in records}
     pairs: list[TurnPair] = []
     contexts = []
     seen = set()
@@ -394,12 +416,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     prf = slot_f1(pairs)
     parse_failures = sum(
-        1
-        for rec, _ in contexts
-        if any(
-            d["kind"] == DiagnosticKind.PARSE_FAILURE.value
-            for d in rec.get("diagnostics", [])
-        )
+        1 for rec, _ in contexts if _has_parse_failure(cfg.predictions, rec)
     )
     error_report = merge_error_reports(
         classify_errors(pair.predicted, pair.gold, turns=turns)
@@ -537,7 +554,8 @@ def cmd_predict(cfg: RunConfig) -> int:
 
     by_dialogue: dict[str, list[DialogueState]] = {}
     for r in records:
-        by_dialogue.setdefault(r["dialogue_id"], []).append(
+        (dialogue_id,) = _record_key(cfg.predictions, r, ("dialogue_id",))
+        by_dialogue.setdefault(dialogue_id, []).append(
             _predicted_state(cfg.predictions, r)
         )
 
@@ -545,10 +563,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     skipped: list[str] = []
     for dialogue_id in sorted(by_dialogue):
         found = dialogue_node_set(g, by_dialogue[dialogue_id])
-        if not found.nodes:
+        if not found:
             skipped.append(dialogue_id)
             continue
-        ranked = rank_candidates(mu, g, found.nodes, cfg.top_k)
+        ranked = rank_candidates(mu, g, found, cfg.top_k)
         out_records.extend(candidate_records(dialogue_id, ranked))
     meta = _meta(cfg, _PREDICT_KEYS, skipped_dialogues=skipped)
     write_predictions(cfg.out, out_records, meta=meta)
@@ -588,8 +606,8 @@ def cmd_repl(cfg: RunConfig) -> int:
             print(f"({t.domain}, {t.slot}, {t.value})")
         if mu is not None:
             found = dialogue_node_set(g, [state])
-            if found.nodes:
-                for e in rank_candidates(mu, g, found.nodes, cfg.top_k):
+            if found:
+                for e in rank_candidates(mu, g, found, cfg.top_k):
                     print(
                         f"next: ({e.pair[0].label}, {e.pair[1].label}) "
                         f"p={e.score:.4f}"

@@ -1,4 +1,4 @@
-"""Corpus loading, prediction persistence, fold arithmetic, bundled fixtures.
+"""Corpus loading, prediction persistence, bundled fixtures.
 
 Three corpus shapes normalize to AnnotatedDialogue: a plain JSONL schema
 (documented below), classic goal-oriented JSON with per-system-turn belief
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .dialogue import DialogueState, Speaker, StateTriple, Turn, state_triple
 
@@ -329,17 +327,6 @@ def read_predictions(path: str | Path) -> tuple[list[dict], dict | None]:
         else:
             records.append(rec)
     return records, meta
-
-
-def kfold_split(items: Sequence, k: int, seed: int) -> list[list]:
-    """Partition items into k seeded folds with sizes differing by <= 1."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if len(items) < k:
-        raise ValueError(f"need at least {k} items for {k} folds, got {len(items)}")
-    order = np.random.default_rng(seed).permutation(len(items))
-    shuffled = [items[i] for i in order]
-    return [shuffled[i::k] for i in range(k)]
 
 
 def fixture_corpus_path() -> Path:

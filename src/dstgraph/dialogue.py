@@ -66,11 +66,6 @@ class DialogueContext:
     turns: tuple[Turn, ...] = ()
     dialogue_id: str = ""
 
-    @property
-    def turn_index(self) -> int:
-        """Current turn number t, defined as the count of user turns."""
-        return sum(1 for t in self.turns if t.speaker is Speaker.USER)
-
 
 def append_turn(ctx: DialogueContext, turn: Turn) -> DialogueContext:
     """Return a new context with ``turn`` appended; ``ctx`` is unchanged."""
@@ -173,9 +168,6 @@ class DialogueState:
 
     def get(self, domain: str, slot: str) -> StateTriple | None:
         return self._by_key.get((normalize_text(domain), normalize_text(slot)))
-
-    def keys(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self._by_key))
 
     def without_none(self) -> "DialogueState":
         """Drop sentinel-valued triples (used before graphing and scoring)."""

@@ -35,14 +35,6 @@ class NodeId:
     label: str
 
 
-@dataclass(frozen=True)
-class DialogueNodes:
-    """Nodes of a graph touched by a set of states, plus what was missing."""
-
-    nodes: frozenset[NodeId]
-    missing: tuple[str, ...]
-
-
 class StateGraph:
     """Undirected bipartite graph over Domain and SlotValue nodes.
 
@@ -133,22 +125,28 @@ class StateGraph:
             (d, v) if d < v else (v, d) for d in domains for v in values
         )
 
-    def non_edge_keys(self) -> np.ndarray:
-        """Sorted keys i * n + j (i < j) of the Domain x SlotValue non-edges."""
-        n = self.n_nodes
-        domains = np.array(sorted(self._domain_index.values()), dtype=np.int64)
+    def _pair_keys(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return np.minimum(i, j) * self.n_nodes + np.maximum(i, j)
+
+    def unobserved_pairs(self, domains: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The Domain x SlotValue non-edges (d, sv) at the given distinct
+        domain indices, domain-major: each domain's slot values in node
+        order."""
+        domains = np.asarray(domains, dtype=np.intp)
         d_idx = np.repeat(domains, len(self.slotvalue_indices))
         sv_idx = np.tile(self.slotvalue_indices, len(domains))
-        keys = np.sort(np.minimum(d_idx, sv_idx) * n + np.maximum(d_idx, sv_idx))
-        return keys[~np.isin(keys, self.edge_keys, assume_unique=True)]
+        keys = self._pair_keys(d_idx, sv_idx)
+        unobserved = ~np.isin(keys, self.edge_keys, assume_unique=True)
+        return d_idx[unobserved], sv_idx[unobserved]
+
+    def non_edge_keys(self) -> np.ndarray:
+        """Sorted keys i * n + j (i < j) of the Domain x SlotValue non-edges."""
+        d_idx, sv_idx = self.unobserved_pairs(sorted(self._domain_index.values()))
+        return np.sort(self._pair_keys(d_idx, sv_idx))
 
     def key_edges(self, keys: np.ndarray) -> list[Edge]:
         """The (i, j) pairs of keys i * n + j, as Python ints, in key order."""
         return list(zip(*(part.tolist() for part in np.divmod(keys, self.n_nodes))))
-
-    def non_edges(self) -> list[Edge]:
-        """Domain x SlotValue pairs that are not edges, normalized i < j, sorted."""
-        return self.key_edges(self.non_edge_keys())
 
 
 def build_graph(states: Sequence[DialogueState]) -> StateGraph:
@@ -254,32 +252,24 @@ def split_edges(
 
 def dialogue_node_set(
     g: StateGraph, states: Sequence[DialogueState]
-) -> DialogueNodes:
+) -> frozenset[NodeId]:
     """Nodes of ``g`` touched by the given states.
 
-    Domains or (slot, value) pairs never seen by the graph are reported in
-    ``missing`` (by label), not added.
+    Domains and (slot, value) pairs the graph has never seen are skipped.
     """
     found: set[NodeId] = set()
-    missing: list[str] = []
     for state in states:
         for t in state.triples():
             d = g.domain_node(t.domain)
             if d is not None:
                 found.add(d)
-            elif t.domain not in missing:
-                missing.append(t.domain)
             if t.is_none:
                 # the sentinel names a domain but no slot-value
                 continue
             sv = g.slotvalue_node(t.slot, t.value)
             if sv is not None:
                 found.add(sv)
-            else:
-                label = f"{t.slot}-{t.value}"
-                if label not in missing:
-                    missing.append(label)
-    return DialogueNodes(nodes=frozenset(found), missing=tuple(missing))
+    return frozenset(found)
 
 
 def planted_graph(
@@ -337,8 +327,8 @@ def write_node_table(g: StateGraph, path: str | Path) -> None:
 def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
     """Rebuild a StateGraph from its edge-list and node-table exports.
 
-    A malformed node-table line raises ``ValueError`` naming the file and
-    the line.
+    A malformed node-table or edge-list line raises ``ValueError`` naming
+    the file and the line.
     """
     nodes: list[NodeId] = []
     slot_values: dict[int, tuple[str, str]] = {}
@@ -361,9 +351,12 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
 
     edges: list[Edge] = []
     text = Path(edge_path).read_text(encoding="utf-8")
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        i, j = line.split()
-        edges.append((int(i), int(j)))
+        try:
+            i, j = line.split()
+            edges.append((int(i), int(j)))
+        except ValueError as exc:
+            raise ValueError(f"{edge_path}:{lineno}: {exc!r}") from exc
     return StateGraph(nodes, edges, slot_values=slot_values)

@@ -1,5 +1,5 @@
-"""Link-prediction evaluation: AUC, average precision, cross-validation,
-and ranked next-state candidates for a dialogue.
+"""Link-prediction evaluation: AUC, average precision, and ranked
+next-state candidates for a dialogue.
 
 Evaluation always uses mean embeddings (Z = mu, no sampling), so results
 are deterministic given trained parameters and a split.  Posterior means
@@ -16,13 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import EdgeSplit, NodeId, NodeKind, StateGraph
-from .vgae import (
-    TrainConfig,
-    VgaeParams,
-    edge_probabilities,
-    encode,
-    train,
-)
+from .vgae import VgaeParams, edge_probabilities, encode
 
 
 @dataclass(frozen=True)
@@ -31,21 +25,10 @@ class ScoredEdge:
 
     pair: tuple[NodeId, NodeId]
     score: float
-    label: bool | None = None
 
     def __post_init__(self):
         if not (0.0 < self.score < 1.0):
             raise ValueError(f"score must lie in (0, 1), got {self.score}")
-
-
-@dataclass(frozen=True)
-class CvReport:
-    fold_auc: tuple[float, ...]
-    fold_ap: tuple[float, ...]
-    mean_auc: float
-    std_auc: float
-    mean_ap: float
-    std_ap: float
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
@@ -137,15 +120,9 @@ def rank_candidates(
         raise ValueError("context_nodes must be non-empty")
     if top_k <= 0:
         raise ValueError("top_k must be positive")
-    domains = np.array(
-        sorted(n.index for n in context if n.kind is NodeKind.DOMAIN), dtype=np.intp
+    d_idx, sv_idx = graph.unobserved_pairs(
+        sorted(n.index for n in context if n.kind is NodeKind.DOMAIN)
     )
-    slot_values = graph.slotvalue_indices
-    d_idx = np.repeat(domains, len(slot_values))
-    sv_idx = np.tile(slot_values, len(domains))
-    keys = np.minimum(d_idx, sv_idx) * graph.n_nodes + np.maximum(d_idx, sv_idx)
-    unobserved = ~np.isin(keys, graph.edge_keys, assume_unique=True)
-    d_idx, sv_idx = d_idx[unobserved], sv_idx[unobserved]
     scores = edge_probabilities(mu, d_idx, sv_idx)
     best = np.lexsort((sv_idx, d_idx, -scores))[:top_k]
     return [
@@ -168,56 +145,3 @@ def candidate_records(dialogue_id: str, ranked: Sequence[ScoredEdge]) -> list[di
         }
         for r, e in enumerate(ranked, start=1)
     ]
-
-
-def cross_validate(graph: StateGraph, k: int = 10, config: TrainConfig | None = None) -> CvReport:
-    """K-fold edge-level cross-validation.
-
-    Edges are partitioned into k seeded folds; each fold serves once as
-    the test set (with freshly sampled matched negatives) while the model
-    trains on the rest.  Folding is at the edge level: state graphs are
-    small, and coarser folds would routinely leave a fold with no edges.
-    """
-    if config is None:
-        config = TrainConfig()
-    edges = graph.sorted_edges()
-    if len(edges) < k:
-        raise ValueError(f"need at least {k} edges for {k}-fold CV, got {len(edges)}")
-
-    from .datasets import kfold_split
-
-    folds = kfold_split(edges, k, seed=config.seed)
-    non_edge_keys = graph.non_edge_keys()
-
-    fold_auc: list[float] = []
-    fold_ap: list[float] = []
-    for fold_index, fold in enumerate(folds):
-        held_out = set(fold)
-        rest = tuple(e for e in edges if e not in held_out)
-        if not rest:
-            raise ValueError("a fold consumed every edge; graph too small for CV")
-        rng = np.random.default_rng([config.seed, fold_index])
-        if len(fold) > len(non_edge_keys):
-            raise ValueError("not enough non-edges to sample fold negatives")
-        neg_idx = rng.choice(len(non_edge_keys), size=len(fold), replace=False)
-        split = EdgeSplit(
-            train=rest,
-            val=(),
-            test=tuple(fold),
-            neg_val=(),
-            neg_test=tuple(graph.key_edges(non_edge_keys[neg_idx])),
-            seed=config.seed,
-        )
-        params, _ = train(graph, split, config)
-        result = evaluate_split(params, graph, split)
-        fold_auc.append(result["auc"])
-        fold_ap.append(result["ap"])
-
-    return CvReport(
-        fold_auc=tuple(fold_auc),
-        fold_ap=tuple(fold_ap),
-        mean_auc=float(np.mean(fold_auc)),
-        std_auc=float(np.std(fold_auc)),
-        mean_ap=float(np.mean(fold_ap)),
-        std_ap=float(np.std(fold_ap)),
-    )

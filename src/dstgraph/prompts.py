@@ -72,10 +72,6 @@ _COT_FAMILY = {
     PromptStrategy.COT_PERSONA3,
 }
 
-# exemplar counts the toolkit's benchmark configurations use; others work
-# but are flagged so configurations stay comparable
-_STANDARD_EXEMPLAR_COUNTS = {0, 2, 3, 4}
-
 DEFAULT_INSTRUCTION = (
     "Track the dialogue state of the conversation below. Identify each topic "
     "the user talks about, the attribute they constrain, and the stated "
@@ -95,10 +91,6 @@ class PromptSpec:
     input_text: str
     anti_hallucination: bool = False
     exemplars: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-
-    @property
-    def nonstandard_exemplar_count(self) -> bool:
-        return len(self.exemplars) not in _STANDARD_EXEMPLAR_COUNTS
 
 
 def persona_text(kind: PromptStrategy) -> str:

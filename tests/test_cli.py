@@ -548,6 +548,17 @@ _FIRST_RECORD = {"dialogue_id": "fx001", "turn": 0, "diagnostics": []}
 _GRAPH_ARGV = ["graph", "--predictions", "pred.jsonl", "--out-prefix", "out"]
 _PREDICT_ARGV = ["predict", "--graph-prefix", "g", "--checkpoint", "model.json",
                  "--predictions", "pred.jsonl", "--out", "cand.jsonl"]
+_EVALUATE_ARGV = ["evaluate", "--predictions", "pred.jsonl",
+                  "--corpus", str(fixture_corpus_path()), "--out", "r.json"]
+
+
+def edit_first_record(drop: str = "", **fields) -> None:
+    """Rewrite the first golden prediction record (line 2 of pred.jsonl)."""
+    path = Path("pred.jsonl")
+    rec = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
+    rec.update(fields)
+    rec.pop(drop, None)
+    replace_line(path, 2, json.dumps(rec))
 
 
 @pytest.mark.parametrize(
@@ -555,8 +566,7 @@ _PREDICT_ARGV = ["predict", "--graph-prefix", "g", "--checkpoint", "model.json",
     [
         pytest.param(
             lambda: replace_line(Path("pred.jsonl"), 3, "[1, 2]"),
-            ["evaluate", "--predictions", "pred.jsonl",
-             "--corpus", str(fixture_corpus_path()), "--out", "r.json"],
+            _EVALUATE_ARGV,
             "pred.jsonl:3: expected a JSON object, got list",
             id="predictions-line-is-a-list",
         ),
@@ -597,6 +607,42 @@ _PREDICT_ARGV = ["predict", "--graph-prefix", "g", "--checkpoint", "model.json",
             _PREDICT_ARGV,
             "model.json: unknown checkpoint config keys: ['dropout']",
             id="checkpoint-config-has-unknown-key",
+        ),
+        pytest.param(
+            lambda: edit_first_record(dialogue_id=["fx001"]),
+            _PREDICT_ARGV,
+            "pred.jsonl: bad prediction record key: unhashable type: 'list'",
+            id="predict-dialogue-id-is-a-list",
+        ),
+        pytest.param(
+            lambda: edit_first_record(drop="dialogue_id"),
+            _PREDICT_ARGV,
+            "pred.jsonl: a prediction record has no 'dialogue_id' key",
+            id="predict-dialogue-id-is-missing",
+        ),
+        pytest.param(
+            lambda: edit_first_record(diagnostics=["oops"]),
+            _EVALUATE_ARGV,
+            "pred.jsonl: dialogue 'fx001' turn 0: malformed diagnostics: ['oops']",
+            id="diagnostic-is-a-string",
+        ),
+        pytest.param(
+            lambda: edit_first_record(diagnostics=5),
+            _EVALUATE_ARGV,
+            "pred.jsonl: dialogue 'fx001' turn 0: malformed diagnostics: 5",
+            id="diagnostics-is-an-int",
+        ),
+        pytest.param(
+            lambda: replace_line(Path("g.edges.txt"), 1, "1 x"),
+            _PREDICT_ARGV,
+            "g.edges.txt:1: ValueError(\"invalid literal for int() with base 10: 'x'\")",
+            id="edge-endpoint-is-not-an-int",
+        ),
+        pytest.param(
+            lambda: replace_line(Path("g.edges.txt"), 1, "3"),
+            _PREDICT_ARGV,
+            "g.edges.txt:1: ValueError('not enough values to unpack (expected 2, got 1)')",
+            id="edge-line-has-one-endpoint",
         ),
     ],
 )
@@ -786,7 +832,7 @@ def test_make_backend_rejects_unknown_name():
 
 def test_default_rulemock_uses_bundled_keywords():
     backend = cli.make_backend(RunConfig())
-    assert backend.kind == "rulemock"
+    assert isinstance(backend, RuleMockBackend)
     # spot check one bundled keyword
     raw = json.loads(fixture_keywords_path().read_text(encoding="utf-8"))
     assert "thai food" in raw

@@ -10,7 +10,6 @@ from dstgraph.datasets import (
     fixture_error_cases_path,
     fixture_keywords_path,
     fixture_replay_path,
-    kfold_split,
     load_corpus,
     read_predictions,
     sniff_format,
@@ -322,31 +321,6 @@ def test_write_predictions_failure_keeps_previous_file(tmp_path):
         write_predictions(path, records(), meta={"run": 2})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["pred.jsonl"]
-
-
-# --- fold arithmetic ---
-
-
-def test_kfold_sizes_and_partition():
-    items = list(range(23))
-    folds = kfold_split(items, 5, seed=0)
-    sizes = sorted(len(f) for f in folds)
-    assert sizes == [4, 4, 5, 5, 5]
-    flat = sorted(x for f in folds for x in f)
-    assert flat == items
-
-
-def test_kfold_deterministic_and_seed_sensitive():
-    items = list(range(30))
-    assert kfold_split(items, 4, seed=7) == kfold_split(items, 4, seed=7)
-    assert kfold_split(items, 4, seed=7) != kfold_split(items, 4, seed=8)
-
-
-def test_kfold_validates_arguments():
-    with pytest.raises(ValueError):
-        kfold_split([1, 2], 0, seed=0)
-    with pytest.raises(ValueError):
-        kfold_split([1, 2], 3, seed=0)
 
 
 # --- bundled fixtures ---

@@ -115,7 +115,7 @@ def test_candidate_pairs_and_non_edges_partition():
     n_domains = sum(1 for n in g.nodes if n.kind is NodeKind.DOMAIN)
     n_values = g.n_nodes - n_domains
     assert len(cands) == n_domains * n_values
-    non = set(g.non_edges())
+    non = set(g.key_edges(g.non_edge_keys()))
     assert non.isdisjoint(g.edges)
     assert non | g.edges == set(cands)
 
@@ -127,13 +127,29 @@ def test_non_edges_equal_comprehension_reference(rng):
     edgeless = StateGraph(
         [NodeId(0, NodeKind.DOMAIN, "d"), NodeId(1, NodeKind.SLOT_VALUE, "s-v")], []
     )
-    assert edgeless.non_edges() == [(0, 1)]
+    assert edgeless.key_edges(edgeless.non_edge_keys()) == [(0, 1)]
     for g in graphs + [edgeless]:
         # the per-pair comprehension the vectorised form replaced
         reference = [p for p in g.candidate_pairs() if p not in g.edges]
-        got = g.non_edges()
+        got = g.key_edges(g.non_edge_keys())
         assert got == reference
         assert all(type(i) is int and type(j) is int for i, j in got)
+
+
+def test_unobserved_pairs_equal_domain_major_reference(rng):
+    graphs = [fixture_graph(), planted_graph(), small_graph()]
+    for n_domains, p in ((1, 0.3), (4, 0.0), (5, 0.6)):
+        graphs.append(random_bipartite_graph(rng, n_domains, 25, p))
+    for g in graphs:
+        domains = [n.index for n in g.nodes if n.kind is NodeKind.DOMAIN]
+        values = [n.index for n in g.nodes if n.kind is NodeKind.SLOT_VALUE]
+        for subset in (domains, domains[1::2], domains[-1:], []):
+            d_idx, sv_idx = g.unobserved_pairs(subset)
+            reference = [
+                (d, v) for d in subset for v in values
+                if (min(d, v), max(d, v)) not in g.edges
+            ]
+            assert list(zip(d_idx.tolist(), sv_idx.tolist())) == reference
 
 
 def fixture_graph() -> StateGraph:
@@ -149,7 +165,7 @@ def test_split_edges_negatives_equal_list_based_draws(rng):
         random_bipartite_graph(rng, 5, 40, 0.5),
     ]
     for g in graphs:
-        non_edges = g.non_edges()
+        non_edges = g.key_edges(g.non_edge_keys())
         for seed in range(6):
             split = split_edges(g, 0.85, 0.10, 0.05, seed=seed)
             # the list-based draws: edge order first, then indices into non_edges
@@ -222,16 +238,14 @@ def test_dialogue_node_set_found_and_missing():
         g,
         [make_state(("hotel", "area", "east"), ("spa", "service", "massage"))],
     )
-    labels = {n.label for n in found.nodes}
+    labels = {n.label for n in found}
     assert labels == {"hotel", "area-east"}
-    assert set(found.missing) == {"spa", "service-massage"}
 
 
 def test_dialogue_node_set_none_names_domain_only():
     g = small_graph()
     found = dialogue_node_set(g, [make_state(("hotel", "name", "none"))])
-    assert {n.label for n in found.nodes} == {"hotel"}
-    assert found.missing == ()
+    assert {n.label for n in found} == {"hotel"}
 
 
 def test_planted_graph_shape_and_determinism():

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from dstgraph import linkpred
-from dstgraph.datasets import fixture_corpus_path, load_corpus
-from dstgraph.graph import NodeId, NodeKind, build_graph, planted_graph, split_edges
+from dstgraph.graph import NodeId, NodeKind, split_edges
 from dstgraph.linkpred import (
-    CvReport,
     ScoredEdge,
     auc,
     average_precision,
     candidate_records,
-    cross_validate,
     evaluate_split,
     mean_embeddings,
     rank_candidates,
@@ -246,55 +242,3 @@ def test_candidate_records_schema(rng):
         assert rec["domain_label"] == e.pair[0].label
         assert rec["slotvalue_label"] == e.pair[1].label
         assert rec["probability"] == e.score
-
-
-# --- cross-validation ---
-
-
-def test_cross_validate_fold_count_and_stats(rng):
-    g = random_bipartite_graph(rng, 3, 14, 0.5)
-    cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=10, seed=4)
-    report = cross_validate(g, k=4, config=cfg)
-    assert isinstance(report, CvReport)
-    assert len(report.fold_auc) == 4
-    assert len(report.fold_ap) == 4
-    assert report.mean_auc == pytest.approx(float(np.mean(report.fold_auc)))
-    assert report.std_ap == pytest.approx(float(np.std(report.fold_ap)))
-
-
-def test_cross_validate_negatives_equal_list_based_draws(rng, monkeypatch):
-    splits = []
-
-    def record_split(graph, split, config):
-        splits.append(split)
-        return None, []
-
-    monkeypatch.setattr(linkpred, "train", record_split)
-    monkeypatch.setattr(
-        linkpred, "evaluate_split", lambda params, graph, split: {"auc": 0.5, "ap": 0.5}
-    )
-    corpus = load_corpus(fixture_corpus_path())
-    graphs = [
-        build_graph([s for d in corpus.dialogues for s in d.gold_states]),
-        planted_graph(),
-        random_bipartite_graph(rng, 3, 30, 0.3),
-        random_bipartite_graph(rng, 5, 40, 0.5),
-    ]
-    for g in graphs:
-        non_edges = g.non_edges()
-        for seed in (0, 1, 7):
-            splits.clear()
-            cross_validate(g, k=4, config=TrainConfig(seed=seed))
-            assert len(splits) == 4
-            for fold_index, split in enumerate(splits):
-                # the list-based draw: indices into non_edges
-                reference = np.random.default_rng([seed, fold_index])
-                idx = reference.choice(len(non_edges), size=len(split.test), replace=False)
-                assert split.neg_test == tuple(non_edges[i] for i in idx)
-                assert all(type(i) is int and type(j) is int for i, j in split.neg_test)
-
-
-def test_cross_validate_needs_enough_edges(rng):
-    g = random_bipartite_graph(rng, 2, 3, 0.2)
-    with pytest.raises(ValueError):
-        cross_validate(g, k=50, config=TrainConfig(epochs=1))

@@ -103,16 +103,6 @@ def test_exemplars_render_before_live_input():
     assert rendered.index(ex) < rendered.index(live)
 
 
-def test_nonstandard_exemplar_count_flag():
-    mk = lambda n: spec(exemplars=tuple(("i", "o") for _ in range(n)))
-    assert not mk(0).nonstandard_exemplar_count
-    assert mk(1).nonstandard_exemplar_count
-    assert not mk(2).nonstandard_exemplar_count
-    assert not mk(3).nonstandard_exemplar_count
-    assert not mk(4).nonstandard_exemplar_count
-    assert mk(5).nonstandard_exemplar_count
-
-
 def test_empty_instruction_or_input_rejected():
     with pytest.raises(ValueError):
         build_prompt(spec(instruction="  "))
