@@ -360,9 +360,13 @@ def _has_parse_failure(path: str, rec: dict) -> bool:
     return any(d["kind"] == DiagnosticKind.PARSE_FAILURE.value for d in diagnostics)
 
 
+_KEY_TYPES = {"dialogue_id": str, "turn": int}
+
+
 def _record_key(path: str, rec: dict, fields: tuple[str, ...]) -> tuple:
     """The values of ``fields`` in a record of predictions file ``path``; a
-    missing or unhashable one is a located UsageError."""
+    missing, unhashable or mistyped one (``dialogue_id`` a str, ``turn`` an
+    int and not a bool) is a located UsageError."""
     try:
         key = tuple(rec[f] for f in fields)
         hash(key)
@@ -370,6 +374,13 @@ def _record_key(path: str, rec: dict, fields: tuple[str, ...]) -> tuple:
         raise UsageError(f"{path}: a prediction record has no {exc} key") from exc
     except TypeError as exc:
         raise UsageError(f"{path}: bad prediction record key: {exc}") from exc
+    for field, value in zip(fields, key):
+        want = _KEY_TYPES[field]
+        if not isinstance(value, want) or isinstance(value, bool):
+            raise UsageError(
+                f"{path}: prediction record {dict(zip(fields, key))}: "
+                f"{field} must be {want.__name__}, got {value!r}"
+            )
     return key
 
 

@@ -13,12 +13,15 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .datasets import atomic_writer
 from .dialogue import DialogueState
+
+if TYPE_CHECKING:
+    from .vgae import Propagation
 
 Edge = tuple[int, int]
 
@@ -97,14 +100,13 @@ class StateGraph:
         return len(self.nodes)
 
     @functools.cached_property
-    def norm_adj(self) -> np.ndarray:
-        """Read-only GCN propagation matrix Â of the full edge list, built
-        once per graph and shared by every full-graph encode."""
-        from .vgae import normalize_adjacency
+    def norm_adj(self) -> Propagation:
+        """GCN propagation operator Â of the full edge list, with read-only
+        weights, built once per graph and shared by every full-graph
+        encode."""
+        from .vgae import Propagation
 
-        a_hat = normalize_adjacency(self.n_nodes, self.edges)
-        a_hat.flags.writeable = False
-        return a_hat
+        return Propagation(self.n_nodes, self.edges)
 
     def domain_node(self, label: str) -> NodeId | None:
         idx = self._domain_index.get(label)

@@ -1,17 +1,25 @@
-"""From-scratch variational graph auto-encoder on dense numpy arrays.
+"""From-scratch variational graph auto-encoder on numpy arrays, with no
+n x n array held outside a row block.
 
 Two-layer GCN encoder (shared ReLU layer, linear mean and log-variance
 heads), reparameterization trick, inner-product decoder.  The propagation
-matrix Â is written straight from an edge list by `normalize_adjacency`,
-the only place that builds it.  Node features are one-hot (X = I), so the
+matrix Â is a `Propagation` operator built straight from an edge list: it
+keeps Â's nonzeros sorted by row and computes Â @ X one row block at a
+time in a reused dense buffer.  Node features are one-hot (X = I), so the
 first layer Â X W_s is Â W_s and no feature matrix is built; one forward
 pass serves training, the gradient check and evaluation.  The training
 objective is the negative ELBO: weighted full-matrix reconstruction BCE
-plus a KL term against a standard-normal prior, evaluated in one pass
-from exp(-|S|), S = Z Z^T, with the positive terms gathered at the
-training edges and no dense 0/1 target.  Backpropagation is hand-derived
-and verified against central finite differences, so all arithmetic stays
-in double precision.
+plus a KL term against a standard-normal prior.  The BCE is evaluated one
+row block of S = Z Z^T at a time, from exp(-|S|), with the positive terms
+gathered at the training edges and no dense 0/1 target.
+
+Both kinds of block are sized from one byte budget, `_BLOCK_BYTES`.  A
+graph whose n x n arrays fit in one block runs the dense expressions
+exactly, bit for bit; larger graphs agree with them to the last bits
+only, because a row block of a product may sum in another order.  A graph
+whose single row exceeds the budget raises ValueError.  Backpropagation is
+hand-derived and verified against central finite differences, so all
+arithmetic stays in double precision.
 """
 
 from __future__ import annotations
@@ -29,6 +37,11 @@ PROB_EPS = 1e-12
 # bounds of -log p for p clamped to [1e-12, 1 - 1e-12]
 _SP_LO = -float(np.log1p(-PROB_EPS))
 _SP_HI = -float(np.log(PROB_EPS))
+# bytes of one row block of an n-column float64 array: Â's block in
+# `Propagation` and the block of scores S in `loss_and_grads`.  The BCE
+# holds about four such blocks at once, so 1 MiB keeps its working set
+# near the size of a core's L2 cache.
+_BLOCK_BYTES = 1 << 20
 
 
 class TrainingDiverged(RuntimeError):
@@ -123,57 +136,97 @@ def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _edge_matrix(n_nodes: int, edges) -> np.ndarray:
-    """Symmetric 0/1 float matrix A with a one at both orientations of each
-    edge.  Checks are O(E): an endpoint outside [0, n) or a self-loop raises
-    ValueError; duplicate or reversed pairs write the same entries.
-    """
-    e = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
-    if e.size and (e.min() < 0 or e.max() >= n_nodes):
-        raise ValueError(f"edge endpoint out of range for {n_nodes} nodes")
-    rows, cols = e.T
-    if np.any(rows == cols):
-        raise ValueError("self-loops are not allowed")
-    a = np.zeros((n_nodes, n_nodes))
-    a[rows, cols] = 1.0
-    a[cols, rows] = 1.0
-    return a
+def _block_rows(n_nodes: int) -> int:
+    """Rows per block of an n-column float64 array within `_BLOCK_BYTES`;
+    ``n_nodes`` when every row fits at once."""
+    rows = _BLOCK_BYTES // (8 * max(n_nodes, 1))
+    if rows < 1:
+        raise ValueError(
+            f"one row of {n_nodes} float64 entries exceeds the "
+            f"{_BLOCK_BYTES}-byte block budget"
+        )
+    return min(rows, max(n_nodes, 1))
 
 
-def normalize_adjacency(n_nodes: int, edges) -> np.ndarray:
-    """Symmetric GCN propagation matrix D^(-1/2) (A + I) D^(-1/2), built
-    straight from an edge list of (i, j) pairs over ``n_nodes`` nodes.
+class Propagation:
+    """The symmetric GCN propagation matrix Â = D^(-1/2) (A + I) D^(-1/2) of
+    an edge list of (i, j) pairs over ``n_nodes`` nodes, applied by
+    ``prop @ x`` without ever holding Â densely.
 
     D is the degree matrix of A + I, so isolated nodes get degree 1 and
-    the result is always finite.
+    every weight is finite.  Each unique edge is stored in both
+    orientations, plus the diagonal, sorted by row then column, with weight
+    inv_sqrt_deg[r] * inv_sqrt_deg[c].  Checks are O(E): an endpoint
+    outside [0, n) or a self-loop raises ValueError; duplicate or reversed
+    pairs describe the same edge.  One operator reuses one row-block
+    buffer, so it must not be applied from two threads at once.
     """
-    a_hat = _edge_matrix(n_nodes, edges)
-    np.fill_diagonal(a_hat, 1.0)
-    inv_sqrt_deg = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    a_hat *= inv_sqrt_deg[:, None]
-    a_hat *= inv_sqrt_deg[None, :]
-    return a_hat
+
+    def __init__(self, n_nodes: int, edges):
+        e = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+        if e.size and (e.min() < 0 or e.max() >= n_nodes):
+            raise ValueError(f"edge endpoint out of range for {n_nodes} nodes")
+        if np.any(e[:, 0] == e[:, 1]):
+            raise ValueError("self-loops are not allowed")
+        diag = np.arange(n_nodes, dtype=np.intp)
+        keys = np.unique(
+            np.concatenate([e[:, 0] * n_nodes + e[:, 1], e[:, 1] * n_nodes + e[:, 0],
+                            diag * n_nodes + diag])
+        )
+        self.rows, self.cols = np.divmod(keys, n_nodes)
+        inv_sqrt_deg = 1.0 / np.sqrt(np.bincount(self.rows, minlength=n_nodes))
+        self.weights = inv_sqrt_deg[self.rows] * inv_sqrt_deg[self.cols]
+        for a in (self.rows, self.cols, self.weights):
+            a.flags.writeable = False
+        self.n_nodes = n_nodes
+        self.block_rows = _block_rows(n_nodes)
+        # offsets of each row's nonzeros, so a row block is one slice
+        self._row_start = np.searchsorted(self.rows, np.arange(n_nodes + 1))
+        self._block = None
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """Â @ X, one row block of Â at a time.  Only a block's nonzeros are
+        written into the reused zero buffer, and they are cleared again
+        after the block's product, so a block that covers all n rows is the
+        dense Â and its product is the dense one, bit for bit."""
+        x = np.asarray(x, dtype=np.float64)
+        n, b = self.n_nodes, self.block_rows
+        if x.ndim != 2 or x.shape[0] != n:
+            raise ValueError(f"operand {x.shape} does not have {n} rows")
+        if self._block is None:
+            self._block = np.zeros((b, n))
+        out = np.empty((n, x.shape[1]))
+        for i in range(0, n, b):
+            j = min(i + b, n)
+            lo, hi = self._row_start[i], self._row_start[j]
+            r, c = self.rows[lo:hi] - i, self.cols[lo:hi]
+            block = self._block[: j - i]
+            block[r, c] = self.weights[lo:hi]
+            out[i:j] = block @ x
+            block[r, c] = 0.0
+        return out
 
 
 def _forward(
-    norm_adj: np.ndarray, params: VgaeParams
+    prop: Propagation, params: VgaeParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Encoder pass; returns (m, Âh, mu, logvar), all the backward pass needs.
 
     Features are one-hot, so the first layer Â X W_s is Â W_s.
     """
-    a_hat = np.asarray(norm_adj, dtype=np.float64)
     n = params.n_features
-    if a_hat.shape != (n, n):
-        raise ValueError(f"norm_adj {a_hat.shape} does not match params for {n} nodes")
-    m = a_hat @ params.w_shared
-    ah = a_hat @ np.maximum(m, 0.0)
+    if prop.n_nodes != n:
+        raise ValueError(
+            f"propagation over {prop.n_nodes} nodes does not match params for {n} nodes"
+        )
+    m = prop @ params.w_shared
+    ah = prop @ np.maximum(m, 0.0)
     return m, ah, ah @ params.w_mu, ah @ params.w_logvar
 
 
-def encode(norm_adj: np.ndarray, params: VgaeParams) -> tuple[np.ndarray, np.ndarray]:
+def encode(prop: Propagation, params: VgaeParams) -> tuple[np.ndarray, np.ndarray]:
     """Two GCN layers: h = relu(Â W_s); mu = Â h W_mu; logvar = Â h W_lv."""
-    _, _, mu, logvar = _forward(norm_adj, params)
+    _, _, mu, logvar = _forward(prop, params)
     return mu, logvar
 
 
@@ -198,10 +251,13 @@ def edge_probabilities(z: np.ndarray, rows, cols) -> np.ndarray:
     return np.clip(_sigmoid(s), PROB_EPS, 1.0 - PROB_EPS)
 
 
-def _bce(s: np.ndarray, pos_index, pos_weight: float) -> tuple[float, np.ndarray]:
-    """Weighted BCE of the n x n scores S against the 0/1 target that is one
-    exactly at ``pos_index`` (a (rows, cols) pair of index arrays), averaged
-    over all ordered pairs, and its gradient dBCE/dS.
+def _bce(
+    s: np.ndarray, pos_index, pos_weight: float, n_pairs: int
+) -> tuple[float, np.ndarray]:
+    """Weighted BCE terms of the scores S against the 0/1 target that is one
+    exactly at ``pos_index`` (a (rows, cols) pair of index arrays), summed
+    over S, and the gradient of their mean over ``n_pairs`` ordered pairs,
+    dBCE/dS.  S may be a row block of the n x n scores, with n_pairs = n * n.
 
     Positive terms are scaled by pos_weight to counter edge sparsity.  The
     log-probabilities are clamped to [log 1e-12, log(1 - 1e-12)], which
@@ -210,6 +266,7 @@ def _bce(s: np.ndarray, pos_index, pos_weight: float) -> tuple[float, np.ndarray
     -log sigma(s) = max(-s, 0) + log1p(e), -log(1 - sigma(s)) = max(s, 0) +
     log1p(e).  Every entry is scored densely as a non-edge, then the
     positive terms are computed at ``pos_index`` only and scattered there.
+    S is overwritten.
     """
     if pos_weight <= 0:
         raise ValueError("pos_weight must be positive")
@@ -219,15 +276,15 @@ def _bce(s: np.ndarray, pos_index, pos_weight: float) -> tuple[float, np.ndarray
     np.log1p(t, out=t)
     sp_pos = np.maximum(-s[pos_index], 0.0) + t[pos_index]  # -log sigma(s)
     sig_pos = g[pos_index]
-    t += np.maximum(s, 0.0)  # -log(1 - sigma(s))
+    t += np.maximum(s, 0.0, out=s)  # -log(1 - sigma(s)); S is spent
 
     g *= (t > _SP_LO) & (t < _SP_HI)
     np.clip(t, _SP_LO, _SP_HI, out=t)
     t[pos_index] = pos_weight * np.clip(sp_pos, _SP_LO, _SP_HI)
     keep_pos = (sp_pos > _SP_LO) & (sp_pos < _SP_HI)
     g[pos_index] = -pos_weight * (1.0 - sig_pos) * keep_pos
-    g /= s.size
-    return float(t.sum() / s.size), g
+    g /= n_pairs
+    return t.sum(), g
 
 
 def kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> float:
@@ -253,20 +310,50 @@ def glorot_init(n_features: int, config: TrainConfig, rng: np.random.Generator) 
 
 def _training_inputs(
     n_nodes: int, split: EdgeSplit
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], float]:
-    """Â, the BCE target's positive entries (both orientations of each
-    training edge, as (rows, cols) index arrays) and pos_weight, the ratio
-    of non-edge to edge entries of the n x n target."""
-    a_hat = normalize_adjacency(n_nodes, split.train)
-    rows, cols = np.array(split.train, dtype=np.intp).reshape(-1, 2).T
-    keys = np.unique(np.concatenate([rows * n_nodes + cols, cols * n_nodes + rows]))
-    pos_weight = (n_nodes * n_nodes - keys.size) / keys.size
-    return a_hat, np.divmod(keys, n_nodes), pos_weight
+) -> tuple[Propagation, tuple[np.ndarray, np.ndarray], float]:
+    """Â of the training edges, the BCE target's positive entries (both
+    orientations of each training edge, as (rows, cols) index arrays sorted
+    by row, then column) and pos_weight, the ratio of non-edge to edge
+    entries of the n x n target."""
+    a_hat = Propagation(n_nodes, split.train)
+    # Â's off-diagonal nonzeros are exactly the target's positive entries
+    off_diagonal = a_hat.rows != a_hat.cols
+    n_pos = int(off_diagonal.sum())
+    pos_weight = (n_nodes * n_nodes - n_pos) / n_pos
+    return a_hat, (a_hat.rows[off_diagonal], a_hat.cols[off_diagonal]), pos_weight
+
+
+def _bce_grad_z(
+    z: np.ndarray, pos_index, pos_weight: float, block_rows: int
+) -> tuple[float, np.ndarray]:
+    """BCE over S = Z Z^T and dBCE/dZ, one block of ``block_rows`` rows of S
+    at a time.
+
+    S_ij = z_i . z_j, so dBCE/dZ = (G + G^T) Z with G = dBCE/dS, and G is
+    symmetric because S is, so row block i:j of dBCE/dZ is 2 G[i:j] Z.  A
+    block that covers all n rows computes S as one symmetric (syrk) product,
+    so S and G are exactly symmetric and G + G^T is 2G bit for bit; smaller
+    blocks are gemm products, equal to it up to the last bits.
+    """
+    n = z.shape[0]
+    rows, cols = pos_index
+    bounds = np.searchsorted(rows, np.arange(0, n + block_rows, block_rows))
+    g_z = np.empty_like(z)
+    total = 0.0
+    for k, i in enumerate(range(0, n, block_rows)):
+        j = min(i + block_rows, n)
+        lo, hi = bounds[k], bounds[k + 1]
+        t_sum, g = _bce(z[i:j] @ z.T, (rows[lo:hi] - i, cols[lo:hi]), pos_weight, n * n)
+        g *= 2.0
+        g_z[i:j] = g @ z
+        total += t_sum
+        del g  # free this block's gradient before the next block is scored
+    return float(total / (n * n)), g_z
 
 
 def loss_and_grads(
     params: VgaeParams,
-    norm_adj: np.ndarray,
+    prop: Propagation,
     pos_index: tuple[np.ndarray, np.ndarray],
     pos_weight: float,
     kl_weight: float,
@@ -274,35 +361,32 @@ def loss_and_grads(
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Forward pass plus hand-derived gradients of BCE + kl_weight * KL.
 
-    ``pos_index`` holds the target's positive entries (`_training_inputs`).
-    ``noise`` is the frozen standard-normal draw used by the
-    reparameterization, so the function is pure and checkable against
-    finite differences.  Returns (bce, kl, grads by weight name).
+    ``prop`` is the training edges' Â and ``pos_index`` the target's
+    positive entries, sorted by row (`_training_inputs`).  ``noise`` is the
+    frozen standard-normal draw used by the reparameterization, so the
+    function is pure and checkable against finite differences.  No n x n
+    array is held outside a row block of ``prop.block_rows`` rows.  Returns
+    (bce, kl, grads by weight name).
     """
-    a_hat = np.asarray(norm_adj, dtype=np.float64)
-    n = a_hat.shape[0]
+    n = prop.n_nodes
 
-    m, ah, mu, logvar = _forward(a_hat, params)
+    m, ah, mu, logvar = _forward(prop, params)
     std = np.exp(logvar / 2.0)
     z = mu + std * noise
 
-    bce, g_s = _bce(z @ z.T, pos_index, pos_weight)
+    bce, g_z = _bce_grad_z(z, pos_index, pos_weight, prop.block_rows)
     kl = kl_divergence(mu, logvar)
-
-    # S = Z Z^T with S_ij = z_i . z_j, so dL/dZ = (G + G^T) Z.  numpy computes
-    # z @ z.T as one symmetric (syrk) product, so S and G are exactly
-    # symmetric and G + G^T is 2G, bit for bit.
-    g_s *= 2.0
-    g_z = g_s @ z
 
     g_mu = g_z + kl_weight * mu / n
     g_logvar = g_z * noise * 0.5 * std + kl_weight * 0.5 / n * (np.exp(logvar) - 1.0)
 
     g_w_mu = ah.T @ g_mu
     g_w_logvar = ah.T @ g_logvar
-    g_h = a_hat @ (g_mu @ params.w_mu.T + g_logvar @ params.w_logvar.T)
+    g_h = prop @ (g_mu @ params.w_mu.T + g_logvar @ params.w_logvar.T)
     g_m = g_h * (m > 0.0)
-    g_w_shared = a_hat.T @ g_m
+    # Â is exactly symmetric (both orientations carry one weight), so
+    # Â^T g_m is Â g_m
+    g_w_shared = prop @ g_m
 
     grads = {"w_shared": g_w_shared, "w_mu": g_w_mu, "w_logvar": g_w_logvar}
     return bce, kl, grads
@@ -466,11 +550,19 @@ def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:
         raise ValueError(f"not a VGAE checkpoint: {path}")
     if raw.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {raw.get('version')}")
-    params = VgaeParams(
-        w_shared=np.asarray(raw["w_shared"], dtype=np.float64),
-        w_mu=np.asarray(raw["w_mu"], dtype=np.float64),
-        w_logvar=np.asarray(raw["w_logvar"], dtype=np.float64),
-    )
+    weights = {}
+    for key in ("w_shared", "w_mu", "w_logvar"):
+        try:
+            weights[key] = np.asarray(raw[key], dtype=np.float64)
+        except KeyError:
+            raise ValueError(f"{path}: no {key!r} weights") from None
+        except (TypeError, ValueError) as exc:
+            # e.g. a ragged row: numpy's "inhomogeneous shape" text
+            raise ValueError(f"{path}: weight {key!r}: {exc}") from exc
+    try:
+        params = VgaeParams(**weights)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     config = raw["config"]
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")

@@ -544,6 +544,13 @@ def edit_checkpoint_config(path: Path, **extra) -> None:
     path.write_text(json.dumps(raw), encoding="utf-8")
 
 
+def edit_checkpoint_row(path: Path, key: str, row: int) -> None:
+    """Drop the last entry of one row of a checkpoint weight matrix."""
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw[key][row].pop()
+    path.write_text(json.dumps(raw), encoding="utf-8")
+
+
 _FIRST_RECORD = {"dialogue_id": "fx001", "turn": 0, "diagnostics": []}
 _GRAPH_ARGV = ["graph", "--predictions", "pred.jsonl", "--out-prefix", "out"]
 _PREDICT_ARGV = ["predict", "--graph-prefix", "g", "--checkpoint", "model.json",
@@ -609,10 +616,44 @@ def edit_first_record(drop: str = "", **fields) -> None:
             id="checkpoint-config-has-unknown-key",
         ),
         pytest.param(
+            lambda: edit_checkpoint_row(Path("model.json"), "w_mu", 1),
+            _PREDICT_ARGV,
+            "model.json: weight 'w_mu': setting an array element with a sequence",
+            id="checkpoint-weight-row-is-ragged",
+        ),
+        pytest.param(
             lambda: edit_first_record(dialogue_id=["fx001"]),
             _PREDICT_ARGV,
             "pred.jsonl: bad prediction record key: unhashable type: 'list'",
             id="predict-dialogue-id-is-a-list",
+        ),
+        pytest.param(
+            lambda: edit_first_record(dialogue_id=7),
+            _PREDICT_ARGV,
+            "pred.jsonl: prediction record {'dialogue_id': 7}: "
+            "dialogue_id must be str, got 7",
+            id="predict-dialogue-id-is-an-int",
+        ),
+        pytest.param(
+            lambda: edit_first_record(dialogue_id=7),
+            _EVALUATE_ARGV,
+            "pred.jsonl: prediction record {'dialogue_id': 7, 'turn': 0}: "
+            "dialogue_id must be str, got 7",
+            id="evaluate-dialogue-id-is-an-int",
+        ),
+        pytest.param(
+            lambda: edit_first_record(turn=False),
+            _EVALUATE_ARGV,
+            "pred.jsonl: prediction record {'dialogue_id': 'fx001', 'turn': False}: "
+            "turn must be int, got False",
+            id="evaluate-turn-is-a-bool",
+        ),
+        pytest.param(
+            lambda: edit_first_record(turn="0"),
+            _EVALUATE_ARGV,
+            "pred.jsonl: prediction record {'dialogue_id': 'fx001', 'turn': '0'}: "
+            "turn must be int, got '0'",
+            id="evaluate-turn-is-a-string",
         ),
         pytest.param(
             lambda: edit_first_record(drop="dialogue_id"),
@@ -706,13 +747,13 @@ def test_train_builds_each_propagation_matrix_once(tmp_path, monkeypatch, capsys
     assert cli.main(["extract", "--corpus", corpus, "--out", "pred.jsonl"]) == 0
     assert cli.main(["graph", "--predictions", "pred.jsonl", "--out-prefix", "g"]) == 0
     built = []
-    original = vgae.normalize_adjacency
 
-    def counting(n_nodes, edges):
-        built.append(len(edges))
-        return original(n_nodes, edges)
+    class Counting(vgae.Propagation):
+        def __init__(self, n_nodes, edges):
+            built.append(len(edges))
+            super().__init__(n_nodes, edges)
 
-    monkeypatch.setattr(vgae, "normalize_adjacency", counting)
+    monkeypatch.setattr(vgae, "Propagation", Counting)
     assert cli.main(
         ["train", "--graph-prefix", "g", "--checkpoint", "model.json", "--epochs", "3"]
     ) == 0

@@ -15,7 +15,7 @@ from dstgraph.graph import (
     write_edge_list,
     write_node_table,
 )
-from dstgraph.vgae import normalize_adjacency
+from dstgraph.vgae import Propagation
 
 from conftest import make_state, random_bipartite_graph
 
@@ -94,14 +94,17 @@ def test_norm_adj_is_built_once_and_read_only():
     g = small_graph()
     a_hat = g.norm_adj
     assert g.norm_adj is a_hat
-    assert np.array_equal(a_hat, normalize_adjacency(g.n_nodes, g.edges))
-    with pytest.raises(ValueError):
-        a_hat[0, 0] = 0.0
+    eye = np.eye(g.n_nodes)
+    assert (a_hat @ eye).tobytes() == (Propagation(g.n_nodes, g.edges) @ eye).tobytes()
+    for stored in (a_hat.rows, a_hat.cols, a_hat.weights):
+        with pytest.raises(ValueError):
+            stored[0] = 0
 
 
 def test_propagation_matrix_symmetric_with_edge_pattern():
     g = small_graph()
-    a_hat = normalize_adjacency(g.n_nodes, g.edges)
+    # Â @ I is Â exactly: each entry is one weight times 1 plus zeros
+    a_hat = Propagation(g.n_nodes, g.edges) @ np.eye(g.n_nodes)
     assert a_hat.shape == (g.n_nodes, g.n_nodes)
     assert (a_hat == a_hat.T).all()
     assert (a_hat.diagonal() > 0).all()

@@ -144,3 +144,26 @@ def test_metrics_match_oracle_on_random_turn_sets(rng):
                 slot_accuracy(pairs)
         else:
             assert slot_accuracy(pairs) == want["accuracy"]
+
+
+
+
+
+def test_jga_builds_no_triple_set_and_equals_set_reference(rng, monkeypatch):
+    from dstgraph import dialogue
+
+    turns = [pair(p, g) for p, g in zip(random_states(rng, 200), random_states(rng, 200))]
+    turns += [pair(t.gold, t.gold) for t in turns[:50]]  # exact hits
+    # the frozenset definition jga replaced, NONE triples stripped
+    want = sum(
+        frozenset(t.predicted.without_none().unordered())
+        == frozenset(t.gold.without_none().unordered())
+        for t in turns
+    ) / len(turns)
+    built = []
+    monkeypatch.setattr(
+        dialogue, "frozenset", lambda items: built.append(1) or frozenset(items), raising=False
+    )
+    assert 0.0 < want < 1.0
+    assert jga(turns) == want
+    assert built == []

@@ -1,17 +1,20 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dstgraph.datasets import fixture_corpus_path, load_corpus
-from dstgraph.graph import build_graph, planted_graph, split_edges
+from dstgraph.graph import NodeKind, build_graph, planted_graph, split_edges
+from dstgraph.linkpred import evaluate_split, mean_embeddings, rank_candidates
 from dstgraph.vgae import (
     EpochRecord,
     TrainConfig,
     TrainingDiverged,
+    Propagation,
     VgaeParams,
     _bce,
-    _forward,
     _sigmoid,
     _training_inputs,
     edge_probabilities,
@@ -21,7 +24,6 @@ from dstgraph.vgae import (
     kl_divergence,
     load_checkpoint,
     loss_and_grads,
-    normalize_adjacency,
     save_checkpoint,
     train,
 )
@@ -42,6 +44,12 @@ def small_setup(rng, seed=5):
 
 
 # --- propagation matrix ---
+
+
+def normalize_adjacency(n, edges):
+    """The dense form of the propagation operator: Â @ I is Â exactly, as
+    each entry is one weight times 1 plus zeros."""
+    return Propagation(n, edges) @ np.eye(n)
 
 
 def dense_reference(n, edges):
@@ -111,7 +119,7 @@ def test_encode_shapes_and_relu(rng):
     g, _ = small_setup(rng)
     cfg = tiny_config()
     params = glorot_init(g.n_nodes, cfg, np.random.default_rng(0))
-    a_hat = normalize_adjacency(g.n_nodes, g.edges)
+    a_hat = Propagation(g.n_nodes, g.edges)
     mu, logvar = encode(a_hat, params)
     assert mu.shape == (g.n_nodes, cfg.latent_dim)
     assert logvar.shape == mu.shape
@@ -126,10 +134,10 @@ def test_encode_shapes_and_relu(rng):
 def test_encode_equals_one_hot_reference_chain(rng):
     g, _ = small_setup(rng)
     params = glorot_init(g.n_nodes, tiny_config(), np.random.default_rng(0))
-    a_hat = normalize_adjacency(g.n_nodes, g.edges)
+    a_hat = dense_reference(g.n_nodes, g.edges)
     x = np.eye(g.n_nodes)
     h = np.maximum(a_hat @ x @ params.w_shared, 0.0)
-    mu, logvar = encode(a_hat, params)
+    mu, logvar = encode(Propagation(g.n_nodes, g.edges), params)
     assert np.array_equal(mu, a_hat @ h @ params.w_mu)
     assert np.array_equal(logvar, a_hat @ h @ params.w_logvar)
 
@@ -137,11 +145,13 @@ def test_encode_equals_one_hot_reference_chain(rng):
 def test_encode_validates_shapes(rng):
     g, _ = small_setup(rng)
     params = glorot_init(g.n_nodes, tiny_config(), np.random.default_rng(0))
-    a_hat = normalize_adjacency(g.n_nodes, g.edges)
     with pytest.raises(ValueError):
-        encode(np.eye(g.n_nodes + 1), params)
+        encode(Propagation(g.n_nodes + 1, g.edges), params)
+    fewer = [(i, j) for i, j in g.edges if max(i, j) < g.n_nodes - 1]
     with pytest.raises(ValueError):
-        encode(a_hat[:, :-1], params)
+        encode(Propagation(g.n_nodes - 1, fewer), params)
+    with pytest.raises(ValueError):
+        Propagation(g.n_nodes, g.edges) @ np.ones((g.n_nodes - 1, 2))
 
 
 # --- decoder and losses ---
@@ -207,7 +217,7 @@ def test_sigmoid_equals_masked_form_bit_for_bit(rng):
 def test_reconstruction_loss_at_zero_latent_is_ln2():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.zeros((2, 3))
-    assert _bce(z @ z.T, np.nonzero(a), 1.0)[0] == pytest.approx(
+    assert _bce(z @ z.T, np.nonzero(a), 1.0, 4)[0] / 4 == pytest.approx(
         math.log(2.0), abs=1e-15
     )
 
@@ -216,17 +226,17 @@ def test_reconstruction_loss_pos_weight_scales_positive_terms():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.zeros((2, 3))
     # at z=0 every pair contributes ln2; positives are half the mass here
-    base = _bce(z @ z.T, np.nonzero(a), 1.0)[0]
-    up = _bce(z @ z.T, np.nonzero(a), 3.0)[0]
+    base = _bce(z @ z.T, np.nonzero(a), 1.0, 4)[0] / 4
+    up = _bce(z @ z.T, np.nonzero(a), 3.0, 4)[0] / 4
     assert up == pytest.approx(base + 2 * math.log(2.0) * 2 / 4, abs=1e-12)
     with pytest.raises(ValueError):
-        _bce(z @ z.T, np.nonzero(a), 0.0)
+        _bce(z @ z.T, np.nonzero(a), 0.0, 4)
 
 
 def test_reconstruction_loss_finite_for_extreme_latents():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.array([[1e3, 0.0], [-1e3, 0.0]])
-    assert np.isfinite(_bce(z @ z.T, np.nonzero(a), 5.0)[0])
+    assert np.isfinite(_bce(z @ z.T, np.nonzero(a), 5.0, 4)[0])
 
 
 LOG_LO, LOG_HI = math.log(1e-12), math.log1p(-1e-12)
@@ -238,9 +248,12 @@ def softplus(x):
 
 def dense_loss_reference(params, a_hat, a, pos_weight, kl_weight, noise):
     """The full-matrix objective against a dense 0/1 target ``a``, as it
-    was before the one-pass form; also returns S and both log terms."""
+    was before the one-pass form, with a dense Â; also returns S and both
+    log terms."""
     n = a.shape[0]
-    m, ah, mu, logvar = _forward(a_hat, params)
+    m = a_hat @ params.w_shared
+    ah = a_hat @ np.maximum(m, 0.0)
+    mu, logvar = ah @ params.w_mu, ah @ params.w_logvar
     std = np.exp(logvar / 2.0)
     z = mu + std * noise
     s = z @ z.T
@@ -275,7 +288,8 @@ def test_loss_and_grads_equals_dense_reference_bit_for_bit(rng):
     for g, n_isolated in cases:
         n = g.n_nodes + n_isolated
         split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
-        a_hat, pos_index, pos_weight = _training_inputs(n, split)
+        prop, pos_index, pos_weight = _training_inputs(n, split)
+        a_hat = dense_reference(n, split.train)
         a = np.zeros((n, n))
         for i, j in split.train:
             a[i, j] = a[j, i] = 1.0
@@ -288,7 +302,7 @@ def test_loss_and_grads_equals_dense_reference_bit_for_bit(rng):
             bce, kl, grads, s, logp_raw, log1mp_raw = dense_loss_reference(
                 params, a_hat, a, pos_weight, 0.5, noise
             )
-            got = loss_and_grads(params, a_hat, pos_index, pos_weight, 0.5, noise)
+            got = loss_and_grads(params, prop, pos_index, pos_weight, 0.5, noise)
             assert got[0] == bce and got[1] == kl
             for name, want in grads.items():
                 # tobytes also tells -0.0 from 0.0
@@ -315,6 +329,122 @@ def test_kl_divergence_nonnegative(rng):
         mu = rng.normal(scale=3.0, size=shape)
         logvar = rng.normal(scale=2.0, size=shape)
         assert kl_divergence(mu, logvar) >= 0.0
+
+
+# --- row blocks ---
+
+
+def fixture_graph():
+    corpus = load_corpus(fixture_corpus_path())
+    return build_graph([s for d in corpus.dialogues for s in d.gold_states])
+
+
+def uneven_block_budget(n):
+    """A block budget that splits n rows into at least 3 blocks, the last
+    one shorter than the others."""
+    rows = n // 3 - 1
+    assert rows >= 1 and n % rows and n // rows >= 3
+    return 8 * n * rows
+
+
+def all_rankings(params, g):
+    """Every domain's full candidate ranking, as (domain, slot-value) labels."""
+    mu = mean_embeddings(params, g)
+    domains = [v for v in g.nodes if v.kind is NodeKind.DOMAIN]
+    return [
+        [(e.pair[0].label, e.pair[1].label) for e in rank_candidates(mu, g, [d], g.n_nodes**2)]
+        for d in domains
+    ]
+
+
+@pytest.mark.parametrize("make_graph", [fixture_graph, planted_graph])
+def test_blocked_loss_and_grads_match_one_block(make_graph, monkeypatch):
+    g = make_graph()
+    n = g.n_nodes
+    split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+    cfg = tiny_config()
+    base = glorot_init(n, cfg, np.random.default_rng(0))
+    noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
+    one_block = _training_inputs(n, split)
+    assert one_block[0].block_rows == n
+    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(n))
+    blocked = _training_inputs(n, split)
+    assert blocked[0].block_rows <= n // 3 and n % blocked[0].block_rows
+    eye = np.eye(n)
+    assert (blocked[0] @ eye).tobytes() == (one_block[0] @ eye).tobytes()
+    for scale in (1, 300):  # 300 drives both clamps, at training edges too
+        params = VgaeParams(
+            w_shared=scale * base.w_shared, w_mu=base.w_mu, w_logvar=base.w_logvar
+        )
+        want = loss_and_grads(params, *one_block, 0.5, noise)
+        got = loss_and_grads(params, *blocked, 0.5, noise)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+        for name, w in want[2].items():
+            assert np.max(np.abs(got[2][name] - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+
+@pytest.mark.parametrize("make_graph", [fixture_graph, planted_graph])
+def test_blocked_training_matches_one_block(make_graph, monkeypatch):
+    cfg = tiny_config(epochs=20, seed=4)
+    g = make_graph()
+    split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+    want, want_history = train(g, split, cfg)
+    want_rankings = all_rankings(want, g)
+
+    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(g.n_nodes))
+    g = make_graph()  # a fresh graph, so its Â is blocked too
+    assert g.norm_adj.block_rows <= g.n_nodes // 3
+    got, history = train(g, split, cfg)
+    for name in ("w_shared", "w_mu", "w_logvar"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
+    assert [r.val_auc for r in history] == [r.val_auc for r in want_history]
+    assert all_rankings(got, g) == want_rankings
+
+
+def test_blocked_pipeline_allocates_no_n_by_n_array():
+    # at the shipped block budget, on a graph that spans many blocks
+    g = planted_graph(n_domains=30, values_per_domain=50, intra_p=0.1, inter_p=0.002)
+    n = g.n_nodes
+    split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+    cfg = TrainConfig(epochs=2, seed=1)
+    prop, pos_index, pos_weight = _training_inputs(n, split)
+    assert prop.block_rows <= n // 3
+    params = glorot_init(n, cfg, np.random.default_rng(0))
+    noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
+    domain = next(v for v in g.nodes if v.kind is NodeKind.DOMAIN)
+
+    def peak_bytes(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n_by_n = 8 * n * n
+
+    def one_loss():
+        loss_and_grads(params, prop, pos_index, pos_weight, 1.0, noise)
+
+    assert peak_bytes(one_loss) < n_by_n
+    assert peak_bytes(lambda: encode(g.norm_adj, params)) < n_by_n
+    assert peak_bytes(lambda: train(g, split, cfg)) < n_by_n
+    assert peak_bytes(lambda: evaluate_split(params, g, split)) < n_by_n
+    mu = mean_embeddings(params, g)
+    assert peak_bytes(lambda: rank_candidates(mu, g, [domain], 5)) < n_by_n
+
+
+def test_block_budget_below_one_row_raises(rng, monkeypatch):
+    g, split = small_setup(rng)
+    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * g.n_nodes - 1)
+    budget = f"{g.n_nodes} float64 entries exceeds the {8 * g.n_nodes - 1}-byte"
+    with pytest.raises(ValueError, match=budget):
+        Propagation(g.n_nodes, g.edges)
+    with pytest.raises(ValueError, match=budget):
+        train(g, split, tiny_config(epochs=1))
+    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * g.n_nodes)
+    assert Propagation(g.n_nodes, g.edges).block_rows == 1
 
 
 # --- initialization ---
@@ -387,7 +517,8 @@ def test_train_adjacency_contains_only_train_edges(rng):
     assert positives == set(split.train) | {(j, i) for i, j in split.train}
     assert len(rows) == len(cols) == 2 * len(split.train)
     assert positives.isdisjoint(split.test)
-    assert np.array_equal(a_hat, normalize_adjacency(g.n_nodes, split.train))
+    dense = a_hat @ np.eye(g.n_nodes)
+    assert dense.tobytes() == dense_reference(g.n_nodes, split.train).tobytes()
     n_pos = 2 * len(split.train)
     assert pos_weight == (g.n_nodes**2 - n_pos) / n_pos
 
@@ -446,6 +577,32 @@ def test_checkpoint_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else", "version": 1}', encoding="utf-8")
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_locates_malformed_weights(tmp_path, rng):
+    import json
+
+    g, split = small_setup(rng)
+    cfg = tiny_config(epochs=1)
+    params, _ = train(g, split, cfg)
+    path = tmp_path / "model.json"
+    save_checkpoint(path, params, cfg)
+    good = json.loads(path.read_text())
+    cases = [
+        ("w_shared", lambda w: w[2].pop(), "weight 'w_shared': .*inhomogeneous shape"),
+        ("w_logvar", lambda w: w[0].__setitem__(0, "x"), "weight 'w_logvar': "),
+        ("w_mu", lambda w: w.pop(), r"inconsistent shapes"),
+    ]
+    for key, damage, message in cases:
+        raw = json.loads(json.dumps(good))
+        damage(raw[key])
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
+    del good["w_mu"]
+    path.write_text(json.dumps(good), encoding="utf-8")
+    with pytest.raises(ValueError, match="no 'w_mu' weights"):
         load_checkpoint(path)
 
 
