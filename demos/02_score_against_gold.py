@@ -25,7 +25,7 @@ from dstgraph import (
 from dstgraph.cli import RunConfig, extract_records
 
 corpus = load_corpus(fixture_corpus_path())
-print(f"corpus: {corpus.manifest.dialogue_count} dialogues, gold states attached")
+print(f"corpus: {len(corpus.dialogues)} dialogues, gold states attached")
 
 backend = RuleMockBackend.from_json(fixture_keywords_path())
 records, failure = extract_records(corpus.dialogues, backend, RunConfig())

@@ -82,14 +82,12 @@ class HttpBackend:
     def __init__(
         self,
         base_url: str,
-        token_env: str = TOKEN_ENV_VAR,
         sleep: Callable[[float], None] = time.sleep,
         session=None,
     ):
         if not base_url:
             raise ValueError("base_url must be non-empty")
         self.base_url = base_url.rstrip("/")
-        self.token_env = token_env
         self._sleep = sleep
         self._session = session
         self._local = threading.local()
@@ -108,7 +106,7 @@ class HttpBackend:
         if not prompt:
             raise ValueError("prompt must be non-empty")
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.token_env)
+        token = os.environ.get(TOKEN_ENV_VAR)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         body = {

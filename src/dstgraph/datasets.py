@@ -49,23 +49,10 @@ class AnnotatedDialogue:
                 f"for {n_user} user turns"
             )
 
-    @property
-    def user_turn_count(self) -> int:
-        return sum(1 for t in self.turns if t.speaker is Speaker.USER)
-
-
-@dataclass(frozen=True)
-class CorpusManifest:
-    format: CorpusFormat
-    path: str
-    dialogue_count: int
-    has_gold: bool
-
 
 @dataclass(frozen=True)
 class LoadResult:
     dialogues: tuple[AnnotatedDialogue, ...]
-    manifest: CorpusManifest
     skipped: int
 
 
@@ -128,10 +115,9 @@ def _belief_triples(metadata: dict) -> list[StateTriple]:
     return triples
 
 
-def _load_multiwoz_json(path: Path) -> tuple[list[AnnotatedDialogue], int]:
+def _load_multiwoz_json(raw) -> tuple[list[AnnotatedDialogue], int]:
     """Classic goal-oriented format: {id: {"log": [...]}} with user/system
     turns alternating and the belief state on each system turn's metadata."""
-    raw = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("expected a dialogue_id -> dialogue object mapping")
     dialogues: list[AnnotatedDialogue] = []
@@ -173,10 +159,9 @@ def _service_to_domain(service: str) -> str:
     return service
 
 
-def _load_sgd_json(path: Path) -> tuple[list[AnnotatedDialogue], int]:
+def _load_sgd_json(raw) -> tuple[list[AnnotatedDialogue], int]:
     """Schema-guided format: a list of dialogues whose user turns carry
     frames with cumulative state.slot_values per service."""
-    raw = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(raw, list):
         raise ValueError("expected a list of dialogue objects")
     dialogues: list[AnnotatedDialogue] = []
@@ -211,41 +196,37 @@ def _load_sgd_json(path: Path) -> tuple[list[AnnotatedDialogue], int]:
     return dialogues, skipped
 
 
-def sniff_format(path: str | Path) -> CorpusFormat:
-    """Guess the corpus format from the extension, then the JSON shape."""
-    p = Path(path)
-    if p.suffix == ".jsonl":
-        return CorpusFormat.PLAIN_JSONL
-    raw = json.loads(p.read_text(encoding="utf-8"))
-    if isinstance(raw, dict):
-        return CorpusFormat.MULTIWOZ_JSON
-    if isinstance(raw, list):
-        return CorpusFormat.SGD_JSON
-    raise ValueError(f"unrecognized corpus shape in {path}")
-
-
-_LOADERS = {
-    CorpusFormat.PLAIN_JSONL: _load_plain_jsonl,
+# loaders of the one-document JSON formats, by format and by parsed shape
+_JSON_LOADERS = {
     CorpusFormat.MULTIWOZ_JSON: _load_multiwoz_json,
     CorpusFormat.SGD_JSON: _load_sgd_json,
+    dict: _load_multiwoz_json,
+    list: _load_sgd_json,
 }
 
 
 def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadResult:
     """Load and normalize a corpus file; malformed dialogues are counted,
-    not fatal.  Zero valid dialogues is an error."""
+    not fatal.  Zero valid dialogues is an error.
+
+    Without a ``format``, a ``.jsonl`` file is plain JSONL; any other file
+    is parsed once as JSON, and an object is read as the classic format, a
+    list as the schema-guided one.
+    """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"corpus file not found: {path}")
-    fmt = format or sniff_format(p)
-    dialogues, skipped = _LOADERS[fmt](p)
+    if format is CorpusFormat.PLAIN_JSONL or (format is None and p.suffix == ".jsonl"):
+        dialogues, skipped = _load_plain_jsonl(p)
+    else:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+        loader = _JSON_LOADERS.get(format or type(raw))
+        if loader is None:
+            raise ValueError(f"unrecognized corpus shape in {path}")
+        dialogues, skipped = loader(raw)
     if not dialogues:
         raise ValueError(f"no valid dialogues in {path} ({skipped} skipped)")
-    has_gold = all(d.gold_states is not None for d in dialogues)
-    manifest = CorpusManifest(
-        format=fmt, path=str(path), dialogue_count=len(dialogues), has_gold=has_gold
-    )
-    return LoadResult(dialogues=tuple(dialogues), manifest=manifest, skipped=skipped)
+    return LoadResult(dialogues=tuple(dialogues), skipped=skipped)
 
 
 @contextlib.contextmanager

@@ -8,20 +8,16 @@ after construction; splitting and negative sampling take an explicit seed.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .datasets import atomic_writer
 from .dialogue import DialogueState
-
-if TYPE_CHECKING:
-    from .vgae import Propagation
 
 Edge = tuple[int, int]
 
@@ -43,14 +39,15 @@ class StateGraph:
 
     Edges are stored as (i, j) pairs with i < j and always connect a Domain
     node to a SlotValue node.  SlotValue node identity is the (slot, value)
-    pair; the composite display label is "slot-value".
+    pair; the composite display label is "slot-value".  ``slot_values``
+    maps each SlotValue node index, and no other, to its distinct pair.
     """
 
     def __init__(
         self,
         nodes: Sequence[NodeId],
         edges: Iterable[Edge],
-        slot_values: dict[int, tuple[str, str]] | None = None,
+        slot_values: dict[int, tuple[str, str]],
     ):
         self.nodes = tuple(nodes)
         for pos, node in enumerate(self.nodes):
@@ -85,28 +82,16 @@ class StateGraph:
         self._domain_index = {
             n.label: n.index for n in self.nodes if n.kind is NodeKind.DOMAIN
         }
-        # (slot, value) -> node index; empty when the mapping was not provided,
-        # in which case slotvalue_node() cannot resolve pairs
-        if slot_values is not None:
-            self._slotvalue_index = {pair: idx for idx, pair in slot_values.items()}
-        else:
-            self._slotvalue_index = {}
-        self._slotvalue_pairs = {
-            idx: pair for pair, idx in self._slotvalue_index.items()
-        }
+        if set(slot_values) != set(self.slotvalue_indices.tolist()):
+            raise ValueError("slot_values must map exactly the slot-value node indices")
+        self._slotvalue_pairs = dict(slot_values)
+        self._slotvalue_index = {pair: idx for idx, pair in slot_values.items()}
+        if len(self._slotvalue_index) != len(slot_values):
+            raise ValueError("two slot-value nodes share one (slot, value) pair")
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    @functools.cached_property
-    def norm_adj(self) -> Propagation:
-        """GCN propagation operator Â of the full edge list, with read-only
-        weights, built once per graph and shared by every full-graph
-        encode."""
-        from .vgae import Propagation
-
-        return Propagation(self.n_nodes, self.edges)
 
     def domain_node(self, label: str) -> NodeId | None:
         idx = self._domain_index.get(label)

@@ -1,11 +1,12 @@
-"""Link-prediction evaluation: AUC, average precision, and ranked
-next-state candidates for a dialogue.
+"""Link-prediction evaluation: test-split AUC and average precision, and
+ranked next-state candidates for a dialogue.
 
 Evaluation always uses mean embeddings (Z = mu, no sampling), so results
 are deterministic given trained parameters and a split.  Posterior means
-are computed once per (checkpoint, graph), encoding Â built straight from
-the graph's edge list, and every pair, held-out or candidate, is scored by
-the one vectorised scorer `edge_probabilities`.
+are computed once per (checkpoint, graph), encoding a propagation operator
+built here from the graph's edge list, and every pair, held-out or
+candidate, is scored by the one vectorised scorer `edge_probabilities`.
+The AUC and AP themselves live in `metrics`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .graph import EdgeSplit, NodeId, NodeKind, StateGraph
-from .vgae import VgaeParams, edge_probabilities, encode
+from .metrics import auc, average_precision
+from .vgae import Propagation, VgaeParams, edge_probabilities, encode
 
 
 @dataclass(frozen=True)
@@ -31,55 +33,9 @@ class ScoredEdge:
             raise ValueError(f"score must lie in (0, 1), got {self.score}")
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks in ascending score order; ties get their average rank."""
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    last = np.cumsum(counts)
-    # a tie group spanning ranks first..last gets (first + last) / 2, exact
-    return ((last - counts + 1 + last) / 2.0)[inverse]
-
-
-def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
-    """Probability a random positive outranks a random negative, ties 0.5.
-
-    Rank-based Mann-Whitney formulation; exactly equals brute-force
-    pairwise counting because average ranks are half-integer exact.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=bool)
-    if s.shape != y.shape:
-        raise ValueError("scores and labels must have equal length")
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("auc needs at least one positive and one negative label")
-    ranks = _average_ranks(s)
-    u = ranks[y].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
-def average_precision(scores: Sequence[float], labels: Sequence[bool]) -> float:
-    """Mean precision at each positive's rank, descending score order.
-
-    Ties are broken by stable input order; AP is not tie-invariant, so the
-    policy is part of the contract.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=bool)
-    if s.shape != y.shape:
-        raise ValueError("scores and labels must have equal length")
-    if not y.any():
-        raise ValueError("average_precision needs at least one positive label")
-    order = np.argsort(-s, kind="stable")
-    hit_ranks = np.flatnonzero(y[order]) + 1
-    precisions = np.arange(1, len(hit_ranks) + 1) / hit_ranks
-    # cumsum adds in sequence; np.sum's pairwise order would change the last bits
-    return float(np.cumsum(precisions)[-1] / len(hit_ranks))
-
-
 def mean_embeddings(params: VgaeParams, graph: StateGraph) -> np.ndarray:
     """Posterior means for every node, encoding the graph's full edge list."""
-    return encode(graph.norm_adj, params)[0]
+    return encode(Propagation(graph.n_nodes, graph.edges), params)[0]
 
 
 def evaluate_split(

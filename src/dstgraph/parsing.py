@@ -139,9 +139,11 @@ def format_state(state: DialogueState) -> str:
     return f"Domain : [{ds}] , Slot : [{ss}] , Value : [{vs}]"
 
 
-DEFAULT_JUNK_TOKENS = frozenset(
+JUNK_TOKENS = frozenset(
     {"unknown", "n/a", "na", "null", "nil", "tbd", "placeholder", "xxx", "value"}
 )
+# samples kept by merge_error_reports
+MAX_ERROR_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,8 @@ class ErrorReport:
     samples: tuple[dict, ...] = ()
 
 
-def _is_junk(value: str, junk_tokens: frozenset[str]) -> bool:
-    if value in junk_tokens:
+def _is_junk(value: str) -> bool:
+    if value in JUNK_TOKENS:
         return True
     if value and not any(c.isalnum() for c in value):
         return True
@@ -168,7 +170,6 @@ def classify_errors(
     pred: DialogueState,
     gold: DialogueState,
     turns: Sequence[Turn] | None = None,
-    junk_tokens: frozenset[str] = DEFAULT_JUNK_TOKENS,
 ) -> ErrorReport:
     """Classify wrong predicted values into the observed failure modes.
 
@@ -200,7 +201,7 @@ def classify_errors(
         unsupported = turn_texts is not None and not any(
             predicted in text for text in turn_texts
         )
-        if _is_junk(predicted, junk_tokens) or unsupported:
+        if _is_junk(predicted) or unsupported:
             kind = "nonexistent_value"
             nonexistent += 1
         elif gold_value is not None and _token_containment(predicted, gold_value):
@@ -233,7 +234,7 @@ def _token_containment(a: str, b: str) -> bool:
     return ta <= tb or tb <= ta
 
 
-def merge_error_reports(reports: Iterable[ErrorReport], max_samples: int = 20) -> ErrorReport:
+def merge_error_reports(reports: Iterable[ErrorReport]) -> ErrorReport:
     """Sum counts across per-turn reports, keeping the first few samples."""
     nonexistent = synonym = total = 0
     samples: list[dict] = []
@@ -242,7 +243,7 @@ def merge_error_reports(reports: Iterable[ErrorReport], max_samples: int = 20) -
         synonym += r.synonym_count
         total += r.total_errors
         for s in r.samples:
-            if len(samples) < max_samples:
+            if len(samples) < MAX_ERROR_SAMPLES:
                 samples.append(s)
     return ErrorReport(
         nonexistent_value_count=nonexistent,

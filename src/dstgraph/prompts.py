@@ -9,6 +9,7 @@ any domain, slot, or value vocabulary (the ontology-free guarantee).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -191,8 +192,6 @@ def load_template_overrides(path: str | Path) -> dict[str, str]:
 
 def load_exemplars(path: str | Path) -> tuple[tuple[str, str], ...]:
     """Read few-shot exemplars from a JSONL file of {input, output} records."""
-    import json
-
     pairs: list[tuple[str, str]] = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():

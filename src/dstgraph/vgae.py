@@ -32,6 +32,7 @@ import numpy as np
 
 from .datasets import atomic_writer
 from .graph import EdgeSplit, StateGraph
+from .metrics import auc
 
 PROB_EPS = 1e-12
 # bounds of -log p for p clamped to [1e-12, 1 - 1e-12]
@@ -159,7 +160,8 @@ class Propagation:
     inv_sqrt_deg[r] * inv_sqrt_deg[c].  Checks are O(E): an endpoint
     outside [0, n) or a self-loop raises ValueError; duplicate or reversed
     pairs describe the same edge.  One operator reuses one row-block
-    buffer, so it must not be applied from two threads at once.
+    buffer, so it must not be applied from two threads at once; each
+    caller builds its own.
     """
 
     def __init__(self, n_nodes: int, edges):
@@ -308,21 +310,6 @@ def glorot_init(n_features: int, config: TrainConfig, rng: np.random.Generator) 
     return VgaeParams(w_shared=w_shared, w_mu=w_mu, w_logvar=w_logvar)
 
 
-def _training_inputs(
-    n_nodes: int, split: EdgeSplit
-) -> tuple[Propagation, tuple[np.ndarray, np.ndarray], float]:
-    """Â of the training edges, the BCE target's positive entries (both
-    orientations of each training edge, as (rows, cols) index arrays sorted
-    by row, then column) and pos_weight, the ratio of non-edge to edge
-    entries of the n x n target."""
-    a_hat = Propagation(n_nodes, split.train)
-    # Â's off-diagonal nonzeros are exactly the target's positive entries
-    off_diagonal = a_hat.rows != a_hat.cols
-    n_pos = int(off_diagonal.sum())
-    pos_weight = (n_nodes * n_nodes - n_pos) / n_pos
-    return a_hat, (a_hat.rows[off_diagonal], a_hat.cols[off_diagonal]), pos_weight
-
-
 def _bce_grad_z(
     z: np.ndarray, pos_index, pos_weight: float, block_rows: int
 ) -> tuple[float, np.ndarray]:
@@ -352,23 +339,24 @@ def _bce_grad_z(
 
 
 def loss_and_grads(
-    params: VgaeParams,
-    prop: Propagation,
-    pos_index: tuple[np.ndarray, np.ndarray],
-    pos_weight: float,
-    kl_weight: float,
-    noise: np.ndarray,
+    params: VgaeParams, prop: Propagation, kl_weight: float, noise: np.ndarray
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Forward pass plus hand-derived gradients of BCE + kl_weight * KL.
 
-    ``prop`` is the training edges' Â and ``pos_index`` the target's
-    positive entries, sorted by row (`_training_inputs`).  ``noise`` is the
-    frozen standard-normal draw used by the reparameterization, so the
-    function is pure and checkable against finite differences.  No n x n
-    array is held outside a row block of ``prop.block_rows`` rows.  Returns
-    (bce, kl, grads by weight name).
+    ``prop`` is the training edges' Â.  Its off-diagonal nonzeros are
+    exactly the BCE target's positive entries, both orientations of each
+    training edge, already sorted by row; pos_weight is the ratio of
+    non-edge to edge entries of the n x n target.  ``noise`` is the frozen
+    standard-normal draw used by the reparameterization, so the function
+    is pure and checkable against finite differences.  No n x n array is
+    held outside a row block of ``prop.block_rows`` rows.  Returns (bce,
+    kl, grads by weight name).
     """
     n = prop.n_nodes
+    off_diagonal = prop.rows != prop.cols
+    pos_index = (prop.rows[off_diagonal], prop.cols[off_diagonal])
+    n_pos = len(pos_index[0])
+    pos_weight = (n * n - n_pos) / n_pos
 
     m, ah, mu, logvar = _forward(prop, params)
     std = np.exp(logvar / 2.0)
@@ -409,10 +397,10 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = glorot_init(graph.n_nodes, config, rng)
 
-    a_hat, pos_index, pos_weight = _training_inputs(graph.n_nodes, split)
-    # validation monitoring mirrors evaluate_split: encode the full graph,
-    # through the graph's one Â, which evaluate_split reuses
+    a_hat = Propagation(graph.n_nodes, split.train)
+    # validation monitoring mirrors evaluate_split: encode the full graph
     if split.val:
+        full_graph = Propagation(graph.n_nodes, graph.edges)
         val_pairs = np.array(split.val + split.neg_val)
         val_labels = [True] * len(split.val) + [False] * len(split.neg_val)
 
@@ -429,16 +417,12 @@ def train(
     for epoch in range(1, config.epochs + 1):
         params = VgaeParams(**weights)
         noise = rng.standard_normal((graph.n_nodes, config.latent_dim))
-        bce, kl, grads = loss_and_grads(
-            params, a_hat, pos_index, pos_weight, config.kl_weight, noise
-        )
+        bce, kl, grads = loss_and_grads(params, a_hat, config.kl_weight, noise)
         total = bce + config.kl_weight * kl
 
         val_auc = None
         if split.val:
-            from .linkpred import auc
-
-            mu, _ = encode(graph.norm_adj, params)
+            mu, _ = encode(full_graph, params)
             val_auc = auc(edge_probabilities(mu, *val_pairs.T), val_labels)
 
         record = EpochRecord(epoch=epoch, bce=bce, kl=kl, total=total, val_auc=val_auc)
@@ -479,12 +463,10 @@ def gradient_check(
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
     rng = np.random.default_rng(config.seed)
-    a_hat, pos_index, pos_weight = _training_inputs(graph.n_nodes, split)
+    a_hat = Propagation(graph.n_nodes, split.train)
     noise = rng.standard_normal((graph.n_nodes, params.latent_dim))
 
-    _, _, grads = loss_and_grads(
-        params, a_hat, pos_index, pos_weight, config.kl_weight, noise
-    )
+    _, _, grads = loss_and_grads(params, a_hat, config.kl_weight, noise)
 
     mats = {
         "w_shared": params.w_shared.copy(),
@@ -502,9 +484,7 @@ def gradient_check(
 
     def total_loss() -> float:
         p = VgaeParams(**{k2: v.copy() for k2, v in mats.items()})
-        bce, kl, _ = loss_and_grads(
-            p, a_hat, pos_index, pos_weight, config.kl_weight, noise
-        )
+        bce, kl, _ = loss_and_grads(p, a_hat, config.kl_weight, noise)
         return bce + config.kl_weight * kl
 
     max_rel = 0.0
@@ -545,11 +525,18 @@ def save_checkpoint(path: str | Path, params: VgaeParams, config: TrainConfig) -
 
 
 def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a checkpoint written by `save_checkpoint`.  A malformed one
+    raises ValueError naming the file, and the key where one applies."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
     if raw.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a VGAE checkpoint: {path}")
+        raise ValueError(f"{path}: not a VGAE checkpoint")
     if raw.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {raw.get('version')}")
+        raise ValueError(f"{path}: unsupported checkpoint version {raw.get('version')}")
     weights = {}
     for key in ("w_shared", "w_mu", "w_logvar"):
         try:
@@ -563,10 +550,22 @@ def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:
         params = VgaeParams(**weights)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    config = raw["config"]
+    config = raw.get("config")
     if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(config) - set(TrainConfig.__dataclass_fields__))
+        raise ValueError(f"{path}: no 'config' object")
+    fields = TrainConfig.__dataclass_fields__
+    unknown = sorted(set(config) - set(fields))
     if unknown:
         raise ValueError(f"{path}: unknown checkpoint config keys: {unknown}")
-    return params, TrainConfig(**config)
+    for key, value in config.items():
+        # every field's default is an int or a float; an int is a valid
+        # float, and a bool is neither
+        want = type(fields[key].default)
+        if not (type(value) is want or (want is float and type(value) is int)):
+            raise ValueError(
+                f"{path}: config {key!r} must be {want.__name__}, got {value!r}"
+            )
+    try:
+        return params, TrainConfig(**config)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from dstgraph import __version__, cli, vgae
+from dstgraph import __version__, cli, linkpred, vgae
 from dstgraph.backends import (
     GenerationParams,
     ReplayBackend,
@@ -443,9 +443,9 @@ def count_encodes(monkeypatch) -> list[int]:
     """Patch the encoder that candidate ranking uses; the list holds its call count."""
     calls = [0]
 
-    def counting(norm_adj, params):
+    def counting(prop, params):
         calls[0] += 1
-        return encode(norm_adj, params)
+        return encode(prop, params)
 
     monkeypatch.setattr("dstgraph.linkpred.encode", counting)
     return calls
@@ -544,6 +544,12 @@ def edit_checkpoint_config(path: Path, **extra) -> None:
     path.write_text(json.dumps(raw), encoding="utf-8")
 
 
+def rewrite_checkpoint(change) -> None:
+    """Replace model.json with ``change`` of its parsed JSON."""
+    path = Path("model.json")
+    path.write_text(json.dumps(change(json.loads(path.read_text()))), encoding="utf-8")
+
+
 def edit_checkpoint_row(path: Path, key: str, row: int) -> None:
     """Drop the last entry of one row of a checkpoint weight matrix."""
     raw = json.loads(path.read_text(encoding="utf-8"))
@@ -614,6 +620,44 @@ def edit_first_record(drop: str = "", **fields) -> None:
             _PREDICT_ARGV,
             "model.json: unknown checkpoint config keys: ['dropout']",
             id="checkpoint-config-has-unknown-key",
+        ),
+        pytest.param(
+            lambda: rewrite_checkpoint(lambda raw: [raw]),
+            _PREDICT_ARGV,
+            "model.json: expected a JSON object, got list",
+            id="checkpoint-is-a-list",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint_config(Path("model.json"), epochs="x"),
+            _PREDICT_ARGV,
+            "model.json: config 'epochs' must be int, got 'x'",
+            id="checkpoint-epochs-is-a-string",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint_config(Path("model.json"), hidden_dim=None),
+            _PREDICT_ARGV,
+            "model.json: config 'hidden_dim' must be int, got None",
+            id="checkpoint-hidden-dim-is-null",
+        ),
+        pytest.param(
+            lambda: rewrite_checkpoint(
+                lambda raw: {k: v for k, v in raw.items() if k != "config"}
+            ),
+            _PREDICT_ARGV,
+            "model.json: no 'config' object",
+            id="checkpoint-config-is-missing",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint_config(Path("model.json"), epochs=-1),
+            _PREDICT_ARGV,
+            "model.json: epochs must be non-negative",
+            id="checkpoint-epochs-is-negative",
+        ),
+        pytest.param(
+            lambda: Path("model.json").write_text('{"format": "vgae-checkpoint"'),
+            _PREDICT_ARGV,
+            "model.json: Expecting ',' delimiter: line 1 column 29",
+            id="checkpoint-is-truncated",
         ),
         pytest.param(
             lambda: edit_checkpoint_row(Path("model.json"), "w_mu", 1),
@@ -754,13 +798,16 @@ def test_train_builds_each_propagation_matrix_once(tmp_path, monkeypatch, capsys
             super().__init__(n_nodes, edges)
 
     monkeypatch.setattr(vgae, "Propagation", Counting)
+    monkeypatch.setattr(linkpred, "Propagation", Counting)
     assert cli.main(
         ["train", "--graph-prefix", "g", "--checkpoint", "model.json", "--epochs", "3"]
     ) == 0
     metrics = json.loads(Path("model.metrics.json").read_text())
     assert metrics["split_sizes"]["val"] > 0  # the val AUC encodes the full graph
-    # the training-edge Â, then the full-graph Â shared by val AUC and test AUC
-    assert built == [metrics["split_sizes"]["train"], metrics["n_edges"]]
+    # not once per epoch: train builds the training-edge Â and the full-graph
+    # Â of its val AUC once each, and the test AUC builds its own full-graph Â
+    n_train, n_edges = metrics["split_sizes"]["train"], metrics["n_edges"]
+    assert built == [n_train, n_edges, n_edges]
     capsys.readouterr()
 
 

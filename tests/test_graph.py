@@ -76,26 +76,37 @@ def test_build_graph_disambiguates_label_collisions():
 def test_state_graph_validates_structure():
     d = NodeId(0, NodeKind.DOMAIN, "d")
     v = NodeId(1, NodeKind.SLOT_VALUE, "s-v")
+    sv = {1: ("s", "v")}
     with pytest.raises(ValueError):
-        StateGraph([v, d], [])  # indices out of order
+        StateGraph([v, d], [], sv)  # indices out of order
     with pytest.raises(ValueError):
-        StateGraph([d, NodeId(1, NodeKind.DOMAIN, "d")], [])  # duplicate label
+        StateGraph([d, NodeId(1, NodeKind.DOMAIN, "d")], [], {})  # duplicate label
     with pytest.raises(ValueError):
-        StateGraph([d, v], [(0, 0)])  # self-loop
+        StateGraph([d, v], [(0, 0)], sv)  # self-loop
     with pytest.raises(ValueError):
         StateGraph(
-            [d, v, NodeId(2, NodeKind.DOMAIN, "d2")], [(0, 2)]
+            [d, v, NodeId(2, NodeKind.DOMAIN, "d2")], [(0, 2)], sv
         )  # domain-domain edge
     with pytest.raises(ValueError):
-        StateGraph([d, v], [(0, 7)])  # unknown endpoint
+        StateGraph([d, v], [(0, 7)], sv)  # unknown endpoint
 
 
-def test_norm_adj_is_built_once_and_read_only():
+def test_state_graph_slot_values_cover_exactly_the_slot_value_nodes():
+    d = NodeId(0, NodeKind.DOMAIN, "d")
+    v = NodeId(1, NodeKind.SLOT_VALUE, "s-v")
+    w = NodeId(2, NodeKind.SLOT_VALUE, "s-w")
+    for slot_values in ({}, {1: ("s", "v")}, {0: ("d", "x"), 1: ("s", "v"), 2: ("s", "w")}):
+        with pytest.raises(ValueError, match="exactly the slot-value node indices"):
+            StateGraph([d, v, w], [(0, 1)], slot_values)
+    with pytest.raises(ValueError, match="share one"):
+        StateGraph([d, v, w], [(0, 1)], {1: ("s", "v"), 2: ("s", "v")})
+    g = StateGraph([d, v, w], [(0, 1)], {1: ("s", "v"), 2: ("s", "w")})
+    assert g.slotvalue_node("s", "w") is w
+
+
+def test_propagation_weights_are_read_only():
     g = small_graph()
-    a_hat = g.norm_adj
-    assert g.norm_adj is a_hat
-    eye = np.eye(g.n_nodes)
-    assert (a_hat @ eye).tobytes() == (Propagation(g.n_nodes, g.edges) @ eye).tobytes()
+    a_hat = Propagation(g.n_nodes, g.edges)
     for stored in (a_hat.rows, a_hat.cols, a_hat.weights):
         with pytest.raises(ValueError):
             stored[0] = 0
@@ -128,7 +139,9 @@ def test_non_edges_equal_comprehension_reference(rng):
     for n_domains, p in ((1, 0.3), (4, 0.0), (5, 0.6)):
         graphs.append(random_bipartite_graph(rng, n_domains, 25, p))
     edgeless = StateGraph(
-        [NodeId(0, NodeKind.DOMAIN, "d"), NodeId(1, NodeKind.SLOT_VALUE, "s-v")], []
+        [NodeId(0, NodeKind.DOMAIN, "d"), NodeId(1, NodeKind.SLOT_VALUE, "s-v")],
+        [],
+        {1: ("s", "v")},
     )
     assert edgeless.key_edges(edgeless.non_edge_keys()) == [(0, 1)]
     for g in graphs + [edgeless]:

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from dstgraph.dialogue import DialogueState, Speaker, StateTriple, Turn
 from dstgraph.parsing import (
-    DEFAULT_JUNK_TOKENS,
+    JUNK_TOKENS,
+    MAX_ERROR_SAMPLES,
     Diagnostic,
     DiagnosticKind,
     classify_errors,
@@ -250,25 +251,16 @@ def test_classify_missing_gold_keys_are_not_counted():
     assert rep.total_errors == 0
 
 
-def test_classify_custom_junk_tokens():
-    rep = classify_errors(
-        make_state(("hotel", "area", "foo")),
-        make_state(),
-        junk_tokens=frozenset({"foo"}),
-    )
-    assert rep.nonexistent_value_count == 1
-
-
 def test_default_junk_tokens_include_placeholders():
-    assert {"unknown", "null", "placeholder"} <= set(DEFAULT_JUNK_TOKENS)
+    assert {"unknown", "null", "placeholder"} <= set(JUNK_TOKENS)
 
 
 def test_merge_error_reports_sums_and_caps_samples():
     one = classify_errors(make_state(("a", "s", "xxx")), make_state())
-    merged = merge_error_reports([one] * 30, max_samples=20)
+    merged = merge_error_reports([one] * 30)
     assert merged.nonexistent_value_count == 30
     assert merged.total_errors == 30
-    assert len(merged.samples) == 20
+    assert len(merged.samples) == MAX_ERROR_SAMPLES == 20
 
 
 def reference_wrong_values(pred, gold):

@@ -16,7 +16,6 @@ from dstgraph.vgae import (
     VgaeParams,
     _bce,
     _sigmoid,
-    _training_inputs,
     edge_probabilities,
     encode,
     glorot_init,
@@ -288,11 +287,12 @@ def test_loss_and_grads_equals_dense_reference_bit_for_bit(rng):
     for g, n_isolated in cases:
         n = g.n_nodes + n_isolated
         split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
-        prop, pos_index, pos_weight = _training_inputs(n, split)
+        prop = Propagation(n, split.train)
         a_hat = dense_reference(n, split.train)
         a = np.zeros((n, n))
         for i, j in split.train:
             a[i, j] = a[j, i] = 1.0
+        pos_weight = (n * n - a.sum()) / a.sum()
         base = glorot_init(n, cfg, np.random.default_rng(0))
         noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
         for scale in (1, 30, 300):
@@ -302,7 +302,7 @@ def test_loss_and_grads_equals_dense_reference_bit_for_bit(rng):
             bce, kl, grads, s, logp_raw, log1mp_raw = dense_loss_reference(
                 params, a_hat, a, pos_weight, 0.5, noise
             )
-            got = loss_and_grads(params, prop, pos_index, pos_weight, 0.5, noise)
+            got = loss_and_grads(params, prop, 0.5, noise)
             assert got[0] == bce and got[1] == kl
             for name, want in grads.items():
                 # tobytes also tells -0.0 from 0.0
@@ -365,19 +365,19 @@ def test_blocked_loss_and_grads_match_one_block(make_graph, monkeypatch):
     cfg = tiny_config()
     base = glorot_init(n, cfg, np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
-    one_block = _training_inputs(n, split)
-    assert one_block[0].block_rows == n
+    one_block = Propagation(n, split.train)
+    assert one_block.block_rows == n
     monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(n))
-    blocked = _training_inputs(n, split)
-    assert blocked[0].block_rows <= n // 3 and n % blocked[0].block_rows
+    blocked = Propagation(n, split.train)
+    assert blocked.block_rows <= n // 3 and n % blocked.block_rows
     eye = np.eye(n)
-    assert (blocked[0] @ eye).tobytes() == (one_block[0] @ eye).tobytes()
+    assert (blocked @ eye).tobytes() == (one_block @ eye).tobytes()
     for scale in (1, 300):  # 300 drives both clamps, at training edges too
         params = VgaeParams(
             w_shared=scale * base.w_shared, w_mu=base.w_mu, w_logvar=base.w_logvar
         )
-        want = loss_and_grads(params, *one_block, 0.5, noise)
-        got = loss_and_grads(params, *blocked, 0.5, noise)
+        want = loss_and_grads(params, one_block, 0.5, noise)
+        got = loss_and_grads(params, blocked, 0.5, noise)
         assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
         assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
         for name, w in want[2].items():
@@ -392,9 +392,9 @@ def test_blocked_training_matches_one_block(make_graph, monkeypatch):
     want, want_history = train(g, split, cfg)
     want_rankings = all_rankings(want, g)
 
+    # every operator built from here on is blocked, on the same graph
     monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(g.n_nodes))
-    g = make_graph()  # a fresh graph, so its Â is blocked too
-    assert g.norm_adj.block_rows <= g.n_nodes // 3
+    assert Propagation(g.n_nodes, g.edges).block_rows <= g.n_nodes // 3
     got, history = train(g, split, cfg)
     for name in ("w_shared", "w_mu", "w_logvar"):
         assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
@@ -408,7 +408,7 @@ def test_blocked_pipeline_allocates_no_n_by_n_array():
     n = g.n_nodes
     split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
     cfg = TrainConfig(epochs=2, seed=1)
-    prop, pos_index, pos_weight = _training_inputs(n, split)
+    prop = Propagation(n, split.train)
     assert prop.block_rows <= n // 3
     params = glorot_init(n, cfg, np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
@@ -425,10 +425,10 @@ def test_blocked_pipeline_allocates_no_n_by_n_array():
     n_by_n = 8 * n * n
 
     def one_loss():
-        loss_and_grads(params, prop, pos_index, pos_weight, 1.0, noise)
+        loss_and_grads(params, prop, 1.0, noise)
 
     assert peak_bytes(one_loss) < n_by_n
-    assert peak_bytes(lambda: encode(g.norm_adj, params)) < n_by_n
+    assert peak_bytes(lambda: encode(Propagation(n, g.edges), params)) < n_by_n
     assert peak_bytes(lambda: train(g, split, cfg)) < n_by_n
     assert peak_bytes(lambda: evaluate_split(params, g, split)) < n_by_n
     mu = mean_embeddings(params, g)
@@ -512,15 +512,29 @@ def test_train_records_val_auc_iff_val_edges(rng):
 
 def test_train_adjacency_contains_only_train_edges(rng):
     g, split = small_setup(rng)
-    a_hat, (rows, cols), pos_weight = _training_inputs(g.n_nodes, split)
+    n = g.n_nodes
+    a_hat = Propagation(n, split.train)
+    dense = a_hat @ np.eye(n)
+    assert dense.tobytes() == dense_reference(n, split.train).tobytes()
+    # the loss's positives are Â's off-diagonal nonzeros, sorted by row
+    off_diagonal = a_hat.rows != a_hat.cols
+    rows, cols = a_hat.rows[off_diagonal], a_hat.cols[off_diagonal]
     positives = set(zip(rows.tolist(), cols.tolist()))
     assert positives == set(split.train) | {(j, i) for i, j in split.train}
-    assert len(rows) == len(cols) == 2 * len(split.train)
+    assert len(rows) == 2 * len(split.train)
     assert positives.isdisjoint(split.test)
-    dense = a_hat @ np.eye(g.n_nodes)
-    assert dense.tobytes() == dense_reference(g.n_nodes, split.train).tobytes()
+    assert np.all(np.diff(rows) >= 0)
+    # loss_and_grads scores exactly those positives at this pos_weight
+    a = np.zeros((n, n))
+    a[rows, cols] = 1.0
     n_pos = 2 * len(split.train)
-    assert pos_weight == (g.n_nodes**2 - n_pos) / n_pos
+    pos_weight = (n**2 - n_pos) / n_pos
+    params = glorot_init(n, tiny_config(), np.random.default_rng(0))
+    noise = np.random.default_rng(1).standard_normal((n, params.latent_dim))
+    want = dense_loss_reference(params, dense, a, pos_weight, 0.5, noise)[0]
+    assert loss_and_grads(params, a_hat, 0.5, noise)[0] == want
+    other = dense_loss_reference(params, dense, a, 2 * pos_weight, 0.5, noise)[0]
+    assert other != want
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
