@@ -39,7 +39,7 @@ script = [
     (Speaker.USER, "5 nights, a guesthouse would be ideal"),
 ]
 
-ctx = DialogueContext(turns=(), dialogue_id="demo")
+ctx = DialogueContext()
 state = DialogueState()
 
 for speaker, text in script:

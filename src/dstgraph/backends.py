@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .datasets import read_json_lines, read_json_object
 from .dialogue import DialogueState, normalize_text, state_triple
 from .parsing import format_state
 
@@ -150,19 +151,22 @@ class HttpBackend:
 class ReplayBackend:
     """Fixture-backed completions keyed by prompt hash.
 
-    Records live in a JSONL file of {prompt_hash, completion}; the latest
-    record for a hash wins, so fixtures can be amended append-only.
+    Records live in a JSONL file of {prompt_hash, completion} strings; the
+    latest record for a hash wins, so fixtures can be amended append-only.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._completions: dict[str, str] = {}
         if self.path is not None and self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                self._completions[rec["prompt_hash"]] = rec["completion"]
+            for lineno, rec in read_json_lines(self.path):
+                key, completion = rec.get("prompt_hash"), rec.get("completion")
+                if not isinstance(key, str) or not isinstance(completion, str):
+                    raise ValueError(
+                        f"{self.path}:{lineno}: a replay record needs string "
+                        f"'prompt_hash' and 'completion', got {rec!r}"
+                    )
+                self._completions[key] = completion
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         if not prompt:
@@ -259,11 +263,17 @@ class RuleMockBackend:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RuleMockBackend":
-        """Load {keyword: {domain, slot, value}} from a JSON file."""
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        table = {
-            k: (rec["domain"], rec["slot"], rec["value"]) for k, rec in raw.items()
-        }
+        """Load {keyword: {domain, slot, value}} from a JSON file; a
+        malformed file raises ``ValueError`` naming it and the keyword."""
+        table = {}
+        for keyword, rec in read_json_object(path).items():
+            try:
+                table[keyword] = (rec["domain"], rec["slot"], rec["value"])
+            except (KeyError, TypeError):
+                raise ValueError(
+                    f"{path}: keyword {keyword!r} needs an object with "
+                    f"'domain', 'slot' and 'value', got {rec!r}"
+                ) from None
         return cls(table)
 
     def complete(self, prompt: str, params: GenerationParams) -> str:

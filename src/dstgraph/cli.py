@@ -31,12 +31,12 @@ from .backends import (
 )
 from .datasets import (
     CorpusFormat,
+    Prediction,
     atomic_writer,
     fixture_keywords_path,
     load_corpus,
-    read_predictions,
-    state_from_jsonable,
-    state_to_jsonable,
+    load_predictions,
+    prediction_record,
     write_predictions,
 )
 from .dialogue import (
@@ -58,13 +58,7 @@ from .graph import (
 )
 from .linkpred import candidate_records, evaluate_split, mean_embeddings, rank_candidates
 from .metrics import TurnPair, jga, slot_accuracy, slot_f1
-from .parsing import (
-    DiagnosticKind,
-    ParseOutcome,
-    classify_errors,
-    merge_error_reports,
-    parse_state,
-)
+from .parsing import ParseOutcome, classify_errors, merge_error_reports, parse_state
 from .prompts import (
     PromptSpec,
     PromptStrategy,
@@ -211,7 +205,7 @@ def _track_dialogue(
     On a backend failure the turns tracked so far are returned with the
     error; the dialogue's remaining turns are not tried.
     """
-    ctx = DialogueContext(turns=(), dialogue_id=dialogue.dialogue_id)
+    ctx = DialogueContext()
     state = DialogueState()
     records: list[dict] = []
     for turn in dialogue.turns:
@@ -222,17 +216,10 @@ def _track_dialogue(
             outcome, state = tracker.step(ctx, state)
         except BackendError as exc:
             return records, exc
-        records.append(
-            {
-                "dialogue_id": dialogue.dialogue_id,
-                "turn": len(records),
-                "predicted_state": state_to_jsonable(state),
-                "diagnostics": [
-                    {"kind": d.kind.value, "detail": d.detail}
-                    for d in outcome.diagnostics
-                ],
-            }
+        record = prediction_record(
+            dialogue.dialogue_id, len(records), state, outcome.diagnostics
         )
+        records.append(record)
     return records, None
 
 
@@ -335,83 +322,25 @@ def cmd_extract(cfg: RunConfig) -> int:
     return 0
 
 
-def _where(path: str, rec: dict) -> str:
-    return f"{path}: dialogue {rec.get('dialogue_id')!r} turn {rec.get('turn')!r}"
-
-
-def _predicted_state(path: str, rec: dict) -> DialogueState:
-    """A record's predicted state; a malformed one is a located UsageError."""
-    try:
-        return state_from_jsonable(rec["predicted_state"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(
-            f"{_where(path, rec)}: malformed predicted_state: {exc!r}"
-        ) from exc
-
-
-def _has_parse_failure(path: str, rec: dict) -> bool:
-    """Whether a record's diagnostics hold a parse failure; malformed
-    diagnostics are a located UsageError."""
-    diagnostics = rec.get("diagnostics", [])
-    if not isinstance(diagnostics, list) or not all(
-        isinstance(d, dict) and "kind" in d for d in diagnostics
-    ):
-        raise UsageError(f"{_where(path, rec)}: malformed diagnostics: {diagnostics!r}")
-    return any(d["kind"] == DiagnosticKind.PARSE_FAILURE.value for d in diagnostics)
-
-
-_KEY_TYPES = {"dialogue_id": str, "turn": int}
-
-
-def _record_key(path: str, rec: dict, fields: tuple[str, ...]) -> tuple:
-    """The values of ``fields`` in a record of predictions file ``path``; a
-    missing, unhashable or mistyped one (``dialogue_id`` a str, ``turn`` an
-    int and not a bool) is a located UsageError."""
-    try:
-        key = tuple(rec[f] for f in fields)
-        hash(key)
-    except KeyError as exc:
-        raise UsageError(f"{path}: a prediction record has no {exc} key") from exc
-    except TypeError as exc:
-        raise UsageError(f"{path}: bad prediction record key: {exc}") from exc
-    for field, value in zip(fields, key):
-        want = _KEY_TYPES[field]
-        if not isinstance(value, want) or isinstance(value, bool):
-            raise UsageError(
-                f"{path}: prediction record {dict(zip(fields, key))}: "
-                f"{field} must be {want.__name__}, got {value!r}"
-            )
-    return key
-
-
 def _pair_turns(
-    path: str, records: list[dict], dialogues
-) -> tuple[list[TurnPair], list]:
-    """Align the records of predictions file ``path`` with gold states by
-    (dialogue_id, turn)."""
-    by_key = {_record_key(path, r, ("dialogue_id", "turn")): r for r in records}
+    predictions: list[Prediction], dialogues
+) -> tuple[list[TurnPair], list[tuple[Turn, ...]]]:
+    """Align predictions with gold states by (dialogue_id, turn); returns
+    the pairs and, for each pair, its dialogue's turns."""
+    by_key = {(p.dialogue_id, p.turn): p for p in predictions}
     pairs: list[TurnPair] = []
-    contexts = []
-    seen = set()
+    contexts: list[tuple[Turn, ...]] = []
     for d in sorted(dialogues, key=lambda x: x.dialogue_id):
         if d.gold_states is None:
             raise UsageError(f"dialogue {d.dialogue_id} has no gold states")
         for i, gold in enumerate(d.gold_states):
-            rec = by_key.get((d.dialogue_id, i))
-            if rec is None:
-                raise UsageError(
-                    f"no prediction for dialogue {d.dialogue_id} turn {i}"
-                )
-            seen.add((d.dialogue_id, i))
-            pairs.append(
-                TurnPair(predicted=_predicted_state(path, rec), gold=gold)
-            )
-            contexts.append((rec, d.turns))
-    extra = set(by_key) - seen
-    if extra:
-        raise UsageError(
-            f"predictions reference unknown turns: {sorted(extra)[:5]}"
-        )
+            p = by_key.pop((d.dialogue_id, i), None)
+            if p is None:
+                raise UsageError(f"no prediction for dialogue {d.dialogue_id} turn {i}")
+            pairs.append(TurnPair(predicted=p.state, gold=gold))
+            contexts.append(d.turns)
+    if by_key:
+        raise UsageError(f"predictions reference unknown turns: {sorted(by_key)[:5]}")
     return pairs, contexts
 
 
@@ -421,17 +350,14 @@ _EVALUATE_KEYS = ("predictions", "corpus", "corpus_format", "out")
 def cmd_evaluate(cfg: RunConfig) -> int:
     if not cfg.predictions or not cfg.corpus or not cfg.out:
         raise UsageError("evaluate requires --predictions, --corpus and --out")
-    records, _ = read_predictions(cfg.predictions)
+    predictions = load_predictions(cfg.predictions)
     result = load_corpus(cfg.corpus, _FORMATS[cfg.corpus_format])
-    pairs, contexts = _pair_turns(cfg.predictions, records, result.dialogues)
+    pairs, contexts = _pair_turns(predictions, result.dialogues)
 
     prf = slot_f1(pairs)
-    parse_failures = sum(
-        1 for rec, _ in contexts if _has_parse_failure(cfg.predictions, rec)
-    )
     error_report = merge_error_reports(
         classify_errors(pair.predicted, pair.gold, turns=turns)
-        for pair, (_, turns) in zip(pairs, contexts)
+        for pair, turns in zip(pairs, contexts)
     )
     report = {
         "jga": jga(pairs),
@@ -440,7 +366,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         "slot_f1": prf.f1,
         "slot_accuracy": slot_accuracy(pairs),
         "turn_count": len(pairs),
-        "parse_failure_count": parse_failures,
+        "parse_failure_count": sum(p.parse_failed for p in predictions),
         "error_report": {
             "nonexistent_value_count": error_report.nonexistent_value_count,
             "synonym_count": error_report.synonym_count,
@@ -473,8 +399,7 @@ def cmd_graph(cfg: RunConfig) -> int:
     else:
         if not cfg.predictions:
             raise UsageError("graph requires --predictions (or --from-gold)")
-        records, _ = read_predictions(cfg.predictions)
-        states = [_predicted_state(cfg.predictions, r) for r in records]
+        states = [p.state for p in load_predictions(cfg.predictions)]
     g = build_graph(states)
     if not g.edges:
         raise UsageError("state graph has no edges; nothing to train on")
@@ -561,14 +486,9 @@ def cmd_predict(cfg: RunConfig) -> int:
     g = _load_graph_prefix(cfg.out_prefix)
     params, _ = load_checkpoint(cfg.checkpoint)
     mu = mean_embeddings(params, g)
-    records, _ = read_predictions(cfg.predictions)
-
     by_dialogue: dict[str, list[DialogueState]] = {}
-    for r in records:
-        (dialogue_id,) = _record_key(cfg.predictions, r, ("dialogue_id",))
-        by_dialogue.setdefault(dialogue_id, []).append(
-            _predicted_state(cfg.predictions, r)
-        )
+    for p in load_predictions(cfg.predictions):
+        by_dialogue.setdefault(p.dialogue_id, []).append(p.state)
 
     out_records: list[dict] = []
     skipped: list[str] = []
@@ -598,7 +518,7 @@ def cmd_repl(cfg: RunConfig) -> int:
         g = _load_graph_prefix(cfg.out_prefix)
         mu = mean_embeddings(load_checkpoint(cfg.checkpoint)[0], g)
 
-    ctx = DialogueContext(turns=(), dialogue_id="repl")
+    ctx = DialogueContext()
     state = DialogueState()
     print("enter user utterances, one per line (ctrl-d to quit)")
     for line in sys.stdin:
@@ -646,6 +566,8 @@ _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _coerce(key: str, value: str):
+    if key == "corpus_format" and value not in _FORMATS:
+        raise UsageError(f"config key corpus_format: unknown format {value!r}")
     kind = _FIELD_TYPES[key]
     if kind is bool:
         lowered = value.lower()

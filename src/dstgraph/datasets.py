@@ -11,6 +11,7 @@ Plain JSONL schema, one dialogue per line:
      "turns": [{"speaker": "user"|"system", "text": str}, ...],
      "gold": optional [[{"domain": str, "slot": str, "value": str}, ...], ...]}
 where gold, when present, holds the cumulative state after each user turn.
+The predictions file's record is documented at ``load_predictions``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import uuid
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dialogue import DialogueState, Speaker, StateTriple, Turn, state_triple
+from .parsing import Diagnostic, DiagnosticKind
 
 _FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -265,6 +267,7 @@ def write_corpus(path: str | Path, dialogues: Iterable[AnnotatedDialogue]) -> No
 
 
 META_KEY = "record_type"
+_PARSE_FAILURE = DiagnosticKind.PARSE_FAILURE.value
 
 
 def write_predictions(
@@ -283,31 +286,106 @@ def write_predictions(
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def read_predictions(path: str | Path) -> tuple[list[dict], dict | None]:
-    """Read a predictions JSONL file back; returns (records, meta or None).
+def _json_object(text: str, where: str) -> dict:
+    try:
+        rec = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+    return rec
 
-    A line that is not a JSON object raises ``ValueError`` naming the file
-    and the line.
-    """
-    records: list[dict] = []
-    meta: dict | None = None
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in a file; anything else is a ``ValueError``."""
+    return _json_object(Path(path).read_text(encoding="utf-8"), str(path))
+
+
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of a JSONL file;
+    a line that is not a JSON object raises ``ValueError`` naming the file
+    and the line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise ValueError(
-                f"{path}:{lineno}: expected a JSON object, got {type(rec).__name__}"
-            )
+        if line.strip():
+            yield lineno, _json_object(line, f"{path}:{lineno}")
+
+
+def read_predictions(path: str | Path) -> tuple[list[dict], dict | None]:
+    """Read a predictions JSONL file back as (raw records, meta or None)."""
+    records: list[dict] = []
+    meta: dict | None = None
+    for _, rec in read_json_lines(path):
         if rec.get(META_KEY) == "meta":
             meta = {k: v for k, v in rec.items() if k != META_KEY}
         else:
             records.append(rec)
     return records, meta
+
+
+@dataclass(frozen=True)
+class Prediction:
+    """A checked predictions record: the state after a dialogue's ``turn``."""
+
+    dialogue_id: str
+    turn: int
+    state: DialogueState
+    parse_failed: bool
+
+
+def prediction_record(
+    dialogue_id: str, turn: int, state: DialogueState, diagnostics: Iterable[Diagnostic]
+) -> dict:
+    """The predictions-file record of one tracked user turn."""
+    return {
+        "dialogue_id": dialogue_id,
+        "turn": turn,
+        "predicted_state": state_to_jsonable(state),
+        "diagnostics": [
+            {"kind": d.kind.value, "detail": d.detail} for d in diagnostics
+        ],
+    }
+
+
+def load_predictions(path: str | Path) -> list[Prediction]:
+    """Read a predictions file and check every record, in file order.
+
+    After an optional meta line, each record is one tracked user turn:
+        {"dialogue_id": str, "turn": int (not a bool; user turns from 0),
+         "predicted_state": [{"domain": str, "slot": str, "value": str}, ...],
+         "diagnostics": optional [{"kind": str, "detail": str}, ...]}
+    and no two records share a (dialogue_id, turn).  A record that breaks
+    a rule raises ``ValueError`` naming the file, the record (counted from
+    1, meta line excluded) and the field.
+    """
+    records, _ = read_predictions(path)
+    predictions: list[Prediction] = []
+    seen: set[tuple[str, int]] = set()
+    for number, rec in enumerate(records, start=1):
+        where = f"{path}: prediction record {number}"
+        for field in ("dialogue_id", "turn", "predicted_state"):
+            if field not in rec:
+                raise ValueError(f"{where}: no {field!r} key")
+        key = dialogue_id, turn = rec["dialogue_id"], rec["turn"]
+        if not isinstance(dialogue_id, str):
+            raise ValueError(f"{where}: dialogue_id must be str, got {dialogue_id!r}")
+        if type(turn) is not int:
+            raise ValueError(f"{where}: turn must be int, got {turn!r}")
+        if key in seen:
+            raise ValueError(f"{where}: duplicate (dialogue_id, turn) {key}")
+        seen.add(key)
+        try:
+            state = state_from_jsonable(rec["predicted_state"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: malformed predicted_state: {exc!r}") from exc
+        diagnostics = rec.get("diagnostics", [])
+        if not isinstance(diagnostics, list) or not all(
+            isinstance(d, dict) and "kind" in d for d in diagnostics
+        ):
+            raise ValueError(f"{where}: malformed diagnostics: {diagnostics!r}")
+        parse_failed = any(d["kind"] == _PARSE_FAILURE for d in diagnostics)
+        predictions.append(Prediction(dialogue_id, turn, state, parse_failed))
+    return predictions
 
 
 def fixture_corpus_path() -> Path:

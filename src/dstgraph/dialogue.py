@@ -64,12 +64,11 @@ class DialogueContext:
     """Ordered turns of one conversation up to the current point."""
 
     turns: tuple[Turn, ...] = ()
-    dialogue_id: str = ""
 
 
 def append_turn(ctx: DialogueContext, turn: Turn) -> DialogueContext:
     """Return a new context with ``turn`` appended; ``ctx`` is unchanged."""
-    return DialogueContext(turns=ctx.turns + (turn,), dialogue_id=ctx.dialogue_id)
+    return DialogueContext(turns=ctx.turns + (turn,))
 
 
 def serialize_context(ctx: DialogueContext) -> str:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datasets import atomic_writer
+from .datasets import atomic_writer, read_json_lines
 from .dialogue import DialogueState
 
 Edge = tuple[int, int]
@@ -185,7 +185,6 @@ class EdgeSplit:
     test: tuple[Edge, ...]
     neg_val: tuple[Edge, ...]
     neg_test: tuple[Edge, ...]
-    seed: int
 
 
 def split_edges(
@@ -232,9 +231,7 @@ def split_edges(
     neg_test = tuple(g.key_edges(non_edge_keys[neg_order[:n_test]]))
     neg_val = tuple(g.key_edges(non_edge_keys[neg_order[n_test : n_test + n_val]]))
 
-    return EdgeSplit(
-        train=train, val=val, test=test, neg_val=neg_val, neg_test=neg_test, seed=seed
-    )
+    return EdgeSplit(train, val, test, neg_val, neg_test)
 
 
 def dialogue_node_set(
@@ -319,21 +316,17 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
     """
     nodes: list[NodeId] = []
     slot_values: dict[int, tuple[str, str]] = {}
-    with open(node_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                index = rec["index"]
-                if type(index) is not int:
-                    raise ValueError(f"index must be an int, got {index!r}")
-                kind = NodeKind(rec["kind"])
-                nodes.append(NodeId(index, kind, rec["label"]))
-                if kind is NodeKind.SLOT_VALUE:
-                    slot_values[index] = (rec["slot"], rec["value"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{node_path}:{lineno}: {exc!r}") from exc
+    for lineno, rec in read_json_lines(node_path):
+        try:
+            index = rec["index"]
+            if type(index) is not int:
+                raise ValueError(f"index must be an int, got {index!r}")
+            kind = NodeKind(rec["kind"])
+            nodes.append(NodeId(index, kind, rec["label"]))
+            if kind is NodeKind.SLOT_VALUE:
+                slot_values[index] = (rec["slot"], rec["value"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{node_path}:{lineno}: {exc!r}") from exc
     nodes.sort(key=lambda n: n.index)
 
     edges: list[Edge] = []

@@ -9,10 +9,11 @@ any domain, slot, or value vocabulary (the ontology-free guarantee).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+
+from .datasets import read_json_lines
 
 
 class PromptStrategy(Enum):
@@ -191,11 +192,12 @@ def load_template_overrides(path: str | Path) -> dict[str, str]:
 
 
 def load_exemplars(path: str | Path) -> tuple[tuple[str, str], ...]:
-    """Read few-shot exemplars from a JSONL file of {input, output} records."""
+    """Read few-shot exemplars from a JSONL file of {input, output} records;
+    a bad line raises ``ValueError`` naming the file and the line."""
     pairs: list[tuple[str, str]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        pairs.append((str(rec["input"]), str(rec["output"])))
+    for lineno, rec in read_json_lines(path):
+        try:
+            pairs.append((str(rec["input"]), str(rec["output"])))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: exemplar has no {exc} key") from exc
     return tuple(pairs)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import atomic_writer
+from .datasets import atomic_writer, read_json_object
 from .graph import EdgeSplit, StateGraph
 from .metrics import auc
 
@@ -527,12 +527,7 @@ def save_checkpoint(path: str | Path, params: VgaeParams, config: TrainConfig) -
 def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:
     """Read a checkpoint written by `save_checkpoint`.  A malformed one
     raises ValueError naming the file, and the key where one applies."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(raw).__name__}")
+    raw = read_json_object(path)
     if raw.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a VGAE checkpoint")
     if raw.get("version") != CHECKPOINT_VERSION:

@@ -24,6 +24,7 @@ from dstgraph.datasets import (
     fixture_keywords_path,
     fixture_replay_path,
     load_corpus,
+    load_predictions,
     read_predictions,
     write_corpus,
 )
@@ -210,7 +211,7 @@ def test_extract_replay_miss_flushes_partial_output(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     write_corpus(corpus, [d1, d2])
 
-    ctx = append_turn(DialogueContext(turns=(), dialogue_id="a1"), d1.turns[0])
+    ctx = append_turn(DialogueContext(), d1.turns[0])
     prompt = cli.TurnTracker(RunConfig(), backend=None).prompt(ctx)
     replay_path = tmp_path / "replay.jsonl"
     ReplayBackend(replay_path).store(
@@ -532,6 +533,18 @@ def test_graph_from_gold(tmp_path, monkeypatch, capsys):
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
+def copy_goldens(tmp_path: Path) -> None:
+    """The golden predictions, graph and checkpoint, under the names the
+    malformed-input tests edit."""
+    for golden, name in [
+        ("predictions.jsonl", "pred.jsonl"),
+        ("graph.nodes.jsonl", "g.nodes.jsonl"),
+        ("graph.edges.txt", "g.edges.txt"),
+        ("checkpoint.json", "model.json"),
+    ]:
+        (tmp_path / name).write_bytes((GOLDENS / golden).read_bytes())
+
+
 def replace_line(path: Path, lineno: int, text: str) -> None:
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[lineno - 1] = text
@@ -558,11 +571,13 @@ def edit_checkpoint_row(path: Path, key: str, row: int) -> None:
 
 
 _FIRST_RECORD = {"dialogue_id": "fx001", "turn": 0, "diagnostics": []}
+_RECORD_1 = "pred.jsonl: prediction record 1: "
 _GRAPH_ARGV = ["graph", "--predictions", "pred.jsonl", "--out-prefix", "out"]
 _PREDICT_ARGV = ["predict", "--graph-prefix", "g", "--checkpoint", "model.json",
                  "--predictions", "pred.jsonl", "--out", "cand.jsonl"]
 _EVALUATE_ARGV = ["evaluate", "--predictions", "pred.jsonl",
                   "--corpus", str(fixture_corpus_path()), "--out", "r.json"]
+_EXTRACT_ARGV = ["extract", "--corpus", str(fixture_corpus_path()), "--out", "x.jsonl"]
 
 
 def edit_first_record(drop: str = "", **fields) -> None:
@@ -572,6 +587,18 @@ def edit_first_record(drop: str = "", **fields) -> None:
     rec.update(fields)
     rec.pop(drop, None)
     replace_line(path, 2, json.dumps(rec))
+
+
+def repeat_first_record() -> None:
+    """Insert a copy of the first golden prediction record after it."""
+    lines = Path("pred.jsonl").read_text(encoding="utf-8").splitlines()
+    lines.insert(2, lines[1])
+    Path("pred.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write(name: str, text: str):
+    """An edit that writes ``text`` to ``name``."""
+    return lambda: Path(name).write_text(text, encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -588,7 +615,7 @@ def edit_first_record(drop: str = "", **fields) -> None:
                 Path("pred.jsonl"), 2, json.dumps({**_FIRST_RECORD, "predicted_state": 5})
             ),
             _GRAPH_ARGV,
-            "pred.jsonl: dialogue 'fx001' turn 0: malformed predicted_state",
+            _RECORD_1 + "malformed predicted_state",
             id="predicted-state-is-an-int",
         ),
         pytest.param(
@@ -601,7 +628,7 @@ def edit_first_record(drop: str = "", **fields) -> None:
                 ),
             ),
             _GRAPH_ARGV,
-            "pred.jsonl: dialogue 'fx001' turn 0: malformed predicted_state",
+            _RECORD_1 + "malformed predicted_state",
             id="predicted-value-is-an-int",
         ),
         pytest.param(
@@ -668,54 +695,116 @@ def edit_first_record(drop: str = "", **fields) -> None:
         pytest.param(
             lambda: edit_first_record(dialogue_id=["fx001"]),
             _PREDICT_ARGV,
-            "pred.jsonl: bad prediction record key: unhashable type: 'list'",
+            _RECORD_1 + "dialogue_id must be str, got ['fx001']",
             id="predict-dialogue-id-is-a-list",
         ),
         pytest.param(
             lambda: edit_first_record(dialogue_id=7),
             _PREDICT_ARGV,
-            "pred.jsonl: prediction record {'dialogue_id': 7}: "
-            "dialogue_id must be str, got 7",
+            _RECORD_1 + "dialogue_id must be str, got 7",
             id="predict-dialogue-id-is-an-int",
         ),
         pytest.param(
             lambda: edit_first_record(dialogue_id=7),
             _EVALUATE_ARGV,
-            "pred.jsonl: prediction record {'dialogue_id': 7, 'turn': 0}: "
-            "dialogue_id must be str, got 7",
+            _RECORD_1 + "dialogue_id must be str, got 7",
             id="evaluate-dialogue-id-is-an-int",
         ),
         pytest.param(
             lambda: edit_first_record(turn=False),
             _EVALUATE_ARGV,
-            "pred.jsonl: prediction record {'dialogue_id': 'fx001', 'turn': False}: "
-            "turn must be int, got False",
+            _RECORD_1 + "turn must be int, got False",
             id="evaluate-turn-is-a-bool",
         ),
         pytest.param(
             lambda: edit_first_record(turn="0"),
             _EVALUATE_ARGV,
-            "pred.jsonl: prediction record {'dialogue_id': 'fx001', 'turn': '0'}: "
-            "turn must be int, got '0'",
+            _RECORD_1 + "turn must be int, got '0'",
             id="evaluate-turn-is-a-string",
         ),
         pytest.param(
             lambda: edit_first_record(drop="dialogue_id"),
             _PREDICT_ARGV,
-            "pred.jsonl: a prediction record has no 'dialogue_id' key",
+            _RECORD_1 + "no 'dialogue_id' key",
             id="predict-dialogue-id-is-missing",
+        ),
+        pytest.param(
+            lambda: edit_first_record(dialogue_id=["fx001"]),
+            _EVALUATE_ARGV,
+            _RECORD_1 + "dialogue_id must be str, got ['fx001']",
+            id="evaluate-dialogue-id-is-a-list",
+        ),
+        pytest.param(
+            lambda: edit_first_record(drop="turn"),
+            _EVALUATE_ARGV,
+            _RECORD_1 + "no 'turn' key",
+            id="evaluate-turn-is-missing",
+        ),
+        pytest.param(
+            repeat_first_record,
+            _EVALUATE_ARGV,
+            "pred.jsonl: prediction record 2: duplicate (dialogue_id, turn) ('fx001', 0)",
+            id="evaluate-record-is-repeated",
         ),
         pytest.param(
             lambda: edit_first_record(diagnostics=["oops"]),
             _EVALUATE_ARGV,
-            "pred.jsonl: dialogue 'fx001' turn 0: malformed diagnostics: ['oops']",
+            _RECORD_1 + "malformed diagnostics: ['oops']",
             id="diagnostic-is-a-string",
         ),
         pytest.param(
             lambda: edit_first_record(diagnostics=5),
             _EVALUATE_ARGV,
-            "pred.jsonl: dialogue 'fx001' turn 0: malformed diagnostics: 5",
+            _RECORD_1 + "malformed diagnostics: 5",
             id="diagnostics-is-an-int",
+        ),
+        pytest.param(
+            write("ex.jsonl", "[1, 2]\n"),
+            [*_EXTRACT_ARGV, "--exemplars", "ex.jsonl"],
+            "ex.jsonl:1: expected a JSON object, got list",
+            id="exemplars-line-is-a-list",
+        ),
+        pytest.param(
+            write("ex.jsonl", '{"input": "USER: hi"}\n'),
+            [*_EXTRACT_ARGV, "--exemplars", "ex.jsonl"],
+            "ex.jsonl:1: exemplar has no 'output' key",
+            id="exemplar-has-no-output",
+        ),
+        pytest.param(
+            write("kw.json", "[]"),
+            [*_EXTRACT_ARGV, "--keywords", "kw.json"],
+            "kw.json: expected a JSON object, got list",
+            id="keywords-is-a-list",
+        ),
+        pytest.param(
+            write("kw.json", '{"thai": '),
+            [*_EXTRACT_ARGV, "--keywords", "kw.json"],
+            "kw.json: Expecting value: line 1 column 10",
+            id="keywords-is-truncated",
+        ),
+        pytest.param(
+            write("kw.json", '{"thai": {"domain": "restaurant", "slot": "food"}}'),
+            [*_EXTRACT_ARGV, "--keywords", "kw.json"],
+            "kw.json: keyword 'thai' needs an object with 'domain', 'slot' and 'value'",
+            id="keyword-has-no-value",
+        ),
+        pytest.param(
+            write("replay.jsonl", '{"prompt_hash": "abc"}\n'),
+            [*_EXTRACT_ARGV, "--backend", "replay", "--replay", "replay.jsonl"],
+            "replay.jsonl:1: a replay record needs string 'prompt_hash' and 'completion'",
+            id="replay-record-has-no-completion",
+        ),
+        pytest.param(
+            write("replay.jsonl", "not json\n"),
+            [*_EXTRACT_ARGV, "--backend", "replay", "--replay", "replay.jsonl"],
+            "replay.jsonl:1: Expecting value: line 1 column 1",
+            id="replay-line-is-not-json",
+        ),
+        pytest.param(
+            write("run.conf", "corpus_format = bogus\n"),
+            [*_EXTRACT_ARGV, "--config", "run.conf"],
+            "config key corpus_format: unknown format 'bogus'",
+            id="config-corpus-format-is-bogus",
         ),
         pytest.param(
             lambda: replace_line(Path("g.edges.txt"), 1, "1 x"),
@@ -735,13 +824,7 @@ def test_malformed_input_exits_1_with_located_message(
     edit, argv, located, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    for golden, name in [
-        ("predictions.jsonl", "pred.jsonl"),
-        ("graph.nodes.jsonl", "g.nodes.jsonl"),
-        ("graph.edges.txt", "g.edges.txt"),
-        ("checkpoint.json", "model.json"),
-    ]:
-        (tmp_path / name).write_bytes((GOLDENS / golden).read_bytes())
+    copy_goldens(tmp_path)
     edit()
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
@@ -749,24 +832,56 @@ def test_malformed_input_exits_1_with_located_message(
     assert located in err
 
 
-@pytest.mark.parametrize(
-    "record, located",
-    [
-        ({"dialogue_id": "fx001", "predicted_state": []},
-         "pred.jsonl: a prediction record has no 'turn' key"),
-        ({"dialogue_id": ["fx001"], "turn": 0, "predicted_state": []},
-         "pred.jsonl: bad prediction record key: unhashable type: 'list'"),
-    ],
-)
-def test_evaluate_locates_a_bad_record_key(record, located, tmp_path, capsys):
-    pred = run_extract(tmp_path)
-    replace_line(pred, 2, json.dumps(record))
-    code = cli.main(
-        ["evaluate", "--predictions", str(pred),
-         "--corpus", str(fixture_corpus_path()), "--out", str(tmp_path / "r.json")]
-    )
-    assert code == 1
-    assert located in capsys.readouterr().err
+# one value of each JSON type
+_JSON_VALUES = {
+    "null": None, "bool": True, "int": 7, "float": 0.5,
+    "str": "x", "list": ["x"], "object": {"x": 1},
+}
+
+
+def truncate_first_record() -> None:
+    line = Path("pred.jsonl").read_text(encoding="utf-8").splitlines()[1]
+    replace_line(Path("pred.jsonl"), 2, line[: len(line) // 2])
+
+
+def record_mutations():
+    """Edits of the first golden record: each key dropped, each key given
+    a value of every JSON type, the record repeated, and its line
+    truncated."""
+    for key in ("dialogue_id", "turn", "predicted_state", "diagnostics"):
+        yield pytest.param(lambda k=key: edit_first_record(drop=k), id=f"drop-{key}")
+        for name, value in _JSON_VALUES.items():
+            yield pytest.param(
+                lambda k=key, v=value: edit_first_record(**{k: v}),
+                id=f"{key}-is-{name}",
+            )
+    yield pytest.param(repeat_first_record, id="repeat-record")
+    yield pytest.param(truncate_first_record, id="truncate-record")
+
+
+@pytest.mark.parametrize("mutate", record_mutations())
+def test_predictions_readers_agree_on_every_record_mutation(
+    mutate, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    mutate()
+    try:
+        load_predictions("pred.jsonl")
+        rejected = None
+    except ValueError as exc:
+        rejected = f"error: {exc}\n"
+    codes, errors = {}, set()
+    for argv in (_EVALUATE_ARGV, _GRAPH_ARGV, _PREDICT_ARGV):
+        codes[argv[0]] = cli.main(argv)
+        errors.add(capsys.readouterr().err)
+    assert 3 not in codes.values()
+    if rejected is None:
+        assert codes["graph"] == codes["predict"] == 0
+    else:
+        assert rejected.startswith("error: pred.jsonl")
+        assert set(codes.values()) == {1}
+        assert errors == {rejected}
 
 
 def test_train_default_metrics_path(tmp_path, monkeypatch, capsys):

@@ -44,7 +44,7 @@ def test_turn_flattens_newlines():
 
 
 def test_context_append_is_pure_and_counts_user_turns():
-    ctx = DialogueContext(turns=(), dialogue_id="d1")
+    ctx = DialogueContext()
     ctx2 = append_turn(ctx, Turn(speaker=Speaker.USER, text="hi"))
     ctx3 = append_turn(ctx2, Turn(speaker=Speaker.SYSTEM, text="hello"))
     ctx4 = append_turn(ctx3, Turn(speaker=Speaker.USER, text="find a hotel"))

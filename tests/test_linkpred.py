@@ -151,7 +151,6 @@ def test_evaluate_split_needs_test_edges(rng):
         test=(),
         neg_val=split.neg_val,
         neg_test=(),
-        seed=split.seed,
     )
     cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=5)
     params, _ = train(g, split, cfg)
