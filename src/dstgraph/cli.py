@@ -74,12 +74,7 @@ class UsageError(ValueError):
     """Bad flags, bad config file, bad input data: the user can fix it."""
 
 
-_FORMATS = {
-    "auto": None,
-    "plain": CorpusFormat.PLAIN_JSONL,
-    "multiwoz": CorpusFormat.MULTIWOZ_JSON,
-    "sgd": CorpusFormat.SGD_JSON,
-}
+_FORMATS = {"auto": None, **{f.value: f for f in CorpusFormat}}
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,7 @@ class RunConfig:
 
     backend: str = "rulemock"
     endpoint: str = ""
-    model: str = ""
+    model: str = GenerationParams.model_name
     strategy: str = "cot"
     anti_hallucination: bool = True
     instruction: str = ""
@@ -96,17 +91,17 @@ class RunConfig:
     templates_file: str = ""
     keywords: str = ""
     replay: str = ""
-    temperature: float = 0.0
-    max_tokens: int = 256
-    timeout: float = 30.0
-    retries: int = 2
-    seed: int = 0
+    temperature: float = GenerationParams.temperature
+    max_tokens: int = GenerationParams.max_tokens
+    timeout: float = GenerationParams.timeout
+    retries: int = GenerationParams.retries
+    seed: int = TrainConfig.seed
     top_k: int = 5
-    epochs: int = 200
-    hidden_dim: int = 32
-    latent_dim: int = 16
-    learning_rate: float = 0.01
-    kl_weight: float = 1.0
+    epochs: int = TrainConfig.epochs
+    hidden_dim: int = TrainConfig.hidden_dim
+    latent_dim: int = TrainConfig.latent_dim
+    learning_rate: float = TrainConfig.learning_rate
+    kl_weight: float = TrainConfig.kl_weight
     train_frac: float = 0.85
     test_frac: float = 0.10
     val_frac: float = 0.05
@@ -119,13 +114,9 @@ class RunConfig:
     metrics_out: str = ""
     from_gold: bool = False
 
-    def echo(self, keys: tuple[str, ...]) -> dict:
-        """The config subset relevant to one subcommand, for output files."""
-        return {k: getattr(self, k) for k in sorted(keys)}
 
-
-def _meta(config: RunConfig, keys: tuple[str, ...], **extra) -> dict:
-    meta = {"version": __version__, "config": config.echo(keys)}
+def _meta(config: RunConfig, keys: list[str], **extra) -> dict:
+    meta = {"version": __version__, "config": {k: getattr(config, k) for k in keys}}
     meta.update(extra)
     return meta
 
@@ -284,32 +275,13 @@ def extract_records(
         pool.shutdown(cancel_futures=True)
 
 
-_EXTRACT_KEYS = (
-    "backend",
-    "endpoint",
-    "model",
-    "strategy",
-    "anti_hallucination",
-    "instruction",
-    "exemplars_file",
-    "templates_file",
-    "keywords",
-    "replay",
-    "temperature",
-    "max_tokens",
-    "corpus",
-    "corpus_format",
-    "out",
-)
-
-
-def cmd_extract(cfg: RunConfig) -> int:
+def cmd_extract(cfg: RunConfig, echoed: list[str]) -> int:
     if not cfg.corpus or not cfg.out:
         raise UsageError("extract requires --corpus and --out")
     result = load_corpus(cfg.corpus, _FORMATS[cfg.corpus_format])
     backend = make_backend(cfg)
     records, failure = extract_records(result.dialogues, backend, cfg)
-    meta = _meta(cfg, _EXTRACT_KEYS, corpus_skipped=result.skipped)
+    meta = _meta(cfg, echoed, corpus_skipped=result.skipped)
     if failure is not None:
         meta["failure"] = str(failure)
         write_predictions(cfg.out, records, meta=meta)
@@ -344,10 +316,7 @@ def _pair_turns(
     return pairs, contexts
 
 
-_EVALUATE_KEYS = ("predictions", "corpus", "corpus_format", "out")
-
-
-def cmd_evaluate(cfg: RunConfig) -> int:
+def cmd_evaluate(cfg: RunConfig, echoed: list[str]) -> int:
     if not cfg.predictions or not cfg.corpus or not cfg.out:
         raise UsageError("evaluate requires --predictions, --corpus and --out")
     predictions = load_predictions(cfg.predictions)
@@ -373,17 +342,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             "total_errors": error_report.total_errors,
             "samples": list(error_report.samples),
         },
-        **_meta(cfg, _EVALUATE_KEYS),
+        **_meta(cfg, echoed),
     }
     _write_json(cfg.out, report)
     print(f"jga={report['jga']:.4f} slot_f1={report['slot_f1']:.4f} -> {cfg.out}")
     return 0
 
 
-_GRAPH_KEYS = ("predictions", "corpus", "corpus_format", "from_gold", "out_prefix")
-
-
-def cmd_graph(cfg: RunConfig) -> int:
+def cmd_graph(cfg: RunConfig, echoed: list[str]) -> int:
     if not cfg.out_prefix:
         raise UsageError("graph requires --out-prefix")
     if cfg.from_gold:
@@ -405,9 +371,7 @@ def cmd_graph(cfg: RunConfig) -> int:
         raise UsageError("state graph has no edges; nothing to train on")
     write_node_table(g, cfg.out_prefix + ".nodes.jsonl")
     write_edge_list(g, cfg.out_prefix + ".edges.txt")
-    manifest = _meta(
-        cfg, _GRAPH_KEYS, n_nodes=g.n_nodes, n_edges=len(g.edges)
-    )
+    manifest = _meta(cfg, echoed, n_nodes=g.n_nodes, n_edges=len(g.edges))
     _write_json(cfg.out_prefix + ".manifest.json", manifest)
     print(f"graph: {g.n_nodes} nodes, {len(g.edges)} edges -> {cfg.out_prefix}.*")
     return 0
@@ -417,23 +381,7 @@ def _load_graph_prefix(prefix: str):
     return load_graph(prefix + ".edges.txt", prefix + ".nodes.jsonl")
 
 
-_TRAIN_KEYS = (
-    "out_prefix",
-    "checkpoint",
-    "metrics_out",
-    "seed",
-    "epochs",
-    "hidden_dim",
-    "latent_dim",
-    "learning_rate",
-    "kl_weight",
-    "train_frac",
-    "test_frac",
-    "val_frac",
-)
-
-
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: RunConfig, echoed: list[str]) -> int:
     if not cfg.out_prefix or not cfg.checkpoint:
         raise UsageError("train requires --graph-prefix and --checkpoint")
     g = _load_graph_prefix(cfg.out_prefix)
@@ -464,7 +412,7 @@ def cmd_train(cfg: RunConfig) -> int:
             "val": len(split.val),
             "test": len(split.test),
         },
-        **_meta(cfg, _TRAIN_KEYS),
+        **_meta(cfg, echoed),
     }
     out = cfg.metrics_out or str(Path(cfg.checkpoint).with_suffix(".metrics.json"))
     _write_json(out, metrics)
@@ -475,10 +423,7 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-_PREDICT_KEYS = ("out_prefix", "checkpoint", "predictions", "top_k", "out")
-
-
-def cmd_predict(cfg: RunConfig) -> int:
+def cmd_predict(cfg: RunConfig, echoed: list[str]) -> int:
     if not cfg.out_prefix or not cfg.checkpoint or not cfg.predictions or not cfg.out:
         raise UsageError(
             "predict requires --graph-prefix, --checkpoint, --predictions and --out"
@@ -499,7 +444,7 @@ def cmd_predict(cfg: RunConfig) -> int:
             continue
         ranked = rank_candidates(mu, g, found, cfg.top_k)
         out_records.extend(candidate_records(dialogue_id, ranked))
-    meta = _meta(cfg, _PREDICT_KEYS, skipped_dialogues=skipped)
+    meta = _meta(cfg, echoed, skipped_dialogues=skipped)
     write_predictions(cfg.out, out_records, meta=meta)
     print(
         f"ranked candidates for {len(by_dialogue) - len(skipped)} dialogues -> {cfg.out}"
@@ -507,9 +452,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_repl(cfg: RunConfig) -> int:
+def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
     """Line-oriented tracker: one user utterance per line, tracked triples
-    (and next-state candidates if a model is given) printed after each."""
+    (and next-state candidates if a model is given) printed after each.
+    It writes no file, so ``echoed`` goes unused."""
     if bool(cfg.out_prefix) != bool(cfg.checkpoint):
         raise UsageError("repl needs both --graph-prefix and --checkpoint, or neither")
     tracker = TurnTracker(cfg, make_backend(cfg))
@@ -701,6 +647,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
+# Settings a command's output does not echo: the subcommand and the config
+# file path are not settings, and the http transport settings (timeout,
+# retries) cannot change what a command writes.
+_NOT_ECHOED = {"command", "config", "timeout", "retries"}
+
 _COMMANDS = {
     "extract": cmd_extract,
     "evaluate": cmd_evaluate,
@@ -716,7 +667,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        echoed = sorted(vars(args).keys() - _NOT_ECHOED)
+        return _COMMANDS[args.command](cfg, echoed)
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 2

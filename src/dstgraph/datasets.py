@@ -221,7 +221,10 @@ def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadRes
     if format is CorpusFormat.PLAIN_JSONL or (format is None and p.suffix == ".jsonl"):
         dialogues, skipped = _load_plain_jsonl(p)
     else:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(p.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         loader = _JSON_LOADERS.get(format or type(raw))
         if loader is None:
             raise ValueError(f"unrecognized corpus shape in {path}")

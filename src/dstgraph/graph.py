@@ -104,14 +104,6 @@ class StateGraph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def candidate_pairs(self) -> list[Edge]:
-        """All Domain x SlotValue pairs, normalized i < j, sorted."""
-        domains = [n.index for n in self.nodes if n.kind is NodeKind.DOMAIN]
-        values = [n.index for n in self.nodes if n.kind is NodeKind.SLOT_VALUE]
-        return sorted(
-            (d, v) if d < v else (v, d) for d in domains for v in values
-        )
-
     def _pair_keys(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return np.minimum(i, j) * self.n_nodes + np.maximum(i, j)
 
@@ -322,6 +314,10 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
             if type(index) is not int:
                 raise ValueError(f"index must be an int, got {index!r}")
             kind = NodeKind(rec["kind"])
+            named = ("label", "slot", "value")[: 3 if kind is NodeKind.SLOT_VALUE else 1]
+            for field in named:
+                if not isinstance(rec[field], str):
+                    raise ValueError(f"{field} must be a str, got {rec[field]!r}")
             nodes.append(NodeId(index, kind, rec["label"]))
             if kind is NodeKind.SLOT_VALUE:
                 slot_values[index] = (rec["slot"], rec["value"])

@@ -95,13 +95,6 @@ class PromptSpec:
     exemplars: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
 
-def persona_text(kind: PromptStrategy) -> str:
-    """The verbatim persona sentence for persona variants 1-3."""
-    if kind not in _PERSONAS:
-        raise ValueError(f"{kind.value} is not a persona variant")
-    return _PERSONAS[kind]
-
-
 def default_instruction() -> str:
     """The pinned default instruction; names the output format, no vocabulary."""
     return DEFAULT_INSTRUCTION
@@ -163,8 +156,9 @@ def load_template_overrides(path: str | Path) -> dict[str, str]:
     """Read template overrides from a sectioned UTF-8 text file.
 
     Sections open with a ``[name]`` line; the body runs to the next header.
-    Bodies are stripped and kept verbatim otherwise.  Unknown section names
-    are an error so typos do not silently no-op.
+    Bodies are stripped and kept verbatim otherwise.  An unknown section
+    name, or text before the first header, raises ``ValueError`` naming the
+    file and the line, so typos do not silently no-op.
     """
     overrides: dict[str, str] = {}
     current: str | None = None
@@ -174,19 +168,22 @@ def load_template_overrides(path: str | Path) -> dict[str, str]:
         if current is not None:
             overrides[current] = "\n".join(body).strip()
 
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             name = stripped[1:-1].strip()
             if name not in _OVERRIDE_SECTIONS:
-                raise ValueError(f"unknown template section: [{name}]")
+                raise ValueError(f"{path}:{lineno}: unknown template section: [{name}]")
             flush()
             current = name
             body = []
         elif current is not None:
             body.append(line)
         elif stripped:
-            raise ValueError("template file must start with a [section] header")
+            raise ValueError(
+                f"{path}:{lineno}: template file must start with a [section] header"
+            )
     flush()
     return overrides
 

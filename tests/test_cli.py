@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -160,6 +161,24 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     )
     assert code == 3
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_setting_a_command_accepts_is_a_run_config_field(command):
+    # an output echoes the settings its subcommand's parser produced, by
+    # RunConfig field name
+    accepted = vars(cli._build_parser().parse_args([command])).keys()
+    assert accepted - {"command", "config"} <= RunConfig.__dataclass_fields__.keys()
+
+
+def test_transport_settings_leave_extract_output_unchanged(tmp_path, capsys):
+    out = tmp_path / "pred.jsonl"
+    argv = ["extract", "--corpus", str(fixture_corpus_path()), "--out", str(out)]
+    assert cli.main(argv) == 0
+    plain = out.read_bytes()
+    assert cli.main([*argv, "--timeout", "5", "--retries", "0"]) == 0
+    assert out.read_bytes() == plain
+    capsys.readouterr()
 
 
 # --- extraction ---
@@ -551,10 +570,34 @@ def replace_line(path: Path, lineno: int, text: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def edit_checkpoint_config(path: Path, **extra) -> None:
-    raw = json.loads(path.read_text(encoding="utf-8"))
-    raw["config"].update(extra)
-    path.write_text(json.dumps(raw), encoding="utf-8")
+def edit_json_line(name: str, lineno: int, drop: str = "", **fields) -> None:
+    """Rewrite one JSON line of a golden copy: ``drop`` a key, set ``fields``."""
+    path = Path(name)
+    rec = json.loads(path.read_text(encoding="utf-8").splitlines()[lineno - 1])
+    rec.update(fields)
+    rec.pop(drop, None)
+    replace_line(path, lineno, json.dumps(rec))
+
+
+def truncate_line(name: str, lineno: int) -> None:
+    line = Path(name).read_text(encoding="utf-8").splitlines()[lineno - 1]
+    replace_line(Path(name), lineno, line[: len(line) // 2])
+
+
+def repeat_line(name: str, lineno: int) -> None:
+    """Insert a copy of one line of a golden copy after it."""
+    lines = Path(name).read_text(encoding="utf-8").splitlines()
+    lines.insert(lineno, lines[lineno - 1])
+    Path(name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def edit_checkpoint(drop: str = "", inside: str = "", **fields) -> None:
+    """Drop a key of model.json, or of its ``inside`` object, and set ``fields``."""
+    raw = json.loads(Path("model.json").read_text(encoding="utf-8"))
+    target = raw[inside] if inside else raw
+    target.update(fields)
+    target.pop(drop, None)
+    Path("model.json").write_text(json.dumps(raw), encoding="utf-8")
 
 
 def rewrite_checkpoint(change) -> None:
@@ -580,20 +623,9 @@ _EVALUATE_ARGV = ["evaluate", "--predictions", "pred.jsonl",
 _EXTRACT_ARGV = ["extract", "--corpus", str(fixture_corpus_path()), "--out", "x.jsonl"]
 
 
-def edit_first_record(drop: str = "", **fields) -> None:
-    """Rewrite the first golden prediction record (line 2 of pred.jsonl)."""
-    path = Path("pred.jsonl")
-    rec = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
-    rec.update(fields)
-    rec.pop(drop, None)
-    replace_line(path, 2, json.dumps(rec))
-
-
-def repeat_first_record() -> None:
-    """Insert a copy of the first golden prediction record after it."""
-    lines = Path("pred.jsonl").read_text(encoding="utf-8").splitlines()
-    lines.insert(2, lines[1])
-    Path("pred.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+# the first golden prediction record is line 2 of pred.jsonl, after the meta line
+edit_first_record = functools.partial(edit_json_line, "pred.jsonl", 2)
+repeat_first_record = functools.partial(repeat_line, "pred.jsonl", 2)
 
 
 def write(name: str, text: str):
@@ -643,7 +675,25 @@ def write(name: str, text: str):
             id="node-index-is-a-string",
         ),
         pytest.param(
-            lambda: edit_checkpoint_config(Path("model.json"), dropout=0.5),
+            lambda: edit_json_line("g.nodes.jsonl", 1, label=["restaurant"]),
+            _PREDICT_ARGV,
+            "g.nodes.jsonl:1: ValueError(\"label must be a str, got ['restaurant']\")",
+            id="node-label-is-a-list",
+        ),
+        pytest.param(
+            lambda: edit_json_line("g.nodes.jsonl", 2, slot=["area"]),
+            _PREDICT_ARGV,
+            "g.nodes.jsonl:2: ValueError(\"slot must be a str, got ['area']\")",
+            id="node-slot-is-a-list",
+        ),
+        pytest.param(
+            lambda: edit_json_line("g.nodes.jsonl", 2, value={"x": 1}),
+            _PREDICT_ARGV,
+            "g.nodes.jsonl:2: ValueError(\"value must be a str, got {'x': 1}\")",
+            id="node-value-is-an-object",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint(inside="config", dropout=0.5),
             _PREDICT_ARGV,
             "model.json: unknown checkpoint config keys: ['dropout']",
             id="checkpoint-config-has-unknown-key",
@@ -655,13 +705,13 @@ def write(name: str, text: str):
             id="checkpoint-is-a-list",
         ),
         pytest.param(
-            lambda: edit_checkpoint_config(Path("model.json"), epochs="x"),
+            lambda: edit_checkpoint(inside="config", epochs="x"),
             _PREDICT_ARGV,
             "model.json: config 'epochs' must be int, got 'x'",
             id="checkpoint-epochs-is-a-string",
         ),
         pytest.param(
-            lambda: edit_checkpoint_config(Path("model.json"), hidden_dim=None),
+            lambda: edit_checkpoint(inside="config", hidden_dim=None),
             _PREDICT_ARGV,
             "model.json: config 'hidden_dim' must be int, got None",
             id="checkpoint-hidden-dim-is-null",
@@ -675,7 +725,7 @@ def write(name: str, text: str):
             id="checkpoint-config-is-missing",
         ),
         pytest.param(
-            lambda: edit_checkpoint_config(Path("model.json"), epochs=-1),
+            lambda: edit_checkpoint(inside="config", epochs=-1),
             _PREDICT_ARGV,
             "model.json: epochs must be non-negative",
             id="checkpoint-epochs-is-negative",
@@ -807,6 +857,24 @@ def write(name: str, text: str):
             id="config-corpus-format-is-bogus",
         ),
         pytest.param(
+            write("c.json", "not json"),
+            ["extract", "--corpus", "c.json", "--out", "x.jsonl"],
+            "c.json: Expecting value: line 1 column 1",
+            id="json-corpus-is-not-json",
+        ),
+        pytest.param(
+            write("t.txt", "[frame]\nx\n[oops]\ny\n"),
+            [*_EXTRACT_ARGV, "--templates", "t.txt"],
+            "t.txt:3: unknown template section: [oops]",
+            id="templates-section-is-unknown",
+        ),
+        pytest.param(
+            write("t.txt", "\nhello\n[frame]\nx\n"),
+            [*_EXTRACT_ARGV, "--templates", "t.txt"],
+            "t.txt:2: template file must start with a [section] header",
+            id="templates-text-before-first-header",
+        ),
+        pytest.param(
             lambda: replace_line(Path("g.edges.txt"), 1, "1 x"),
             _PREDICT_ARGV,
             "g.edges.txt:1: ValueError(\"invalid literal for int() with base 10: 'x'\")",
@@ -839,24 +907,28 @@ _JSON_VALUES = {
 }
 
 
-def truncate_first_record() -> None:
-    line = Path("pred.jsonl").read_text(encoding="utf-8").splitlines()[1]
-    replace_line(Path("pred.jsonl"), 2, line[: len(line) // 2])
+def json_key_mutations(prefix: str, keys, edit):
+    """``edit(drop=key)`` and ``edit(**{key: value})`` for each key and one
+    value of every JSON type."""
+    for key in keys:
+        yield pytest.param(lambda k=key: edit(drop=k), id=f"{prefix}drop-{key}")
+        for name, value in _JSON_VALUES.items():
+            yield pytest.param(
+                lambda k=key, v=value: edit(**{k: v}), id=f"{prefix}{key}-is-{name}"
+            )
 
 
 def record_mutations():
     """Edits of the first golden record: each key dropped, each key given
     a value of every JSON type, the record repeated, and its line
     truncated."""
-    for key in ("dialogue_id", "turn", "predicted_state", "diagnostics"):
-        yield pytest.param(lambda k=key: edit_first_record(drop=k), id=f"drop-{key}")
-        for name, value in _JSON_VALUES.items():
-            yield pytest.param(
-                lambda k=key, v=value: edit_first_record(**{k: v}),
-                id=f"{key}-is-{name}",
-            )
+    yield from json_key_mutations(
+        "", ("dialogue_id", "turn", "predicted_state", "diagnostics"), edit_first_record
+    )
     yield pytest.param(repeat_first_record, id="repeat-record")
-    yield pytest.param(truncate_first_record, id="truncate-record")
+    yield pytest.param(
+        functools.partial(truncate_line, "pred.jsonl", 2), id="truncate-record"
+    )
 
 
 @pytest.mark.parametrize("mutate", record_mutations())
@@ -882,6 +954,69 @@ def test_predictions_readers_agree_on_every_record_mutation(
         assert rejected.startswith("error: pred.jsonl")
         assert set(codes.values()) == {1}
         assert errors == {rejected}
+
+
+def graph_and_checkpoint_mutations():
+    """Edits of the golden node table (a domain line and a slot-value
+    line), edge list and checkpoint: each key dropped or given a value of
+    every JSON type, lines truncated or repeated, and edge lines that are
+    not two endpoints of one domain and one slot-value node."""
+    for lineno, kind, keys in ((1, "domain", ()), (2, "slot-value", ("slot", "value"))):
+        yield from json_key_mutations(
+            f"{kind}-node-", ("index", "kind", "label", *keys),
+            functools.partial(edit_json_line, "g.nodes.jsonl", lineno),
+        )
+        yield pytest.param(
+            functools.partial(truncate_line, "g.nodes.jsonl", lineno),
+            id=f"truncate-{kind}-node",
+        )
+        yield pytest.param(
+            functools.partial(repeat_line, "g.nodes.jsonl", lineno),
+            id=f"repeat-{kind}-node",
+        )
+    yield pytest.param(functools.partial(repeat_line, "g.edges.txt", 1), id="repeat-edge")
+    for text in ("", "0", "0 1 2", "x 1", "1.5 2", "0 0", "0 999", "-1 1", "1 2",
+                 "1 0", "0 0x1", "\u0661 2"):
+        yield pytest.param(
+            functools.partial(replace_line, Path("g.edges.txt"), 1, text),
+            id=f"edge-line-{text!r}",
+        )
+    yield from json_key_mutations(
+        "checkpoint-",
+        ("format", "version", "n_features", "hidden_dim", "latent_dim", "config",
+         "w_shared", "w_mu", "w_logvar"),
+        edit_checkpoint,
+    )
+    yield from json_key_mutations(
+        "checkpoint-config-", TrainConfig.__dataclass_fields__,
+        functools.partial(edit_checkpoint, inside="config"),
+    )
+    for key in ("w_shared", "w_mu", "w_logvar"):
+        yield pytest.param(
+            lambda k=key: rewrite_checkpoint(lambda raw: {**raw, k: raw[k][1:]}),
+            id=f"checkpoint-{key}-loses-a-row",
+        )
+        yield pytest.param(
+            functools.partial(edit_checkpoint, **{key: [[]]}),
+            id=f"checkpoint-{key}-is-empty",
+        )
+    yield pytest.param(
+        functools.partial(truncate_line, "model.json", 1), id="truncate-checkpoint"
+    )
+
+
+@pytest.mark.parametrize("mutate", graph_and_checkpoint_mutations())
+def test_graph_and_checkpoint_mutations_exit_0_or_1(
+    mutate, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    mutate()
+    code = cli.main(_PREDICT_ARGV)
+    err = capsys.readouterr().err
+    assert code in (0, 1), err
+    if code == 1:
+        assert err.startswith("error: ")
 
 
 def test_train_default_metrics_path(tmp_path, monkeypatch, capsys):

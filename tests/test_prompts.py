@@ -6,13 +6,13 @@ from dstgraph.prompts import (
     SELF_DISCOVER_PREAMBLE,
     STEP_SENTENCE,
     TOT_PREAMBLE,
+    _PERSONAS,
     PromptSpec,
     PromptStrategy,
     build_prompt,
     default_instruction,
     load_exemplars,
     load_template_overrides,
-    persona_text,
 )
 
 
@@ -47,7 +47,7 @@ def test_prompt_ends_with_response_marker():
 )
 def test_persona_variants_prepend_their_persona(strategy):
     rendered = build_prompt(spec(strategy=strategy))
-    assert rendered.startswith(persona_text(strategy) + " " + COT_FRAME)
+    assert rendered.startswith(_PERSONAS[strategy] + " " + COT_FRAME)
     assert STEP_SENTENCE in rendered
     # each variant carries exactly its own persona
     others = {
@@ -56,7 +56,7 @@ def test_persona_variants_prepend_their_persona(strategy):
         PromptStrategy.COT_PERSONA3,
     } - {strategy}
     for other in others:
-        assert persona_text(other) not in rendered
+        assert _PERSONAS[other] not in rendered
 
 
 def test_plain_cot_has_no_persona():
@@ -66,14 +66,7 @@ def test_plain_cot_has_no_persona():
         PromptStrategy.COT_PERSONA2,
         PromptStrategy.COT_PERSONA3,
     ):
-        assert persona_text(s) not in rendered
-
-
-def test_persona_text_rejects_non_persona_strategies():
-    with pytest.raises(ValueError):
-        persona_text(PromptStrategy.COT)
-    with pytest.raises(ValueError):
-        persona_text(PromptStrategy.TOT)
+        assert _PERSONAS[s] not in rendered
 
 
 def test_anti_hallucination_iff_flag():
