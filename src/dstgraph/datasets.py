@@ -289,19 +289,22 @@ def write_predictions(
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def _json_object(text: str, where: str) -> dict:
-    try:
-        rec = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+def _json_object(text: str) -> dict:
+    """The JSON object in ``text``; anything else raises an unlocated
+    ``ValueError``, which the caller locates."""
+    rec = json.loads(text)
     if not isinstance(rec, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+        raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
     return rec
 
 
 def read_json_object(path: str | Path) -> dict:
     """The JSON object in a file; anything else is a ``ValueError``."""
-    return _json_object(Path(path).read_text(encoding="utf-8"), str(path))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return _json_object(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -311,7 +314,11 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
-            yield lineno, _json_object(line, f"{path}:{lineno}")
+            try:
+                rec = _json_object(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield lineno, rec
 
 
 def read_predictions(path: str | Path) -> tuple[list[dict], dict | None]:
@@ -365,30 +372,38 @@ def load_predictions(path: str | Path) -> list[Prediction]:
     predictions: list[Prediction] = []
     seen: set[tuple[str, int]] = set()
     for number, rec in enumerate(records, start=1):
-        where = f"{path}: prediction record {number}"
-        for field in ("dialogue_id", "turn", "predicted_state"):
-            if field not in rec:
-                raise ValueError(f"{where}: no {field!r} key")
-        key = dialogue_id, turn = rec["dialogue_id"], rec["turn"]
-        if not isinstance(dialogue_id, str):
-            raise ValueError(f"{where}: dialogue_id must be str, got {dialogue_id!r}")
-        if type(turn) is not int:
-            raise ValueError(f"{where}: turn must be int, got {turn!r}")
-        if key in seen:
-            raise ValueError(f"{where}: duplicate (dialogue_id, turn) {key}")
-        seen.add(key)
         try:
-            state = state_from_jsonable(rec["predicted_state"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: malformed predicted_state: {exc!r}") from exc
-        diagnostics = rec.get("diagnostics", [])
-        if not isinstance(diagnostics, list) or not all(
-            isinstance(d, dict) and "kind" in d for d in diagnostics
-        ):
-            raise ValueError(f"{where}: malformed diagnostics: {diagnostics!r}")
-        parse_failed = any(d["kind"] == _PARSE_FAILURE for d in diagnostics)
-        predictions.append(Prediction(dialogue_id, turn, state, parse_failed))
+            predictions.append(_prediction(rec, seen))
+        except ValueError as exc:
+            raise ValueError(f"{path}: prediction record {number}: {exc}") from exc
     return predictions
+
+
+def _prediction(rec: dict, seen: set[tuple[str, int]]) -> Prediction:
+    """One checked predictions record, its key added to ``seen``; a broken
+    rule raises ``ValueError`` naming the field, which the caller locates."""
+    for field in ("dialogue_id", "turn", "predicted_state"):
+        if field not in rec:
+            raise ValueError(f"no {field!r} key")
+    key = dialogue_id, turn = rec["dialogue_id"], rec["turn"]
+    if not isinstance(dialogue_id, str):
+        raise ValueError(f"dialogue_id must be str, got {dialogue_id!r}")
+    if type(turn) is not int:
+        raise ValueError(f"turn must be int, got {turn!r}")
+    if key in seen:
+        raise ValueError(f"duplicate (dialogue_id, turn) {key}")
+    seen.add(key)
+    try:
+        state = state_from_jsonable(rec["predicted_state"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed predicted_state: {exc!r}") from exc
+    diagnostics = rec.get("diagnostics", [])
+    if not isinstance(diagnostics, list) or not all(
+        isinstance(d, dict) and "kind" in d for d in diagnostics
+    ):
+        raise ValueError(f"malformed diagnostics: {diagnostics!r}")
+    parse_failed = any(d["kind"] == _PARSE_FAILURE for d in diagnostics)
+    return Prediction(dialogue_id, turn, state, parse_failed)
 
 
 def fixture_corpus_path() -> Path:

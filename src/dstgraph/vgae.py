@@ -3,11 +3,11 @@ n x n array held outside a row block.
 
 Two-layer GCN encoder (shared ReLU layer, linear mean and log-variance
 heads), reparameterization trick, inner-product decoder.  The propagation
-matrix Â is a `Propagation` operator built straight from an edge list: it
-keeps Â's nonzeros sorted by row and computes Â @ X one row block at a
-time in a reused dense buffer.  Node features are one-hot (X = I), so the
-first layer Â X W_s is Â W_s and no feature matrix is built; one forward
-pass serves training, the gradient check and evaluation.  The training
+matrix Â is a read-only `Propagation` operator built from an edge list: a
+one-block graph multiplies by the dense Â, a larger one sums Â's row-sorted
+nonzeros per row.  Node features are one-hot (X = I), so the first layer
+Â X W_s is Â W_s and no feature matrix is built; one forward pass serves
+training, the gradient check and evaluation.  The training
 objective is the negative ELBO: weighted full-matrix reconstruction BCE
 plus a KL term against a standard-normal prior.  The BCE is evaluated one
 row block of S = Z Z^T at a time, from exp(-|S|), with the positive terms
@@ -16,10 +16,11 @@ gathered at the training edges and no dense 0/1 target.
 Both kinds of block are sized from one byte budget, `_BLOCK_BYTES`.  A
 graph whose n x n arrays fit in one block runs the dense expressions
 exactly, bit for bit; larger graphs agree with them to the last bits
-only, because a row block of a product may sum in another order.  A graph
-whose single row exceeds the budget raises ValueError.  Backpropagation is
-hand-derived and verified against central finite differences, so all
-arithmetic stays in double precision.
+only, as they sum in another order; their propagation does not depend on
+the budget, but the blocks of S do.  A graph whose single row exceeds the
+budget raises ValueError.  Backpropagation is hand-derived and verified
+against central finite differences, so all arithmetic stays in double
+precision.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ PROB_EPS = 1e-12
 # bounds of -log p for p clamped to [1e-12, 1 - 1e-12]
 _SP_LO = -float(np.log1p(-PROB_EPS))
 _SP_HI = -float(np.log(PROB_EPS))
-# bytes of one row block of an n-column float64 array: Â's block in
-# `Propagation` and the block of scores S in `loss_and_grads`.  The BCE
-# holds about four such blocks at once, so 1 MiB keeps its working set
-# near the size of a core's L2 cache.
+# bytes of one row block of an n-column float64 array: the most that
+# `Propagation` holds densely, and the block of scores S in
+# `loss_and_grads`.  The BCE holds about four such blocks at once, so
+# 1 MiB keeps its working set near the size of a core's L2 cache.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -152,16 +153,19 @@ def _block_rows(n_nodes: int) -> int:
 class Propagation:
     """The symmetric GCN propagation matrix Â = D^(-1/2) (A + I) D^(-1/2) of
     an edge list of (i, j) pairs over ``n_nodes`` nodes, applied by
-    ``prop @ x`` without ever holding Â densely.
+    ``prop @ x``.  It holds no mutable state, so one operator may be
+    shared between threads.
 
     D is the degree matrix of A + I, so isolated nodes get degree 1 and
     every weight is finite.  Each unique edge is stored in both
     orientations, plus the diagonal, sorted by row then column, with weight
     inv_sqrt_deg[r] * inv_sqrt_deg[c].  Checks are O(E): an endpoint
     outside [0, n) or a self-loop raises ValueError; duplicate or reversed
-    pairs describe the same edge.  One operator reuses one row-block
-    buffer, so it must not be applied from two threads at once; each
-    caller builds its own.
+    pairs describe the same edge.
+
+    A graph whose n x n array fits in one block (``block_rows == n``) also
+    keeps the dense, read-only Â and multiplies by it; a larger one sums
+    each row's weighted operand rows, in column order, and never holds Â.
     """
 
     def __init__(self, n_nodes: int, edges):
@@ -178,35 +182,29 @@ class Propagation:
         self.rows, self.cols = np.divmod(keys, n_nodes)
         inv_sqrt_deg = 1.0 / np.sqrt(np.bincount(self.rows, minlength=n_nodes))
         self.weights = inv_sqrt_deg[self.rows] * inv_sqrt_deg[self.cols]
-        for a in (self.rows, self.cols, self.weights):
-            a.flags.writeable = False
         self.n_nodes = n_nodes
         self.block_rows = _block_rows(n_nodes)
-        # offsets of each row's nonzeros, so a row block is one slice
-        self._row_start = np.searchsorted(self.rows, np.arange(n_nodes + 1))
-        self._block = None
+        # start of each row's segment; every row holds its diagonal, so none is empty
+        self.row_start = np.searchsorted(self.rows, diag)
+        self.dense = None
+        if self.block_rows == n_nodes:
+            self.dense = np.zeros((n_nodes, n_nodes))
+            self.dense[self.rows, self.cols] = self.weights
+        for a in (self.rows, self.cols, self.weights, self.row_start, self.dense):
+            if a is not None:
+                a.flags.writeable = False
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Â @ X, one row block of Â at a time.  Only a block's nonzeros are
-        written into the reused zero buffer, and they are cleared again
-        after the block's product, so a block that covers all n rows is the
-        dense Â and its product is the dense one, bit for bit."""
+        """Â @ X: the dense gemm on a one-block graph, otherwise a segmented
+        sum over the row-sorted nonzeros, whatever the block height."""
         x = np.asarray(x, dtype=np.float64)
-        n, b = self.n_nodes, self.block_rows
-        if x.ndim != 2 or x.shape[0] != n:
-            raise ValueError(f"operand {x.shape} does not have {n} rows")
-        if self._block is None:
-            self._block = np.zeros((b, n))
-        out = np.empty((n, x.shape[1]))
-        for i in range(0, n, b):
-            j = min(i + b, n)
-            lo, hi = self._row_start[i], self._row_start[j]
-            r, c = self.rows[lo:hi] - i, self.cols[lo:hi]
-            block = self._block[: j - i]
-            block[r, c] = self.weights[lo:hi]
-            out[i:j] = block @ x
-            block[r, c] = 0.0
-        return out
+        if x.ndim != 2 or x.shape[0] != self.n_nodes:
+            raise ValueError(f"operand {x.shape} does not have {self.n_nodes} rows")
+        if self.dense is not None:
+            return self.dense @ x
+        terms = x[self.cols]
+        terms *= self.weights[:, None]
+        return np.add.reduceat(terms, self.row_start)
 
 
 def _forward(
@@ -404,11 +402,7 @@ def train(
         val_pairs = np.array(split.val + split.neg_val)
         val_labels = [True] * len(split.val) + [False] * len(split.neg_val)
 
-    weights = {
-        "w_shared": params.w_shared.copy(),
-        "w_mu": params.w_mu.copy(),
-        "w_logvar": params.w_logvar.copy(),
-    }
+    weights = asdict(params)  # copies of the weights, by name
     adam_m = {k: np.zeros_like(v) for k, v in weights.items()}
     adam_v = {k: np.zeros_like(v) for k, v in weights.items()}
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
@@ -468,11 +462,7 @@ def gradient_check(
 
     _, _, grads = loss_and_grads(params, a_hat, config.kl_weight, noise)
 
-    mats = {
-        "w_shared": params.w_shared.copy(),
-        "w_mu": params.w_mu.copy(),
-        "w_logvar": params.w_logvar.copy(),
-    }
+    mats = asdict(params)  # copies of the weights, by name
     flat_index = [
         (name, i, j)
         for name, w in mats.items()
@@ -483,8 +473,7 @@ def gradient_check(
     picks = rng.choice(len(flat_index), size=k, replace=False)
 
     def total_loss() -> float:
-        p = VgaeParams(**{k2: v.copy() for k2, v in mats.items()})
-        bce, kl, _ = loss_and_grads(p, a_hat, config.kl_weight, noise)
+        bce, kl, _ = loss_and_grads(VgaeParams(**mats), a_hat, config.kl_weight, noise)
         return bce + config.kl_weight * kl
 
     max_rel = 0.0
@@ -525,12 +514,13 @@ def save_checkpoint(path: str | Path, params: VgaeParams, config: TrainConfig) -
 
 
 def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:
-    """Read a checkpoint written by `save_checkpoint`.  A malformed one
-    raises ValueError naming the file, and the key where one applies."""
+    """Read a checkpoint written by `save_checkpoint`.  A malformed one, or
+    one whose header or config dims disagree with its weights, raises
+    ValueError naming the file, and the key where one applies."""
     raw = read_json_object(path)
     if raw.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a VGAE checkpoint")
-    if raw.get("version") != CHECKPOINT_VERSION:
+    if raw.get("version") != CHECKPOINT_VERSION or type(raw["version"]) is not int:
         raise ValueError(f"{path}: unsupported checkpoint version {raw.get('version')}")
     weights = {}
     for key in ("w_shared", "w_mu", "w_logvar"):
@@ -561,6 +551,15 @@ def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:
                 f"{path}: config {key!r} must be {want.__name__}, got {value!r}"
             )
     try:
-        return params, TrainConfig(**config)
+        config = TrainConfig(**config)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    for key in ("n_features", "hidden_dim", "latent_dim"):
+        dim = getattr(params, key)
+        if type(raw.get(key)) is not int or raw[key] != dim:
+            raise ValueError(f"{path}: header {key!r} is {raw.get(key)!r}, weights give {dim}")
+        if key in fields and getattr(config, key) != dim:
+            raise ValueError(
+                f"{path}: config {key!r} is {getattr(config, key)}, weights give {dim}"
+            )
+    return params, config

@@ -743,6 +743,48 @@ def write(name: str, text: str):
             id="checkpoint-weight-row-is-ragged",
         ),
         pytest.param(
+            lambda: edit_checkpoint(version=True),
+            _PREDICT_ARGV,
+            "model.json: unsupported checkpoint version True",
+            id="checkpoint-version-is-a-bool",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint(hidden_dim="x"),
+            _PREDICT_ARGV,
+            "model.json: header 'hidden_dim' is 'x', weights give 32",
+            id="checkpoint-header-hidden-dim-is-a-string",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint(hidden_dim=None),
+            _PREDICT_ARGV,
+            "model.json: header 'hidden_dim' is None, weights give 32",
+            id="checkpoint-header-hidden-dim-is-null",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint(hidden_dim={"x": 1}),
+            _PREDICT_ARGV,
+            "model.json: header 'hidden_dim' is {'x': 1}, weights give 32",
+            id="checkpoint-header-hidden-dim-is-an-object",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint(latent_dim=16.0),
+            _PREDICT_ARGV,
+            "model.json: header 'latent_dim' is 16.0, weights give 16",
+            id="checkpoint-header-latent-dim-is-a-float",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint(drop="n_features"),
+            _PREDICT_ARGV,
+            "model.json: header 'n_features' is None, weights give 28",
+            id="checkpoint-header-n-features-is-missing",
+        ),
+        pytest.param(
+            lambda: edit_checkpoint(inside="config", hidden_dim=7),
+            _PREDICT_ARGV,
+            "model.json: config 'hidden_dim' is 7, weights give 32",
+            id="checkpoint-config-hidden-dim-disagrees-with-weights",
+        ),
+        pytest.param(
             lambda: edit_first_record(dialogue_id=["fx001"]),
             _PREDICT_ARGV,
             _RECORD_1 + "dialogue_id must be str, got ['fx001']",

@@ -1,6 +1,8 @@
 import math
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -445,6 +447,59 @@ def test_block_budget_below_one_row_raises(rng, monkeypatch):
         train(g, split, tiny_config(epochs=1))
     monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * g.n_nodes)
     assert Propagation(g.n_nodes, g.edges).block_rows == 1
+
+
+def multi_block_graph():
+    """1,530 nodes: more than one block at the shipped budget."""
+    return planted_graph(n_domains=30, values_per_domain=50, intra_p=0.1, inter_p=0.002)
+
+
+def test_multi_block_propagation_does_not_depend_on_block_budget(monkeypatch):
+    g = multi_block_graph()
+    n = g.n_nodes
+    w = np.random.default_rng(0).standard_normal((n, 32))
+    products = set()
+    for rows in (100, 64, 8):
+        monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * n * rows)
+        prop = Propagation(n, g.edges)
+        assert prop.block_rows == rows
+        products.add((prop @ w).tobytes())
+    assert len(products) == 1
+    got = np.frombuffer(products.pop()).reshape(n, 32)
+    assert np.max(np.abs(got - dense_reference(n, g.edges) @ w)) <= 1e-15
+
+
+@pytest.mark.parametrize("make_graph", [fixture_graph, multi_block_graph])
+def test_one_operator_serves_threads_bit_for_bit(make_graph):
+    g = make_graph()
+    prop = Propagation(g.n_nodes, g.edges)
+    rng = np.random.default_rng(0)
+    operands = [rng.standard_normal((g.n_nodes, 32)) for _ in range(8)]
+    want = [(prop @ x).tobytes() for x in operands]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(5):
+                got = pool.map(lambda x: (prop @ x).tobytes(), operands, timeout=60)
+                assert list(got) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_propagation_arrays_are_read_only(rng):
+    g, _ = small_setup(rng)
+    one_block = Propagation(g.n_nodes, g.edges)
+    assert one_block.block_rows == g.n_nodes
+    assert one_block.dense.tobytes() == dense_reference(g.n_nodes, g.edges).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        one_block.dense[0, 0] = 1.0
+    big = multi_block_graph()
+    blocked = Propagation(big.n_nodes, big.edges)
+    assert blocked.dense is None
+    for prop in (one_block, blocked):
+        for a in (prop.rows, prop.cols, prop.weights, prop.row_start):
+            assert not a.flags.writeable
 
 
 # --- initialization ---
