@@ -9,9 +9,11 @@ nonzeros per row.  Node features are one-hot (X = I), so the first layer
 Â X W_s is Â W_s and no feature matrix is built; one forward pass serves
 training, the gradient check and evaluation.  The training
 objective is the negative ELBO: weighted full-matrix reconstruction BCE
-plus a KL term against a standard-normal prior.  The BCE is evaluated one
-row block of S = Z Z^T at a time, from exp(-|S|), with the positive terms
-gathered at the training edges and no dense 0/1 target.
+plus a KL term against a standard-normal prior.  S = Z Z^T is symmetric,
+so the BCE scores only its blocks on and above the diagonal, one row
+block at a time, and counts each pair off the diagonal twice.  It works
+from exp(-|S|), with the positive terms gathered at the training edges and
+no dense 0/1 target.
 
 Both kinds of block are sized from one byte budget, `_BLOCK_BYTES`.  A
 graph whose n x n arrays fit in one block runs the dense expressions
@@ -40,9 +42,11 @@ PROB_EPS = 1e-12
 _SP_LO = -float(np.log1p(-PROB_EPS))
 _SP_HI = -float(np.log(PROB_EPS))
 # bytes of one row block of an n-column float64 array: the most that
-# `Propagation` holds densely, and the block of scores S in
-# `loss_and_grads`.  The BCE holds about four such blocks at once, so
-# 1 MiB keeps its working set near the size of a core's L2 cache.
+# `Propagation` holds densely or gathers for one chunk of its segmented
+# sum, and a bound on the scores of one row block in `loss_and_grads`,
+# whose square and rectangle together are at most one such block.  The
+# BCE holds about four arrays of its scores' size at once, so 1 MiB keeps
+# its working set near the size of a core's L2 cache.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -184,8 +188,9 @@ class Propagation:
         self.weights = inv_sqrt_deg[self.rows] * inv_sqrt_deg[self.cols]
         self.n_nodes = n_nodes
         self.block_rows = _block_rows(n_nodes)
-        # start of each row's segment; every row holds its diagonal, so none is empty
-        self.row_start = np.searchsorted(self.rows, diag)
+        # start of each row's segment, then nnz; every row holds its
+        # diagonal, so no segment is empty
+        self.row_start = np.searchsorted(self.rows, np.arange(n_nodes + 1))
         self.dense = None
         if self.block_rows == n_nodes:
             self.dense = np.zeros((n_nodes, n_nodes))
@@ -196,15 +201,32 @@ class Propagation:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """Â @ X: the dense gemm on a one-block graph, otherwise a segmented
-        sum over the row-sorted nonzeros, whatever the block height."""
+        sum over the row-sorted nonzeros, whatever the block height.
+
+        The segmented sum runs over chunks of whole rows whose weighted
+        operand rows fit in `_BLOCK_BYTES` (at least one row per chunk).
+        Each row's segment is summed whole, in column order, so the product
+        does not depend on the chunking.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n_nodes:
             raise ValueError(f"operand {x.shape} does not have {self.n_nodes} rows")
         if self.dense is not None:
             return self.dense @ x
-        terms = x[self.cols]
-        terms *= self.weights[:, None]
-        return np.add.reduceat(terms, self.row_start)
+        out = np.empty(x.shape)
+        per_chunk = _BLOCK_BYTES // (8 * max(x.shape[1], 1))
+        r0 = 0
+        while r0 < self.n_nodes:
+            lo = self.row_start[r0]
+            r1 = int(np.searchsorted(self.row_start, lo + per_chunk, side="right")) - 1
+            r1 = max(r1, r0 + 1)
+            hi = self.row_start[r1]
+            terms = x[self.cols[lo:hi]]
+            terms *= self.weights[lo:hi, None]
+            np.add.reduceat(terms, self.row_start[r0:r1] - lo, out=out[r0:r1])
+            del terms  # free this chunk before the next one is gathered
+            r0 = r1
+        return out
 
 
 def _forward(
@@ -311,28 +333,47 @@ def glorot_init(n_features: int, config: TrainConfig, rng: np.random.Generator) 
 def _bce_grad_z(
     z: np.ndarray, pos_index, pos_weight: float, block_rows: int
 ) -> tuple[float, np.ndarray]:
-    """BCE over S = Z Z^T and dBCE/dZ, one block of ``block_rows`` rows of S
-    at a time.
+    """BCE over S = Z Z^T and dBCE/dZ, scoring only the blocks of S on and
+    above the diagonal, ``block_rows`` rows at a time.
 
-    S_ij = z_i . z_j, so dBCE/dZ = (G + G^T) Z with G = dBCE/dS, and G is
-    symmetric because S is, so row block i:j of dBCE/dZ is 2 G[i:j] Z.  A
-    block that covers all n rows computes S as one symmetric (syrk) product,
-    so S and G are exactly symmetric and G + G^T is 2G bit for bit; smaller
-    blocks are gemm products, equal to it up to the last bits.
+    S is symmetric, so pair (a, b) has the loss term and gradient of (b, a).
+    Row block i:j scores the square S[i:j, i:j] = Z[i:j] Z[i:j]^T, a
+    symmetric (syrk) product, and, when j < n, the rectangle S[i:j, j:];
+    S[i:j, :i] is the transpose of earlier rectangles and is never scored.
+    With G = dBCE/dS, the BCE sum is t_square + 2 t_rect, row block i:j of
+    dBCE/dZ gets 2 G_sq Z[i:j] + 2 G_rect Z[j:], and rows j: gain
+    2 G_rect^T Z[i:j].  A block that covers all n rows has no rectangle and
+    is the dense expression bit for bit: S and G are exactly symmetric, so
+    G + G^T is 2G.  Smaller blocks sum in another order and agree with it
+    up to the last bits.
     """
     n = z.shape[0]
     rows, cols = pos_index
     bounds = np.searchsorted(rows, np.arange(0, n + block_rows, block_rows))
     g_z = np.empty_like(z)
     total = 0.0
-    for k, i in enumerate(range(0, n, block_rows)):
+    # bottom-up, so each row block of g_z is assigned before the rectangles
+    # of the blocks above it add to it
+    for k in reversed(range(len(bounds) - 1)):
+        i = k * block_rows
         j = min(i + block_rows, n)
-        lo, hi = bounds[k], bounds[k + 1]
-        t_sum, g = _bce(z[i:j] @ z.T, (rows[lo:hi] - i, cols[lo:hi]), pos_weight, n * n)
+        zb = z[i:j]
+        r, c = rows[bounds[k]:bounds[k + 1]] - i, cols[bounds[k]:bounds[k + 1]]
+        # a column left of the block (c < i) is the mirror of a pair in an
+        # earlier block's rectangle
+        sq, rect = (c >= i) & (c < j), c >= j
+        t_sum, g = _bce(zb @ zb.T, (r[sq], c[sq] - i), pos_weight, n * n)
         g *= 2.0
-        g_z[i:j] = g @ z
+        g_zb = g @ zb
+        del g  # free the square's gradient before the rectangle is scored
+        if j < n:
+            t_rect, g = _bce(zb @ z[j:].T, (r[rect], c[rect] - j), pos_weight, n * n)
+            t_sum += 2.0 * t_rect
+            g_zb += 2.0 * (g @ z[j:])
+            g_z[j:] += 2.0 * (g.T @ zb)
+            del g
+        g_z[i:j] = g_zb
         total += t_sum
-        del g  # free this block's gradient before the next block is scored
     return float(total / (n * n)), g_z
 
 

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from dstgraph import vgae
 from dstgraph.datasets import fixture_corpus_path, load_corpus
 from dstgraph.graph import NodeKind, build_graph, planted_graph, split_edges
 from dstgraph.linkpred import evaluate_split, mean_embeddings, rank_candidates
@@ -404,6 +405,34 @@ def test_blocked_training_matches_one_block(make_graph, monkeypatch):
     assert all_rankings(got, g) == want_rankings
 
 
+def test_objective_scores_each_pair_once(monkeypatch):
+    # at the shipped block budget, on a graph that spans many blocks
+    g = multi_block_graph()
+    n = g.n_nodes
+    split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+    cfg = TrainConfig(seed=1)
+    prop = Propagation(n, split.train)
+    b = prop.block_rows
+    assert b <= n // 3
+    params = glorot_init(n, cfg, np.random.default_rng(0))
+    noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
+    scored = []
+
+    def counting_bce(s, *args):
+        scored.append(s.size)
+        return _bce(s, *args)
+
+    monkeypatch.setattr("dstgraph.vgae._bce", counting_bce)
+    loss_and_grads(params, prop, 1.0, noise)
+    # the square on the diagonal and the rectangle right of it, per block
+    want = 0
+    for i in range(0, n, b):
+        j = min(i + b, n)
+        want += (j - i) ** 2 + (j - i) * (n - j)
+    assert sum(scored) == want
+    assert want <= n * (n + b) / 2
+
+
 def test_blocked_pipeline_allocates_no_n_by_n_array():
     # at the shipped block budget, on a graph that spans many blocks
     g = planted_graph(n_domains=30, values_per_domain=50, intra_p=0.1, inter_p=0.002)
@@ -467,6 +496,41 @@ def test_multi_block_propagation_does_not_depend_on_block_budget(monkeypatch):
     assert len(products) == 1
     got = np.frombuffer(products.pop()).reshape(n, 32)
     assert np.max(np.abs(got - dense_reference(n, g.edges) @ w)) <= 1e-15
+
+
+def dense_bipartite_graph():
+    """2,020 nodes with 43,452 nonzeros in Â: the weighted operand rows of one
+    n x 32 product span many block budgets."""
+    return planted_graph(n_domains=20, values_per_domain=100, intra_p=0.9, inter_p=0.5)
+
+
+def test_segmented_sum_chunks_match_one_reduceat_bit_for_bit(monkeypatch):
+    g = dense_bipartite_graph()
+    prop = Propagation(g.n_nodes, g.edges)
+    assert prop.dense is None
+    x = np.random.default_rng(0).standard_normal((g.n_nodes, 32))
+    want = np.add.reduceat(x[prop.cols] * prop.weights[:, None], prop.row_start[:-1])
+    assert len(prop.cols) * 32 * 8 > 8 * vgae._BLOCK_BYTES  # at least 9 chunks
+    assert (prop @ x).tobytes() == want.tobytes()
+    # a budget below one row's nonzeros still takes whole rows, one per chunk
+    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * 32 * 4)
+    assert (prop @ x).tobytes() == want.tobytes()
+
+
+def test_segmented_sum_memory_is_bounded_by_the_block_budget():
+    g = dense_bipartite_graph()
+    n = g.n_nodes
+    prop = Propagation(n, g.edges)
+    x = np.random.default_rng(0).standard_normal((n, 32))
+    tracemalloc.start()
+    try:
+        prop @ x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n x 32 result plus one chunk of weighted operand rows, with room
+    # for the small index arrays; a single nnz x 32 gather takes 11 MB
+    assert peak < 8 * n * 32 + 2 * vgae._BLOCK_BYTES
 
 
 @pytest.mark.parametrize("make_graph", [fixture_graph, multi_block_graph])
@@ -611,6 +675,16 @@ def test_epoch_record_is_plain_data():
 
 def test_gradient_check_small_graph(rng):
     g, split = small_setup(rng)
+    cfg = tiny_config(seed=11)
+    params = glorot_init(g.n_nodes, cfg, np.random.default_rng(11))
+    assert gradient_check(params, g, split, cfg, n_samples=60) < 1e-4
+
+
+def test_gradient_check_multi_block(rng, monkeypatch):
+    # reaches the rows that gain the transposed rectangles of earlier blocks
+    g, split = small_setup(rng)
+    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(g.n_nodes))
+    assert Propagation(g.n_nodes, split.train).block_rows <= g.n_nodes // 3
     cfg = tiny_config(seed=11)
     params = glorot_init(g.n_nodes, cfg, np.random.default_rng(11))
     assert gradient_check(params, g, split, cfg, n_samples=60) < 1e-4
