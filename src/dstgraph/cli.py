@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 import typing
@@ -143,10 +144,12 @@ def make_backend(cfg: RunConfig):
 
 
 class TurnTracker:
-    """One tracking step per user turn: prompt -> completion -> parse -> accumulate.
+    """One tracking request per user turn: prompt -> completion -> parse.
 
     Built once per run: the strategy, instruction, exemplars, template
     overrides and generation parameters are resolved here, not per turn.
+    A request reads only the turn's context, never an earlier result, so
+    the caller may request turns in any order and fold them in order.
     """
 
     def __init__(self, cfg: RunConfig, backend):
@@ -177,47 +180,33 @@ class TurnTracker:
         spec = self._spec(input_text=serialize_context(ctx))
         return build_prompt(spec, self._overrides)
 
-    def step(
-        self, ctx: DialogueContext, state: DialogueState
-    ) -> tuple[ParseOutcome, DialogueState]:
-        """Track the last turn of ``ctx`` on top of ``state``.
+    def track(self, ctx: DialogueContext) -> ParseOutcome:
+        """The parsed state the backend gives for the last turn of ``ctx``.
 
         A BackendError propagates; the caller decides whether to abort.
         """
-        outcome = parse_state(self._backend.complete(self.prompt(ctx), self._params))
-        return outcome, accumulate_state(state, outcome.state.unordered())
+        return parse_state(self._backend.complete(self.prompt(ctx), self._params))
 
 
-def _track_dialogue(
-    tracker: TurnTracker, dialogue
-) -> tuple[list[dict], BackendError | None]:
-    """Track every user turn of one dialogue, in order.
-
-    On a backend failure the turns tracked so far are returned with the
-    error; the dialogue's remaining turns are not tried.
-    """
-    ctx = DialogueContext()
-    state = DialogueState()
-    records: list[dict] = []
-    for turn in dialogue.turns:
-        ctx = append_turn(ctx, turn)
-        if turn.speaker is not Speaker.USER:
-            continue
-        try:
-            outcome, state = tracker.step(ctx, state)
-        except BackendError as exc:
-            return records, exc
-        record = prediction_record(
-            dialogue.dialogue_id, len(records), state, outcome.diagnostics
-        )
-        records.append(record)
-    return records, None
+def _user_turns(dialogues):
+    """Yield ``(dialogue_id, user turn index, context)`` for every user
+    turn, in dialogue_id order and then turn order."""
+    for dialogue in sorted(dialogues, key=lambda d: d.dialogue_id):
+        ctx = DialogueContext()
+        index = itertools.count()
+        for turn in dialogue.turns:
+            ctx = append_turn(ctx, turn)
+            if turn.speaker is Speaker.USER:
+                yield dialogue.dialogue_id, next(index), ctx
 
 
-# Dialogues tracked at once over the http backend, whose time is spent
-# waiting on the endpoint.  The offline backends are CPU-bound under the
-# GIL and stay sequential.
+# Turn requests in flight at once over the http backend, whose time is
+# spent waiting on the endpoint.  The offline backends are CPU-bound under
+# the GIL and stay sequential.
 _HTTP_WORKERS = 4
+# Turns requested ahead of the fold: eight per worker, so that while one
+# turn waits out a retry backoff the other workers stay busy.
+_HTTP_WINDOW = 8 * _HTTP_WORKERS
 
 
 def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
@@ -236,41 +225,46 @@ def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
         yield pending.popleft().result()
 
 
-def _merge(results) -> tuple[list[dict], BackendError | None]:
-    """Concatenate per-dialogue records, stopping at the first failure."""
+def _fold(turns, outcomes) -> tuple[list[dict], BackendError | None]:
+    """One record per turn, each dialogue's outcomes folded in turn order;
+    at the first backend failure, the records before it and the error."""
     records: list[dict] = []
-    for dialogue_records, failure in results:
-        records.extend(dialogue_records)
-        if failure is not None:
-            return records, failure
+    try:
+        for (dialogue_id, index, _), outcome in zip(turns, outcomes):
+            if index == 0:
+                state = DialogueState()
+            state = accumulate_state(state, outcome.state.unordered())
+            records.append(
+                prediction_record(dialogue_id, index, state, outcome.diagnostics)
+            )
+    except BackendError as exc:
+        return records, exc
     return records, None
 
 
 def extract_records(
     dialogues, backend, cfg: RunConfig
 ) -> tuple[list[dict], BackendError | None]:
-    """Run the tracking step over every user turn of every dialogue.
+    """Track every user turn of every dialogue.
 
-    Records come out in dialogue_id order for deterministic output.  Over
-    the http backend up to ``_HTTP_WORKERS`` dialogues are tracked at once
-    (the turns of one dialogue always run in order), and the output is
-    the same as the sequential run's.  On a backend failure the records
-    of every earlier dialogue and of the failing dialogue's turns before
-    the failure are returned with the error, so the caller can flush
-    partial output before aborting; later dialogues are discarded.
+    Records come out in dialogue_id order, then turn order.  Over the http
+    backend up to ``_HTTP_WORKERS`` turn requests run at once, across and
+    within dialogues, and each dialogue's states are still folded in turn
+    order, so the output is the sequential run's.  On a backend failure the
+    records of every turn before the failing one are returned with the
+    error, so the caller can flush partial output before aborting.
     """
-    track = functools.partial(_track_dialogue, TurnTracker(cfg, backend))
-    ordered = sorted(dialogues, key=lambda d: d.dialogue_id)
-    if not isinstance(backend, HttpBackend) or not ordered:
-        return _merge(map(track, ordered))
-    workers = min(_HTTP_WORKERS, len(ordered))
-    pool = ThreadPoolExecutor(workers)
+    track = TurnTracker(cfg, backend).track
+    # the tracker reads contexts ahead of the fold; tee keeps only the gap
+    turns, ahead = itertools.tee(_user_turns(dialogues))
+    contexts = (ctx for _, _, ctx in ahead)
+    if not isinstance(backend, HttpBackend):
+        return _fold(turns, map(track, contexts))
+    pool = ThreadPoolExecutor(_HTTP_WORKERS)
     try:
-        # two dialogues per worker in the window, so a worker never idles
-        # behind a slow dialogue at the head of the merge order
-        return _merge(_in_order(pool, track, ordered, 2 * workers))
+        return _fold(turns, _in_order(pool, track, contexts, _HTTP_WINDOW))
     finally:
-        # after a failure, queued dialogues are dropped unstarted and the
+        # after a failure, queued turns are dropped unstarted and the
         # ones in flight run out before returning
         pool.shutdown(cancel_futures=True)
 
@@ -428,6 +422,8 @@ def cmd_predict(cfg: RunConfig, echoed: list[str]) -> int:
         raise UsageError(
             "predict requires --graph-prefix, --checkpoint, --predictions and --out"
         )
+    if cfg.top_k <= 0:
+        raise UsageError(f"--top-k must be positive, got {cfg.top_k}")
     g = _load_graph_prefix(cfg.out_prefix)
     params, _ = load_checkpoint(cfg.checkpoint)
     mu = mean_embeddings(params, g)
@@ -458,6 +454,8 @@ def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
     It writes no file, so ``echoed`` goes unused."""
     if bool(cfg.out_prefix) != bool(cfg.checkpoint):
         raise UsageError("repl needs both --graph-prefix and --checkpoint, or neither")
+    if cfg.top_k <= 0:
+        raise UsageError(f"--top-k must be positive, got {cfg.top_k}")
     tracker = TurnTracker(cfg, make_backend(cfg))
     g = mu = None
     if cfg.checkpoint:
@@ -473,10 +471,11 @@ def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
             continue
         ctx = append_turn(ctx, Turn(speaker=Speaker.USER, text=text))
         try:
-            outcome, state = tracker.step(ctx, state)
+            outcome = tracker.track(ctx)
         except BackendError as exc:
             print(f"! backend error: {exc}")
             continue
+        state = accumulate_state(state, outcome.state.unordered())
         for d in outcome.diagnostics:
             print(f"! {d.kind.value}: {d.detail}")
         for t in state.triples():
@@ -672,7 +671,7 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # incl. UsageError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal bug, not a user problem

@@ -28,6 +28,7 @@ from dstgraph.datasets import (
     load_predictions,
     read_predictions,
     write_corpus,
+    write_predictions,
 )
 from dstgraph.dialogue import DialogueContext, Speaker, Turn, append_turn
 from dstgraph.graph import planted_graph, split_edges
@@ -258,38 +259,52 @@ class CorpusEndpoint:
 
     Answers every prompt with the keyword mock's completion, so replies
     depend on prompt content only, never on request order.  Each request
-    is traced to its dialogue by the first line of the prompt's live
-    input.  ``fail_on=(dialogue_id, user_turn)`` answers that turn with
-    HTTP 404, which the backend does not retry.  With ``hold_until``, the
-    first dialogue's first request waits up to ``hold_s`` seconds for a
-    request of that dialogue; ``held`` tells whether one came.
+    is traced to its turn, ``(dialogue_id, user turn)`` with user turns
+    counted from 1, by the prompt's live input: its first line names the
+    dialogue and its ``USER:`` lines count the turn.  ``requested`` lists
+    the turns in the order their requests arrived, and ``turns`` lists
+    every user turn in extraction order.  ``fail_on`` answers that turn
+    with HTTP 404, which the backend does not retry.  With ``hold=(turn,
+    until)``, the request for ``turn`` waits up to ``hold_s`` seconds for
+    the request for ``until``; ``held`` tells whether it came.
     """
 
-    def __init__(self, fail_on=None, hold_until=None, hold_s=10.0):
+    def __init__(self, fail_on=None, hold=None, hold_s=10.0):
         dialogues = load_corpus(fixture_corpus_path()).dialogues
-        self.order = sorted(d.dialogue_id for d in dialogues)
+        self.turns = [
+            (d.dialogue_id, k + 1)
+            for d in sorted(dialogues, key=lambda d: d.dialogue_id)
+            for k in range(sum(t.speaker is Speaker.USER for t in d.turns))
+        ]
         self._by_first_line = {d.turns[0].render(): d.dialogue_id for d in dialogues}
         self._mock = RuleMockBackend.from_json(fixture_keywords_path())
         self._fail_on = fail_on
-        self._hold_until, self._hold_s = hold_until, hold_s
+        self._held_turn, self._hold_until = hold or (None, None)
+        self._hold_s = hold_s
         self._arrived = threading.Event()
         self._lock = threading.Lock()
-        self.started: list[str] = []
+        self.requested: list[tuple[str, int]] = []
         self.held = False
+
+    @property
+    def started(self) -> list[str]:
+        """Dialogue ids in the order of their first request."""
+        return list(dict.fromkeys(dialogue_id for dialogue_id, _ in self.requested))
 
     def post(self, url, json=None, headers=None, timeout=None):
         prompt = json["messages"][-1]["content"]
         lines = live_input_section(prompt).strip().splitlines()
-        dialogue_id = self._by_first_line[lines[0]]
-        user_turn = sum(line.startswith("USER:") for line in lines)
+        turn = (
+            self._by_first_line[lines[0]],
+            sum(line.startswith("USER:") for line in lines),
+        )
         with self._lock:
-            if dialogue_id not in self.started:
-                self.started.append(dialogue_id)
-        if dialogue_id == self._hold_until:
+            self.requested.append(turn)
+        if turn == self._hold_until:
             self._arrived.set()
-        elif self._hold_until and (dialogue_id, user_turn) == (self.order[0], 1):
+        elif turn == self._held_turn:
             self.held = self._arrived.wait(timeout=self._hold_s)
-        if (dialogue_id, user_turn) == self._fail_on:
+        if turn == self._fail_on:
             return FakeResponse(404)
         completion = self._mock.complete(prompt, GenerationParams())
         return FakeResponse(200, completion_payload(completion))
@@ -320,21 +335,27 @@ def sequential_http_extract(tmp_path, monkeypatch, endpoint):
         return http_extract(tmp_path, m, endpoint)
 
 
+def pooled_http_extract(tmp_path, monkeypatch, endpoint):
+    """`http_extract` on the pool, with a short switch interval so the
+    workers interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        return http_extract(tmp_path, monkeypatch, endpoint)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_http_extract_on_pool_matches_sequential_bytes(tmp_path, monkeypatch, capsys):
     code, sequential = sequential_http_extract(tmp_path, monkeypatch, CorpusEndpoint())
     assert code == 0
 
-    # the first dialogue waits for the second: only a concurrent run
-    # passes.  A short switch interval interleaves the workers finely.
-    endpoint = CorpusEndpoint(hold_until="fx002")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        code, pooled = http_extract(tmp_path, monkeypatch, endpoint)
-    finally:
-        sys.setswitchinterval(interval)
+    # a dialogue's first turn waits for its second: only a run that
+    # requests the turns of one dialogue concurrently passes
+    endpoint = CorpusEndpoint(hold=(("fx001", 1), ("fx001", 2)))
+    code, pooled = pooled_http_extract(tmp_path, monkeypatch, endpoint)
     assert code == 0
-    assert endpoint.held, "dialogues were not tracked concurrently"
+    assert endpoint.held, "the turns of one dialogue were not requested concurrently"
     assert pooled == sequential
     records, _ = read_predictions(tmp_path / "pred.jsonl")
     assert len(records) == 41
@@ -350,13 +371,14 @@ def test_http_extract_failure_writes_sequential_partial_output(
     assert code == 2
     assert sequential_endpoint.started == ["fx001", "fx002", "fx003"]
 
-    # dialogues are submitted at most two per worker ahead of the merge.
-    # While the first dialogue is held, the workers run ahead to the end
-    # of that window and no further, so the failure is seen before any
-    # dialogue past it has started
-    window_end = 2 + 2 * cli._HTTP_WORKERS
-    endpoint = CorpusEndpoint(fail_on, hold_until=f"fx{window_end + 1:03d}", hold_s=0.5)
-    code, pooled = http_extract(tmp_path, monkeypatch, endpoint)
+    # turn requests are submitted at most a window ahead of the fold, and
+    # the next one only after the fold takes a result.  While the failing
+    # turn is held, the workers run ahead to the end of that window and no
+    # further, so no request past the window is started
+    turns = sequential_endpoint.turns
+    window_end = turns.index(fail_on) + cli._HTTP_WINDOW
+    endpoint = CorpusEndpoint(fail_on, hold=(fail_on, turns[window_end]), hold_s=0.5)
+    code, pooled = pooled_http_extract(tmp_path, monkeypatch, endpoint)
     assert code == 2
     assert pooled == sequential
     records, meta = read_predictions(tmp_path / "pred.jsonl")
@@ -365,8 +387,34 @@ def test_http_extract_failure_writes_sequential_partial_output(
     ]
     assert "HTTP 404" in meta["failure"]
     assert not endpoint.held
-    assert set(endpoint.started) <= set(endpoint.order[:window_end])
+    assert set(endpoint.requested) <= set(turns[:window_end])
     assert "extract aborted after 5 turns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+def test_http_extract_failure_at_any_turn_matches_sequential(
+    position, tmp_path, monkeypatch, capsys
+):
+    turns = CorpusEndpoint().turns
+    fail_on = {"first": turns[0], "middle": ("fx003", 2), "last": turns[-1]}[position]
+    code, sequential = sequential_http_extract(
+        tmp_path, monkeypatch, CorpusEndpoint(fail_on)
+    )
+    assert code == 2
+
+    # the failing turn waits for the next one, in the same dialogue or the
+    # next, so a later turn is tracked before the failure is seen and must
+    # still be left out
+    following = turns[turns.index(fail_on) + 1 :]
+    hold = (fail_on, following[0]) if following else None
+    endpoint = CorpusEndpoint(fail_on, hold=hold)
+    code, pooled = pooled_http_extract(tmp_path, monkeypatch, endpoint)
+    assert code == 2
+    assert endpoint.held == bool(following)
+    assert pooled == sequential
+    records, _ = read_predictions(tmp_path / "pred.jsonl")
+    assert len(records) == turns.index(fail_on)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("backend_flags", [
@@ -1111,6 +1159,45 @@ def test_write_json_keeps_previous_report_on_failure(tmp_path):
         cli._write_json(str(out), {"jga": object()})
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+# --- top-k validation ---
+
+
+def top_k_flags(source: str, value: int) -> list[str]:
+    """``--top-k value`` as a flag, or through a config file in the cwd."""
+    if source == "flag":
+        return ["--top-k", str(value)]
+    Path("run.conf").write_text(f"top-k = {value}\n", encoding="utf-8")
+    return ["--config", "run.conf"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_predict_rejects_non_positive_top_k_before_any_work(
+    source, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    # no record names a graph node, so no dialogue would reach rank_candidates
+    record = {"dialogue_id": "zz", "turn": 0, "diagnostics": [],
+              "predicted_state": [{"domain": "nowhere", "slot": "x", "value": "y"}]}
+    write_predictions("pred.jsonl", [record])
+    code = cli.main([*_PREDICT_ARGV, *top_k_flags(source, 0)])
+    assert code == 1
+    assert "error: --top-k must be positive, got 0" in capsys.readouterr().err
+    assert not Path("cand.jsonl").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_repl_rejects_non_positive_top_k_before_tracking(
+    source, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("i want thai food\n"))
+    assert cli.main(["repl", *top_k_flags(source, -1)]) == 1
+    captured = capsys.readouterr()
+    assert "error: --top-k must be positive, got -1" in captured.err
+    assert captured.out == ""
 
 
 # --- interactive tracker ---
