@@ -14,7 +14,7 @@ import numpy as np
 from dstgraph import (
     TrainConfig,
     build_graph,
-    dialogue_node_set,
+    dialogue_domains,
     evaluate_split,
     fixture_corpus_path,
     load_corpus,
@@ -60,13 +60,15 @@ print(f"held-out test edges: auc {scores['auc']:.4f} ap {scores['ap']:.4f}")
 # the graph's edge list, and can rank any number of dialogues
 mu = mean_embeddings(params, graph)
 dialogue = corpus.dialogues[0]
-found = dialogue_node_set(graph, dialogue.gold_states)
+domains = dialogue_domains(graph, dialogue.gold_states)
 print()
-print(f"dialogue {dialogue.dialogue_id} touches {len(found)} graph nodes")
-for edge in rank_candidates(mu, graph, found, top_k=5):
-    domain, slot_value = edge.pair
-    print(f"  candidate next state: ({domain.label}, {slot_value.label}) "
-          f"p={edge.score:.4f}")
+print(
+    f"dialogue {dialogue.dialogue_id} names {len(domains)} known domain(s): "
+    + ", ".join(graph.nodes[d].label for d in domains)
+)
+for rec in rank_candidates(mu, graph, domains, top_k=5):
+    print(f"  candidate next state: ({rec['domain_label']}, "
+          f"{rec['slotvalue_label']}) p={rec['probability']:.4f}")
 
 # sanity anchor: with all-zero weights every pair scores 0.5 and the
 # ranking carries no information (auc is exactly chance)

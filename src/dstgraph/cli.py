@@ -51,13 +51,13 @@ from .dialogue import (
 )
 from .graph import (
     build_graph,
-    dialogue_node_set,
+    dialogue_domains,
     load_graph,
     split_edges,
     write_edge_list,
     write_node_table,
 )
-from .linkpred import candidate_records, evaluate_split, mean_embeddings, rank_candidates
+from .linkpred import evaluate_split, mean_embeddings, rank_candidates
 from .metrics import TurnPair, jga, slot_accuracy, slot_f1
 from .parsing import ParseOutcome, classify_errors, merge_error_reports, parse_state
 from .prompts import (
@@ -375,6 +375,19 @@ def _load_graph_prefix(prefix: str):
     return load_graph(prefix + ".edges.txt", prefix + ".nodes.jsonl")
 
 
+def _load_model(cfg: RunConfig):
+    """The graph at ``cfg.out_prefix`` and the posterior means of the
+    checkpoint ``cfg.checkpoint`` over it."""
+    g = _load_graph_prefix(cfg.out_prefix)
+    params, _ = load_checkpoint(cfg.checkpoint)
+    try:
+        return g, mean_embeddings(params, g)
+    except ValueError as exc:  # a checkpoint trained on another graph
+        raise ValueError(
+            f"checkpoint {cfg.checkpoint} does not fit graph {cfg.out_prefix}: {exc}"
+        ) from exc
+
+
 def cmd_train(cfg: RunConfig, echoed: list[str]) -> int:
     if not cfg.out_prefix or not cfg.checkpoint:
         raise UsageError("train requires --graph-prefix and --checkpoint")
@@ -424,9 +437,7 @@ def cmd_predict(cfg: RunConfig, echoed: list[str]) -> int:
         )
     if cfg.top_k <= 0:
         raise UsageError(f"--top-k must be positive, got {cfg.top_k}")
-    g = _load_graph_prefix(cfg.out_prefix)
-    params, _ = load_checkpoint(cfg.checkpoint)
-    mu = mean_embeddings(params, g)
+    g, mu = _load_model(cfg)
     by_dialogue: dict[str, list[DialogueState]] = {}
     for p in load_predictions(cfg.predictions):
         by_dialogue.setdefault(p.dialogue_id, []).append(p.state)
@@ -434,12 +445,14 @@ def cmd_predict(cfg: RunConfig, echoed: list[str]) -> int:
     out_records: list[dict] = []
     skipped: list[str] = []
     for dialogue_id in sorted(by_dialogue):
-        found = dialogue_node_set(g, by_dialogue[dialogue_id])
-        if not found:
+        domains = dialogue_domains(g, by_dialogue[dialogue_id])
+        if not domains:
             skipped.append(dialogue_id)
             continue
-        ranked = rank_candidates(mu, g, found, cfg.top_k)
-        out_records.extend(candidate_records(dialogue_id, ranked))
+        out_records.extend(
+            {"dialogue_id": dialogue_id, **rec}
+            for rec in rank_candidates(mu, g, domains, cfg.top_k)
+        )
     meta = _meta(cfg, echoed, skipped_dialogues=skipped)
     write_predictions(cfg.out, out_records, meta=meta)
     print(
@@ -459,8 +472,7 @@ def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
     tracker = TurnTracker(cfg, make_backend(cfg))
     g = mu = None
     if cfg.checkpoint:
-        g = _load_graph_prefix(cfg.out_prefix)
-        mu = mean_embeddings(load_checkpoint(cfg.checkpoint)[0], g)
+        g, mu = _load_model(cfg)
 
     ctx = DialogueContext()
     state = DialogueState()
@@ -481,12 +493,12 @@ def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
         for t in state.triples():
             print(f"({t.domain}, {t.slot}, {t.value})")
         if mu is not None:
-            found = dialogue_node_set(g, [state])
-            if found:
-                for e in rank_candidates(mu, g, found, cfg.top_k):
+            domains = dialogue_domains(g, [state])
+            if domains:
+                for rec in rank_candidates(mu, g, domains, cfg.top_k):
                     print(
-                        f"next: ({e.pair[0].label}, {e.pair[1].label}) "
-                        f"p={e.score:.4f}"
+                        f"next: ({rec['domain_label']}, {rec['slotvalue_label']}) "
+                        f"p={rec['probability']:.4f}"
                     )
     return 0
 

@@ -34,6 +34,19 @@ class NodeId:
     label: str
 
 
+def _checked_edge(nodes: Sequence[NodeId], i: int, j: int) -> Edge:
+    """The edge (i, j) as (min, max), if it joins a Domain node of ``nodes``
+    to a SlotValue node."""
+    if i == j:
+        raise ValueError("self-loops are not allowed")
+    a, b = (i, j) if i < j else (j, i)
+    if not (0 <= a and b < len(nodes)):
+        raise ValueError(f"edge ({i}, {j}) references unknown node")
+    if nodes[a].kind == nodes[b].kind:
+        raise ValueError(f"edge ({i}, {j}) joins two {nodes[a].kind.value} nodes")
+    return a, b
+
+
 class StateGraph:
     """Undirected bipartite graph over Domain and SlotValue nodes.
 
@@ -59,17 +72,7 @@ class StateGraph:
                 raise ValueError(f"duplicate {node.kind.value} label: {node.label!r}")
             seen_labels[node.kind].add(node.label)
 
-        normalized = set()
-        for i, j in edges:
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            a, b = (i, j) if i < j else (j, i)
-            if not (0 <= a and b < len(self.nodes)):
-                raise ValueError(f"edge ({i}, {j}) references unknown node")
-            if self.nodes[a].kind == self.nodes[b].kind:
-                raise ValueError(f"edge ({i}, {j}) joins two {self.nodes[a].kind.value} nodes")
-            normalized.add((a, b))
-        self.edges = frozenset(normalized)
+        self.edges = frozenset(_checked_edge(self.nodes, i, j) for i, j in edges)
         # sorted keys i * n + j of the edges (i < j), and the slot-value node
         # indices in node order, for vectorised candidate masks
         self.edge_keys = np.sort(
@@ -84,22 +87,13 @@ class StateGraph:
         }
         if set(slot_values) != set(self.slotvalue_indices.tolist()):
             raise ValueError("slot_values must map exactly the slot-value node indices")
-        self._slotvalue_pairs = dict(slot_values)
-        self._slotvalue_index = {pair: idx for idx, pair in slot_values.items()}
-        if len(self._slotvalue_index) != len(slot_values):
+        if len(set(slot_values.values())) != len(slot_values):
             raise ValueError("two slot-value nodes share one (slot, value) pair")
+        self.slot_values = dict(slot_values)
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def domain_node(self, label: str) -> NodeId | None:
-        idx = self._domain_index.get(label)
-        return self.nodes[idx] if idx is not None else None
-
-    def slotvalue_node(self, slot: str, value: str) -> NodeId | None:
-        idx = self._slotvalue_index.get((slot, value))
-        return self.nodes[idx] if idx is not None else None
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -226,26 +220,14 @@ def split_edges(
     return EdgeSplit(train, val, test, neg_val, neg_test)
 
 
-def dialogue_node_set(
-    g: StateGraph, states: Sequence[DialogueState]
-) -> frozenset[NodeId]:
-    """Nodes of ``g`` touched by the given states.
+def dialogue_domains(g: StateGraph, states: Sequence[DialogueState]) -> list[int]:
+    """Sorted indices of the Domain nodes of ``g`` that any triple of the
+    given states names, a NONE-valued one included.
 
-    Domains and (slot, value) pairs the graph has never seen are skipped.
+    Domains the graph has never seen are skipped.
     """
-    found: set[NodeId] = set()
-    for state in states:
-        for t in state.triples():
-            d = g.domain_node(t.domain)
-            if d is not None:
-                found.add(d)
-            if t.is_none:
-                # the sentinel names a domain but no slot-value
-                continue
-            sv = g.slotvalue_node(t.slot, t.value)
-            if sv is not None:
-                found.add(sv)
-    return frozenset(found)
+    named = {t.domain for state in states for t in state.triples()}
+    return sorted(g._domain_index[d] for d in named if d in g._domain_index)
 
 
 def planted_graph(
@@ -294,7 +276,7 @@ def write_node_table(g: StateGraph, path: str | Path) -> None:
         for node in g.nodes:
             rec: dict = {"index": node.index, "kind": node.kind.value, "label": node.label}
             if node.kind is NodeKind.SLOT_VALUE:
-                slot, value = g._slotvalue_pairs[node.index]
+                slot, value = g.slot_values[node.index]
                 rec["slot"] = slot
                 rec["value"] = value
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
@@ -303,8 +285,9 @@ def write_node_table(g: StateGraph, path: str | Path) -> None:
 def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
     """Rebuild a StateGraph from its edge-list and node-table exports.
 
-    A malformed node-table or edge-list line raises ``ValueError`` naming
-    the file and the line.
+    A malformed node-table or edge-list line, or an edge that `StateGraph`
+    would reject, raises ``ValueError`` naming the file and the line; a
+    node table that `StateGraph` would reject names the file.
     """
     nodes: list[NodeId] = []
     slot_values: dict[int, tuple[str, str]] = {}
@@ -324,6 +307,11 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{node_path}:{lineno}: {exc!r}") from exc
     nodes.sort(key=lambda n: n.index)
+    try:
+        # a bad node table, named as such, before any edge is checked against it
+        StateGraph(nodes, (), slot_values)
+    except ValueError as exc:
+        raise ValueError(f"{node_path}: {exc}") from exc
 
     edges: list[Edge] = []
     text = Path(edge_path).read_text(encoding="utf-8")
@@ -332,7 +320,7 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
             continue
         try:
             i, j = line.split()
-            edges.append((int(i), int(j)))
+            edges.append(_checked_edge(nodes, int(i), int(j)))
         except ValueError as exc:
             raise ValueError(f"{edge_path}:{lineno}: {exc!r}") from exc
     return StateGraph(nodes, edges, slot_values=slot_values)

@@ -1,36 +1,24 @@
 """Link-prediction evaluation: test-split AUC and average precision, and
-ranked next-state candidates for a dialogue.
+the ranked next-state candidates at a dialogue's domains.
 
 Evaluation always uses mean embeddings (Z = mu, no sampling), so results
 are deterministic given trained parameters and a split.  Posterior means
 are computed once per (checkpoint, graph), encoding a propagation operator
 built here from the graph's edge list, and every pair, held-out or
 candidate, is scored by the one vectorised scorer `edge_probabilities`.
-The AUC and AP themselves live in `metrics`.
+Candidates come back as plain records, the one form that `predict`
+writes and `repl` prints.  The AUC and AP themselves live in `metrics`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graph import EdgeSplit, NodeId, NodeKind, StateGraph
+from .graph import EdgeSplit, NodeKind, StateGraph
 from .metrics import auc, average_precision
 from .vgae import Propagation, VgaeParams, edge_probabilities, encode
-
-
-@dataclass(frozen=True)
-class ScoredEdge:
-    """A candidate (Domain, SlotValue) pair with its predicted probability."""
-
-    pair: tuple[NodeId, NodeId]
-    score: float
-
-    def __post_init__(self):
-        if not (0.0 < self.score < 1.0):
-            raise ValueError(f"score must lie in (0, 1), got {self.score}")
 
 
 def mean_embeddings(params: VgaeParams, graph: StateGraph) -> np.ndarray:
@@ -58,46 +46,39 @@ def evaluate_split(
 
 
 def rank_candidates(
-    mu: np.ndarray,
-    graph: StateGraph,
-    context_nodes: Sequence[NodeId] | frozenset[NodeId],
-    top_k: int,
-) -> list[ScoredEdge]:
+    mu: np.ndarray, graph: StateGraph, domains: Sequence[int], top_k: int
+) -> list[dict]:
     """Top-k unobserved (Domain, SlotValue) pairs for a dialogue's domains.
 
     ``mu`` holds the posterior means over the full observed adjacency
     (`mean_embeddings`), computed once and shared by every dialogue.
-    Candidates are the graph's non-edges incident to the context's Domain
-    nodes.  Sorted by descending probability; ties resolve by domain
-    index, then slot-value index.
+    ``domains`` are the sorted, distinct indices of the dialogue's Domain
+    nodes (`dialogue_domains`).  Candidates are the graph's
+    non-edges at those domains, as records ``{domain_label,
+    slotvalue_label, probability, rank}`` with 1-based rank, sorted by
+    descending probability; ties resolve by domain index, then slot-value
+    index.
     """
-    context = set(context_nodes)
-    if not context:
-        raise ValueError("context_nodes must be non-empty")
+    if not domains:
+        raise ValueError("domains must be non-empty")
+    if list(domains) != sorted(set(domains)) or any(
+        not 0 <= d < graph.n_nodes or graph.nodes[d].kind is not NodeKind.DOMAIN
+        for d in domains
+    ):
+        raise ValueError(
+            f"domains must be sorted distinct domain node indices, got {domains}"
+        )
     if top_k <= 0:
         raise ValueError("top_k must be positive")
-    d_idx, sv_idx = graph.unobserved_pairs(
-        sorted(n.index for n in context if n.kind is NodeKind.DOMAIN)
-    )
+    d_idx, sv_idx = graph.unobserved_pairs(domains)
     scores = edge_probabilities(mu, d_idx, sv_idx)
     best = np.lexsort((sv_idx, d_idx, -scores))[:top_k]
     return [
-        ScoredEdge(
-            pair=(graph.nodes[d_idx[k]], graph.nodes[sv_idx[k]]), score=float(scores[k])
-        )
-        for k in best
-    ]
-
-
-def candidate_records(dialogue_id: str, ranked: Sequence[ScoredEdge]) -> list[dict]:
-    """JSONL-ready records for ranked candidates, 1-based rank."""
-    return [
         {
-            "dialogue_id": dialogue_id,
-            "domain_label": e.pair[0].label,
-            "slotvalue_label": e.pair[1].label,
-            "probability": e.score,
-            "rank": r,
+            "domain_label": graph.nodes[d_idx[k]].label,
+            "slotvalue_label": graph.nodes[sv_idx[k]].label,
+            "probability": float(scores[k]),
+            "rank": rank,
         }
-        for r, e in enumerate(ranked, start=1)
+        for rank, k in enumerate(best, start=1)
     ]

@@ -563,25 +563,39 @@ def test_full_pipeline_smoke(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_predict_rejects_checkpoint_of_other_node_count(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    corpus = str(fixture_corpus_path())
-    assert cli.main(["extract", "--corpus", corpus, "--out", "pred.jsonl"]) == 0
-    assert cli.main(["graph", "--predictions", "pred.jsonl", "--out-prefix", "g"]) == 0
+def save_checkpoint_of_other_graph():
+    """The golden graph as g.*, with model.json trained on a 12-node graph."""
+    copy_goldens(Path.cwd())
     other = planted_graph(n_domains=2, values_per_domain=5, seed=1)
     assert other.n_nodes != 28
     cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=3)
     params, _ = train(other, split_edges(other, 0.8, 0.1, 0.1, seed=0), cfg)
     save_checkpoint("model.json", params, cfg)
-    capsys.readouterr()
+
+
+def test_predict_rejects_checkpoint_of_other_node_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_checkpoint_of_other_graph()
     code = cli.main(
         ["predict", "--graph-prefix", "g", "--checkpoint", "model.json",
          "--predictions", "pred.jsonl", "--out", "cand.jsonl"]
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error: checkpoint model.json does not fit graph g: ")
     assert "does not match params for 12 nodes" in err
+    assert not Path("cand.jsonl").exists()
+
+
+def test_repl_rejects_checkpoint_of_other_node_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_checkpoint_of_other_graph()
+    monkeypatch.setattr("sys.stdin", io.StringIO("i want thai food\n"))
+    assert cli.main(["repl", "--graph-prefix", "g", "--checkpoint", "model.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: checkpoint model.json does not fit graph g: ")
+    assert "does not match params for 12 nodes" in captured.err
+    assert captured.out == ""
 
 
 def test_graph_from_gold(tmp_path, monkeypatch, capsys):
@@ -1107,6 +1121,29 @@ def test_graph_and_checkpoint_mutations_exit_0_or_1(
     assert code in (0, 1), err
     if code == 1:
         assert err.startswith("error: ")
+        # the message names the file that holds the fault
+        named = [f for f in ("g.nodes.jsonl", "g.edges.txt", "model.json") if f in err]
+        assert named, err
+
+
+def test_predict_skips_dialogues_that_name_no_known_domain(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    # zz names a known slot-value, area-centre, but only under an unknown
+    # domain; zy names neither a known domain nor a known slot-value
+    records = [
+        {"dialogue_id": dialogue_id, "turn": 0, "diagnostics": [],
+         "predicted_state": [{"domain": "spaceship", "slot": slot, "value": value}]}
+        for dialogue_id, slot, value in (("zz", "area", "centre"), ("zy", "colour", "red"))
+    ]
+    write_predictions("pred.jsonl", records)
+    assert cli.main(_PREDICT_ARGV) == 0
+    assert "ranked candidates for 0 dialogues" in capsys.readouterr().out
+    ranked, meta = read_predictions(Path("cand.jsonl"))
+    assert ranked == []
+    assert meta["skipped_dialogues"] == ["zy", "zz"]
 
 
 def test_train_default_metrics_path(tmp_path, monkeypatch, capsys):

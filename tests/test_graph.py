@@ -8,7 +8,7 @@ from dstgraph.graph import (
     NodeKind,
     StateGraph,
     build_graph,
-    dialogue_node_set,
+    dialogue_domains,
     load_graph,
     planted_graph,
     split_edges,
@@ -68,9 +68,8 @@ def test_build_graph_disambiguates_label_collisions():
     g = build_graph([make_state(("d1", "a", "b-c"), ("d1", "a-b", "c"))])
     labels = {n.label for n in g.nodes if n.kind is NodeKind.SLOT_VALUE}
     assert labels == {"a-b-c", "a-b-c#2"}
-    assert g.slotvalue_node("a", "b-c") is not None
-    assert g.slotvalue_node("a-b", "c") is not None
-    assert g.slotvalue_node("a", "b-c") != g.slotvalue_node("a-b", "c")
+    pairs = {g.nodes[i].label: pair for i, pair in g.slot_values.items()}
+    assert pairs == {"a-b-c": ("a", "b-c"), "a-b-c#2": ("a-b", "c")}
 
 
 def test_state_graph_validates_structure():
@@ -101,7 +100,7 @@ def test_state_graph_slot_values_cover_exactly_the_slot_value_nodes():
     with pytest.raises(ValueError, match="share one"):
         StateGraph([d, v, w], [(0, 1)], {1: ("s", "v"), 2: ("s", "v")})
     g = StateGraph([d, v, w], [(0, 1)], {1: ("s", "v"), 2: ("s", "w")})
-    assert g.slotvalue_node("s", "w") is w
+    assert g.slot_values == {1: ("s", "v"), 2: ("s", "w")}
 
 
 def test_propagation_weights_are_read_only():
@@ -256,20 +255,25 @@ def test_split_edges_validates_inputs(rng):
         split_edges(tiny, 0.85, 0.10, 0.05, seed=0)
 
 
-def test_dialogue_node_set_found_and_missing():
+def test_dialogue_domains_found_and_missing():
     g = small_graph()
-    found = dialogue_node_set(
+    index = {n.label: n.index for n in g.nodes}
+    found = dialogue_domains(
         g,
-        [make_state(("hotel", "area", "east"), ("spa", "service", "massage"))],
+        [
+            make_state(("restaurant", "food", "thai"), ("spa", "service", "massage")),
+            make_state(("hotel", "area", "east")),
+        ],
     )
-    labels = {n.label for n in found}
-    assert labels == {"hotel", "area-east"}
+    assert found == sorted([index["hotel"], index["restaurant"]])
+    # a known slot-value under an unknown domain names no domain
+    assert dialogue_domains(g, [make_state(("spa", "area", "east"))]) == []
 
 
-def test_dialogue_node_set_none_names_domain_only():
+def test_dialogue_domains_none_names_the_domain():
     g = small_graph()
-    found = dialogue_node_set(g, [make_state(("hotel", "name", "none"))])
-    assert {n.label for n in found} == {"hotel"}
+    found = dialogue_domains(g, [make_state(("hotel", "name", "none"))])
+    assert [g.nodes[i].label for i in found] == ["hotel"]
 
 
 def test_planted_graph_shape_and_determinism():
@@ -302,11 +306,8 @@ def test_graph_write_load_round_trip(tmp_path, rng):
     assert [(n.index, n.kind, n.label) for n in g2.nodes] == [
         (n.index, n.kind, n.label) for n in g.nodes
     ]
-    # (slot, value) lookups survive the round trip
-    for n in g.nodes:
-        if n.kind is NodeKind.SLOT_VALUE:
-            slot, value = n.label.split("-", 1)
-            assert g2.slotvalue_node(slot, value) == g.slotvalue_node(slot, value)
+    # the (slot, value) pairs survive the round trip
+    assert g2.slot_values == g.slot_values
 
 
 def test_edge_list_format(tmp_path):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from dstgraph.graph import NodeId, NodeKind, split_edges
+from dstgraph.graph import NodeKind, split_edges
 from dstgraph.linkpred import (
-    ScoredEdge,
     auc,
     average_precision,
-    candidate_records,
     evaluate_split,
     mean_embeddings,
     rank_candidates,
@@ -113,19 +111,6 @@ def test_average_precision_matches_rank_walk_oracle(rng):
         assert average_precision(scores, labels) == rank_walk_ap(scores, labels)
 
 
-# --- structures ---
-
-
-def test_scored_edge_rejects_out_of_range_score():
-    d = NodeId(index=0, label="restaurant", kind=NodeKind.DOMAIN)
-    sv = NodeId(index=1, label="food-thai", kind=NodeKind.SLOT_VALUE)
-    ScoredEdge(pair=(d, sv), score=0.5)
-    with pytest.raises(ValueError):
-        ScoredEdge(pair=(d, sv), score=0.0)
-    with pytest.raises(ValueError):
-        ScoredEdge(pair=(d, sv), score=1.0)
-
-
 # --- split evaluation ---
 
 
@@ -161,45 +146,66 @@ def test_evaluate_split_needs_test_edges(rng):
 # --- candidate ranking ---
 
 
+def indices_of(g, kind):
+    """Label -> node index for the nodes of one kind."""
+    return {n.label: n.index for n in g.nodes if n.kind is kind}
+
+
+def pair_indices(g, rec):
+    """The (domain, slot-value) node indices a candidate record names."""
+    return (
+        indices_of(g, NodeKind.DOMAIN)[rec["domain_label"]],
+        indices_of(g, NodeKind.SLOT_VALUE)[rec["slotvalue_label"]],
+    )
+
+
 def ranked_fixture(rng, top_k=6):
     g = random_bipartite_graph(rng, 3, 12, 0.4)
     split = split_edges(g, 0.85, 0.10, 0.05, seed=2)
     cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=30, seed=2)
     params, _ = train(g, split, cfg)
-    domains = [n for n in g.nodes if n.kind is NodeKind.DOMAIN]
-    ranked = rank_candidates(
-        mean_embeddings(params, g), g, frozenset(domains[:2]), top_k=top_k
-    )
+    domains = sorted(indices_of(g, NodeKind.DOMAIN).values())
+    ranked = rank_candidates(mean_embeddings(params, g), g, domains[:2], top_k=top_k)
     return g, ranked
 
 
 def test_rank_candidates_excludes_observed_edges(rng):
     g, ranked = ranked_fixture(rng)
-    for e in ranked:
-        d, sv = e.pair
-        assert d.kind is NodeKind.DOMAIN and sv.kind is NodeKind.SLOT_VALUE
-        key = (d.index, sv.index) if d.index < sv.index else (sv.index, d.index)
+    assert ranked
+    for rec in ranked:
+        d, sv = pair_indices(g, rec)
+        key = (d, sv) if d < sv else (sv, d)
         assert key not in g.edges
 
 
 def test_rank_candidates_ordering_and_bound(rng):
     g, ranked = ranked_fixture(rng, top_k=4)
     assert len(ranked) <= 4
-    keys = [(-e.score, e.pair[0].index, e.pair[1].index) for e in ranked]
+    keys = [(-rec["probability"], *pair_indices(g, rec)) for rec in ranked]
     assert keys == sorted(keys)
 
 
-def test_rank_candidates_ignores_slotvalue_context_nodes(rng):
+def test_rank_candidates_probabilities_lie_strictly_inside_unit_interval(rng):
+    g, ranked = ranked_fixture(rng, top_k=50)
+    assert ranked
+    assert all(0.0 < rec["probability"] < 1.0 for rec in ranked)
+    # saturated embeddings still score inside (0, 1)
+    domains = sorted(indices_of(g, NodeKind.DOMAIN).values())
+    for scale in (1e3, -1e3):
+        mu = np.full((g.n_nodes, 4), scale)
+        mu[domains] = 1e3
+        ranked = rank_candidates(mu, g, domains, top_k=g.n_nodes)
+        assert all(0.0 < rec["probability"] < 1.0 for rec in ranked)
+
+
+def test_rank_candidates_rejects_slotvalue_index(rng):
     g = random_bipartite_graph(rng, 3, 12, 0.4)
-    split = split_edges(g, 0.85, 0.10, 0.05, seed=2)
-    cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=10, seed=2)
-    params, _ = train(g, split, cfg)
-    domains = [n for n in g.nodes if n.kind is NodeKind.DOMAIN]
-    svs = [n for n in g.nodes if n.kind is NodeKind.SLOT_VALUE]
-    mu = mean_embeddings(params, g)
-    with_sv = rank_candidates(mu, g, frozenset([domains[0], svs[0]]), top_k=5)
-    without = rank_candidates(mu, g, frozenset([domains[0]]), top_k=5)
-    assert with_sv == without
+    mu = np.zeros((g.n_nodes, 4))
+    domain = min(indices_of(g, NodeKind.DOMAIN).values())
+    sv = min(indices_of(g, NodeKind.SLOT_VALUE).values())
+    for domains in ([sv], sorted([domain, sv])):
+        with pytest.raises(ValueError, match="domain node indices"):
+            rank_candidates(mu, g, domains, top_k=5)
 
 
 def test_rank_candidates_validates_arguments(rng):
@@ -208,10 +214,15 @@ def test_rank_candidates_validates_arguments(rng):
     cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=5)
     params, _ = train(g, split, cfg)
     mu = mean_embeddings(params, g)
+    domains = sorted(indices_of(g, NodeKind.DOMAIN).values())
     with pytest.raises(ValueError):
-        rank_candidates(mu, g, frozenset(), top_k=5)
+        rank_candidates(mu, g, [], top_k=5)
     with pytest.raises(ValueError):
-        rank_candidates(mu, g, frozenset([g.nodes[0]]), top_k=0)
+        rank_candidates(mu, g, domains[:1], top_k=0)
+    # unsorted, repeated or out-of-range indices
+    for bad in (domains[::-1], domains[:1] * 2, [-1], [g.n_nodes]):
+        with pytest.raises(ValueError):
+            rank_candidates(mu, g, bad, top_k=5)
 
 
 def test_rank_candidates_ties_resolve_by_domain_then_slotvalue_index(rng):
@@ -222,22 +233,21 @@ def test_rank_candidates_ties_resolve_by_domain_then_slotvalue_index(rng):
     non_edges = [
         (d, sv) for d in domains for sv in svs if (min(d, sv), max(d, sv)) not in g.edges
     ]
-    context = frozenset(g.nodes[d] for d in domains)
     mu = np.zeros((g.n_nodes, 4))
-    ranked = rank_candidates(mu, g, context, top_k=10)
-    assert [(e.pair[0].index, e.pair[1].index) for e in ranked] == non_edges[:10]
+    ranked = rank_candidates(mu, g, domains, top_k=10)
+    assert [pair_indices(g, rec) for rec in ranked] == non_edges[:10]
     # with top_k past the candidate count the whole list is every non-edge
-    ranked = rank_candidates(mu, g, context, top_k=len(non_edges) + 5)
-    assert [(e.pair[0].index, e.pair[1].index) for e in ranked] == non_edges
-    assert all(e.score == 0.5 for e in ranked)
+    ranked = rank_candidates(mu, g, domains, top_k=len(non_edges) + 5)
+    assert [pair_indices(g, rec) for rec in ranked] == non_edges
+    assert all(rec["probability"] == 0.5 for rec in ranked)
 
 
 def test_candidate_records_schema(rng):
-    _, ranked = ranked_fixture(rng, top_k=3)
-    records = candidate_records("dlg-1", ranked)
-    assert [r["rank"] for r in records] == list(range(1, len(ranked) + 1))
-    for rec, e in zip(records, ranked):
-        assert rec["dialogue_id"] == "dlg-1"
-        assert rec["domain_label"] == e.pair[0].label
-        assert rec["slotvalue_label"] == e.pair[1].label
-        assert rec["probability"] == e.score
+    g, ranked = ranked_fixture(rng, top_k=3)
+    assert [rec["rank"] for rec in ranked] == list(range(1, len(ranked) + 1))
+    labels = {n.label: n.kind for n in g.nodes}
+    for rec in ranked:
+        assert list(rec) == ["domain_label", "slotvalue_label", "probability", "rank"]
+        assert labels[rec["domain_label"]] is NodeKind.DOMAIN
+        assert labels[rec["slotvalue_label"]] is NodeKind.SLOT_VALUE
+        assert type(rec["probability"]) is float

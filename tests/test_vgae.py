@@ -353,9 +353,12 @@ def uneven_block_budget(n):
 def all_rankings(params, g):
     """Every domain's full candidate ranking, as (domain, slot-value) labels."""
     mu = mean_embeddings(params, g)
-    domains = [v for v in g.nodes if v.kind is NodeKind.DOMAIN]
+    domains = [v.index for v in g.nodes if v.kind is NodeKind.DOMAIN]
     return [
-        [(e.pair[0].label, e.pair[1].label) for e in rank_candidates(mu, g, [d], g.n_nodes**2)]
+        [
+            (rec["domain_label"], rec["slotvalue_label"])
+            for rec in rank_candidates(mu, g, [d], g.n_nodes**2)
+        ]
         for d in domains
     ]
 
@@ -443,7 +446,7 @@ def test_blocked_pipeline_allocates_no_n_by_n_array():
     assert prop.block_rows <= n // 3
     params = glorot_init(n, cfg, np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
-    domain = next(v for v in g.nodes if v.kind is NodeKind.DOMAIN)
+    domain = next(v.index for v in g.nodes if v.kind is NodeKind.DOMAIN)
 
     def peak_bytes(run):
         tracemalloc.start()
