@@ -287,7 +287,9 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
 
     A malformed node-table or edge-list line, or an edge that `StateGraph`
     would reject, raises ``ValueError`` naming the file and the line; a
-    node table that `StateGraph` would reject names the file.
+    node table that `StateGraph` would reject names the file.  The graph is
+    validated once, by `StateGraph`; only when it is rejected are the node
+    table and then each edge line checked again, to name the fault.
     """
     nodes: list[NodeId] = []
     slot_values: dict[int, tuple[str, str]] = {}
@@ -308,19 +310,25 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
             raise ValueError(f"{node_path}:{lineno}: {exc!r}") from exc
     nodes.sort(key=lambda n: n.index)
     try:
-        # a bad node table, named as such, before any edge is checked against it
+        text = Path(edge_path).read_text(encoding="utf-8")
+        parts = filter(None, map(str.split, text.splitlines()))  # blank lines skipped
+        edges = [(int(i), int(j)) for i, j in parts]
+        return StateGraph(nodes, edges, slot_values=slot_values)
+    except (OSError, ValueError) as exc:
+        fault = exc
+
+    # locate the fault: the node table is named before the edge list is read
+    try:
         StateGraph(nodes, (), slot_values)
     except ValueError as exc:
         raise ValueError(f"{node_path}: {exc}") from exc
-
-    edges: list[Edge] = []
     text = Path(edge_path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             i, j = line.split()
-            edges.append(_checked_edge(nodes, int(i), int(j)))
+            _checked_edge(nodes, int(i), int(j))
         except ValueError as exc:
             raise ValueError(f"{edge_path}:{lineno}: {exc!r}") from exc
-    return StateGraph(nodes, edges, slot_values=slot_values)
+    raise fault

@@ -13,7 +13,10 @@ plus a KL term against a standard-normal prior.  S = Z Z^T is symmetric,
 so the BCE scores only its blocks on and above the diagonal, one row
 block at a time, and counts each pair off the diagonal twice.  It works
 from exp(-|S|), with the positive terms gathered at the training edges and
-no dense 0/1 target.
+no dense 0/1 target.  Every row block is scored in one workspace of four
+float and two boolean block arrays, made once per `train` or
+`gradient_check` call and freed when it returns, so training allocates no
+fresh block arrays per block or epoch.
 
 Both kinds of block are sized from one byte budget, `_BLOCK_BYTES`.  A
 graph whose n x n arrays fit in one block runs the dense expressions
@@ -45,7 +48,7 @@ _SP_HI = -float(np.log(PROB_EPS))
 # `Propagation` holds densely or gathers for one chunk of its segmented
 # sum, and a bound on the scores of one row block in `loss_and_grads`,
 # whose square and rectangle together are at most one such block.  The
-# BCE holds about four arrays of its scores' size at once, so 1 MiB keeps
+# BCE's workspace holds four float arrays of one block, so 1 MiB keeps
 # its working set near the size of a core's L2 cache.
 _BLOCK_BYTES = 1 << 20
 
@@ -131,11 +134,10 @@ class EpochRecord:
 TrainHistory = list[EpochRecord]
 
 
-def _sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Overflow-free sigma(x) from e = exp(-|x|): 1/(1+e) where x >= 0 and
-    e/(1+e) elsewhere.  ``e`` is computed when not given."""
-    if e is None:
-        e = np.exp(-np.abs(x))
+    e/(1+e) elsewhere."""
+    e = np.exp(-np.abs(x))
     # 0 <= e <= 1, so max(e, x >= 0) is 1 where x >= 0 and e elsewhere
     out = np.maximum(e, x >= 0)
     out /= 1.0 + e
@@ -163,9 +165,10 @@ class Propagation:
     D is the degree matrix of A + I, so isolated nodes get degree 1 and
     every weight is finite.  Each unique edge is stored in both
     orientations, plus the diagonal, sorted by row then column, with weight
-    inv_sqrt_deg[r] * inv_sqrt_deg[c].  Checks are O(E): an endpoint
-    outside [0, n) or a self-loop raises ValueError; duplicate or reversed
-    pairs describe the same edge.
+    inv_sqrt_deg[r] * inv_sqrt_deg[c].  Checks are O(E): an endpoint that
+    is not an integer (a bool or a float is not), one outside [0, n) or a
+    self-loop raises ValueError; duplicate or reversed pairs describe the
+    same edge.
 
     A graph whose n x n array fits in one block (``block_rows == n``) also
     keeps the dense, read-only Â and multiplies by it; a larger one sums
@@ -173,7 +176,12 @@ class Propagation:
     """
 
     def __init__(self, n_nodes: int, edges):
-        e = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+        e = np.array(list(edges), dtype=object).reshape(-1, 2)
+        # check the endpoints' types: a cast would turn 0.7 into 0 and True into 1
+        for kind in set(map(type, e.flat)):
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                raise ValueError(f"edge endpoints must be integers, got {kind.__name__}")
+        e = e.astype(np.intp)
         if e.size and (e.min() < 0 or e.max() >= n_nodes):
             raise ValueError(f"edge endpoint out of range for {n_nodes} nodes")
         if np.any(e[:, 0] == e[:, 1]):
@@ -273,8 +281,28 @@ def edge_probabilities(z: np.ndarray, rows, cols) -> np.ndarray:
     return np.clip(_sigmoid(s), PROB_EPS, 1.0 - PROB_EPS)
 
 
+class _Workspace:
+    """Flat scratch arrays for the objective's row blocks, each ``size``
+    entries long: the scores S, exp(-|S|), sigma(S) (turned into dBCE/dS)
+    and 1 + exp(-|S|), plus two boolean masks.  One workspace serves every
+    block of every `loss_and_grads` call it is handed; it holds the block
+    being scored, so two threads must not share one."""
+
+    def __init__(self, size: int):
+        self.s, self.e, self.g, self.w = (np.empty(size) for _ in range(4))
+        self.mask, self.mask2 = (np.empty(size, dtype=bool) for _ in range(2))
+
+    def block(self, buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        """A C-contiguous rows x cols view of the front of ``buf``."""
+        return buf[: rows * cols].reshape(rows, cols)
+
+
 def _bce(
-    s: np.ndarray, pos_index, pos_weight: float, n_pairs: int
+    s: np.ndarray,
+    pos_index,
+    pos_weight: float,
+    n_pairs: int,
+    work: _Workspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Weighted BCE terms of the scores S against the 0/1 target that is one
     exactly at ``pos_index`` (a (rows, cols) pair of index arrays), summed
@@ -288,19 +316,30 @@ def _bce(
     -log sigma(s) = max(-s, 0) + log1p(e), -log(1 - sigma(s)) = max(s, 0) +
     log1p(e).  Every entry is scored densely as a non-edge, then the
     positive terms are computed at ``pos_index`` only and scattered there.
-    S is overwritten.
+    S is overwritten.  Every dense step writes into ``work`` (a workspace
+    of S's size is made when none is given), and the returned gradient is
+    a view of it, valid until the workspace is used again.
     """
     if pos_weight <= 0:
         raise ValueError("pos_weight must be positive")
-    t = np.abs(s)
+    if work is None:
+        work = _Workspace(s.size)
+    t, g, w, ok, ok2 = (
+        work.block(a, *s.shape) for a in (work.e, work.g, work.w, work.mask, work.mask2)
+    )
+    np.abs(s, out=t)
     np.exp(np.negative(t, out=t), out=t)
-    g = _sigmoid(s, t)  # sigma(S), turned into dBCE/dS in place
+    # sigma(S) from e as `_sigmoid` forms it, turned into dBCE/dS in place
+    np.maximum(t, np.greater_equal(s, 0, out=ok), out=g)
+    g /= np.add(t, 1.0, out=w)
     np.log1p(t, out=t)
     sp_pos = np.maximum(-s[pos_index], 0.0) + t[pos_index]  # -log sigma(s)
     sig_pos = g[pos_index]
     t += np.maximum(s, 0.0, out=s)  # -log(1 - sigma(s)); S is spent
 
-    g *= (t > _SP_LO) & (t < _SP_HI)
+    np.greater(t, _SP_LO, out=ok)
+    ok &= np.less(t, _SP_HI, out=ok2)
+    g *= ok
     np.clip(t, _SP_LO, _SP_HI, out=t)
     t[pos_index] = pos_weight * np.clip(sp_pos, _SP_LO, _SP_HI)
     keep_pos = (sp_pos > _SP_LO) & (sp_pos < _SP_HI)
@@ -331,7 +370,7 @@ def glorot_init(n_features: int, config: TrainConfig, rng: np.random.Generator) 
 
 
 def _bce_grad_z(
-    z: np.ndarray, pos_index, pos_weight: float, block_rows: int
+    z: np.ndarray, pos_index, pos_weight: float, block_rows: int, work: _Workspace
 ) -> tuple[float, np.ndarray]:
     """BCE over S = Z Z^T and dBCE/dZ, scoring only the blocks of S on and
     above the diagonal, ``block_rows`` rows at a time.
@@ -346,6 +385,9 @@ def _bce_grad_z(
     is the dense expression bit for bit: S and G are exactly symmetric, so
     G + G^T is 2G.  Smaller blocks sum in another order and agree with it
     up to the last bits.
+
+    Every block is scored in ``work``, a workspace of ``block_rows`` * n
+    entries.
     """
     n = z.shape[0]
     rows, cols = pos_index
@@ -362,23 +404,27 @@ def _bce_grad_z(
         # a column left of the block (c < i) is the mirror of a pair in an
         # earlier block's rectangle
         sq, rect = (c >= i) & (c < j), c >= j
-        t_sum, g = _bce(zb @ zb.T, (r[sq], c[sq] - i), pos_weight, n * n)
+        s = np.matmul(zb, zb.T, out=work.block(work.s, j - i, j - i))
+        t_sum, g = _bce(s, (r[sq], c[sq] - i), pos_weight, n * n, work)
         g *= 2.0
         g_zb = g @ zb
-        del g  # free the square's gradient before the rectangle is scored
         if j < n:
-            t_rect, g = _bce(zb @ z[j:].T, (r[rect], c[rect] - j), pos_weight, n * n)
+            s = np.matmul(zb, z[j:].T, out=work.block(work.s, j - i, n - j))
+            t_rect, g = _bce(s, (r[rect], c[rect] - j), pos_weight, n * n, work)
             t_sum += 2.0 * t_rect
             g_zb += 2.0 * (g @ z[j:])
             g_z[j:] += 2.0 * (g.T @ zb)
-            del g
         g_z[i:j] = g_zb
         total += t_sum
     return float(total / (n * n)), g_z
 
 
 def loss_and_grads(
-    params: VgaeParams, prop: Propagation, kl_weight: float, noise: np.ndarray
+    params: VgaeParams,
+    prop: Propagation,
+    kl_weight: float,
+    noise: np.ndarray,
+    work: _Workspace | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Forward pass plus hand-derived gradients of BCE + kl_weight * KL.
 
@@ -388,8 +434,10 @@ def loss_and_grads(
     non-edge to edge entries of the n x n target.  ``noise`` is the frozen
     standard-normal draw used by the reparameterization, so the function
     is pure and checkable against finite differences.  No n x n array is
-    held outside a row block of ``prop.block_rows`` rows.  Returns (bce,
-    kl, grads by weight name).
+    held outside a row block of ``prop.block_rows`` rows: the blocks are
+    scored in ``work``, a `_Workspace` of ``prop.block_rows`` *
+    ``prop.n_nodes`` entries, made for this call when none is given.
+    Returns (bce, kl, grads by weight name).
     """
     n = prop.n_nodes
     off_diagonal = prop.rows != prop.cols
@@ -401,7 +449,9 @@ def loss_and_grads(
     std = np.exp(logvar / 2.0)
     z = mu + std * noise
 
-    bce, g_z = _bce_grad_z(z, pos_index, pos_weight, prop.block_rows)
+    if work is None:
+        work = _Workspace(prop.block_rows * n)
+    bce, g_z = _bce_grad_z(z, pos_index, pos_weight, prop.block_rows, work)
     kl = kl_divergence(mu, logvar)
 
     g_mu = g_z + kl_weight * mu / n
@@ -437,6 +487,8 @@ def train(
     params = glorot_init(graph.n_nodes, config, rng)
 
     a_hat = Propagation(graph.n_nodes, split.train)
+    # one workspace for every row block of every epoch, freed on return
+    work = _Workspace(a_hat.block_rows * graph.n_nodes)
     # validation monitoring mirrors evaluate_split: encode the full graph
     if split.val:
         full_graph = Propagation(graph.n_nodes, graph.edges)
@@ -452,7 +504,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         params = VgaeParams(**weights)
         noise = rng.standard_normal((graph.n_nodes, config.latent_dim))
-        bce, kl, grads = loss_and_grads(params, a_hat, config.kl_weight, noise)
+        bce, kl, grads = loss_and_grads(params, a_hat, config.kl_weight, noise, work)
         total = bce + config.kl_weight * kl
 
         val_auc = None
@@ -500,8 +552,9 @@ def gradient_check(
     rng = np.random.default_rng(config.seed)
     a_hat = Propagation(graph.n_nodes, split.train)
     noise = rng.standard_normal((graph.n_nodes, params.latent_dim))
+    work = _Workspace(a_hat.block_rows * graph.n_nodes)
 
-    _, _, grads = loss_and_grads(params, a_hat, config.kl_weight, noise)
+    _, _, grads = loss_and_grads(params, a_hat, config.kl_weight, noise, work)
 
     mats = asdict(params)  # copies of the weights, by name
     flat_index = [
@@ -514,7 +567,7 @@ def gradient_check(
     picks = rng.choice(len(flat_index), size=k, replace=False)
 
     def total_loss() -> float:
-        bce, kl, _ = loss_and_grads(VgaeParams(**mats), a_hat, config.kl_weight, noise)
+        bce, kl, _ = loss_and_grads(VgaeParams(**mats), a_hat, config.kl_weight, noise, work)
         return bce + config.kl_weight * kl
 
     max_rel = 0.0

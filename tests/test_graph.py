@@ -7,6 +7,7 @@ from dstgraph.graph import (
     NodeId,
     NodeKind,
     StateGraph,
+    _checked_edge,
     build_graph,
     dialogue_domains,
     load_graph,
@@ -308,6 +309,48 @@ def test_graph_write_load_round_trip(tmp_path, rng):
     ]
     # the (slot, value) pairs survive the round trip
     assert g2.slot_values == g.slot_values
+
+
+def write_graph(g, tmp_path):
+    """Export ``g``; returns (edge path, node path)."""
+    write_edge_list(g, tmp_path / "g.edges.txt")
+    write_node_table(g, tmp_path / "g.nodes.jsonl")
+    return tmp_path / "g.edges.txt", tmp_path / "g.nodes.jsonl"
+
+
+def test_load_graph_checks_each_edge_once(tmp_path, rng, monkeypatch):
+    g = random_bipartite_graph(rng, 3, 12, 0.3)
+    paths = write_graph(g, tmp_path)
+    checked = []
+
+    def counting(nodes, i, j):
+        checked.append((i, j))
+        return _checked_edge(nodes, i, j)
+
+    monkeypatch.setattr("dstgraph.graph._checked_edge", counting)
+    assert load_graph(*paths).edges == g.edges
+    assert sorted(checked) == g.sorted_edges()
+
+
+def test_load_graph_names_the_first_fault(tmp_path):
+    edge_path, node_path = write_graph(small_graph(), tmp_path)
+    lines = edge_path.read_text().splitlines()
+    # good lines and a blank one before the fault
+    edge_path.write_text("\n".join([*lines[:2], "", "0 0", *lines[2:]]) + "\n")
+    with pytest.raises(
+        ValueError, match=r"g\.edges\.txt:4: ValueError\('self-loops are not allowed'\)$"
+    ):
+        load_graph(edge_path, node_path)
+    # a node table that StateGraph rejects is named before any edge line,
+    # and before an edge list that cannot be read
+    node_lines = node_path.read_text().splitlines()
+    node_path.write_text("\n".join([*node_lines, node_lines[-1]]) + "\n")
+    node_fault = r"g\.nodes\.jsonl: node indices must be 0\.\.n-1 in order$"
+    with pytest.raises(ValueError, match=node_fault):
+        load_graph(edge_path, node_path)
+    edge_path.unlink()
+    with pytest.raises(ValueError, match=node_fault):
+        load_graph(edge_path, node_path)
 
 
 def test_edge_list_format(tmp_path):

@@ -114,6 +114,18 @@ def test_normalize_adjacency_validates_input():
     assert np.array_equal(normalize_adjacency(3, [(0, 1), (1, 0), (0, 1)]), once)
 
 
+def test_propagation_rejects_non_integer_endpoints():
+    # a cast to integers would read 0.7 as 0, True as 1 and "1" as 1
+    for edges in ([(0.7, 1.2)], [(True, 2)], [(0, np.True_)], [(0, 1), (1.0, 2)], [("0", "1")]):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            Propagation(3, edges)
+    # integers of any width, in a list or an array, and no edges at all
+    want = normalize_adjacency(3, [(0, 1), (1, 2)])
+    for edges in ([(np.int32(0), 1), (1, np.int64(2))], np.array([[0, 1], [1, 2]])):
+        assert normalize_adjacency(3, edges).tobytes() == want.tobytes()
+    assert normalize_adjacency(3, []).tobytes() == np.eye(3).tobytes()
+
+
 # --- encoder ---
 
 
@@ -406,6 +418,162 @@ def test_blocked_training_matches_one_block(make_graph, monkeypatch):
         assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
     assert [r.val_auc for r in history] == [r.val_auc for r in want_history]
     assert all_rankings(got, g) == want_rankings
+
+
+def reference_bce(s, pos_index, pos_weight, n_pairs):
+    """The objective's BCE as it was before its workspace: each dense step
+    allocates a new array; the arithmetic and its order are the same."""
+    lo, hi = vgae._SP_LO, vgae._SP_HI
+    t = np.abs(s)
+    np.exp(np.negative(t, out=t), out=t)
+    g = np.maximum(t, s >= 0)  # sigma(S), turned into dBCE/dS in place
+    g /= 1.0 + t
+    np.log1p(t, out=t)
+    sp_pos = np.maximum(-s[pos_index], 0.0) + t[pos_index]
+    sig_pos = g[pos_index]
+    t += np.maximum(s, 0.0, out=s)
+    g *= (t > lo) & (t < hi)
+    np.clip(t, lo, hi, out=t)
+    t[pos_index] = pos_weight * np.clip(sp_pos, lo, hi)
+    keep_pos = (sp_pos > lo) & (sp_pos < hi)
+    g[pos_index] = -pos_weight * (1.0 - sig_pos) * keep_pos
+    g /= n_pairs
+    return t.sum(), g
+
+
+def reference_bce_grad_z(z, pos_index, pos_weight, block_rows, work=None):
+    """The blocked objective as it was before its workspace: each block's
+    scores are a new array.  ``work`` is ignored."""
+    n = z.shape[0]
+    rows, cols = pos_index
+    bounds = np.searchsorted(rows, np.arange(0, n + block_rows, block_rows))
+    g_z = np.empty_like(z)
+    total = 0.0
+    for k in reversed(range(len(bounds) - 1)):
+        i = k * block_rows
+        j = min(i + block_rows, n)
+        zb = z[i:j]
+        r, c = rows[bounds[k]:bounds[k + 1]] - i, cols[bounds[k]:bounds[k + 1]]
+        sq, rect = (c >= i) & (c < j), c >= j
+        t_sum, g = reference_bce(zb @ zb.T, (r[sq], c[sq] - i), pos_weight, n * n)
+        g *= 2.0
+        g_zb = g @ zb
+        if j < n:
+            t_rect, g = reference_bce(zb @ z[j:].T, (r[rect], c[rect] - j), pos_weight, n * n)
+            t_sum += 2.0 * t_rect
+            g_zb += 2.0 * (g @ z[j:])
+            g_z[j:] += 2.0 * (g.T @ zb)
+        g_z[i:j] = g_zb
+        total += t_sum
+    return float(total / (n * n)), g_z
+
+
+def isolated_nodes_case():
+    """A random graph plus 5 isolated nodes, as (n, edges)."""
+    g = random_bipartite_graph(np.random.default_rng(1234), 4, 30, 0.2)
+    return g.n_nodes + 5, split_edges(g, 0.85, 0.10, 0.05, seed=1).train
+
+
+def graph_case(make_graph):
+    g = make_graph()
+    return g.n_nodes, split_edges(g, 0.85, 0.10, 0.05, seed=1).train
+
+
+@pytest.mark.parametrize(
+    "case, uneven",
+    [
+        (lambda: graph_case(fixture_graph), True),
+        (lambda: graph_case(planted_graph), True),
+        (isolated_nodes_case, True),
+        (lambda: graph_case(multi_block_graph), False),
+        (lambda: graph_case(multi_block_graph), True),
+    ],
+    ids=["fixture-uneven", "planted-uneven", "isolated-uneven", "multi-block-shipped",
+         "multi-block-uneven"],
+)
+def test_loss_and_grads_equals_allocating_reference_bit_for_bit(case, uneven, monkeypatch):
+    n, train_edges = case()
+    if uneven:
+        monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(n))
+    prop = Propagation(n, train_edges)
+    assert prop.block_rows <= n // 3
+    cfg = tiny_config()
+    base = glorot_init(n, cfg, np.random.default_rng(0))
+    noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
+    work = vgae._Workspace(prop.block_rows * n)  # reused by every call below
+    for scale in (1, 30, 300):  # 30 and 300 drive both clamps
+        params = VgaeParams(
+            w_shared=scale * base.w_shared, w_mu=base.w_mu, w_logvar=base.w_logvar
+        )
+        with monkeypatch.context() as m:
+            m.setattr("dstgraph.vgae._bce_grad_z", reference_bce_grad_z)
+            want = loss_and_grads(params, prop, 0.5, noise)
+        for got in (loss_and_grads(params, prop, 0.5, noise, work),
+                    loss_and_grads(params, prop, 0.5, noise)):
+            assert got[0] == want[0] and got[1] == want[1]
+            for name, w in want[2].items():
+                assert got[2][name].tobytes() == w.tobytes(), name
+
+
+def test_objective_allocates_less_than_one_block_given_its_workspace():
+    g = multi_block_graph()
+    n = g.n_nodes
+    prop = Propagation(n, g.edges)
+    assert prop.block_rows <= n // 3
+    off_diagonal = prop.rows != prop.cols
+    pos_index = (prop.rows[off_diagonal], prop.cols[off_diagonal])
+    pos_weight = (n * n - len(pos_index[0])) / len(pos_index[0])
+    z = np.random.default_rng(0).standard_normal((n, 16))
+    work = vgae._Workspace(prop.block_rows * n)
+    want = reference_bce_grad_z(z, pos_index, pos_weight, prop.block_rows)
+    tracemalloc.start()
+    try:
+        got = vgae._bce_grad_z(z, pos_index, pos_weight, prop.block_rows, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n x 16 gradient and a few block-row slices of it; one block's
+    # allocating BCE alone takes several times the budget
+    assert peak < vgae._BLOCK_BYTES
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
+def test_train_and_gradient_check_make_one_workspace_each(rng, monkeypatch):
+    g, split = small_setup(rng)
+    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(g.n_nodes))
+    made = []
+
+    class Counting(vgae._Workspace):
+        def __init__(self, size):
+            made.append(size)
+            super().__init__(size)
+
+    monkeypatch.setattr("dstgraph.vgae._Workspace", Counting)
+    cfg = tiny_config(epochs=5)
+    rows = Propagation(g.n_nodes, split.train).block_rows
+    params, _ = train(g, split, cfg)
+    assert made == [rows * g.n_nodes]
+    gradient_check(params, g, split, cfg, n_samples=4)
+    assert made == [rows * g.n_nodes] * 2
+
+
+def test_concurrent_trainings_match_sequential_bit_for_bit():
+    g = multi_block_graph()
+    split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+    # two seeds, so that a workspace shared between the runs would show
+    configs = [TrainConfig(epochs=3, seed=seed) for seed in (1, 2)]
+    want = [train(g, split, cfg) for cfg in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda cfg: train(g, split, cfg), configs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (params, history), (want_params, want_history) in zip(got, want):
+        assert history == want_history
+        for name in ("w_shared", "w_mu", "w_logvar"):
+            assert getattr(params, name).tobytes() == getattr(want_params, name).tobytes()
 
 
 def test_objective_scores_each_pair_once(monkeypatch):
