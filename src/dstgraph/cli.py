@@ -135,6 +135,8 @@ def make_backend(cfg: RunConfig):
     if cfg.backend == "replay":
         if not cfg.replay:
             raise UsageError("--replay PATH is required with the replay backend")
+        if not Path(cfg.replay).exists():
+            raise UsageError(f"replay file not found: {cfg.replay}")
         return ReplayBackend(cfg.replay)
     if cfg.backend == "http":
         if not cfg.endpoint:
@@ -393,6 +395,11 @@ def cmd_train(cfg: RunConfig, echoed: list[str]) -> int:
         raise UsageError("train requires --graph-prefix and --checkpoint")
     g = _load_graph_prefix(cfg.out_prefix)
     split = split_edges(g, cfg.train_frac, cfg.test_frac, cfg.val_frac, seed=cfg.seed)
+    if not split.test:
+        raise UsageError(
+            f"graph {cfg.out_prefix}: --test-frac {cfg.test_frac} of "
+            f"{len(g.edges)} edges leaves no test edge to evaluate"
+        )
     tc = TrainConfig(
         hidden_dim=cfg.hidden_dim,
         latent_dim=cfg.latent_dim,

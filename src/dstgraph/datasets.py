@@ -2,9 +2,12 @@
 
 Three corpus shapes normalize to AnnotatedDialogue: a plain JSONL schema
 (documented below), classic goal-oriented JSON with per-system-turn belief
-metadata, and schema-guided JSON with per-frame slot_values.  Loaders skip
-malformed dialogues with a count instead of crashing, because corpus files
-in the wild are messy.
+metadata, and schema-guided JSON with per-frame slot_values.  Each shape
+has one parser that turns one record (a JSONL line, an (id, object) entry,
+a list element) into one dialogue, and ``load_corpus`` runs it under one
+skip rule: a dialogue whose record is malformed at any depth is counted
+instead of crashing, because corpus files in the wild are messy.  A file
+of the wrong shape is an error that names the file.
 
 Plain JSONL schema, one dialogue per line:
     {"dialogue_id": str,
@@ -68,35 +71,19 @@ def state_from_jsonable(items: Sequence[dict]) -> DialogueState:
     return DialogueState(state_triple(i["domain"], i["slot"], i["value"]) for i in items)
 
 
-def _turn_from_json(rec: dict) -> Turn:
-    speaker = {"user": Speaker.USER, "system": Speaker.SYSTEM}.get(
-        str(rec["speaker"]).lower()
+def _plain_dialogue(line: str) -> AnnotatedDialogue:
+    """One line of the plain JSONL schema."""
+    rec = json.loads(line)
+    turns = tuple(
+        Turn(speaker=Speaker(str(t["speaker"]).lower()), text=str(t["text"]))
+        for t in rec["turns"]
     )
-    if speaker is None:
-        raise ValueError(f"unknown speaker {rec['speaker']!r}")
-    return Turn(speaker=speaker, text=str(rec["text"]))
-
-
-def _load_plain_jsonl(path: Path) -> tuple[list[AnnotatedDialogue], int]:
-    dialogues: list[AnnotatedDialogue] = []
-    skipped = 0
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            turns = tuple(_turn_from_json(t) for t in rec["turns"])
-            gold = None
-            if rec.get("gold") is not None:
-                gold = tuple(state_from_jsonable(items) for items in rec["gold"])
-            dialogues.append(
-                AnnotatedDialogue(
-                    dialogue_id=str(rec["dialogue_id"]), turns=turns, gold_states=gold
-                )
-            )
-        except (ValueError, KeyError, TypeError):
-            skipped += 1
-    return dialogues, skipped
+    gold = rec.get("gold")
+    if gold is not None:
+        gold = tuple(state_from_jsonable(items) for items in gold)
+    return AnnotatedDialogue(
+        dialogue_id=str(rec["dialogue_id"]), turns=turns, gold_states=gold
+    )
 
 
 _ABSENT_VALUES = {"", "not mentioned", "none"}
@@ -117,39 +104,26 @@ def _belief_triples(metadata: dict) -> list[StateTriple]:
     return triples
 
 
-def _load_multiwoz_json(raw) -> tuple[list[AnnotatedDialogue], int]:
-    """Classic goal-oriented format: {id: {"log": [...]}} with user/system
-    turns alternating and the belief state on each system turn's metadata."""
-    if not isinstance(raw, dict):
-        raise ValueError("expected a dialogue_id -> dialogue object mapping")
-    dialogues: list[AnnotatedDialogue] = []
-    skipped = 0
-    for dialogue_id in sorted(raw):
-        try:
-            log = raw[dialogue_id]["log"]
-            turns = []
-            gold = []
-            last_state = DialogueState()
-            for idx, entry in enumerate(log):
-                speaker = Speaker.USER if idx % 2 == 0 else Speaker.SYSTEM
-                turns.append(Turn(speaker=speaker, text=str(entry["text"])))
-                if speaker is Speaker.SYSTEM:
-                    last_state = DialogueState(_belief_triples(entry.get("metadata", {})))
-                    gold[-1] = last_state
-                else:
-                    # trailing user turn without a system reply keeps the
-                    # previous cumulative state
-                    gold.append(last_state)
-            dialogues.append(
-                AnnotatedDialogue(
-                    dialogue_id=str(dialogue_id),
-                    turns=tuple(turns),
-                    gold_states=tuple(gold),
-                )
-            )
-        except (ValueError, KeyError, TypeError):
-            skipped += 1
-    return dialogues, skipped
+def _multiwoz_dialogue(item: tuple[str, dict]) -> AnnotatedDialogue:
+    """One (dialogue_id, {"log": [...]}) entry of the classic format: user
+    and system turns alternate, and each system turn's metadata holds the
+    belief state."""
+    dialogue_id, rec = item
+    turns, gold = [], []
+    last_state = DialogueState()
+    for idx, entry in enumerate(rec["log"]):
+        speaker = Speaker.USER if idx % 2 == 0 else Speaker.SYSTEM
+        turns.append(Turn(speaker=speaker, text=str(entry["text"])))
+        if speaker is Speaker.SYSTEM:
+            last_state = DialogueState(_belief_triples(entry.get("metadata", {})))
+            gold[-1] = last_state
+        else:
+            # trailing user turn without a system reply keeps the
+            # previous cumulative state
+            gold.append(last_state)
+    return AnnotatedDialogue(
+        dialogue_id=str(dialogue_id), turns=tuple(turns), gold_states=tuple(gold)
+    )
 
 
 def _service_to_domain(service: str) -> str:
@@ -161,55 +135,32 @@ def _service_to_domain(service: str) -> str:
     return service
 
 
-def _load_sgd_json(raw) -> tuple[list[AnnotatedDialogue], int]:
-    """Schema-guided format: a list of dialogues whose user turns carry
+def _sgd_dialogue(rec: dict) -> AnnotatedDialogue:
+    """One dialogue of the schema-guided format: its user turns carry
     frames with cumulative state.slot_values per service."""
-    if not isinstance(raw, list):
-        raise ValueError("expected a list of dialogue objects")
-    dialogues: list[AnnotatedDialogue] = []
-    skipped = 0
-    for rec in raw:
-        try:
-            turns = []
-            gold = []
-            for entry in rec["turns"]:
-                speaker = {"USER": Speaker.USER, "SYSTEM": Speaker.SYSTEM}[
-                    str(entry["speaker"]).upper()
-                ]
-                turns.append(Turn(speaker=speaker, text=str(entry["utterance"])))
-                if speaker is Speaker.USER:
-                    triples = []
-                    for frame in entry.get("frames", []):
-                        domain = _service_to_domain(str(frame["service"]))
-                        slot_values = frame.get("state", {}).get("slot_values", {})
-                        for slot, values in slot_values.items():
-                            if values:
-                                triples.append(state_triple(domain, slot, values[0]))
-                    gold.append(DialogueState(triples))
-            dialogues.append(
-                AnnotatedDialogue(
-                    dialogue_id=str(rec["dialogue_id"]),
-                    turns=tuple(turns),
-                    gold_states=tuple(gold),
-                )
-            )
-        except (ValueError, KeyError, TypeError):
-            skipped += 1
-    return dialogues, skipped
-
-
-# loaders of the one-document JSON formats, by format and by parsed shape
-_JSON_LOADERS = {
-    CorpusFormat.MULTIWOZ_JSON: _load_multiwoz_json,
-    CorpusFormat.SGD_JSON: _load_sgd_json,
-    dict: _load_multiwoz_json,
-    list: _load_sgd_json,
-}
+    turns, gold = [], []
+    for entry in rec["turns"]:
+        speaker = Speaker(str(entry["speaker"]).lower())
+        turns.append(Turn(speaker=speaker, text=str(entry["utterance"])))
+        if speaker is Speaker.USER:
+            triples = []
+            for frame in entry.get("frames", []):
+                domain = _service_to_domain(str(frame["service"]))
+                slot_values = frame.get("state", {}).get("slot_values", {})
+                for slot, values in slot_values.items():
+                    if values:
+                        triples.append(state_triple(domain, slot, values[0]))
+            gold.append(DialogueState(triples))
+    return AnnotatedDialogue(
+        dialogue_id=str(rec["dialogue_id"]), turns=tuple(turns), gold_states=tuple(gold)
+    )
 
 
 def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadResult:
-    """Load and normalize a corpus file; malformed dialogues are counted,
-    not fatal.  Zero valid dialogues is an error.
+    """Load and normalize a corpus file.  A dialogue whose record is
+    malformed (a missing key, a wrong type, an unknown speaker, a gold
+    list of the wrong length) is skipped and counted, not fatal.  Zero
+    valid dialogues is an error, as is a document of the wrong shape.
 
     Without a ``format``, a ``.jsonl`` file is plain JSONL; any other file
     is parsed once as JSON, and an object is read as the classic format, a
@@ -219,16 +170,38 @@ def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadRes
     if not p.exists():
         raise FileNotFoundError(f"corpus file not found: {path}")
     if format is CorpusFormat.PLAIN_JSONL or (format is None and p.suffix == ".jsonl"):
-        dialogues, skipped = _load_plain_jsonl(p)
+        lines = p.read_text(encoding="utf-8").splitlines()
+        parse, records = _plain_dialogue, (line for line in lines if line.strip())
     else:
         try:
             raw = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-        loader = _JSON_LOADERS.get(format or type(raw))
-        if loader is None:
+        if format is None and isinstance(raw, dict):
+            format = CorpusFormat.MULTIWOZ_JSON
+        elif format is None and isinstance(raw, list):
+            format = CorpusFormat.SGD_JSON
+        if format is CorpusFormat.MULTIWOZ_JSON:
+            if not isinstance(raw, dict):
+                raise ValueError(
+                    f"{path}: expected a dialogue_id -> dialogue object mapping"
+                )
+            # ids are unique, so sorting the items sorts by id alone
+            parse, records = _multiwoz_dialogue, sorted(raw.items())
+        elif format is CorpusFormat.SGD_JSON:
+            if not isinstance(raw, list):
+                raise ValueError(f"{path}: expected a list of dialogue objects")
+            parse, records = _sgd_dialogue, raw
+        else:
             raise ValueError(f"unrecognized corpus shape in {path}")
-        dialogues, skipped = loader(raw)
+    dialogues: list[AnnotatedDialogue] = []
+    skipped = 0
+    for record in records:
+        try:
+            dialogues.append(parse(record))
+        except (ValueError, KeyError, TypeError, AttributeError):
+            # AttributeError: a list or a string where an object belongs
+            skipped += 1
     if not dialogues:
         raise ValueError(f"no valid dialogues in {path} ({skipped} skipped)")
     return LoadResult(dialogues=tuple(dialogues), skipped=skipped)
@@ -261,7 +234,7 @@ def write_corpus(path: str | Path, dialogues: Iterable[AnnotatedDialogue]) -> No
             rec: dict = {
                 "dialogue_id": d.dialogue_id,
                 "turns": [
-                    {"speaker": t.speaker.name.lower(), "text": t.text} for t in d.turns
+                    {"speaker": t.speaker.value, "text": t.text} for t in d.turns
                 ],
             }
             if d.gold_states is not None:

@@ -955,6 +955,12 @@ def write(name: str, text: str):
             id="replay-line-is-not-json",
         ),
         pytest.param(
+            lambda: None,
+            [*_EXTRACT_ARGV, "--backend", "replay", "--replay", "nope.jsonl"],
+            "replay file not found: nope.jsonl",
+            id="replay-file-is-missing",
+        ),
+        pytest.param(
             write("run.conf", "corpus_format = bogus\n"),
             [*_EXTRACT_ARGV, "--config", "run.conf"],
             "config key corpus_format: unknown format 'bogus'",
@@ -965,6 +971,19 @@ def write(name: str, text: str):
             ["extract", "--corpus", "c.json", "--out", "x.jsonl"],
             "c.json: Expecting value: line 1 column 1",
             id="json-corpus-is-not-json",
+        ),
+        pytest.param(
+            write("c.json", "[]"),
+            ["extract", "--corpus", "c.json", "--format", "multiwoz",
+             "--out", "x.jsonl"],
+            "c.json: expected a dialogue_id -> dialogue object mapping",
+            id="multiwoz-corpus-is-a-list",
+        ),
+        pytest.param(
+            write("c.json", "{}"),
+            ["extract", "--corpus", "c.json", "--format", "sgd", "--out", "x.jsonl"],
+            "c.json: expected a list of dialogue objects",
+            id="sgd-corpus-is-an-object",
         ),
         pytest.param(
             write("t.txt", "[frame]\nx\n[oops]\ny\n"),
@@ -1188,6 +1207,39 @@ def test_train_builds_each_propagation_matrix_once(tmp_path, monkeypatch, capsys
     capsys.readouterr()
 
 
+def test_train_rejects_split_without_test_edge_before_training(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    # gold states naming 4 (domain, slot-value) pairs: the default
+    # --test-frac 0.10 of 4 edges rounds to no test edge
+    golds = [
+        [("restaurant", "food", "thai")],
+        [("restaurant", "area", "centre"), ("hotel", "area", "north")],
+        [("hotel", "stars", "4")],
+    ]
+    Path("c.jsonl").write_text(
+        "".join(
+            json.dumps(
+                {"dialogue_id": f"d{i}", "turns": [{"speaker": "user", "text": "hi"}],
+                 "gold": [[{"domain": d, "slot": s, "value": v} for d, s, v in gold]]}
+            ) + "\n"
+            for i, gold in enumerate(golds)
+        ),
+        encoding="utf-8",
+    )
+    argv = ["graph", "--from-gold", "--corpus", "c.jsonl", "--out-prefix", "g"]
+    assert cli.main(argv) == 0
+    assert json.loads(Path("g.manifest.json").read_text())["n_edges"] == 4
+    capsys.readouterr()
+    assert cli.main(["train", "--graph-prefix", "g", "--checkpoint", "model.json"]) == 1
+    assert not Path("model.json").exists()
+    assert not Path("model.metrics.json").exists()
+    assert capsys.readouterr().err == (
+        "error: graph g: --test-frac 0.1 of 4 edges leaves no test edge to evaluate\n"
+    )
+
+
 def test_write_json_keeps_previous_report_on_failure(tmp_path):
     out = tmp_path / "report.json"
     cli._write_json(str(out), {"jga": 0.5})
@@ -1276,6 +1328,16 @@ def test_repl_prints_candidates_with_model(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.count("next: (restaurant, ") == 4
     assert "p=0." in out
+
+
+def test_repl_rejects_missing_replay_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("hello there\n"))
+    assert cli.main(["repl", "--backend", "replay", "--replay", "nope.jsonl"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: replay file not found: nope.jsonl\n"
+    assert captured.out == ""
+    assert not Path("nope.jsonl").exists()
 
 
 def test_repl_reports_backend_errors_and_continues(tmp_path, monkeypatch, capsys):

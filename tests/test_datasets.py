@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -261,6 +262,84 @@ def test_load_corpus_auto_detects_by_extension_then_shape(tmp_path):
     bad.write_text('"just a string"', encoding="utf-8")
     with pytest.raises(ValueError, match=f"unrecognized corpus shape in {bad}"):
         load_corpus(bad)
+
+
+def edited(rec, *path, drop: str = "", **fields):
+    """A deep copy of ``rec`` whose object at ``path`` has its ``drop`` key
+    removed and ``fields`` set."""
+    rec = copy.deepcopy(rec)
+    target = rec
+    for key in path:
+        target = target[key]
+    target.pop(drop, None)
+    target.update(fields)
+    return rec
+
+
+_NOT_OBJECTS = [[], "x", None]
+_PLAIN = plain_record()
+_CLASSIC = MULTIWOZ["PMUL0001.json"]
+# per format: a good dialogue record, then one record of each malformed kind
+# that format can hold
+_GOOD_AND_BAD = {
+    CorpusFormat.PLAIN_JSONL: (_PLAIN, [
+        *_NOT_OBJECTS,
+        edited(_PLAIN, drop="turns"),
+        edited(_PLAIN, "turns", 0, speaker="narrator"),
+        edited(_PLAIN, gold=_PLAIN["gold"][:1]),
+        edited(_PLAIN, turns=[["user", "i want thai food"]]),
+    ]),
+    CorpusFormat.MULTIWOZ_JSON: (_CLASSIC, [
+        *_NOT_OBJECTS,
+        edited(_CLASSIC, "log", 0, drop="text"),
+        edited(_CLASSIC, "log", 1, metadata=[]),
+        edited(_CLASSIC, "log", 3, "metadata", "restaurant", semi=[]),
+    ]),
+    CorpusFormat.SGD_JSON: (SGD[0], [
+        *_NOT_OBJECTS,
+        edited(SGD[0], drop="dialogue_id"),
+        edited(SGD[0], "turns", 1, speaker="NARRATOR"),
+        edited(SGD[0], "turns", 0, "frames", 0, state=[]),
+        edited(SGD[0], "turns", 0, "frames", 0, "state", slot_values=[]),
+    ]),
+}
+
+
+def corpus_text(fmt: CorpusFormat, records: list) -> str:
+    """A corpus in ``fmt`` holding ``records`` in order."""
+    if fmt is CorpusFormat.PLAIN_JSONL:
+        return "".join(json.dumps(r) + "\n" for r in records)
+    if fmt is CorpusFormat.MULTIWOZ_JSON:
+        return json.dumps({f"d{i:02d}.json": r for i, r in enumerate(records)})
+    return json.dumps(records)
+
+
+@pytest.mark.parametrize("fmt", _GOOD_AND_BAD, ids=lambda fmt: fmt.value)
+def test_every_format_skips_and_counts_each_malformed_dialogue(fmt, tmp_path):
+    # one skip rule for every format, a list where an object belongs at
+    # any depth included
+    good, bad = _GOOD_AND_BAD[fmt]
+    alone = tmp_path / "alone.json"
+    alone.write_text(corpus_text(fmt, [good]), encoding="utf-8")
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(corpus_text(fmt, [good, *bad]), encoding="utf-8")
+    result = load_corpus(mixed, fmt)
+    assert result.dialogues == load_corpus(alone, fmt).dialogues
+    assert result.skipped == len(bad)
+
+
+def test_extract_skips_classic_dialogues_with_nested_lists(tmp_path, capsys):
+    corpus = tmp_path / "c.json"
+    good, bad = _GOOD_AND_BAD[CorpusFormat.MULTIWOZ_JSON]
+    corpus.write_text(
+        corpus_text(CorpusFormat.MULTIWOZ_JSON, [good, *bad[-2:]]), encoding="utf-8"
+    )
+    out = tmp_path / "pred.jsonl"
+    assert cli.main(["extract", "--corpus", str(corpus), "--out", str(out)]) == 0
+    capsys.readouterr()
+    predictions, meta = read_predictions(out)
+    assert meta["corpus_skipped"] == 2
+    assert {r["dialogue_id"] for r in predictions} == {"d00.json"}
 
 
 def test_load_corpus_missing_file():

@@ -444,8 +444,10 @@ def main() -> int:
     mock = RuleMockBackend.from_json(keywords_path)
     n = build_replay(dialogues, mock, ReplayBackend(replay_path))
 
-    # sanity: the replay store must reproduce the mock run exactly
+    # sanity: the written corpus must read back as the dialogues it was
+    # written from, and the replay store must reproduce the mock run exactly
     loaded = load_corpus(corpus_path).dialogues
+    assert loaded == tuple(dialogues), "corpus does not round-trip"
     cfg = RunConfig()
     mock_records, err1 = extract_records(loaded, mock, cfg)
     replay_records, err2 = extract_records(loaded, ReplayBackend(replay_path), cfg)
