@@ -19,7 +19,7 @@ import sys
 import typing
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -78,20 +78,28 @@ class UsageError(ValueError):
 _FORMATS = {"auto": None, **{f.value: f for f in CorpusFormat}}
 
 
+def _setting(default, help=None, *, choices=None):
+    """A ``RunConfig`` field with its help and the choices that bound its
+    flag and its config-file value alike."""
+    return field(default=default, metadata=dict(help=help, choices=choices))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one subcommand run."""
+    """Fully resolved settings for one subcommand run.  A field declares a
+    setting: its config-file and echoed key, and by its annotation the type
+    of its flag and config-file value."""
 
-    backend: str = "rulemock"
-    endpoint: str = ""
-    model: str = GenerationParams.model_name
-    strategy: str = "cot"
+    backend: str = _setting("rulemock", choices=("rulemock", "replay", "http"))
+    endpoint: str = _setting("", "chat-completions base URL (http backend)")
+    model: str = _setting(GenerationParams.model_name, "model name sent to the endpoint")
+    strategy: str = _setting("cot", choices=tuple(s.value for s in PromptStrategy))
     anti_hallucination: bool = True
-    instruction: str = ""
-    exemplars_file: str = ""
-    templates_file: str = ""
-    keywords: str = ""
-    replay: str = ""
+    instruction: str = _setting("", "override the default instruction text")
+    exemplars_file: str = _setting("", "exemplar JSONL")
+    templates_file: str = _setting("", "template overrides")
+    keywords: str = _setting("", "keyword table JSON (rulemock backend)")
+    replay: str = _setting("", "replay fixture JSONL (replay backend)")
     temperature: float = GenerationParams.temperature
     max_tokens: int = GenerationParams.max_tokens
     timeout: float = GenerationParams.timeout
@@ -107,13 +115,27 @@ class RunConfig:
     test_frac: float = 0.10
     val_frac: float = 0.05
     corpus: str = ""
-    corpus_format: str = "auto"
+    corpus_format: str = _setting("auto", choices=tuple(sorted(_FORMATS)))
     predictions: str = ""
     out: str = ""
     out_prefix: str = ""
     checkpoint: str = ""
     metrics_out: str = ""
     from_gold: bool = False
+
+
+_FIELDS = RunConfig.__dataclass_fields__
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+# The flags not spelled --field-name.  Besides these, train, predict and repl
+# read the graph that graph writes at --out-prefix as --graph-prefix.
+_FLAGS = {"corpus_format": "--format", "exemplars_file": "--exemplars",
+          "templates_file": "--templates"}
+
+
+def _flag(name: str) -> str:
+    return _FLAGS.get(name) or "--" + name.replace("_", "-")
 
 
 def _meta(config: RunConfig, keys: list[str], **extra) -> dict:
@@ -272,8 +294,6 @@ def extract_records(
 
 
 def cmd_extract(cfg: RunConfig, echoed: list[str]) -> int:
-    if not cfg.corpus or not cfg.out:
-        raise UsageError("extract requires --corpus and --out")
     result = load_corpus(cfg.corpus, _FORMATS[cfg.corpus_format])
     backend = make_backend(cfg)
     records, failure = extract_records(result.dialogues, backend, cfg)
@@ -313,8 +333,6 @@ def _pair_turns(
 
 
 def cmd_evaluate(cfg: RunConfig, echoed: list[str]) -> int:
-    if not cfg.predictions or not cfg.corpus or not cfg.out:
-        raise UsageError("evaluate requires --predictions, --corpus and --out")
     predictions = load_predictions(cfg.predictions)
     result = load_corpus(cfg.corpus, _FORMATS[cfg.corpus_format])
     pairs, contexts = _pair_turns(predictions, result.dialogues)
@@ -346,8 +364,6 @@ def cmd_evaluate(cfg: RunConfig, echoed: list[str]) -> int:
 
 
 def cmd_graph(cfg: RunConfig, echoed: list[str]) -> int:
-    if not cfg.out_prefix:
-        raise UsageError("graph requires --out-prefix")
     if cfg.from_gold:
         if not cfg.corpus:
             raise UsageError("graph --from-gold requires --corpus")
@@ -391,8 +407,6 @@ def _load_model(cfg: RunConfig):
 
 
 def cmd_train(cfg: RunConfig, echoed: list[str]) -> int:
-    if not cfg.out_prefix or not cfg.checkpoint:
-        raise UsageError("train requires --graph-prefix and --checkpoint")
     g = _load_graph_prefix(cfg.out_prefix)
     split = split_edges(g, cfg.train_frac, cfg.test_frac, cfg.val_frac, seed=cfg.seed)
     if not split.test:
@@ -400,14 +414,8 @@ def cmd_train(cfg: RunConfig, echoed: list[str]) -> int:
             f"graph {cfg.out_prefix}: --test-frac {cfg.test_frac} of "
             f"{len(g.edges)} edges leaves no test edge to evaluate"
         )
-    tc = TrainConfig(
-        hidden_dim=cfg.hidden_dim,
-        latent_dim=cfg.latent_dim,
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        kl_weight=cfg.kl_weight,
-        seed=cfg.seed,
-    )
+    shared = TrainConfig.__dataclass_fields__.keys() & _FIELDS.keys()
+    tc = TrainConfig(**{name: getattr(cfg, name) for name in shared})
     params, history = train(g, split, tc)
     save_checkpoint(cfg.checkpoint, params, tc)
     result = evaluate_split(params, g, split)
@@ -438,10 +446,6 @@ def cmd_train(cfg: RunConfig, echoed: list[str]) -> int:
 
 
 def cmd_predict(cfg: RunConfig, echoed: list[str]) -> int:
-    if not cfg.out_prefix or not cfg.checkpoint or not cfg.predictions or not cfg.out:
-        raise UsageError(
-            "predict requires --graph-prefix, --checkpoint, --predictions and --out"
-        )
     if cfg.top_k <= 0:
         raise UsageError(f"--top-k must be positive, got {cfg.top_k}")
     g, mu = _load_model(cfg)
@@ -526,12 +530,11 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
-
-
 def _coerce(key: str, value: str):
-    if key == "corpus_format" and value not in _FORMATS:
-        raise UsageError(f"config key corpus_format: unknown format {value!r}")
+    choices = _FIELDS[key].metadata.get("choices")
+    if choices is not None and value not in choices:
+        # named as its flag names it: "unknown format", "unknown backend"
+        raise UsageError(f"config key {key}: unknown {_flag(key)[2:]} {value!r}")
     kind = _FIELD_TYPES[key]
     if kind is bool:
         lowered = value.lower()
@@ -551,118 +554,111 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _add_setting(p, flag: str, name: str) -> None:
+    """A flag for setting ``name``, whose default ``None`` defers to the
+    config file; a switch on by default gets a ``--no-`` form too."""
+    kind, meta = _FIELD_TYPES[name], _FIELDS[name].metadata
+    if kind is not bool:
+        p.add_argument(flag, dest=name, type=None if kind is str else kind,
+                       choices=meta.get("choices"), help=meta.get("help"))
+    elif not _FIELDS[name].default:
+        p.add_argument(flag, action="store_true", dest=name, default=None)
+    else:
+        pair = p.add_mutually_exclusive_group()
+        pair.add_argument(flag, action="store_true", dest=name, default=None)
+        pair.add_argument(f"--no-{flag[2:]}", action="store_false", dest=name,
+                          default=None)
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: what runs it, its help, its settings in flag order,
+    the settings it cannot run without, and whether it reads a graph."""
+
+    run: typing.Callable[[RunConfig, list[str]], int]
+    help: str
+    settings: tuple[str, ...]
+    required: tuple[str, ...] = ()
+    reads_graph: bool = False
+
+    def flag(self, name: str) -> str:
+        if self.reads_graph and name == "out_prefix":
+            return "--graph-prefix"
+        return _flag(name)
+
+    def check_required(self, command: str, cfg: RunConfig) -> None:
+        if not all(getattr(cfg, name) for name in self.required):
+            *rest, last = map(self.flag, self.required)
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise UsageError(f"{command} requires {listed}")
+
+
+_BACKEND_SETTINGS = ("backend", "endpoint", "model", "keywords", "replay",
+                     "temperature", "max_tokens", "timeout", "retries")
+_PROMPT_SETTINGS = ("strategy", "anti_hallucination", "instruction",
+                    "exemplars_file", "templates_file")
+
+_COMMANDS = {
+    "extract": _Command(
+        cmd_extract, "extract dialogue states per user turn",
+        (*_BACKEND_SETTINGS, *_PROMPT_SETTINGS, "corpus", "corpus_format", "out"),
+        required=("corpus", "out")),
+    "evaluate": _Command(
+        cmd_evaluate, "score predictions against gold states",
+        ("predictions", "corpus", "corpus_format", "out"),
+        required=("predictions", "corpus", "out")),
+    "graph": _Command(
+        cmd_graph, "build the dialogue-state graph",
+        ("predictions", "corpus", "corpus_format", "from_gold", "out_prefix"),
+        required=("out_prefix",)),
+    "train": _Command(
+        cmd_train, "train the link predictor on a graph",
+        ("out_prefix", "checkpoint", "metrics_out", "seed", "epochs", "hidden_dim",
+         "latent_dim", "learning_rate", "kl_weight", "train_frac", "test_frac",
+         "val_frac"),
+        required=("out_prefix", "checkpoint"), reads_graph=True),
+    "predict": _Command(
+        cmd_predict, "rank next-state candidates per dialogue",
+        ("out_prefix", "checkpoint", "predictions", "top_k", "out"),
+        required=("out_prefix", "checkpoint", "predictions", "out"), reads_graph=True),
+    "repl": _Command(
+        cmd_repl, "interactive line-oriented tracker",
+        (*_BACKEND_SETTINGS, *_PROMPT_SETTINGS, "out_prefix", "checkpoint", "top_k"),
+        reads_graph=True),
+}
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The ``dstgraph`` parser, built once per process: parsing reads it and
+    never changes it."""
     parser = _Parser(prog="dstgraph", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", default=None, help="key = value settings file")
-
-    def add_backend_flags(p):
-        p.add_argument("--backend", choices=["rulemock", "replay", "http"])
-        p.add_argument("--endpoint", help="chat-completions base URL (http backend)")
-        p.add_argument("--model", help="model name sent to the endpoint")
-        p.add_argument("--keywords", help="keyword table JSON (rulemock backend)")
-        p.add_argument("--replay", help="replay fixture JSONL (replay backend)")
-        p.add_argument("--temperature", type=float)
-        p.add_argument("--max-tokens", type=int, dest="max_tokens")
-        p.add_argument("--timeout", type=float)
-        p.add_argument("--retries", type=int)
-
-    def add_prompt_flags(p):
-        p.add_argument(
-            "--strategy",
-            choices=[s.value for s in PromptStrategy],
-        )
-        anti = p.add_mutually_exclusive_group()
-        anti.add_argument(
-            "--anti-hallucination", action="store_true", dest="anti_hallucination",
-            default=None,
-        )
-        anti.add_argument(
-            "--no-anti-hallucination", action="store_false", dest="anti_hallucination",
-            default=None,
-        )
-        p.add_argument("--instruction", help="override the default instruction text")
-        p.add_argument("--exemplars", dest="exemplars_file", help="exemplar JSONL")
-        p.add_argument("--templates", dest="templates_file", help="template overrides")
-
-    p = sub.add_parser("extract", help="extract dialogue states per user turn")
-    add_common(p)
-    add_backend_flags(p)
-    add_prompt_flags(p)
-    p.add_argument("--corpus")
-    p.add_argument("--format", dest="corpus_format", choices=sorted(_FORMATS))
-    p.add_argument("--out")
-
-    p = sub.add_parser("evaluate", help="score predictions against gold states")
-    add_common(p)
-    p.add_argument("--predictions")
-    p.add_argument("--corpus")
-    p.add_argument("--format", dest="corpus_format", choices=sorted(_FORMATS))
-    p.add_argument("--out")
-
-    p = sub.add_parser("graph", help="build the dialogue-state graph")
-    add_common(p)
-    p.add_argument("--predictions")
-    p.add_argument("--corpus")
-    p.add_argument("--format", dest="corpus_format", choices=sorted(_FORMATS))
-    p.add_argument("--from-gold", action="store_true", dest="from_gold", default=None)
-    p.add_argument("--out-prefix", dest="out_prefix")
-
-    p = sub.add_parser("train", help="train the link predictor on a graph")
-    add_common(p)
-    p.add_argument("--graph-prefix", dest="out_prefix")
-    p.add_argument("--checkpoint")
-    p.add_argument("--metrics-out", dest="metrics_out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    p.add_argument("--latent-dim", type=int, dest="latent_dim")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--kl-weight", type=float, dest="kl_weight")
-    p.add_argument("--train-frac", type=float, dest="train_frac")
-    p.add_argument("--test-frac", type=float, dest="test_frac")
-    p.add_argument("--val-frac", type=float, dest="val_frac")
-
-    p = sub.add_parser("predict", help="rank next-state candidates per dialogue")
-    add_common(p)
-    p.add_argument("--graph-prefix", dest="out_prefix")
-    p.add_argument("--checkpoint")
-    p.add_argument("--predictions")
-    p.add_argument("--top-k", type=int, dest="top_k")
-    p.add_argument("--out")
-
-    p = sub.add_parser("repl", help="interactive line-oriented tracker")
-    add_common(p)
-    add_backend_flags(p)
-    add_prompt_flags(p)
-    p.add_argument("--graph-prefix", dest="out_prefix")
-    p.add_argument("--checkpoint")
-    p.add_argument("--top-k", type=int, dest="top_k")
-
+        for setting in command.settings:
+            _add_setting(p, command.flag(setting), setting)
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge precedence: command line > config file > defaults."""
-    file_values: dict = {}
-    if getattr(args, "config", None):
+    """Merge precedence: command line > config file > defaults.
+
+    A config-file value is typed and checked against its setting's choices
+    here, as argparse checks a flag's, for every subcommand and before any
+    input is read.
+    """
+    file_values = {}
+    if args.config:
         raw = _parse_config_file(args.config)
-        unknown = set(raw) - set(RunConfig.__dataclass_fields__)
+        unknown = set(raw) - set(_FIELDS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         file_values = {k: _coerce(k, v) for k, v in raw.items()}
-
-    merged = {}
-    for name in RunConfig.__dataclass_fields__:
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            merged[name] = cli_value
-        elif name in file_values:
-            merged[name] = file_values[name]
-    return RunConfig(**merged)
+    flags = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
+    return RunConfig(**{**file_values, **flags})
 
 
 # Settings a command's output does not echo: the subcommand and the config
@@ -670,23 +666,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # retries) cannot change what a command writes.
 _NOT_ECHOED = {"command", "config", "timeout", "retries"}
 
-_COMMANDS = {
-    "extract": cmd_extract,
-    "evaluate": cmd_evaluate,
-    "graph": cmd_graph,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "repl": cmd_repl,
-}
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         cfg = resolve_config(args)
+        command = _COMMANDS[args.command]
+        command.check_required(args.command, cfg)
         echoed = sorted(vars(args).keys() - _NOT_ECHOED)
-        return _COMMANDS[args.command](cfg, echoed)
+        return command.run(cfg, echoed)
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 2

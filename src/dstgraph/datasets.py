@@ -5,9 +5,10 @@ Three corpus shapes normalize to AnnotatedDialogue: a plain JSONL schema
 metadata, and schema-guided JSON with per-frame slot_values.  Each shape
 has one parser that turns one record (a JSONL line, an (id, object) entry,
 a list element) into one dialogue, and ``load_corpus`` runs it under one
-skip rule: a dialogue whose record is malformed at any depth is counted
-instead of crashing, because corpus files in the wild are messy.  A file
-of the wrong shape is an error that names the file.
+skip rule: a dialogue whose record is malformed at any depth, or whose
+id an earlier dialogue has, is counted instead of crashing, because corpus
+files in the wild are messy.  A file of the wrong shape is an error that
+names the file.
 
 Plain JSONL schema, one dialogue per line:
     {"dialogue_id": str,
@@ -148,6 +149,8 @@ def _sgd_dialogue(rec: dict) -> AnnotatedDialogue:
                 domain = _service_to_domain(str(frame["service"]))
                 slot_values = frame.get("state", {}).get("slot_values", {})
                 for slot, values in slot_values.items():
+                    if not isinstance(values, list):
+                        raise TypeError(f"slot {slot!r}: values must be a list")
                     if values:
                         triples.append(state_triple(domain, slot, values[0]))
             gold.append(DialogueState(triples))
@@ -159,8 +162,9 @@ def _sgd_dialogue(rec: dict) -> AnnotatedDialogue:
 def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadResult:
     """Load and normalize a corpus file.  A dialogue whose record is
     malformed (a missing key, a wrong type, an unknown speaker, a gold
-    list of the wrong length) is skipped and counted, not fatal.  Zero
-    valid dialogues is an error, as is a document of the wrong shape.
+    list of the wrong length) is skipped and counted, not fatal, and so is
+    a dialogue whose id an earlier one in read order has.  Zero valid
+    dialogues is an error, as is a document of the wrong shape.
 
     Without a ``format``, a ``.jsonl`` file is plain JSONL; any other file
     is parsed once as JSON, and an object is read as the classic format, a
@@ -194,17 +198,20 @@ def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadRes
             parse, records = _sgd_dialogue, raw
         else:
             raise ValueError(f"unrecognized corpus shape in {path}")
-    dialogues: list[AnnotatedDialogue] = []
+    dialogues: dict[str, AnnotatedDialogue] = {}
     skipped = 0
     for record in records:
         try:
-            dialogues.append(parse(record))
+            dialogue = parse(record)
         except (ValueError, KeyError, TypeError, AttributeError):
             # AttributeError: a list or a string where an object belongs
             skipped += 1
+            continue
+        if dialogues.setdefault(dialogue.dialogue_id, dialogue) is not dialogue:
+            skipped += 1  # a repeated id: the first dialogue read keeps it
     if not dialogues:
         raise ValueError(f"no valid dialogues in {path} ({skipped} skipped)")
-    return LoadResult(dialogues=tuple(dialogues), skipped=skipped)
+    return LoadResult(dialogues=tuple(dialogues.values()), skipped=skipped)
 
 
 @contextlib.contextmanager

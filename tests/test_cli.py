@@ -133,16 +133,144 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == __version__
 
 
+# --- parser shape ---
+
+# Each option as (option strings, dest, type, choices, action kind, help).
+_HELP_OPTION = ("-h --help", "help", None, None, "Help", "show this help message and exit")
+_CONFIG_OPTION = ("--config", "config", None, None, "Store", "key = value settings file")
+_BACKEND_OPTIONS = [
+    ("--backend", "backend", None, ["rulemock", "replay", "http"], "Store", None),
+    ("--endpoint", "endpoint", None, None, "Store",
+     "chat-completions base URL (http backend)"),
+    ("--model", "model", None, None, "Store", "model name sent to the endpoint"),
+    ("--keywords", "keywords", None, None, "Store",
+     "keyword table JSON (rulemock backend)"),
+    ("--replay", "replay", None, None, "Store", "replay fixture JSONL (replay backend)"),
+    ("--temperature", "temperature", float, None, "Store", None),
+    ("--max-tokens", "max_tokens", int, None, "Store", None),
+    ("--timeout", "timeout", float, None, "Store", None),
+    ("--retries", "retries", int, None, "Store", None),
+]
+_PROMPT_OPTIONS = [
+    ("--strategy", "strategy", None,
+     ["cot", "cot-persona1", "cot-persona2", "cot-persona3", "self-discover", "tot"],
+     "Store", None),
+    ("--anti-hallucination", "anti_hallucination", None, None, "StoreTrue", None),
+    ("--no-anti-hallucination", "anti_hallucination", None, None, "StoreFalse", None),
+    ("--instruction", "instruction", None, None, "Store",
+     "override the default instruction text"),
+    ("--exemplars", "exemplars_file", None, None, "Store", "exemplar JSONL"),
+    ("--templates", "templates_file", None, None, "Store", "template overrides"),
+]
+_FORMAT_OPTION = (
+    "--format", "corpus_format", None, ["auto", "multiwoz", "plain", "sgd"], "Store", None
+)
+_ANTI_GROUP = [["--anti-hallucination", "--no-anti-hallucination"]]
+
+
+def store(flag, dest=None, type=None):
+    return (flag, dest or flag[2:].replace("-", "_"), type, None, "Store", None)
+
+
+# Per subcommand: its help, its options in order, its mutually exclusive
+# groups.
+_PARSER_SHAPE = {
+    "extract": (
+        "extract dialogue states per user turn",
+        [_HELP_OPTION, _CONFIG_OPTION, *_BACKEND_OPTIONS, *_PROMPT_OPTIONS,
+         store("--corpus"), _FORMAT_OPTION, store("--out")],
+        _ANTI_GROUP,
+    ),
+    "evaluate": (
+        "score predictions against gold states",
+        [_HELP_OPTION, _CONFIG_OPTION, store("--predictions"), store("--corpus"),
+         _FORMAT_OPTION, store("--out")],
+        [],
+    ),
+    "graph": (
+        "build the dialogue-state graph",
+        [_HELP_OPTION, _CONFIG_OPTION, store("--predictions"), store("--corpus"),
+         _FORMAT_OPTION, ("--from-gold", "from_gold", None, None, "StoreTrue", None),
+         store("--out-prefix")],
+        [],
+    ),
+    "train": (
+        "train the link predictor on a graph",
+        [_HELP_OPTION, _CONFIG_OPTION, store("--graph-prefix", "out_prefix"),
+         store("--checkpoint"), store("--metrics-out"), store("--seed", type=int),
+         store("--epochs", type=int), store("--hidden-dim", type=int),
+         store("--latent-dim", type=int), store("--learning-rate", type=float),
+         store("--kl-weight", type=float), store("--train-frac", type=float),
+         store("--test-frac", type=float), store("--val-frac", type=float)],
+        [],
+    ),
+    "predict": (
+        "rank next-state candidates per dialogue",
+        [_HELP_OPTION, _CONFIG_OPTION, store("--graph-prefix", "out_prefix"),
+         store("--checkpoint"), store("--predictions"), store("--top-k", type=int),
+         store("--out")],
+        [],
+    ),
+    "repl": (
+        "interactive line-oriented tracker",
+        [_HELP_OPTION, _CONFIG_OPTION, *_BACKEND_OPTIONS, *_PROMPT_OPTIONS,
+         store("--graph-prefix", "out_prefix"), store("--checkpoint"),
+         store("--top-k", type=int)],
+        _ANTI_GROUP,
+    ),
+}
+
+
+def option_row(action):
+    kind = type(action).__name__.strip("_").removesuffix("Action")
+    choices = None if action.choices is None else list(action.choices)
+    return (" ".join(action.option_strings), action.dest, action.type, choices,
+            kind, action.help)
+
+
+def test_parser_shape_is_pinned():
+    parser = cli._build_parser()
+    assert parser.prog == "dstgraph"
+    top, version, sub = parser._actions
+    assert option_row(top) == _HELP_OPTION
+    assert (version.option_strings, version.version) == (["--version"], __version__)
+    assert (sub.dest, sub.required) == ("command", True)
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    shape = {}
+    for name, p in sub.choices.items():
+        for action in p._actions[1:]:
+            # None: a flag left off the command line defers to the config file
+            assert (action.default, action.required) == (None, False), action.dest
+        groups = [[a.option_strings[0] for a in g._group_actions]
+                  for g in p._mutually_exclusive_groups]
+        shape[name] = (helps[name], [option_row(a) for a in p._actions], groups)
+    assert shape == _PARSER_SHAPE
+
+
+@pytest.mark.parametrize("command", [[], *([c] for c in _PARSER_SHAPE)], ids=str)
+def test_help_of_every_command_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([*command, "--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith(
+        f"usage: {' '.join(['dstgraph', *command])} "
+    )
+
+
 # --- exit codes ---
 
 
 def test_missing_required_paths_exit_1(capsys):
-    assert cli.main(["extract"]) == 1
-    assert cli.main(["evaluate"]) == 1
-    assert cli.main(["graph"]) == 1
-    assert cli.main(["train"]) == 1
-    assert cli.main(["predict"]) == 1
-    capsys.readouterr()
+    # each message names every required setting, in declaration order
+    for command, message in [
+        ("extract", "extract requires --corpus and --out"),
+        ("evaluate", "evaluate requires --predictions, --corpus and --out"),
+        ("graph", "graph requires --out-prefix"),
+        ("train", "train requires --graph-prefix and --checkpoint"),
+        ("predict", "predict requires --graph-prefix, --checkpoint, --predictions and --out"),
+    ]:
+        assert cli.main([command]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_corpus_file_exit_1(tmp_path, capsys):
@@ -1021,6 +1149,23 @@ def test_malformed_input_exits_1_with_located_message(
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert located in err
+
+
+@pytest.mark.parametrize("key", ["backend", "strategy"])
+def test_config_file_choice_is_checked_before_any_input_is_read(
+    key, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    assert cli.main(_EVALUATE_ARGV) == 0
+    Path("run.conf").write_text(f"{key} = bogus\n", encoding="utf-8")
+    config_error = f"error: config key {key}: unknown {key} 'bogus'\n"
+    # a missing corpus would fail too, but only once it was read
+    extract = ["extract", "--corpus", "nope.jsonl", "--out", "x.jsonl"]
+    for argv in (extract, _EVALUATE_ARGV):
+        capsys.readouterr()
+        assert cli.main([*argv, "--config", "run.conf"]) == 1
+        assert capsys.readouterr().err == config_error
 
 
 # one value of each JSON type

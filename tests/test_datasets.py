@@ -276,32 +276,42 @@ def edited(rec, *path, drop: str = "", **fields):
     return rec
 
 
+def own_ids(records: list) -> list:
+    """``records`` with each dialogue_id made one no other record has, so a
+    record that parsed by mistake is kept, not skipped as a repeated id."""
+    return [
+        dict(r, dialogue_id=f"bad{i}") if isinstance(r, dict) and "dialogue_id" in r else r
+        for i, r in enumerate(records)
+    ]
+
+
 _NOT_OBJECTS = [[], "x", None]
 _PLAIN = plain_record()
 _CLASSIC = MULTIWOZ["PMUL0001.json"]
 # per format: a good dialogue record, then one record of each malformed kind
-# that format can hold
+# that format can hold; a classic record's id is its key, distinct already
 _GOOD_AND_BAD = {
-    CorpusFormat.PLAIN_JSONL: (_PLAIN, [
+    CorpusFormat.PLAIN_JSONL: (_PLAIN, own_ids([
         *_NOT_OBJECTS,
         edited(_PLAIN, drop="turns"),
         edited(_PLAIN, "turns", 0, speaker="narrator"),
         edited(_PLAIN, gold=_PLAIN["gold"][:1]),
         edited(_PLAIN, turns=[["user", "i want thai food"]]),
-    ]),
+    ])),
     CorpusFormat.MULTIWOZ_JSON: (_CLASSIC, [
         *_NOT_OBJECTS,
         edited(_CLASSIC, "log", 0, drop="text"),
         edited(_CLASSIC, "log", 1, metadata=[]),
         edited(_CLASSIC, "log", 3, "metadata", "restaurant", semi=[]),
     ]),
-    CorpusFormat.SGD_JSON: (SGD[0], [
+    CorpusFormat.SGD_JSON: (SGD[0], own_ids([
         *_NOT_OBJECTS,
         edited(SGD[0], drop="dialogue_id"),
         edited(SGD[0], "turns", 1, speaker="NARRATOR"),
         edited(SGD[0], "turns", 0, "frames", 0, state=[]),
         edited(SGD[0], "turns", 0, "frames", 0, "state", slot_values=[]),
-    ]),
+        edited(SGD[0], "turns", 2, "frames", 1, "state", "slot_values", city="cambridge"),
+    ])),
 }
 
 
@@ -340,6 +350,51 @@ def test_extract_skips_classic_dialogues_with_nested_lists(tmp_path, capsys):
     predictions, meta = read_predictions(out)
     assert meta["corpus_skipped"] == 2
     assert {r["dialogue_id"] for r in predictions} == {"d00.json"}
+
+
+def sgd_record(d: AnnotatedDialogue) -> dict:
+    """``d`` as a schema-guided record: one frame per domain of each gold state."""
+    gold = iter(d.gold_states)
+    turns = []
+    for turn in d.turns:
+        entry = {"speaker": turn.speaker.value.upper(), "utterance": turn.text}
+        if turn.speaker is Speaker.USER:
+            frames: dict[str, dict] = {}
+            for t in next(gold).triples():
+                frames.setdefault(t.domain, {})[t.slot] = [t.value]
+            entry["frames"] = [
+                {"service": domain, "state": {"slot_values": values}}
+                for domain, values in frames.items()
+            ]
+        turns.append(entry)
+    return {"dialogue_id": d.dialogue_id, "turns": turns}
+
+
+@pytest.mark.parametrize("fmt", [CorpusFormat.PLAIN_JSONL, CorpusFormat.SGD_JSON],
+                         ids=lambda fmt: fmt.value)
+def test_repeated_dialogue_id_is_skipped_and_counted(fmt, tmp_path, capsys):
+    # the fixture corpus with its first dialogue read again at the end: the
+    # first of an id stands, so extract writes no repeated (dialogue_id,
+    # turn) and evaluate pairs every turn once
+    fixture = load_corpus(fixture_corpus_path()).dialogues
+    if fmt is CorpusFormat.PLAIN_JSONL:
+        lines = fixture_corpus_path().read_text(encoding="utf-8").splitlines()
+        text = "".join(line + "\n" for line in [*lines, lines[0]])
+    else:
+        text = corpus_text(fmt, [sgd_record(d) for d in [*fixture, fixture[0]]])
+    corpus = tmp_path / "doubled"
+    corpus.write_text(text, encoding="utf-8")
+    result = load_corpus(corpus, fmt)
+    assert (len(result.dialogues), result.skipped) == (20, 1)
+    assert result.dialogues == fixture
+    pred, report = tmp_path / "pred.jsonl", tmp_path / "report.json"
+    flags = ["--corpus", str(corpus), "--format", fmt.value]
+    assert cli.main(["extract", *flags, "--out", str(pred)]) == 0
+    assert read_predictions(pred)[1]["corpus_skipped"] == 1
+    assert cli.main(["evaluate", *flags, "--predictions", str(pred),
+                     "--out", str(report)]) == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["turn_count"] == 41
+    capsys.readouterr()
 
 
 def test_load_corpus_missing_file():
