@@ -379,7 +379,7 @@ def cmd_graph(cfg: RunConfig, echoed: list[str]) -> int:
             raise UsageError("graph requires --predictions (or --from-gold)")
         states = [p.state for p in load_predictions(cfg.predictions)]
     g = build_graph(states)
-    if not g.edges:
+    if not len(g.edges):
         raise UsageError("state graph has no edges; nothing to train on")
     write_node_table(g, cfg.out_prefix + ".nodes.jsonl")
     write_edge_list(g, cfg.out_prefix + ".edges.txt")
@@ -409,7 +409,7 @@ def _load_model(cfg: RunConfig):
 def cmd_train(cfg: RunConfig, echoed: list[str]) -> int:
     g = _load_graph_prefix(cfg.out_prefix)
     split = split_edges(g, cfg.train_frac, cfg.test_frac, cfg.val_frac, seed=cfg.seed)
-    if not split.test:
+    if not len(split.test):
         raise UsageError(
             f"graph {cfg.out_prefix}: --test-frac {cfg.test_frac} of "
             f"{len(g.edges)} edges leaves no test edge to evaluate"

@@ -24,6 +24,7 @@ import contextlib
 import json
 import os
 import uuid
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -177,8 +178,10 @@ def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadRes
         lines = p.read_text(encoding="utf-8").splitlines()
         parse, records = _plain_dialogue, (line for line in lines if line.strip())
     else:
+        last = deque(maxlen=1)  # the (key, value) pairs of the object decoded last
+        text = p.read_text(encoding="utf-8")
         try:
-            raw = json.loads(p.read_text(encoding="utf-8"))
+            raw = json.loads(text, object_pairs_hook=lambda kv: last.append(kv) or dict(kv))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         if format is None and isinstance(raw, dict):
@@ -190,8 +193,9 @@ def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadRes
                 raise ValueError(
                     f"{path}: expected a dialogue_id -> dialogue object mapping"
                 )
-            # ids are unique, so sorting the items sorts by id alone
-            parse, records = _multiwoz_dialogue, sorted(raw.items())
+            # the outermost object is decoded last: its entries in file order,
+            # a repeated id too, which the stable sort keeps after the first
+            parse, records = _multiwoz_dialogue, sorted(last[0], key=lambda kv: kv[0])
         elif format is CorpusFormat.SGD_JSON:
             if not isinstance(raw, list):
                 raise ValueError(f"{path}: expected a list of dialogue objects")

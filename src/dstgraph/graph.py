@@ -1,9 +1,9 @@
 """Dialogue-state graphs: typed nodes, edge splits, negative sampling.
 
-Accumulated dialogue states are turned into one undirected bipartite graph:
-a node per distinct domain, a node per distinct (slot, value) pair, and an
-edge for every observed <domain, slot, value> triple.  Graphs are immutable
-after construction; splitting and negative sampling take an explicit seed.
+Accumulated dialogue states become one undirected bipartite graph: a node
+per distinct domain, a node per distinct (slot, value) pair, an edge per
+observed <domain, slot, value> triple.  Graphs and splits are immutable:
+each edge set is one read-only int64 (E, 2) array.  Splits take a seed.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .datasets import atomic_writer, read_json_lines
 from .dialogue import DialogueState
-
-Edge = tuple[int, int]
 
 
 class NodeKind(Enum):
@@ -34,32 +32,36 @@ class NodeId:
     label: str
 
 
-def _checked_edge(nodes: Sequence[NodeId], i: int, j: int) -> Edge:
-    """The edge (i, j) as (min, max), if it joins a Domain node of ``nodes``
-    to a SlotValue node."""
-    if i == j:
-        raise ValueError("self-loops are not allowed")
-    a, b = (i, j) if i < j else (j, i)
-    if not (0 <= a and b < len(nodes)):
-        raise ValueError(f"edge ({i}, {j}) references unknown node")
-    if nodes[a].kind == nodes[b].kind:
-        raise ValueError(f"edge ({i}, {j}) joins two {nodes[a].kind.value} nodes")
-    return a, b
+class EdgeError(ValueError):
+    """The edge (i, j) at ``row`` of the edges given, named by the rule it breaks."""
+
+    def __init__(self, nodes: Sequence[NodeId], i: int, j: int, row: int):
+        if i == j:
+            super().__init__("self-loops are not allowed")
+        elif min(i, j) < 0 or max(i, j) >= len(nodes):
+            super().__init__(f"edge ({i}, {j}) references unknown node")
+        else:
+            kind = nodes[min(i, j)].kind.value
+            super().__init__(f"edge ({i}, {j}) joins two {kind} nodes")
+        self.row = row
 
 
 class StateGraph:
     """Undirected bipartite graph over Domain and SlotValue nodes.
 
-    Edges are stored as (i, j) pairs with i < j and always connect a Domain
-    node to a SlotValue node.  SlotValue node identity is the (slot, value)
-    pair; the composite display label is "slot-value".  ``slot_values``
-    maps each SlotValue node index, and no other, to its distinct pair.
+    ``edges``, given as integer pairs in either orientation, is kept as a
+    read-only (E, 2) int64 array of unique (i, j) rows, i < j, each joining
+    a Domain node to a SlotValue node, sorted by key i * n + j, and
+    ``edge_keys`` holds those keys, read-only; a bad edge is an `EdgeError`.
+    SlotValue node identity is the (slot, value) pair; the composite display
+    label is "slot-value".  ``slot_values`` maps each SlotValue node index,
+    and no other, to its distinct pair.
     """
 
     def __init__(
         self,
         nodes: Sequence[NodeId],
-        edges: Iterable[Edge],
+        edges: np.ndarray | Sequence[tuple[int, int]],
         slot_values: dict[int, tuple[str, str]],
     ):
         self.nodes = tuple(nodes)
@@ -71,17 +73,9 @@ class StateGraph:
             if node.label in seen_labels[node.kind]:
                 raise ValueError(f"duplicate {node.kind.value} label: {node.label!r}")
             seen_labels[node.kind].add(node.label)
-
-        self.edges = frozenset(_checked_edge(self.nodes, i, j) for i, j in edges)
-        # sorted keys i * n + j of the edges (i < j), and the slot-value node
-        # indices in node order, for vectorised candidate masks
-        self.edge_keys = np.sort(
-            np.array([a * len(self.nodes) + b for a, b in self.edges], dtype=np.int64)
-        )
-        self.slotvalue_indices = np.array(
-            [v.index for v in self.nodes if v.kind is NodeKind.SLOT_VALUE], dtype=np.intp
-        )
-
+        is_domain = np.array([v.kind is NodeKind.DOMAIN for v in self.nodes], dtype=bool)
+        # the slot-value node indices in node order, for vectorised candidate masks
+        self.slotvalue_indices = np.flatnonzero(~is_domain)
         self._domain_index = {
             n.label: n.index for n in self.nodes if n.kind is NodeKind.DOMAIN
         }
@@ -90,13 +84,24 @@ class StateGraph:
         if len(set(slot_values.values())) != len(slot_values):
             raise ValueError("two slot-value nodes share one (slot, value) pair")
         self.slot_values = dict(slot_values)
+        e = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.int64)
+        # a cast would turn 0.7 into 0
+        if not np.can_cast(e.dtype, np.int64) or e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edges must be integer pairs, got {e.dtype} {e.shape}")
+        lo, hi = np.sort(e, axis=1).astype(np.int64, copy=False).T
+        bad = (lo == hi) | (lo < 0) | (hi >= self.n_nodes)
+        bad[~bad] = is_domain[lo[~bad]] == is_domain[hi[~bad]]
+        if bad.any():
+            raise EdgeError(self.nodes, *e[bad.argmax()].tolist(), int(bad.argmax()))
+        # sorted and deduplicated without np.unique, whose first call imports numpy.ma
+        keys = np.sort(self._pair_keys(lo, hi))
+        self.edge_keys = keys[np.diff(keys, prepend=-1) > 0]
+        self.edges = np.stack(np.divmod(self.edge_keys, self.n_nodes), axis=1)
+        self.edges.flags.writeable = self.edge_keys.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
 
     def _pair_keys(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return np.minimum(i, j) * self.n_nodes + np.maximum(i, j)
@@ -117,10 +122,6 @@ class StateGraph:
         d_idx, sv_idx = self.unobserved_pairs(sorted(self._domain_index.values()))
         return np.sort(self._pair_keys(d_idx, sv_idx))
 
-    def key_edges(self, keys: np.ndarray) -> list[Edge]:
-        """The (i, j) pairs of keys i * n + j, as Python ints, in key order."""
-        return list(zip(*(part.tolist() for part in np.divmod(keys, self.n_nodes))))
-
 
 def build_graph(states: Sequence[DialogueState]) -> StateGraph:
     """Build the state graph from a sequence of dialogue states.
@@ -134,7 +135,7 @@ def build_graph(states: Sequence[DialogueState]) -> StateGraph:
     domain_index: dict[str, int] = {}
     slotvalue_index: dict[tuple[str, str], int] = {}
     used_sv_labels: set[str] = set()
-    edges: set[Edge] = set()
+    edges: set[tuple[int, int]] = set()
 
     for state in states:
         for t in state.triples():
@@ -157,20 +158,20 @@ def build_graph(states: Sequence[DialogueState]) -> StateGraph:
             d, v = domain_index[t.domain], slotvalue_index[pair]
             edges.add((d, v) if d < v else (v, d))
 
-    return StateGraph(
-        nodes, edges, slot_values={idx: pair for pair, idx in slotvalue_index.items()}
-    )
+    slot_values = {idx: pair for pair, idx in slotvalue_index.items()}
+    return StateGraph(nodes, list(edges), slot_values)
 
 
 @dataclass(frozen=True)
 class EdgeSplit:
-    """Disjoint train/val/test edge partition with matched negatives."""
+    """Disjoint train/val/test edges and matched negatives: read-only int64
+    (k, 2) arrays of (i, j) rows, i < j, in drawn order."""
 
-    train: tuple[Edge, ...]
-    val: tuple[Edge, ...]
-    test: tuple[Edge, ...]
-    neg_val: tuple[Edge, ...]
-    neg_test: tuple[Edge, ...]
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
+    neg_val: np.ndarray
+    neg_test: np.ndarray
 
 
 def split_edges(
@@ -190,22 +191,16 @@ def split_edges(
     fracs = (train_frac, test_frac, val_frac)
     if any(f <= 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
         raise ValueError(f"fractions must be positive and sum to 1, got {fracs}")
-    edges = g.sorted_edges()
-    if len(edges) < 3:
-        raise ValueError(f"need at least 3 edges to split, got {len(edges)}")
+    n_edges = len(g.edges)
+    if n_edges < 3:
+        raise ValueError(f"need at least 3 edges to split, got {n_edges}")
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(edges))
-    n_test = round(len(edges) * test_frac)
-    n_val = round(len(edges) * val_frac)
-    n_train = len(edges) - n_test - n_val
-    if n_train <= 0:
+    shuffled = g.edges[rng.permutation(n_edges)]
+    n_test = round(n_edges * test_frac)
+    n_val = round(n_edges * val_frac)
+    if n_edges - n_test - n_val <= 0:
         raise ValueError("training fraction leaves no training edges")
-
-    shuffled = [edges[i] for i in order]
-    test = tuple(shuffled[:n_test])
-    val = tuple(shuffled[n_test : n_test + n_val])
-    train = tuple(shuffled[n_test + n_val :])
 
     non_edge_keys = g.non_edge_keys()
     if n_test + n_val > len(non_edge_keys):
@@ -213,10 +208,11 @@ def split_edges(
             f"cannot sample {n_test + n_val} negatives "
             f"from {len(non_edge_keys)} non-edges"
         )
-    neg_order = rng.permutation(len(non_edge_keys))
-    neg_test = tuple(g.key_edges(non_edge_keys[neg_order[:n_test]]))
-    neg_val = tuple(g.key_edges(non_edge_keys[neg_order[n_test : n_test + n_val]]))
-
+    drawn = non_edge_keys[rng.permutation(len(non_edge_keys))[: n_test + n_val]]
+    negatives = np.stack(np.divmod(drawn, g.n_nodes), axis=1)
+    shuffled.flags.writeable = negatives.flags.writeable = False
+    test, val, train = np.split(shuffled, [n_test, n_test + n_val])
+    neg_test, neg_val = np.split(negatives, [n_test])
     return EdgeSplit(train, val, test, neg_val, neg_test)
 
 
@@ -254,20 +250,16 @@ def planted_graph(
         nodes.append(NodeId(idx, NodeKind.SLOT_VALUE, f"s{k}-v{k}"))
         slot_values[idx] = (f"s{k}", f"v{k}")
 
-    edges: set[Edge] = set()
-    for d in range(n_domains):
-        for k in range(n_values):
-            p = intra_p if k // values_per_domain == d else inter_p
-            if rng.random() < p:
-                edges.add((d, n_domains + k))
-    return StateGraph(nodes, edges, slot_values=slot_values)
+    # one draw per (domain, slot value), domain-major
+    own = np.arange(n_values) // values_per_domain == np.arange(n_domains)[:, None]
+    d, k = np.nonzero(rng.random(own.shape) < np.where(own, intra_p, inter_p))
+    return StateGraph(nodes, np.stack([d, n_domains + k], axis=1), slot_values)
 
 
 def write_edge_list(g: StateGraph, path: str | Path) -> None:
     """Write one "i j" pair per line, sorted, for cross-tool use."""
-    lines = [f"{i} {j}" for i, j in g.sorted_edges()]
     with atomic_writer(path) as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
+        f.write("".join(f"{i} {j}\n" for i, j in g.edges.tolist()))
 
 
 def write_node_table(g: StateGraph, path: str | Path) -> None:
@@ -286,10 +278,10 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
     """Rebuild a StateGraph from its edge-list and node-table exports.
 
     A malformed node-table or edge-list line, or an edge that `StateGraph`
-    would reject, raises ``ValueError`` naming the file and the line; a
-    node table that `StateGraph` would reject names the file.  The graph is
-    validated once, by `StateGraph`; only when it is rejected are the node
-    table and then each edge line checked again, to name the fault.
+    rejects, raises ``ValueError`` naming the file and the line, the first
+    faulty edge line in file order; a node table that `StateGraph` rejects
+    names the file, ahead of any edge line or an unreadable edge list.
+    `StateGraph` builds and checks the graph once.
     """
     nodes: list[NodeId] = []
     slot_values: dict[int, tuple[str, str]] = {}
@@ -309,26 +301,30 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{node_path}:{lineno}: {exc!r}") from exc
     nodes.sort(key=lambda n: n.index)
+    parsed: list[int] = []  # line number, i and j of each edge line
+    fault = lineno = None
     try:
-        text = Path(edge_path).read_text(encoding="utf-8")
-        parts = filter(None, map(str.split, text.splitlines()))  # blank lines skipped
-        edges = [(int(i), int(j)) for i, j in parts]
-        return StateGraph(nodes, edges, slot_values=slot_values)
+        lines = Path(edge_path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                i, j = line.split()
+                i, j = int(i), int(j)
+                # past int64, so past every node
+                if not (-(2**63) <= i < 2**63 and -(2**63) <= j < 2**63):
+                    raise EdgeError(nodes, i, j, row=len(parsed) // 3)
+                parsed += lineno, i, j
     except (OSError, ValueError) as exc:
-        fault = exc
-
-    # locate the fault: the node table is named before the edge list is read
+        fault = exc  # the lines before it are checked first
+    rows = np.array(parsed, dtype=np.int64).reshape(-1, 3)
     try:
-        StateGraph(nodes, (), slot_values)
+        graph = StateGraph(nodes, rows[:, 1:], slot_values)
+    except EdgeError as exc:
+        fault, lineno = exc, rows[exc.row, 0]
     except ValueError as exc:
         raise ValueError(f"{node_path}: {exc}") from exc
-    text = Path(edge_path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            i, j = line.split()
-            _checked_edge(nodes, int(i), int(j))
-        except ValueError as exc:
-            raise ValueError(f"{edge_path}:{lineno}: {exc!r}") from exc
-    raise fault
+    if fault is None:
+        return graph
+    if lineno is None:  # the edge list could not be read
+        raise fault
+    # an edge fault is named as a plain ValueError, as a parse fault is
+    raise ValueError(f"{edge_path}:{lineno}: {ValueError(*fault.args)!r}") from fault

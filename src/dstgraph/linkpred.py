@@ -4,7 +4,7 @@ the ranked next-state candidates at a dialogue's domains.
 Evaluation always uses mean embeddings (Z = mu, no sampling), so results
 are deterministic given trained parameters and a split.  Posterior means
 are computed once per (checkpoint, graph), encoding a propagation operator
-built here from the graph's edge list, and every pair, held-out or
+built here from the graph's edge array, and every pair, held-out or
 candidate, is scored by the one vectorised scorer `edge_probabilities`.
 Candidates come back as plain records, the one form that `predict`
 writes and `repl` prints.  The AUC and AP themselves live in `metrics`.
@@ -22,7 +22,7 @@ from .vgae import Propagation, VgaeParams, edge_probabilities, encode
 
 
 def mean_embeddings(params: VgaeParams, graph: StateGraph) -> np.ndarray:
-    """Posterior means for every node, encoding the graph's full edge list."""
+    """Posterior means for every node, encoding the graph's full edge array."""
     return encode(Propagation(graph.n_nodes, graph.edges), params)[0]
 
 
@@ -37,10 +37,10 @@ def evaluate_split(
     domains, so encoding the train-only graph would leave most held-out
     endpoints isolated and cap the measurable ranking quality near chance.
     """
-    if not split.test or not split.neg_test:
+    if not len(split.test) or not len(split.neg_test):
         raise ValueError("split has no test edges to evaluate")
     mu = mean_embeddings(params, graph)
-    scores = edge_probabilities(mu, *np.array(split.test + split.neg_test).T)
+    scores = edge_probabilities(mu, *np.concatenate([split.test, split.neg_test]).T)
     labels = [True] * len(split.test) + [False] * len(split.neg_test)
     return {"auc": auc(scores, labels), "ap": average_precision(scores, labels)}
 

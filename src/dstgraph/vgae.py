@@ -3,7 +3,7 @@ n x n array held outside a row block.
 
 Two-layer GCN encoder (shared ReLU layer, linear mean and log-variance
 heads), reparameterization trick, inner-product decoder.  The propagation
-matrix Â is a read-only `Propagation` operator built from an edge list: a
+matrix Â is a read-only `Propagation` operator built from an edge array: a
 one-block graph multiplies by the dense Â, a larger one sums Â's row-sorted
 nonzeros per row.  Node features are one-hot (X = I), so the first layer
 Â X W_s is Â W_s and no feature matrix is built; one forward pass serves
@@ -158,30 +158,29 @@ def _block_rows(n_nodes: int) -> int:
 
 class Propagation:
     """The symmetric GCN propagation matrix Â = D^(-1/2) (A + I) D^(-1/2) of
-    an edge list of (i, j) pairs over ``n_nodes`` nodes, applied by
-    ``prop @ x``.  It holds no mutable state, so one operator may be
+    an integer (E, 2) array of (i, j) edges over ``n_nodes`` nodes, applied
+    by ``prop @ x``.  It holds no mutable state, so one operator may be
     shared between threads.
 
     D is the degree matrix of A + I, so isolated nodes get degree 1 and
     every weight is finite.  Each unique edge is stored in both
     orientations, plus the diagonal, sorted by row then column, with weight
-    inv_sqrt_deg[r] * inv_sqrt_deg[c].  Checks are O(E): an endpoint that
-    is not an integer (a bool or a float is not), one outside [0, n) or a
-    self-loop raises ValueError; duplicate or reversed pairs describe the
-    same edge.
+    inv_sqrt_deg[r] * inv_sqrt_deg[c].  Checks are O(E): edges that are not
+    an integer array (a list, or a bool, float or string array), an
+    endpoint outside [0, n) or a self-loop raise ValueError; duplicate or
+    reversed pairs describe the same edge.
 
     A graph whose n x n array fits in one block (``block_rows == n``) also
     keeps the dense, read-only Â and multiplies by it; a larger one sums
     each row's weighted operand rows, in column order, and never holds Â.
     """
 
-    def __init__(self, n_nodes: int, edges):
-        e = np.array(list(edges), dtype=object).reshape(-1, 2)
-        # check the endpoints' types: a cast would turn 0.7 into 0 and True into 1
-        for kind in set(map(type, e.flat)):
-            if kind is bool or not issubclass(kind, (int, np.integer)):
-                raise ValueError(f"edge endpoints must be integers, got {kind.__name__}")
-        e = e.astype(np.intp)
+    def __init__(self, n_nodes: int, edges: np.ndarray):
+        # a cast would turn 0.7 into 0 and True into 1
+        if not isinstance(edges, np.ndarray) or edges.dtype.kind not in "iu":
+            got = edges.dtype if isinstance(edges, np.ndarray) else type(edges).__name__
+            raise ValueError(f"edge endpoints must be integers, got {got}")
+        e = edges.reshape(-1, 2).astype(np.intp)
         if e.size and (e.min() < 0 or e.max() >= n_nodes):
             raise ValueError(f"edge endpoint out of range for {n_nodes} nodes")
         if np.any(e[:, 0] == e[:, 1]):
@@ -481,7 +480,7 @@ def train(
     epoch.  Raises TrainingDiverged with the partial history if the loss
     goes non-finite.
     """
-    if not split.train:
+    if not len(split.train):
         raise ValueError("training edge set is empty")
     rng = np.random.default_rng(config.seed)
     params = glorot_init(graph.n_nodes, config, rng)
@@ -490,9 +489,9 @@ def train(
     # one workspace for every row block of every epoch, freed on return
     work = _Workspace(a_hat.block_rows * graph.n_nodes)
     # validation monitoring mirrors evaluate_split: encode the full graph
-    if split.val:
+    if len(split.val):
         full_graph = Propagation(graph.n_nodes, graph.edges)
-        val_pairs = np.array(split.val + split.neg_val)
+        val_pairs = np.concatenate([split.val, split.neg_val])
         val_labels = [True] * len(split.val) + [False] * len(split.neg_val)
 
     weights = asdict(params)  # copies of the weights, by name
@@ -508,7 +507,7 @@ def train(
         total = bce + config.kl_weight * kl
 
         val_auc = None
-        if split.val:
+        if len(split.val):
             mu, _ = encode(full_graph, params)
             val_auc = auc(edge_probabilities(mu, *val_pairs.T), val_labels)
 

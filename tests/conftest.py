@@ -63,6 +63,11 @@ def random_bipartite_graph(
     return build_graph(states)
 
 
+def edge_set(edges) -> set[tuple[int, int]]:
+    """The (i, j) rows of an edge array as a set of int pairs."""
+    return set(map(tuple, np.asarray(edges).tolist()))
+
+
 class FakeResponse:
     """A chat-completions HTTP response for fake sessions."""
 

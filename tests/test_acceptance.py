@@ -43,7 +43,7 @@ from dstgraph.vgae import (
     train,
 )
 
-from conftest import child_env, random_bipartite_graph, random_states
+from conftest import child_env, edge_set, random_bipartite_graph, random_states
 
 TESTS = Path(__file__).resolve().parent
 REPO = TESTS.parent
@@ -279,8 +279,8 @@ def test_06_split_arithmetic():
             float(rng.uniform(0.1, 0.5)),
         )
         split = split_edges(graph, 0.85, 0.10, 0.05, seed=trial)
-        edges = set(graph.sorted_edges())
-        parts = [set(split.train), set(split.test), set(split.val)]
+        edges = edge_set(graph.edges)
+        parts = [edge_set(split.train), edge_set(split.test), edge_set(split.val)]
         if parts[0] | parts[1] | parts[2] != edges:
             problems.append(f"trial {trial}: split does not cover the edges")
             break
@@ -297,7 +297,7 @@ def test_06_split_arithmetic():
                 problems.append(
                     f"trial {trial}: {name} size {len(part)} vs {frac * total:.2f}"
                 )
-        negatives = set(split.neg_test) | set(split.neg_val)
+        negatives = edge_set(split.neg_test) | edge_set(split.neg_val)
         if negatives & edges:
             problems.append(f"trial {trial}: negative sample collides with an edge")
             break

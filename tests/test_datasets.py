@@ -289,7 +289,8 @@ _NOT_OBJECTS = [[], "x", None]
 _PLAIN = plain_record()
 _CLASSIC = MULTIWOZ["PMUL0001.json"]
 # per format: a good dialogue record, then one record of each malformed kind
-# that format can hold; a classic record's id is its key, distinct already
+# that format can hold; a classic record's id is its key, distinct unless
+# given as a (key, record) pair
 _GOOD_AND_BAD = {
     CorpusFormat.PLAIN_JSONL: (_PLAIN, own_ids([
         *_NOT_OBJECTS,
@@ -299,6 +300,7 @@ _GOOD_AND_BAD = {
         edited(_PLAIN, turns=[["user", "i want thai food"]]),
     ])),
     CorpusFormat.MULTIWOZ_JSON: (_CLASSIC, [
+        ("d00.json", edited(_CLASSIC, "log", 0, text="the good dialogue's id again")),
         *_NOT_OBJECTS,
         edited(_CLASSIC, "log", 0, drop="text"),
         edited(_CLASSIC, "log", 1, metadata=[]),
@@ -320,7 +322,10 @@ def corpus_text(fmt: CorpusFormat, records: list) -> str:
     if fmt is CorpusFormat.PLAIN_JSONL:
         return "".join(json.dumps(r) + "\n" for r in records)
     if fmt is CorpusFormat.MULTIWOZ_JSON:
-        return json.dumps({f"d{i:02d}.json": r for i, r in enumerate(records)})
+        # entry by entry, as one JSON object may repeat a key
+        items = [r if isinstance(r, tuple) else (f"d{i:02d}.json", r)
+                 for i, r in enumerate(records)]
+        return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(r)}" for k, r in items) + "}"
     return json.dumps(records)
 
 

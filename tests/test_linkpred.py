@@ -11,7 +11,7 @@ from dstgraph.linkpred import (
 )
 from dstgraph.vgae import TrainConfig, glorot_init, train
 
-from conftest import random_bipartite_graph
+from conftest import edge_set, random_bipartite_graph
 
 
 # --- independent oracles, used again by the acceptance gate ---
@@ -130,12 +130,13 @@ def test_evaluate_split_keys_and_determinism(rng):
 def test_evaluate_split_needs_test_edges(rng):
     g = random_bipartite_graph(rng, 3, 12, 0.4)
     split = split_edges(g, 0.85, 0.10, 0.05, seed=7)
+    no_edges = np.empty((0, 2), dtype=np.int64)
     empty = type(split)(
-        train=split.train + split.test,
+        train=np.concatenate([split.train, split.test]),
         val=split.val,
-        test=(),
+        test=no_edges,
         neg_val=split.neg_val,
-        neg_test=(),
+        neg_test=no_edges,
     )
     cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=5)
     params, _ = train(g, split, cfg)
@@ -175,7 +176,7 @@ def test_rank_candidates_excludes_observed_edges(rng):
     for rec in ranked:
         d, sv = pair_indices(g, rec)
         key = (d, sv) if d < sv else (sv, d)
-        assert key not in g.edges
+        assert key not in edge_set(g.edges)
 
 
 def test_rank_candidates_ordering_and_bound(rng):
@@ -230,8 +231,9 @@ def test_rank_candidates_ties_resolve_by_domain_then_slotvalue_index(rng):
     g = random_bipartite_graph(rng, 3, 12, 0.4)
     domains = sorted(n.index for n in g.nodes if n.kind is NodeKind.DOMAIN)
     svs = sorted(n.index for n in g.nodes if n.kind is NodeKind.SLOT_VALUE)
+    edges = edge_set(g.edges)
     non_edges = [
-        (d, sv) for d in domains for sv in svs if (min(d, sv), max(d, sv)) not in g.edges
+        (d, sv) for d in domains for sv in svs if (min(d, sv), max(d, sv)) not in edges
     ]
     mu = np.zeros((g.n_nodes, 4))
     ranked = rank_candidates(mu, g, domains, top_k=10)

@@ -30,7 +30,7 @@ from dstgraph.vgae import (
     train,
 )
 
-from conftest import random_bipartite_graph
+from conftest import edge_set, random_bipartite_graph
 
 
 def tiny_config(**kw) -> TrainConfig:
@@ -49,9 +49,9 @@ def small_setup(rng, seed=5):
 
 
 def normalize_adjacency(n, edges):
-    """The dense form of the propagation operator: Â @ I is Â exactly, as
-    each entry is one weight times 1 plus zeros."""
-    return Propagation(n, edges) @ np.eye(n)
+    """The dense form of the propagation operator of integer (i, j) pairs:
+    Â @ I is Â exactly, as each entry is one weight times 1 plus zeros."""
+    return Propagation(n, np.array(edges, dtype=np.int64).reshape(-1, 2)) @ np.eye(n)
 
 
 def dense_reference(n, edges):
@@ -115,15 +115,22 @@ def test_normalize_adjacency_validates_input():
 
 
 def test_propagation_rejects_non_integer_endpoints():
-    # a cast to integers would read 0.7 as 0, True as 1 and "1" as 1
-    for edges in ([(0.7, 1.2)], [(True, 2)], [(0, np.True_)], [(0, 1), (1.0, 2)], [("0", "1")]):
+    # a cast to integers would read 0.7 as 0, True as 1 and "1" as 1; a
+    # list is not an integer array, even one of integers
+    lists = [(0.7, 1.2)], [(True, 2)], [(0, np.True_)], [(0, 1), (1.0, 2)], [("0", "1")]
+    arrays = [[0.7, 1.2]], [[True, False]], [["0", "1"]], [[0, 1], [1, 2]]
+    edges = [*lists, [(np.int32(0), 1), (1, np.int64(2))]]
+    edges += [np.array(a, dtype=kind) for a, kind in zip(arrays, (float, bool, str, object))]
+    for given in edges:
         with pytest.raises(ValueError, match="edge endpoints must be integers"):
-            Propagation(3, edges)
-    # integers of any width, in a list or an array, and no edges at all
+            Propagation(3, given)
+    # integer arrays of any width, and no edges at all
     want = normalize_adjacency(3, [(0, 1), (1, 2)])
-    for edges in ([(np.int32(0), 1), (1, np.int64(2))], np.array([[0, 1], [1, 2]])):
-        assert normalize_adjacency(3, edges).tobytes() == want.tobytes()
-    assert normalize_adjacency(3, []).tobytes() == np.eye(3).tobytes()
+    for kind in (np.int32, np.int64, np.uint8):
+        prop = Propagation(3, np.array([[0, 1], [1, 2]], dtype=kind))
+        assert (prop @ np.eye(3)).tobytes() == want.tobytes()
+    no_edges = Propagation(3, np.empty((0, 2), dtype=np.int64))
+    assert (no_edges @ np.eye(3)).tobytes() == np.eye(3).tobytes()
 
 
 # --- encoder ---
@@ -161,7 +168,7 @@ def test_encode_validates_shapes(rng):
     params = glorot_init(g.n_nodes, tiny_config(), np.random.default_rng(0))
     with pytest.raises(ValueError):
         encode(Propagation(g.n_nodes + 1, g.edges), params)
-    fewer = [(i, j) for i, j in g.edges if max(i, j) < g.n_nodes - 1]
+    fewer = g.edges[g.edges.max(axis=1) < g.n_nodes - 1]
     with pytest.raises(ValueError):
         encode(Propagation(g.n_nodes - 1, fewer), params)
     with pytest.raises(ValueError):
@@ -795,7 +802,7 @@ def test_train_seed_changes_outcome(rng):
 def test_train_records_val_auc_iff_val_edges(rng):
     g, split = small_setup(rng)
     _, hist = train(g, split, tiny_config(epochs=3))
-    if split.val:
+    if len(split.val):
         assert all(r.val_auc is not None for r in hist)
         assert all(0.0 <= r.val_auc <= 1.0 for r in hist)
 
@@ -810,9 +817,10 @@ def test_train_adjacency_contains_only_train_edges(rng):
     off_diagonal = a_hat.rows != a_hat.cols
     rows, cols = a_hat.rows[off_diagonal], a_hat.cols[off_diagonal]
     positives = set(zip(rows.tolist(), cols.tolist()))
-    assert positives == set(split.train) | {(j, i) for i, j in split.train}
+    train_edges = edge_set(split.train)
+    assert positives == train_edges | {(j, i) for i, j in train_edges}
     assert len(rows) == 2 * len(split.train)
-    assert positives.isdisjoint(split.test)
+    assert positives.isdisjoint(edge_set(split.test))
     assert np.all(np.diff(rows) >= 0)
     # loss_and_grads scores exactly those positives at this pos_weight
     a = np.zeros((n, n))
