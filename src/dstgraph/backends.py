@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import os
 import re
 import threading
@@ -149,24 +148,22 @@ class HttpBackend:
 
 
 class ReplayBackend:
-    """Fixture-backed completions keyed by prompt hash.
+    """Read-only completions keyed by prompt hash, from a JSONL file of
+    {prompt_hash, completion} strings that ``tools/make_fixtures.py``
+    records; the latest record for a hash wins, and a missing file raises
+    ``FileNotFoundError``."""
 
-    Records live in a JSONL file of {prompt_hash, completion} strings; the
-    latest record for a hash wins, so fixtures can be amended append-only.
-    """
-
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
         self._completions: dict[str, str] = {}
-        if self.path is not None and self.path.exists():
-            for lineno, rec in read_json_lines(self.path):
-                key, completion = rec.get("prompt_hash"), rec.get("completion")
-                if not isinstance(key, str) or not isinstance(completion, str):
-                    raise ValueError(
-                        f"{self.path}:{lineno}: a replay record needs string "
-                        f"'prompt_hash' and 'completion', got {rec!r}"
-                    )
-                self._completions[key] = completion
+        for lineno, rec in read_json_lines(self.path):
+            key, completion = rec.get("prompt_hash"), rec.get("completion")
+            if not isinstance(key, str) or not isinstance(completion, str):
+                raise ValueError(
+                    f"{self.path}:{lineno}: a replay record needs string "
+                    f"'prompt_hash' and 'completion', got {rec!r}"
+                )
+            self._completions[key] = completion
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         if not prompt:
@@ -175,17 +172,6 @@ class ReplayBackend:
         if key not in self._completions:
             raise ReplayMiss(key)
         return self._completions[key]
-
-    def store(self, prompt: str, completion: str) -> None:
-        """Record a completion; later stores for the same prompt win."""
-        key = prompt_hash(prompt)
-        self._completions[key] = completion
-        if self.path is not None:
-            record = json.dumps(
-                {"prompt_hash": key, "completion": completion}, ensure_ascii=False
-            )
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(record + "\n")
 
 
 _INPUT_MARKER = "Input:"

@@ -147,7 +147,8 @@ def _meta(config: RunConfig, keys: list[str], **extra) -> dict:
 def _write_json(path: str, payload: dict) -> None:
     """Write a report as indented, key-sorted UTF-8 JSON with a final newline."""
     with atomic_writer(path) as f:
-        f.write(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
+        json.dump(payload, f, indent=2, sort_keys=True, ensure_ascii=False)
+        f.write("\n")
 
 
 def make_backend(cfg: RunConfig):

@@ -16,11 +16,14 @@ Plain JSONL schema, one dialogue per line:
      "gold": optional [[{"domain": str, "slot": str, "value": str}, ...], ...]}
 where gold, when present, holds the cumulative state after each user turn.
 The predictions file's record is documented at ``load_predictions``.
+JSON Lines files are read by ``read_json_lines`` and written by
+``write_json_lines``; every file is written whole through ``atomic_writer``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import uuid
@@ -238,19 +241,27 @@ def atomic_writer(path: str | Path):
         raise
 
 
+def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
+    """Write each record as one UTF-8 JSON line, non-ASCII unescaped (the
+    mirror of ``read_json_lines``); the file is replaced once all are written."""
+    with atomic_writer(path) as f:
+        for rec in records:
+            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+def _corpus_record(d: AnnotatedDialogue) -> dict:
+    rec: dict = {
+        "dialogue_id": d.dialogue_id,
+        "turns": [{"speaker": t.speaker.value, "text": t.text} for t in d.turns],
+    }
+    if d.gold_states is not None:
+        rec["gold"] = [state_to_jsonable(s) for s in d.gold_states]
+    return rec
+
+
 def write_corpus(path: str | Path, dialogues: Iterable[AnnotatedDialogue]) -> None:
     """Write dialogues in the plain JSONL schema (the normal form)."""
-    with atomic_writer(path) as f:
-        for d in dialogues:
-            rec: dict = {
-                "dialogue_id": d.dialogue_id,
-                "turns": [
-                    {"speaker": t.speaker.value, "text": t.text} for t in d.turns
-                ],
-            }
-            if d.gold_states is not None:
-                rec["gold"] = [state_to_jsonable(s) for s in d.gold_states]
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_json_lines(path, map(_corpus_record, dialogues))
 
 
 META_KEY = "record_type"
@@ -266,11 +277,8 @@ def write_predictions(
     record_type=meta so downstream readers can separate it from data.
     The file is replaced only once every record is written.
     """
-    with atomic_writer(path) as f:
-        if meta is not None:
-            f.write(json.dumps({META_KEY: "meta", **meta}, ensure_ascii=False) + "\n")
-        for rec in records:
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    head = [] if meta is None else [{META_KEY: "meta", **meta}]
+    write_json_lines(path, itertools.chain(head, records))
 
 
 def _json_object(text: str) -> dict:

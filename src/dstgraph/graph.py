@@ -8,7 +8,6 @@ each edge set is one read-only int64 (E, 2) array.  Splits take a seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import atomic_writer, read_json_lines
+from .datasets import atomic_writer, read_json_lines, write_json_lines
 from .dialogue import DialogueState
 
 
@@ -262,16 +261,18 @@ def write_edge_list(g: StateGraph, path: str | Path) -> None:
         f.write("".join(f"{i} {j}\n" for i, j in g.edges.tolist()))
 
 
+def _node_record(g: StateGraph, node: NodeId) -> dict:
+    rec: dict = {"index": node.index, "kind": node.kind.value, "label": node.label}
+    if node.kind is NodeKind.SLOT_VALUE:
+        slot, value = g.slot_values[node.index]
+        rec["slot"] = slot
+        rec["value"] = value
+    return rec
+
+
 def write_node_table(g: StateGraph, path: str | Path) -> None:
     """Write the node table as JSONL: {index, kind, label} plus identity fields."""
-    with atomic_writer(path) as f:
-        for node in g.nodes:
-            rec: dict = {"index": node.index, "kind": node.kind.value, "label": node.label}
-            if node.kind is NodeKind.SLOT_VALUE:
-                slot, value = g.slot_values[node.index]
-                rec["slot"] = slot
-                rec["value"] = value
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    write_json_lines(path, (_node_record(g, node) for node in g.nodes))
 
 
 def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:

@@ -2,9 +2,10 @@
 
 Six strategies render to a single prompt string: chain-of-thought, three
 persona-augmented variants of it, a reasoning-structure framing, and a
-breadth-exploration framing.  All pieces are pinned string constants so
-rendered prompts are reproducible byte for byte, and none of them name
-any domain, slot, or value vocabulary (the ontology-free guarantee).
+breadth-exploration framing.  All pieces are pinned string constants,
+named in one table and listed per strategy in another, so rendered
+prompts are reproducible byte for byte, and none of them name any
+domain, slot, or value vocabulary (the ontology-free guarantee).
 """
 
 from __future__ import annotations
@@ -24,24 +25,6 @@ class PromptStrategy(Enum):
     SELF_DISCOVER = "self-discover"
     TOT = "tot"
 
-
-_PERSONAS = {
-    PromptStrategy.COT_PERSONA1: (
-        "You are an advanced dialogue state tracker with expertise in "
-        "understanding and managing complex conversations to maintain context "
-        "and provide accurate responses."
-    ),
-    PromptStrategy.COT_PERSONA2: (
-        "You are a context-aware dialogue specialist, skilled in recognizing "
-        "user intents and maintaining seamless conversation flow by accurately "
-        "tracking dialogue states."
-    ),
-    PromptStrategy.COT_PERSONA3: (
-        "You are an expert conversational analyst, proficient in monitoring "
-        "and updating dialogue states to ensure coherent and contextually "
-        "appropriate interactions."
-    ),
-}
 
 COT_FRAME = (
     "Below is an instruction that describes a task, paired with an input that "
@@ -67,12 +50,41 @@ TOT_PREAMBLE = (
     "each, and answer with the most consistent one."
 )
 
-_COT_FAMILY = {
-    PromptStrategy.COT,
-    PromptStrategy.COT_PERSONA1,
-    PromptStrategy.COT_PERSONA2,
-    PromptStrategy.COT_PERSONA3,
+# the named, overridable template pieces (see load_template_overrides)
+_PIECES = {
+    "persona1": (
+        "You are an advanced dialogue state tracker with expertise in "
+        "understanding and managing complex conversations to maintain context "
+        "and provide accurate responses."
+    ),
+    "persona2": (
+        "You are a context-aware dialogue specialist, skilled in recognizing "
+        "user intents and maintaining seamless conversation flow by accurately "
+        "tracking dialogue states."
+    ),
+    "persona3": (
+        "You are an expert conversational analyst, proficient in monitoring "
+        "and updating dialogue states to ensure coherent and contextually "
+        "appropriate interactions."
+    ),
+    "frame": COT_FRAME,
+    "step": STEP_SENTENCE,
+    "self_discover": SELF_DISCOVER_PREAMBLE,
+    "tot": TOT_PREAMBLE,
+    "anti_hallucination": ANTI_HALLUCINATION,
 }
+
+# each strategy's pieces, in prompt order
+_STRATEGY_PIECES = {
+    PromptStrategy.COT: ("frame", "step"),
+    PromptStrategy.COT_PERSONA1: ("persona1", "frame", "step"),
+    PromptStrategy.COT_PERSONA2: ("persona2", "frame", "step"),
+    PromptStrategy.COT_PERSONA3: ("persona3", "frame", "step"),
+    PromptStrategy.SELF_DISCOVER: ("frame", "self_discover"),
+    PromptStrategy.TOT: ("frame", "tot"),
+}
+
+_OVERRIDE_SECTIONS = {"instruction", *_PIECES}
 
 DEFAULT_INSTRUCTION = (
     "Track the dialogue state of the conversation below. Identify each topic "
@@ -116,19 +128,10 @@ def build_prompt(spec: PromptSpec, overrides: dict[str, str] | None = None) -> s
     if not spec.input_text.strip():
         raise ValueError("input_text must be non-empty")
 
-    pieces: list[str] = []
-    if spec.strategy in _PERSONAS:
-        key = f"persona{spec.strategy.value[-1]}"
-        pieces.append(ov.get(key, _PERSONAS[spec.strategy]))
-    pieces.append(ov.get("frame", COT_FRAME))
-    if spec.strategy in _COT_FAMILY:
-        pieces.append(ov.get("step", STEP_SENTENCE))
-    elif spec.strategy is PromptStrategy.SELF_DISCOVER:
-        pieces.append(ov.get("self_discover", SELF_DISCOVER_PREAMBLE))
-    elif spec.strategy is PromptStrategy.TOT:
-        pieces.append(ov.get("tot", TOT_PREAMBLE))
+    names = list(_STRATEGY_PIECES[spec.strategy])
     if spec.anti_hallucination:
-        pieces.append(ov.get("anti_hallucination", ANTI_HALLUCINATION))
+        names.append("anti_hallucination")
+    pieces = [ov.get(n, _PIECES[n]) for n in names]
     for ex_input, ex_output in spec.exemplars:
         pieces.append(
             f"Instruction: {instruction} Input: {ex_input} Response: {ex_output}"
@@ -137,19 +140,6 @@ def build_prompt(spec: PromptSpec, overrides: dict[str, str] | None = None) -> s
         f"Instruction: {instruction} Input: {spec.input_text} Response:"
     )
     return " ".join(pieces)
-
-
-_OVERRIDE_SECTIONS = {
-    "instruction",
-    "frame",
-    "step",
-    "anti_hallucination",
-    "persona1",
-    "persona2",
-    "persona3",
-    "self_discover",
-    "tot",
-}
 
 
 def load_template_overrides(path: str | Path) -> dict[str, str]:

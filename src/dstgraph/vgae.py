@@ -186,10 +186,12 @@ class Propagation:
         if np.any(e[:, 0] == e[:, 1]):
             raise ValueError("self-loops are not allowed")
         diag = np.arange(n_nodes, dtype=np.intp)
-        keys = np.unique(
+        # sorted and deduplicated without np.unique, whose first call imports numpy.ma
+        keys = np.sort(
             np.concatenate([e[:, 0] * n_nodes + e[:, 1], e[:, 1] * n_nodes + e[:, 0],
                             diag * n_nodes + diag])
         )
+        keys = keys[np.diff(keys, prepend=-1) > 0]
         self.rows, self.cols = np.divmod(keys, n_nodes)
         inv_sqrt_deg = 1.0 / np.sqrt(np.bincount(self.rows, minlength=n_nodes))
         self.weights = inv_sqrt_deg[self.rows] * inv_sqrt_deg[self.cols]

@@ -17,6 +17,7 @@ from dstgraph.backends import (
     live_input_section,
     prompt_hash,
 )
+from dstgraph.datasets import write_json_lines
 from dstgraph.dialogue import DialogueState, StateTriple, normalize_text
 from dstgraph.parsing import format_state
 
@@ -208,10 +209,14 @@ def test_http_rejects_empty_arguments():
 # --- replay fixtures ---
 
 
-def test_replay_store_and_complete(tmp_path):
+def replay_record(prompt: str, completion: str) -> dict:
+    return {"prompt_hash": prompt_hash(prompt), "completion": completion}
+
+
+def test_replay_complete_and_miss(tmp_path):
     path = tmp_path / "replay.jsonl"
+    write_json_lines(path, [replay_record("prompt one", "completion one")])
     backend = ReplayBackend(path)
-    backend.store("prompt one", "completion one")
     assert backend.complete("prompt one", PARAMS) == "completion one"
     with pytest.raises(ReplayMiss) as exc_info:
         backend.complete("never recorded", PARAMS)
@@ -220,19 +225,15 @@ def test_replay_store_and_complete(tmp_path):
 
 def test_replay_latest_record_wins(tmp_path):
     path = tmp_path / "replay.jsonl"
-    first = ReplayBackend(path)
-    first.store("p", "old")
-    first.store("p", "new")
-    assert first.complete("p", PARAMS) == "new"
-    # appended file preserves both, reload resolves to the latest
+    write_json_lines(path, [replay_record("p", "old"), replay_record("p", "new")])
+    # the file keeps both records, and loading resolves to the latest
     assert len(path.read_text().splitlines()) == 2
     assert ReplayBackend(path).complete("p", PARAMS) == "new"
 
 
-def test_replay_without_path_is_memory_only():
-    backend = ReplayBackend()
-    backend.store("p", "c")
-    assert backend.complete("p", PARAMS) == "c"
+def test_replay_missing_file_raises(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        ReplayBackend(tmp_path / "absent.jsonl")
 
 
 def test_replay_skips_blank_lines(tmp_path):

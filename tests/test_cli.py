@@ -13,7 +13,6 @@ import pytest
 from dstgraph import __version__, cli, linkpred, vgae
 from dstgraph.backends import (
     GenerationParams,
-    ReplayBackend,
     RuleMockBackend,
     live_input_section,
     prompt_hash,
@@ -28,6 +27,7 @@ from dstgraph.datasets import (
     load_predictions,
     read_predictions,
     write_corpus,
+    write_json_lines,
     write_predictions,
 )
 from dstgraph.dialogue import DialogueContext, Speaker, Turn, append_turn
@@ -362,8 +362,9 @@ def test_extract_replay_miss_flushes_partial_output(tmp_path, capsys):
     ctx = append_turn(DialogueContext(), d1.turns[0])
     prompt = cli.TurnTracker(RunConfig(), backend=None).prompt(ctx)
     replay_path = tmp_path / "replay.jsonl"
-    ReplayBackend(replay_path).store(
-        prompt, "Domain : [`restaurant'] , Slot : [`food'] , Value : [`thai']"
+    completion = "Domain : [`restaurant'] , Slot : [`food'] , Value : [`thai']"
+    write_json_lines(
+        replay_path, [{"prompt_hash": prompt_hash(prompt), "completion": completion}]
     )
 
     out = tmp_path / "pred.jsonl"

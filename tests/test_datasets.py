@@ -12,10 +12,12 @@ from dstgraph.datasets import (
     fixture_keywords_path,
     fixture_replay_path,
     load_corpus,
+    read_json_lines,
     read_predictions,
     state_from_jsonable,
     state_to_jsonable,
     write_corpus,
+    write_json_lines,
     write_predictions,
 )
 from dstgraph.dialogue import DialogueState, Speaker, StateTriple, Turn
@@ -425,6 +427,34 @@ def test_state_jsonable_round_trip():
         {"domain": "restaurant", "slot": "food", "value": "thai"},
     ]
     assert state_from_jsonable(items) == state
+
+
+# --- JSON Lines files ---
+
+
+def test_write_json_lines_round_trips_non_ascii_text_unescaped(tmp_path):
+    path = tmp_path / "r.jsonl"
+    records = [{"text": "café — naïve ☕", "n": 1}, {"nested": {"label": "日本"}}]
+    write_json_lines(path, records)
+    assert list(read_json_lines(path)) == [(1, records[0]), (2, records[1])]
+    text = path.read_text(encoding="utf-8")
+    assert "café — naïve ☕" in text and "日本" in text and "\\u" not in text
+    assert text.endswith("}\n") and text.count("\n") == 2
+
+
+def test_write_json_lines_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "r.jsonl"
+    write_json_lines(path, [{"a": 1}])
+    before = path.read_bytes()
+
+    def records():
+        yield {"a": 2}
+        raise RuntimeError("aborted midway")
+
+    with pytest.raises(RuntimeError):
+        write_json_lines(path, records())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
 
 # --- prediction persistence ---

@@ -1,6 +1,7 @@
 """The package's modules import their siblings at module level only, and
 those imports form no cycle, so the layers stack one way (graph, then
-vgae, then linkpred)."""
+vgae, then linkpred).  Every file the package writes goes through
+``datasets.atomic_writer``."""
 
 import ast
 import graphlib
@@ -41,3 +42,24 @@ def test_sibling_imports_form_no_cycle():
     # raises CycleError on any cycle, TYPE_CHECKING imports included
     order = list(graphlib.TopologicalSorter(imports).static_order())
     assert order.index("graph") < order.index("vgae") < order.index("linkpred")
+
+
+def test_files_are_opened_only_in_atomic_writer():
+    # any other open() could leave a truncated file behind an aborted run,
+    # and so could Path.write_text or Path.write_bytes
+    writer = next(
+        fn
+        for fn in ast.walk(MODULES["datasets"])
+        if isinstance(fn, ast.FunctionDef) and fn.name == "atomic_writer"
+    )
+    inside_writer = {id(node) for node in ast.walk(writer)}
+    found = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in inside_writer:
+                continue
+            func = node.func
+            callee = getattr(func, "id", None) or getattr(func, "attr", None)
+            if callee in ("open", "write_text", "write_bytes"):
+                found.append(f"{name}.py:{node.lineno} {callee}()")
+    assert found == []

@@ -6,7 +6,7 @@ from dstgraph.prompts import (
     SELF_DISCOVER_PREAMBLE,
     STEP_SENTENCE,
     TOT_PREAMBLE,
-    _PERSONAS,
+    _PIECES,
     PromptSpec,
     PromptStrategy,
     build_prompt,
@@ -24,6 +24,11 @@ def spec(**kw) -> PromptSpec:
     )
     base.update(kw)
     return PromptSpec(**base)
+
+
+def persona(strategy: PromptStrategy) -> str:
+    """The default persona text of a persona variant ("cot-persona2" -> persona2)."""
+    return _PIECES[f"persona{strategy.value[-1]}"]
 
 
 def test_cot_prompt_layout():
@@ -47,7 +52,7 @@ def test_prompt_ends_with_response_marker():
 )
 def test_persona_variants_prepend_their_persona(strategy):
     rendered = build_prompt(spec(strategy=strategy))
-    assert rendered.startswith(_PERSONAS[strategy] + " " + COT_FRAME)
+    assert rendered.startswith(persona(strategy) + " " + COT_FRAME)
     assert STEP_SENTENCE in rendered
     # each variant carries exactly its own persona
     others = {
@@ -56,7 +61,7 @@ def test_persona_variants_prepend_their_persona(strategy):
         PromptStrategy.COT_PERSONA3,
     } - {strategy}
     for other in others:
-        assert _PERSONAS[other] not in rendered
+        assert persona(other) not in rendered
 
 
 def test_plain_cot_has_no_persona():
@@ -66,7 +71,7 @@ def test_plain_cot_has_no_persona():
         PromptStrategy.COT_PERSONA2,
         PromptStrategy.COT_PERSONA3,
     ):
-        assert _PERSONAS[s] not in rendered
+        assert persona(s) not in rendered
 
 
 def test_anti_hallucination_iff_flag():

@@ -1,5 +1,6 @@
 import math
 import re
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,7 @@ from dstgraph.vgae import (
     train,
 )
 
-from conftest import edge_set, random_bipartite_graph
+from conftest import child_env, edge_set, random_bipartite_graph
 
 
 def tiny_config(**kw) -> TrainConfig:
@@ -131,6 +132,31 @@ def test_propagation_rejects_non_integer_endpoints():
         assert (prop @ np.eye(3)).tobytes() == want.tobytes()
     no_edges = Propagation(3, np.empty((0, 2), dtype=np.int64))
     assert (no_edges @ np.eye(3)).tobytes() == np.eye(3).tobytes()
+
+
+def test_propagation_and_auc_leave_numpy_ma_unimported():
+    # np.unique's first call in a process imports numpy.ma, 11-16 ms of
+    # start-up that every train and predict process would pay
+    script = """
+import sys
+import numpy as np
+from dstgraph import metrics
+from dstgraph.vgae import Propagation
+for n in (4, 400):  # one dense block, then the segmented sum
+    path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    prop = Propagation(n, np.concatenate([path, path[:, ::-1]]))
+    prop @ np.ones((n, 2))
+metrics.auc([0.1, 0.4, 0.4, 0.9], [False, True, False, True])
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- encoder ---

@@ -21,9 +21,14 @@ import json
 import sys
 from pathlib import Path
 
-from dstgraph.backends import ReplayBackend, RuleMockBackend
+from dstgraph.backends import ReplayBackend, RuleMockBackend, prompt_hash
 from dstgraph.cli import RunConfig, extract_records
-from dstgraph.datasets import AnnotatedDialogue, load_corpus, write_corpus
+from dstgraph.datasets import (
+    AnnotatedDialogue,
+    load_corpus,
+    write_corpus,
+    write_json_lines,
+)
 from dstgraph.dialogue import DialogueState, Speaker, StateTriple, Turn
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "dstgraph" / "fixtures"
@@ -398,22 +403,28 @@ def build_dialogues() -> list[AnnotatedDialogue]:
 
 
 class _Recorder:
-    """Pass the mock's completions through, storing each one for replay."""
+    """Pass the mock's completions through, keeping one replay record per
+    call, in call order."""
 
-    def __init__(self, mock: RuleMockBackend, replay: ReplayBackend):
-        self.mock, self.replay = mock, replay
+    def __init__(self, mock: RuleMockBackend):
+        self.mock = mock
+        self.records: list[dict] = []
 
     def complete(self, prompt, params):
         completion = self.mock.complete(prompt, params)
-        self.replay.store(prompt, completion)
+        self.records.append(
+            {"prompt_hash": prompt_hash(prompt), "completion": completion}
+        )
         return completion
 
 
-def build_replay(dialogues, mock: RuleMockBackend, replay: ReplayBackend) -> int:
-    """Store the mock's completion for every extract prompt."""
-    records, failure = extract_records(dialogues, _Recorder(mock, replay), RunConfig())
+def build_replay(dialogues, mock: RuleMockBackend, path: Path) -> int:
+    """Write the mock's completion for every extract prompt to ``path``."""
+    recorder = _Recorder(mock)
+    records, failure = extract_records(dialogues, recorder, RunConfig())
     if failure is not None:
         raise failure
+    write_json_lines(path, recorder.records)
     return len(records)
 
 
@@ -439,10 +450,8 @@ def main() -> int:
     )
 
     replay_path = FIXTURES / "replay.jsonl"
-    if replay_path.exists():
-        replay_path.unlink()
     mock = RuleMockBackend.from_json(keywords_path)
-    n = build_replay(dialogues, mock, ReplayBackend(replay_path))
+    n = build_replay(dialogues, mock, replay_path)
 
     # sanity: the written corpus must read back as the dialogues it was
     # written from, and the replay store must reproduce the mock run exactly

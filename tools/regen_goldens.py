@@ -59,7 +59,7 @@ def child_env() -> dict:
 
 
 def run_pipeline(workdir: Path) -> None:
-    for name in ("corpus.jsonl", "keywords.json", "replay.jsonl"):
+    for name in ("corpus.jsonl", "keywords.json"):
         shutil.copy(FIXTURES / name, workdir / name)
     env = child_env()
     for args in PIPELINE:
