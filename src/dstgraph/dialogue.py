@@ -138,6 +138,7 @@ class DialogueState:
 
     Construction applies latest-wins on duplicate keys.  Instances are
     immutable and hashable; iteration order is sorted and deterministic.
+    Metrics compare states only through their `value_by_key` maps.
     """
 
     __slots__ = ("_by_key",)
@@ -162,19 +163,8 @@ class DialogueState:
         """Each (domain, slot) key's value, sentinel-valued keys left out."""
         return {k: t.value for k, t in self._by_key.items() if t.value != NONE_VALUE}
 
-    def as_set(self) -> frozenset[StateTriple]:
-        return frozenset(self._by_key.values())
-
     def get(self, domain: str, slot: str) -> StateTriple | None:
         return self._by_key.get((normalize_text(domain), normalize_text(slot)))
-
-    def without_none(self) -> "DialogueState":
-        """Drop sentinel-valued triples (used before graphing and scoring)."""
-        if not any(t.value == NONE_VALUE for t in self._by_key.values()):
-            return self
-        return DialogueState(
-            t for t in self._by_key.values() if t.value != NONE_VALUE
-        )
 
     def __iter__(self) -> Iterator[StateTriple]:
         return iter(self.triples())
@@ -191,7 +181,7 @@ class DialogueState:
         return self._by_key == other._by_key
 
     def __hash__(self) -> int:
-        return hash(self.as_set())
+        return hash(frozenset(self._by_key.values()))
 
     def __repr__(self) -> str:
         inner = ", ".join(

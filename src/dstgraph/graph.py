@@ -45,6 +45,13 @@ class EdgeError(ValueError):
         self.row = row
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d non-negative integer array, ascending:
+    `np.unique` without the import of numpy.ma its first call makes."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) > 0]
+
+
 class StateGraph:
     """Undirected bipartite graph over Domain and SlotValue nodes.
 
@@ -92,9 +99,7 @@ class StateGraph:
         bad[~bad] = is_domain[lo[~bad]] == is_domain[hi[~bad]]
         if bad.any():
             raise EdgeError(self.nodes, *e[bad.argmax()].tolist(), int(bad.argmax()))
-        # sorted and deduplicated without np.unique, whose first call imports numpy.ma
-        keys = np.sort(self._pair_keys(lo, hi))
-        self.edge_keys = keys[np.diff(keys, prepend=-1) > 0]
+        self.edge_keys = sorted_unique(self._pair_keys(lo, hi))
         self.edges = np.stack(np.divmod(self.edge_keys, self.n_nodes), axis=1)
         self.edges.flags.writeable = self.edge_keys.flags.writeable = False
 

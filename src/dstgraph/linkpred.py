@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import EdgeSplit, NodeKind, StateGraph
 from .metrics import auc, average_precision
-from .vgae import Propagation, VgaeParams, edge_probabilities, encode
+from .vgae import Propagation, VgaeParams, edge_probabilities, encode, held_out_scores
 
 
 def mean_embeddings(params: VgaeParams, graph: StateGraph) -> np.ndarray:
@@ -29,7 +29,8 @@ def mean_embeddings(params: VgaeParams, graph: StateGraph) -> np.ndarray:
 def evaluate_split(
     params: VgaeParams, graph: StateGraph, split: EdgeSplit
 ) -> dict[str, float]:
-    """AUC and AP over the held-out test edges and their matched negatives.
+    """AUC and AP over the held-out test edges and their matched negatives,
+    scored by `held_out_scores` as `train` scores its validation edges.
 
     The encoder sees the full observed adjacency, matching the candidate
     ranking posture at deployment; the held-out edges were masked from the
@@ -40,8 +41,7 @@ def evaluate_split(
     if not len(split.test) or not len(split.neg_test):
         raise ValueError("split has no test edges to evaluate")
     mu = mean_embeddings(params, graph)
-    scores = edge_probabilities(mu, *np.concatenate([split.test, split.neg_test]).T)
-    labels = [True] * len(split.test) + [False] * len(split.neg_test)
+    scores, labels = held_out_scores(mu, split.test, split.neg_test)
     return {"auc": auc(scores, labels), "ap": average_precision(scores, labels)}
 
 

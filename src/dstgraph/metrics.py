@@ -1,10 +1,11 @@
 """Dialogue state tracking metrics (joint goal accuracy, slot F1, slot
 accuracy) and link-prediction ranking metrics (AUC, average precision).
 
-The tracking metrics operate on per-turn (predicted, gold) state pairs
-with NONE values stripped first, since the sentinel encodes absence.  Slot
-F1 is micro-averaged over the whole turn sequence; slot accuracy is keyed
-by gold (domain, slot) pairs.  Both conventions are stated in every report.
+Every tracking metric compares each turn's predicted and gold key→value
+maps (`DialogueState.value_by_key`, NONE-valued keys left out, since the
+sentinel encodes absence); a turn's matches are the items both maps hold.
+Slot F1 is micro-averaged over the whole turn sequence; slot accuracy is
+keyed by gold (domain, slot) pairs.  Both conventions are stated in every report.
 The ranking metrics score held-out edges against matched negatives, for
 validation during training and for the final test evaluation.
 """
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dialogue import DialogueState, StateTriple
+from .dialogue import DialogueState
 
 
 @dataclass(frozen=True)
@@ -32,22 +33,27 @@ class PrfScore:
     f1: float
 
 
-def _scorable(state: DialogueState) -> frozenset[StateTriple]:
-    return state.without_none().as_set()
-
-
 def jga(turns: Sequence[TurnPair]) -> float:
-    """Fraction of turns whose predicted state equals gold exactly."""
+    """Fraction of turns whose predicted key→value map equals gold's."""
     if not turns:
         raise ValueError("jga needs at least one turn")
-    # a state holds one triple per (domain, slot) key, so equal states are
-    # equal triple sets, and no set need be built
-    hits = sum(1 for t in turns if t.predicted.without_none() == t.gold.without_none())
+    hits = sum(1 for t in turns if t.predicted.value_by_key() == t.gold.value_by_key())
     return hits / len(turns)
 
 
+def _prf(tp: int, fp: int, fn: int) -> PrfScore:
+    """Precision, recall and F1 of pooled counts, as `slot_f1` states them."""
+    if tp + fp == 0 and tp + fn == 0:
+        return PrfScore(precision=1.0, recall=1.0, f1=1.0)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return PrfScore(precision=precision, recall=recall, f1=f1)
+
+
 def slot_f1(turns: Sequence[TurnPair]) -> PrfScore:
-    """Micro-averaged precision/recall/F1 over predicted vs gold triples.
+    """Micro-averaged precision/recall/F1 over predicted vs gold key→value
+    items.
 
     When neither side predicts anything anywhere, the score is perfect by
     convention; a 0/0 precision or recall otherwise counts as 0.
@@ -56,16 +62,12 @@ def slot_f1(turns: Sequence[TurnPair]) -> PrfScore:
         raise ValueError("slot_f1 needs at least one turn")
     tp = fp = fn = 0
     for t in turns:
-        pred, gold = _scorable(t.predicted), _scorable(t.gold)
-        tp += len(pred & gold)
-        fp += len(pred - gold)
-        fn += len(gold - pred)
-    if tp + fp == 0 and tp + fn == 0:
-        return PrfScore(precision=1.0, recall=1.0, f1=1.0)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return PrfScore(precision=precision, recall=recall, f1=f1)
+        pred, gold = t.predicted.value_by_key().items(), t.gold.value_by_key().items()
+        hits = len(pred & gold)
+        tp += hits
+        fp += len(pred) - hits
+        fn += len(gold) - hits
+    return _prf(tp, fp, fn)
 
 
 def slot_accuracy(turns: Sequence[TurnPair]) -> float:
@@ -78,10 +80,9 @@ def slot_accuracy(turns: Sequence[TurnPair]) -> float:
         raise ValueError("slot_accuracy needs at least one turn")
     total = correct = 0
     for t in turns:
-        gold = t.gold.value_by_key()
-        pred = t.predicted.value_by_key()
+        gold = t.gold.value_by_key().items()
         total += len(gold)
-        correct += sum(1 for key, value in gold.items() if pred.get(key) == value)
+        correct += len(t.predicted.value_by_key().items() & gold)
     if total == 0:
         raise ValueError("slot_accuracy needs at least one gold triple")
     return correct / total
@@ -89,18 +90,14 @@ def slot_accuracy(turns: Sequence[TurnPair]) -> float:
 
 def per_domain_f1(turns: Sequence[TurnPair]) -> dict[str, PrfScore]:
     """Convenience group-by: micro slot F1 restricted to each domain."""
-    domains = set()
+    # per domain: [true positives, false positives, false negatives]
+    counts: dict[str, list[int]] = {}
     for t in turns:
-        domains.update(x.domain for x in t.predicted.without_none())
-        domains.update(x.domain for x in t.gold.without_none())
-
-    def restrict(state: DialogueState, domain: str) -> DialogueState:
-        return DialogueState(x for x in state.without_none() if x.domain == domain)
-
-    return {
-        d: slot_f1([TurnPair(restrict(t.predicted, d), restrict(t.gold, d)) for t in turns])
-        for d in sorted(domains)
-    }
+        pred, gold = t.predicted.value_by_key().items(), t.gold.value_by_key().items()
+        for kind, items in enumerate((pred & gold, pred - gold, gold - pred)):
+            for (domain, _), _ in items:
+                counts.setdefault(domain, [0, 0, 0])[kind] += 1
+    return {d: _prf(*counts[d]) for d in sorted(counts)}
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:

@@ -190,8 +190,7 @@ def classify_errors(
     # are unique, so the sort never compares past them
     wrong = sorted(
         (key, value, gold_real.get(key))
-        for key, value in pred.value_by_key().items()
-        if gold_real.get(key) != value
+        for key, value in pred.value_by_key().items() - gold_real.items()
     )
 
     turn_texts = None

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import atomic_writer, read_json_object
-from .graph import EdgeSplit, StateGraph
+from .graph import EdgeSplit, StateGraph, sorted_unique
 from .metrics import auc
 
 PROB_EPS = 1e-12
@@ -186,12 +186,10 @@ class Propagation:
         if np.any(e[:, 0] == e[:, 1]):
             raise ValueError("self-loops are not allowed")
         diag = np.arange(n_nodes, dtype=np.intp)
-        # sorted and deduplicated without np.unique, whose first call imports numpy.ma
-        keys = np.sort(
+        keys = sorted_unique(
             np.concatenate([e[:, 0] * n_nodes + e[:, 1], e[:, 1] * n_nodes + e[:, 0],
                             diag * n_nodes + diag])
         )
-        keys = keys[np.diff(keys, prepend=-1) > 0]
         self.rows, self.cols = np.divmod(keys, n_nodes)
         inv_sqrt_deg = 1.0 / np.sqrt(np.bincount(self.rows, minlength=n_nodes))
         self.weights = inv_sqrt_deg[self.rows] * inv_sqrt_deg[self.cols]
@@ -282,6 +280,16 @@ def edge_probabilities(z: np.ndarray, rows, cols) -> np.ndarray:
     return np.clip(_sigmoid(s), PROB_EPS, 1.0 - PROB_EPS)
 
 
+def held_out_scores(
+    z: np.ndarray, edges: np.ndarray, negatives: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities of held-out ``edges`` then their matched ``negatives``
+    under embeddings ``z``, with labels (True for an edge): what `auc` and
+    `average_precision` score in `train` and `evaluate_split`."""
+    scores = edge_probabilities(z, *np.concatenate([edges, negatives]).T)
+    return scores, np.arange(len(scores)) < len(edges)
+
+
 class _Workspace:
     """Flat scratch arrays for the objective's row blocks, each ``size``
     entries long: the scores S, exp(-|S|), sigma(S) (turned into dBCE/dS)
@@ -303,7 +311,7 @@ def _bce(
     pos_index,
     pos_weight: float,
     n_pairs: int,
-    work: _Workspace | None = None,
+    work: _Workspace,
 ) -> tuple[float, np.ndarray]:
     """Weighted BCE terms of the scores S against the 0/1 target that is one
     exactly at ``pos_index`` (a (rows, cols) pair of index arrays), summed
@@ -317,14 +325,12 @@ def _bce(
     -log sigma(s) = max(-s, 0) + log1p(e), -log(1 - sigma(s)) = max(s, 0) +
     log1p(e).  Every entry is scored densely as a non-edge, then the
     positive terms are computed at ``pos_index`` only and scattered there.
-    S is overwritten.  Every dense step writes into ``work`` (a workspace
-    of S's size is made when none is given), and the returned gradient is
-    a view of it, valid until the workspace is used again.
+    S is overwritten.  Every dense step writes into ``work``, a workspace
+    of at least S's size, and the returned gradient is a view of it, valid
+    until the workspace is used again.
     """
     if pos_weight <= 0:
         raise ValueError("pos_weight must be positive")
-    if work is None:
-        work = _Workspace(s.size)
     t, g, w, ok, ok2 = (
         work.block(a, *s.shape) for a in (work.e, work.g, work.w, work.mask, work.mask2)
     )
@@ -425,7 +431,7 @@ def loss_and_grads(
     prop: Propagation,
     kl_weight: float,
     noise: np.ndarray,
-    work: _Workspace | None = None,
+    work: _Workspace,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Forward pass plus hand-derived gradients of BCE + kl_weight * KL.
 
@@ -437,8 +443,7 @@ def loss_and_grads(
     is pure and checkable against finite differences.  No n x n array is
     held outside a row block of ``prop.block_rows`` rows: the blocks are
     scored in ``work``, a `_Workspace` of ``prop.block_rows`` *
-    ``prop.n_nodes`` entries, made for this call when none is given.
-    Returns (bce, kl, grads by weight name).
+    ``prop.n_nodes`` entries.  Returns (bce, kl, grads by weight name).
     """
     n = prop.n_nodes
     off_diagonal = prop.rows != prop.cols
@@ -450,8 +455,6 @@ def loss_and_grads(
     std = np.exp(logvar / 2.0)
     z = mu + std * noise
 
-    if work is None:
-        work = _Workspace(prop.block_rows * n)
     bce, g_z = _bce_grad_z(z, pos_index, pos_weight, prop.block_rows, work)
     kl = kl_divergence(mu, logvar)
 
@@ -493,8 +496,6 @@ def train(
     # validation monitoring mirrors evaluate_split: encode the full graph
     if len(split.val):
         full_graph = Propagation(graph.n_nodes, graph.edges)
-        val_pairs = np.concatenate([split.val, split.neg_val])
-        val_labels = [True] * len(split.val) + [False] * len(split.neg_val)
 
     weights = asdict(params)  # copies of the weights, by name
     adam_m = {k: np.zeros_like(v) for k, v in weights.items()}
@@ -511,7 +512,7 @@ def train(
         val_auc = None
         if len(split.val):
             mu, _ = encode(full_graph, params)
-            val_auc = auc(edge_probabilities(mu, *val_pairs.T), val_labels)
+            val_auc = auc(*held_out_scores(mu, split.val, split.neg_val))
 
         record = EpochRecord(epoch=epoch, bce=bce, kl=kl, total=total, val_auc=val_auc)
         history.append(record)
@@ -620,12 +621,17 @@ def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:
     weights = {}
     for key in ("w_shared", "w_mu", "w_logvar"):
         try:
-            weights[key] = np.asarray(raw[key], dtype=np.float64)
+            # inferred, not cast: a string or null entry, or a matrix of
+            # booleans, then shows in the dtype
+            w = np.array(raw[key])
         except KeyError:
             raise ValueError(f"{path}: no {key!r} weights") from None
         except (TypeError, ValueError) as exc:
             # e.g. a ragged row: numpy's "inhomogeneous shape" text
             raise ValueError(f"{path}: weight {key!r}: {exc}") from exc
+        if w.dtype.kind not in "iuf":
+            raise ValueError(f"{path}: weight {key!r}: entries must be numbers, got {w.dtype}")
+        weights[key] = w.astype(np.float64, copy=False)
     try:
         params = VgaeParams(**weights)
     except ValueError as exc:

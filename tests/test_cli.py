@@ -804,6 +804,13 @@ def edit_checkpoint_row(path: Path, key: str, row: int) -> None:
     path.write_text(json.dumps(raw), encoding="utf-8")
 
 
+def string_and_true_weight_entries(raw: dict) -> dict:
+    """``raw`` with w_mu[0][0] written as a string and w_mu[0][1] as true."""
+    row = raw["w_mu"][0]
+    row[0], row[1] = str(row[0]), True
+    return raw
+
+
 _FIRST_RECORD = {"dialogue_id": "fx001", "turn": 0, "diagnostics": []}
 _RECORD_1 = "pred.jsonl: prediction record 1: "
 _GRAPH_ARGV = ["graph", "--predictions", "pred.jsonl", "--out-prefix", "out"]
@@ -932,6 +939,12 @@ def write(name: str, text: str):
             _PREDICT_ARGV,
             "model.json: weight 'w_mu': setting an array element with a sequence",
             id="checkpoint-weight-row-is-ragged",
+        ),
+        pytest.param(
+            lambda: rewrite_checkpoint(string_and_true_weight_entries),
+            _PREDICT_ARGV,
+            "model.json: weight 'w_mu': entries must be numbers, got <U",
+            id="checkpoint-weight-entry-is-a-string",
         ),
         pytest.param(
             lambda: edit_checkpoint(version=True),

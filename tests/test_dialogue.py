@@ -116,13 +116,6 @@ def test_state_triples_sorted():
     assert [t.domain for t in s.triples()] == ["attraction", "hotel", "taxi"]
 
 
-def test_state_without_none_drops_sentinels_only():
-    s = make_state(("hotel", "area", "east"), ("hotel", "name", NONE_VALUE))
-    kept = s.without_none()
-    assert len(s) == 2
-    assert {t.key for t in kept} == {("hotel", "area")}
-
-
 def test_accumulate_unions_and_overwrites():
     s0 = DialogueState()
     s1 = accumulate_state(s0, [make_triple("hotel", "area", "north")])
@@ -130,7 +123,7 @@ def test_accumulate_unions_and_overwrites():
         s1,
         [make_triple("hotel", "stars", "4"), make_triple("hotel", "area", "east")],
     )
-    assert s2.as_set() == {
+    assert set(s2) == {
         make_triple("hotel", "stars", "4"),
         make_triple("hotel", "area", "east"),
     }
@@ -192,16 +185,8 @@ _keyed_triples = st.builds(
 @given(st.lists(_keyed_triples, max_size=12))
 def test_state_triples_order_matches_sorting_the_triples(triples):
     s = DialogueState(triples)
-    assert s.triples() == tuple(sorted(s.as_set()))
-
-
-@given(st.lists(_keyed_triples, max_size=12))
-def test_without_none_matches_rebuilt_state(triples):
-    s = DialogueState(triples)
-    kept = s.without_none()
-    assert kept == DialogueState(t for t in s.triples() if not t.is_none)
-    if not any(t.is_none for t in s):
-        assert kept is s
+    latest = {t.key: t for t in triples}  # latest wins on a repeated key
+    assert s.triples() == tuple(sorted(latest.values()))
 
 
 def reference_accumulate(prev, new_triples):

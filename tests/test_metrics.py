@@ -156,8 +156,8 @@ def test_jga_builds_no_triple_set_and_equals_set_reference(rng, monkeypatch):
     turns += [pair(t.gold, t.gold) for t in turns[:50]]  # exact hits
     # the frozenset definition jga replaced, NONE triples stripped
     want = sum(
-        frozenset(t.predicted.without_none().unordered())
-        == frozenset(t.gold.without_none().unordered())
+        frozenset(x for x in t.predicted.unordered() if not x.is_none)
+        == frozenset(x for x in t.gold.unordered() if not x.is_none)
         for t in turns
     ) / len(turns)
     built = []

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dstgraph.dialogue import DialogueState, Speaker, StateTriple, Turn
+from dstgraph.metrics import TurnPair, slot_f1
 from dstgraph.parsing import (
     JUNK_TOKENS,
     MAX_ERROR_SAMPLES,
@@ -266,9 +267,11 @@ def test_merge_error_reports_sums_and_caps_samples():
 def reference_wrong_values(pred, gold):
     """(triple, gold value) of each wrong prediction, iterating both states
     in sorted order as before the unsorted dict views."""
-    gold_real = {t.key: t.value for t in gold.without_none()}
+    gold_real = {t.key: t.value for t in gold if not t.is_none}
     wrong = []
-    for t in pred.without_none():
+    for t in pred:
+        if t.is_none:
+            continue
         if t.key not in gold_real:
             wrong.append((t, None))
         elif gold_real[t.key] != t.value:
@@ -293,3 +296,32 @@ def test_classify_samples_follow_sorted_prediction_order(pred, gold):
     assert [(s["domain"], s["slot"], s["predicted"], s["gold"]) for s in rep.samples] == [
         (t.domain, t.slot, t.value, g) for t, g in expected
     ]
+
+
+# case variants of each field, and both spellings of the NONE sentinel
+_cased = st.builds(
+    StateTriple,
+    domain=st.sampled_from(["hotel", "Hotel", "taxi"]),
+    slot=st.sampled_from(["area", "AREA ", "day"]),
+    value=st.sampled_from(["east", "East", "none", "NONE", "monday"]),
+)
+_turn_sets = st.lists(
+    st.tuples(st.lists(_cased, max_size=6), st.lists(_cased, max_size=6)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(_turn_sets)
+def test_classified_errors_are_slot_f1_false_positives(turns):
+    pairs = [TurnPair(DialogueState(p), DialogueState(g)) for p, g in turns]
+    tp = fp = 0
+    for pair in pairs:
+        # an independent reference: the sets of non-NONE triples
+        pred = {(t.domain, t.slot, t.value) for t in pair.predicted if not t.is_none}
+        gold = {(t.domain, t.slot, t.value) for t in pair.gold if not t.is_none}
+        tp += len(pred & gold)
+        fp += len(pred - gold)
+    assert sum(classify_errors(p.predicted, p.gold).total_errors for p in pairs) == fp
+    if tp + fp:
+        assert slot_f1(pairs).precision == tp / (tp + fp)

@@ -12,6 +12,7 @@ from dstgraph import vgae
 from dstgraph.datasets import fixture_corpus_path, load_corpus
 from dstgraph.graph import NodeKind, build_graph, planted_graph, split_edges
 from dstgraph.linkpred import evaluate_split, mean_embeddings, rank_candidates
+from dstgraph.metrics import auc, average_precision
 from dstgraph.vgae import (
     EpochRecord,
     TrainConfig,
@@ -20,10 +21,12 @@ from dstgraph.vgae import (
     VgaeParams,
     _bce,
     _sigmoid,
+    _Workspace,
     edge_probabilities,
     encode,
     glorot_init,
     gradient_check,
+    held_out_scores,
     kl_divergence,
     load_checkpoint,
     loss_and_grads,
@@ -44,6 +47,12 @@ def small_setup(rng, seed=5):
     g = random_bipartite_graph(rng, 3, 12, 0.35)
     split = split_edges(g, 0.85, 0.10, 0.05, seed=seed)
     return g, split
+
+
+def workspace(prop: Propagation) -> _Workspace:
+    """A fresh workspace of the size `loss_and_grads` scores ``prop``'s
+    row blocks in."""
+    return _Workspace(prop.block_rows * prop.n_nodes)
 
 
 # --- propagation matrix ---
@@ -264,7 +273,7 @@ def test_sigmoid_equals_masked_form_bit_for_bit(rng):
 def test_reconstruction_loss_at_zero_latent_is_ln2():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.zeros((2, 3))
-    assert _bce(z @ z.T, np.nonzero(a), 1.0, 4)[0] / 4 == pytest.approx(
+    assert _bce(z @ z.T, np.nonzero(a), 1.0, 4, _Workspace(4))[0] / 4 == pytest.approx(
         math.log(2.0), abs=1e-15
     )
 
@@ -273,17 +282,17 @@ def test_reconstruction_loss_pos_weight_scales_positive_terms():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.zeros((2, 3))
     # at z=0 every pair contributes ln2; positives are half the mass here
-    base = _bce(z @ z.T, np.nonzero(a), 1.0, 4)[0] / 4
-    up = _bce(z @ z.T, np.nonzero(a), 3.0, 4)[0] / 4
+    base = _bce(z @ z.T, np.nonzero(a), 1.0, 4, _Workspace(4))[0] / 4
+    up = _bce(z @ z.T, np.nonzero(a), 3.0, 4, _Workspace(4))[0] / 4
     assert up == pytest.approx(base + 2 * math.log(2.0) * 2 / 4, abs=1e-12)
     with pytest.raises(ValueError):
-        _bce(z @ z.T, np.nonzero(a), 0.0, 4)
+        _bce(z @ z.T, np.nonzero(a), 0.0, 4, _Workspace(4))
 
 
 def test_reconstruction_loss_finite_for_extreme_latents():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = np.array([[1e3, 0.0], [-1e3, 0.0]])
-    assert np.isfinite(_bce(z @ z.T, np.nonzero(a), 5.0, 4)[0])
+    assert np.isfinite(_bce(z @ z.T, np.nonzero(a), 5.0, 4, _Workspace(4))[0])
 
 
 LOG_LO, LOG_HI = math.log(1e-12), math.log1p(-1e-12)
@@ -350,7 +359,7 @@ def test_loss_and_grads_equals_dense_reference_bit_for_bit(rng):
             bce, kl, grads, s, logp_raw, log1mp_raw = dense_loss_reference(
                 params, a_hat, a, pos_weight, 0.5, noise
             )
-            got = loss_and_grads(params, prop, 0.5, noise)
+            got = loss_and_grads(params, prop, 0.5, noise, workspace(prop))
             assert got[0] == bce and got[1] == kl
             for name, want in grads.items():
                 # tobytes also tells -0.0 from 0.0
@@ -427,8 +436,8 @@ def test_blocked_loss_and_grads_match_one_block(make_graph, monkeypatch):
         params = VgaeParams(
             w_shared=scale * base.w_shared, w_mu=base.w_mu, w_logvar=base.w_logvar
         )
-        want = loss_and_grads(params, one_block, 0.5, noise)
-        got = loss_and_grads(params, blocked, 0.5, noise)
+        want = loss_and_grads(params, one_block, 0.5, noise, workspace(one_block))
+        got = loss_and_grads(params, blocked, 0.5, noise, workspace(blocked))
         assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
         assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
         for name, w in want[2].items():
@@ -533,16 +542,17 @@ def test_loss_and_grads_equals_allocating_reference_bit_for_bit(case, uneven, mo
     cfg = tiny_config()
     base = glorot_init(n, cfg, np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
-    work = vgae._Workspace(prop.block_rows * n)  # reused by every call below
+    work = workspace(prop)  # reused by every call below
     for scale in (1, 30, 300):  # 30 and 300 drive both clamps
         params = VgaeParams(
             w_shared=scale * base.w_shared, w_mu=base.w_mu, w_logvar=base.w_logvar
         )
         with monkeypatch.context() as m:
             m.setattr("dstgraph.vgae._bce_grad_z", reference_bce_grad_z)
-            want = loss_and_grads(params, prop, 0.5, noise)
+            want = loss_and_grads(params, prop, 0.5, noise, workspace(prop))
+        # the reused workspace, and a fresh one
         for got in (loss_and_grads(params, prop, 0.5, noise, work),
-                    loss_and_grads(params, prop, 0.5, noise)):
+                    loss_and_grads(params, prop, 0.5, noise, workspace(prop))):
             assert got[0] == want[0] and got[1] == want[1]
             for name, w in want[2].items():
                 assert got[2][name].tobytes() == w.tobytes(), name
@@ -557,7 +567,7 @@ def test_objective_allocates_less_than_one_block_given_its_workspace():
     pos_index = (prop.rows[off_diagonal], prop.cols[off_diagonal])
     pos_weight = (n * n - len(pos_index[0])) / len(pos_index[0])
     z = np.random.default_rng(0).standard_normal((n, 16))
-    work = vgae._Workspace(prop.block_rows * n)
+    work = workspace(prop)
     want = reference_bce_grad_z(z, pos_index, pos_weight, prop.block_rows)
     tracemalloc.start()
     try:
@@ -627,7 +637,7 @@ def test_objective_scores_each_pair_once(monkeypatch):
         return _bce(s, *args)
 
     monkeypatch.setattr("dstgraph.vgae._bce", counting_bce)
-    loss_and_grads(params, prop, 1.0, noise)
+    loss_and_grads(params, prop, 1.0, noise, workspace(prop))
     # the square on the diagonal and the rectangle right of it, per block
     want = 0
     for i in range(0, n, b):
@@ -660,7 +670,7 @@ def test_blocked_pipeline_allocates_no_n_by_n_array():
     n_by_n = 8 * n * n
 
     def one_loss():
-        loss_and_grads(params, prop, 1.0, noise)
+        loss_and_grads(params, prop, 1.0, noise, workspace(prop))
 
     assert peak_bytes(one_loss) < n_by_n
     assert peak_bytes(lambda: encode(Propagation(n, g.edges), params)) < n_by_n
@@ -833,6 +843,34 @@ def test_train_records_val_auc_iff_val_edges(rng):
         assert all(0.0 <= r.val_auc <= 1.0 for r in hist)
 
 
+def test_train_val_auc_is_auc_of_held_out_scores_at_glorot_params():
+    g = planted_graph(n_domains=12)
+    split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+    assert len(split.val) >= 10 and len(split.neg_val) >= 10
+    cfg = tiny_config(epochs=1, seed=3)
+    _, history = train(g, split, cfg)
+    # record 1 is taken at the initial weights, Glorot's first draw of the seed
+    params = glorot_init(g.n_nodes, cfg, np.random.default_rng(cfg.seed))
+    mu = mean_embeddings(params, g)
+    assert history[0].val_auc == auc(*held_out_scores(mu, split.val, split.neg_val))
+
+
+def test_held_out_scores_are_edges_then_negatives_with_their_labels():
+    g = planted_graph(n_domains=12)
+    split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+    params = glorot_init(g.n_nodes, tiny_config(), np.random.default_rng(0))
+    mu = mean_embeddings(params, g)
+    scores, labels = held_out_scores(mu, split.test, split.neg_test)
+    k = len(split.test)
+    assert scores.tobytes() == np.concatenate(
+        [edge_probabilities(mu, *split.test.T), edge_probabilities(mu, *split.neg_test.T)]
+    ).tobytes()
+    assert labels.tolist() == [True] * k + [False] * len(split.neg_test)
+    assert evaluate_split(params, g, split) == {
+        "auc": auc(scores, labels), "ap": average_precision(scores, labels)
+    }
+
+
 def test_train_adjacency_contains_only_train_edges(rng):
     g, split = small_setup(rng)
     n = g.n_nodes
@@ -856,7 +894,7 @@ def test_train_adjacency_contains_only_train_edges(rng):
     params = glorot_init(n, tiny_config(), np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, params.latent_dim))
     want = dense_loss_reference(params, dense, a, pos_weight, 0.5, noise)[0]
-    assert loss_and_grads(params, a_hat, 0.5, noise)[0] == want
+    assert loss_and_grads(params, a_hat, 0.5, noise, workspace(a_hat))[0] == want
     other = dense_loss_reference(params, dense, a, 2 * pos_weight, 0.5, noise)[0]
     assert other != want
 
@@ -937,10 +975,18 @@ def test_checkpoint_locates_malformed_weights(tmp_path, rng):
     path = tmp_path / "model.json"
     save_checkpoint(path, params, cfg)
     good = json.loads(path.read_text())
+    not_numbers = "entries must be numbers, got "
     cases = [
         ("w_shared", lambda w: w[2].pop(), "weight 'w_shared': .*inhomogeneous shape"),
         ("w_logvar", lambda w: w[0].__setitem__(0, "x"), "weight 'w_logvar': "),
         ("w_mu", lambda w: w.pop(), r"inconsistent shapes"),
+        # a number written as a string, which a float64 cast would accept
+        ("w_mu", lambda w: w[0].__setitem__(0, str(w[0][0])),
+         f"weight 'w_mu': {not_numbers}<U"),
+        ("w_shared", lambda w: w[1].__setitem__(1, None),
+         f"weight 'w_shared': {not_numbers}object"),
+        ("w_logvar", lambda w: w.__setitem__(slice(None), [[True] * len(r) for r in w]),
+         f"weight 'w_logvar': {not_numbers}bool"),
     ]
     for key, damage, message in cases:
         raw = json.loads(json.dumps(good))
