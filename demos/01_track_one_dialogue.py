@@ -8,23 +8,19 @@ the running dialogue state.  Everything is deterministic and offline.
 Run: python3 demos/01_track_one_dialogue.py
 """
 
-from dstgraph import (
+from dstgraph.backends import GenerationParams, RuleMockBackend
+from dstgraph.datasets import fixture_keywords_path
+from dstgraph.dialogue import (
     DialogueContext,
     DialogueState,
-    GenerationParams,
-    PromptSpec,
-    PromptStrategy,
-    RuleMockBackend,
     Speaker,
     Turn,
     accumulate_state,
     append_turn,
-    build_prompt,
-    default_instruction,
-    fixture_keywords_path,
-    parse_state,
     serialize_context,
 )
+from dstgraph.parsing import parse_state
+from dstgraph.prompts import PromptSpec, PromptStrategy, build_prompt, default_instruction
 
 # the offline backend answers from a keyword table instead of a model,
 # so this script runs anywhere and always prints the same thing

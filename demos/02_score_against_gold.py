@@ -8,21 +8,16 @@ separates invented values from surface variants of the right one.
 Run: python3 demos/02_score_against_gold.py
 """
 
-from dstgraph import (
-    RuleMockBackend,
-    TurnPair,
-    classify_errors,
+from dstgraph.backends import RuleMockBackend
+from dstgraph.cli import RunConfig, extract_records
+from dstgraph.datasets import (
     fixture_corpus_path,
     fixture_keywords_path,
-    jga,
     load_corpus,
-    merge_error_reports,
-    per_domain_f1,
-    slot_accuracy,
-    slot_f1,
     state_from_jsonable,
 )
-from dstgraph.cli import RunConfig, extract_records
+from dstgraph.metrics import TurnPair, jga, per_domain_f1, slot_accuracy, slot_f1
+from dstgraph.parsing import classify_errors, merge_error_reports
 
 corpus = load_corpus(fixture_corpus_path())
 print(f"corpus: {len(corpus.dialogues)} dialogues, gold states attached")

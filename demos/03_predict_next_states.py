@@ -11,18 +11,10 @@ Run: python3 demos/03_predict_next_states.py
 
 import numpy as np
 
-from dstgraph import (
-    TrainConfig,
-    build_graph,
-    dialogue_domains,
-    evaluate_split,
-    fixture_corpus_path,
-    load_corpus,
-    mean_embeddings,
-    rank_candidates,
-    split_edges,
-    train,
-)
+from dstgraph.datasets import fixture_corpus_path, load_corpus
+from dstgraph.graph import build_graph, dialogue_domains, split_edges
+from dstgraph.linkpred import evaluate_split, mean_embeddings, rank_candidates
+from dstgraph.vgae import TrainConfig, VgaeParams, train
 
 corpus = load_corpus(fixture_corpus_path())
 
@@ -72,8 +64,6 @@ for rec in rank_candidates(mu, graph, domains, top_k=5):
 
 # sanity anchor: with all-zero weights every pair scores 0.5 and the
 # ranking carries no information (auc is exactly chance)
-from dstgraph import VgaeParams
-
 zero = VgaeParams(
     w_shared=np.zeros((graph.n_nodes, config.hidden_dim)),
     w_mu=np.zeros((config.hidden_dim, config.latent_dim)),

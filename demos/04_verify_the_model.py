@@ -15,19 +15,10 @@ Run: python3 demos/04_verify_the_model.py
 
 import numpy as np
 
-from dstgraph import (
-    DialogueState,
-    StateTriple,
-    TrainConfig,
-    VgaeParams,
-    build_graph,
-    evaluate_split,
-    glorot_init,
-    gradient_check,
-    planted_graph,
-    split_edges,
-    train,
-)
+from dstgraph.dialogue import DialogueState, StateTriple
+from dstgraph.graph import build_graph, planted_graph, split_edges
+from dstgraph.linkpred import evaluate_split
+from dstgraph.vgae import TrainConfig, VgaeParams, glorot_init, gradient_check, train
 
 
 def random_graph(rng, n_domains, n_slotvalues, p=0.3):

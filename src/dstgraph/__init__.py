@@ -5,190 +5,10 @@ reasoning strategies, completion backends (HTTP, replay, rule mock),
 parsing of bracketed domain/slot/value lists into dialogue states,
 tracking metrics, a bipartite dialogue-state graph, and a from-scratch
 variational graph auto-encoder for ranking next-state candidates.
+
+The package root holds only the version: callers take each name from
+the module that defines it (``dstgraph.vgae.TrainConfig``), so the text
+stages load neither numpy nor the graph auto-encoder.
 """
 
-from .backends import (
-    BackendError,
-    GenerationParams,
-    HttpBackend,
-    MalformedResponse,
-    ReplayBackend,
-    ReplayMiss,
-    RequestFailed,
-    RuleMockBackend,
-    prompt_hash,
-)
-from .datasets import (
-    AnnotatedDialogue,
-    CorpusFormat,
-    LoadResult,
-    fixture_corpus_path,
-    fixture_error_cases_path,
-    fixture_keywords_path,
-    fixture_replay_path,
-    load_corpus,
-    read_predictions,
-    state_from_jsonable,
-    state_to_jsonable,
-    write_corpus,
-    write_predictions,
-)
-from .dialogue import (
-    NONE_VALUE,
-    DialogueContext,
-    DialogueState,
-    Speaker,
-    StateTriple,
-    Turn,
-    accumulate_state,
-    append_turn,
-    normalize_text,
-    serialize_context,
-)
-from .graph import (
-    EdgeSplit,
-    NodeId,
-    NodeKind,
-    StateGraph,
-    build_graph,
-    dialogue_domains,
-    load_graph,
-    planted_graph,
-    split_edges,
-    write_edge_list,
-    write_node_table,
-)
-from .linkpred import evaluate_split, mean_embeddings, rank_candidates
-from .metrics import (
-    PrfScore,
-    TurnPair,
-    auc,
-    average_precision,
-    jga,
-    per_domain_f1,
-    slot_accuracy,
-    slot_f1,
-)
-from .parsing import (
-    Diagnostic,
-    DiagnosticKind,
-    ErrorReport,
-    ParseOutcome,
-    classify_errors,
-    format_state,
-    merge_error_reports,
-    parse_state,
-)
-from .prompts import (
-    ANTI_HALLUCINATION,
-    COT_FRAME,
-    STEP_SENTENCE,
-    PromptSpec,
-    PromptStrategy,
-    build_prompt,
-    default_instruction,
-    load_exemplars,
-    load_template_overrides,
-)
-from .vgae import (
-    EpochRecord,
-    TrainConfig,
-    TrainingDiverged,
-    VgaeParams,
-    edge_probabilities,
-    encode,
-    glorot_init,
-    gradient_check,
-    kl_divergence,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ANTI_HALLUCINATION",
-    "AnnotatedDialogue",
-    "BackendError",
-    "COT_FRAME",
-    "CorpusFormat",
-    "Diagnostic",
-    "DiagnosticKind",
-    "DialogueContext",
-    "DialogueState",
-    "EdgeSplit",
-    "EpochRecord",
-    "ErrorReport",
-    "GenerationParams",
-    "HttpBackend",
-    "LoadResult",
-    "MalformedResponse",
-    "NONE_VALUE",
-    "NodeId",
-    "NodeKind",
-    "ParseOutcome",
-    "PrfScore",
-    "PromptSpec",
-    "PromptStrategy",
-    "ReplayBackend",
-    "ReplayMiss",
-    "RequestFailed",
-    "RuleMockBackend",
-    "STEP_SENTENCE",
-    "Speaker",
-    "StateGraph",
-    "StateTriple",
-    "TrainConfig",
-    "TrainingDiverged",
-    "Turn",
-    "TurnPair",
-    "VgaeParams",
-    "accumulate_state",
-    "append_turn",
-    "auc",
-    "average_precision",
-    "build_graph",
-    "build_prompt",
-    "classify_errors",
-    "default_instruction",
-    "dialogue_domains",
-    "edge_probabilities",
-    "encode",
-    "evaluate_split",
-    "fixture_corpus_path",
-    "fixture_error_cases_path",
-    "fixture_keywords_path",
-    "fixture_replay_path",
-    "format_state",
-    "glorot_init",
-    "gradient_check",
-    "jga",
-    "kl_divergence",
-    "load_checkpoint",
-    "load_corpus",
-    "load_exemplars",
-    "load_graph",
-    "load_template_overrides",
-    "mean_embeddings",
-    "merge_error_reports",
-    "normalize_text",
-    "parse_state",
-    "per_domain_f1",
-    "planted_graph",
-    "prompt_hash",
-    "rank_candidates",
-    "read_predictions",
-    "save_checkpoint",
-    "serialize_context",
-    "slot_accuracy",
-    "slot_f1",
-    "split_edges",
-    "state_from_jsonable",
-    "state_to_jsonable",
-    "train",
-    "write_corpus",
-    "write_edge_list",
-    "write_node_table",
-    "write_predictions",
-]

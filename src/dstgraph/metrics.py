@@ -41,6 +41,19 @@ def jga(turns: Sequence[TurnPair]) -> float:
     return hits / len(turns)
 
 
+def _slot_counts(turns: Sequence[TurnPair]) -> tuple[int, int, int]:
+    """Pooled (true positive, false positive, false negative) key→value
+    items over all turns."""
+    tp = fp = fn = 0
+    for t in turns:
+        pred, gold = t.predicted.value_by_key().items(), t.gold.value_by_key().items()
+        hits = len(pred & gold)
+        tp += hits
+        fp += len(pred) - hits
+        fn += len(gold) - hits
+    return tp, fp, fn
+
+
 def _prf(tp: int, fp: int, fn: int) -> PrfScore:
     """Precision, recall and F1 of pooled counts, as `slot_f1` states them."""
     if tp + fp == 0 and tp + fn == 0:
@@ -60,14 +73,7 @@ def slot_f1(turns: Sequence[TurnPair]) -> PrfScore:
     """
     if not turns:
         raise ValueError("slot_f1 needs at least one turn")
-    tp = fp = fn = 0
-    for t in turns:
-        pred, gold = t.predicted.value_by_key().items(), t.gold.value_by_key().items()
-        hits = len(pred & gold)
-        tp += hits
-        fp += len(pred) - hits
-        fn += len(gold) - hits
-    return _prf(tp, fp, fn)
+    return _prf(*_slot_counts(turns))
 
 
 def slot_accuracy(turns: Sequence[TurnPair]) -> float:
@@ -78,14 +84,11 @@ def slot_accuracy(turns: Sequence[TurnPair]) -> float:
     """
     if not turns:
         raise ValueError("slot_accuracy needs at least one turn")
-    total = correct = 0
-    for t in turns:
-        gold = t.gold.value_by_key().items()
-        total += len(gold)
-        correct += len(t.predicted.value_by_key().items() & gold)
-    if total == 0:
+    tp, _, fn = _slot_counts(turns)
+    if tp + fn == 0:
         raise ValueError("slot_accuracy needs at least one gold triple")
-    return correct / total
+    # the gold-keyed fraction is slot F1's recall, from the same counts
+    return tp / (tp + fn)
 
 
 def per_domain_f1(turns: Sequence[TurnPair]) -> dict[str, PrfScore]:

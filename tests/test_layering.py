@@ -1,13 +1,18 @@
 """The package's modules import their siblings at module level only, and
 those imports form no cycle, so the layers stack one way (graph, then
-vgae, then linkpred).  Every file the package writes goes through
+vgae, then linkpred).  The package root imports nothing, so the text
+stages load no numpy.  Every file the package writes goes through
 ``datasets.atomic_writer``."""
 
 import ast
 import graphlib
+import subprocess
+import sys
 from pathlib import Path
 
 import dstgraph
+
+from conftest import child_env
 
 MODULES = {
     p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
@@ -28,7 +33,6 @@ def test_no_relative_import_inside_a_function():
 
 
 def test_sibling_imports_form_no_cycle():
-    # the package __init__ imports every module, so it is left out
     imports = {
         name: {
             node.module
@@ -36,12 +40,38 @@ def test_sibling_imports_form_no_cycle():
             if isinstance(node, ast.ImportFrom) and node.level and node.module
         }
         for name, tree in MODULES.items()
-        if name != "__init__"
     }
     assert imports["linkpred"] >= {"graph", "vgae"} and "graph" in imports["vgae"]
     # raises CycleError on any cycle, TYPE_CHECKING imports included
     order = list(graphlib.TopologicalSorter(imports).static_order())
     assert order.index("graph") < order.index("vgae") < order.index("linkpred")
+
+
+def test_package_root_imports_nothing():
+    # each name is imported from its defining module; one re-export here
+    # would load its module, and numpy with it, in every text stage
+    found = [
+        f"__init__.py:{node.lineno}"
+        for node in ast.walk(MODULES["__init__"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []
+
+
+def test_text_stages_leave_numpy_unimported():
+    script = """
+import sys
+import dstgraph.backends, dstgraph.datasets, dstgraph.dialogue, dstgraph.parsing, dstgraph.prompts
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_files_are_opened_only_in_atomic_writer():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from dstgraph.dialogue import DialogueState
+from dstgraph.dialogue import DialogueState, StateTriple
 from dstgraph.metrics import PrfScore, TurnPair, jga, per_domain_f1, slot_accuracy, slot_f1
 
 from conftest import make_state, random_states
@@ -146,7 +148,25 @@ def test_metrics_match_oracle_on_random_turn_sets(rng):
             assert slot_accuracy(pairs) == want["accuracy"]
 
 
+# few distinct keys, so right, wrong, missing and NONE values all occur
+_few_keys = st.builds(
+    StateTriple,
+    domain=st.sampled_from(["hotel", "taxi"]),
+    slot=st.sampled_from(["area", "day", "stars"]),
+    value=st.sampled_from(["east", "west", "none", "monday"]),
+)
+_turn_sets = st.lists(
+    st.tuples(st.lists(_few_keys, max_size=6), st.lists(_few_keys, max_size=6)),
+    min_size=1,
+    max_size=8,
+)
 
+
+@given(_turn_sets)
+def test_slot_accuracy_is_slot_f1_recall(turns):
+    pairs = [pair(DialogueState(p), DialogueState(g)) for p, g in turns]
+    assume(any(not t.is_none for p in pairs for t in p.gold))
+    assert slot_accuracy(pairs).hex() == slot_f1(pairs).recall.hex()
 
 
 def test_jga_builds_no_triple_set_and_equals_set_reference(rng, monkeypatch):
