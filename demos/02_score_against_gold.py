@@ -23,7 +23,8 @@ corpus = load_corpus(fixture_corpus_path())
 print(f"corpus: {len(corpus.dialogues)} dialogues, gold states attached")
 
 backend = RuleMockBackend.from_json(fixture_keywords_path())
-records, failure = extract_records(corpus.dialogues, backend, RunConfig())
+records = []
+failure = extract_records(corpus.dialogues, backend, RunConfig(), records.append)
 assert failure is None
 print(f"extracted {len(records)} per-turn predictions")
 

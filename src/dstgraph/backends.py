@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from .datasets import read_json_lines, read_json_object
-from .dialogue import DialogueState, normalize_text, state_triple
+from .dialogue import DialogueState, normalize_text, normalize_uncached, state_triple
 from .parsing import format_state
 
 
@@ -265,7 +265,7 @@ class RuleMockBackend:
     def complete(self, prompt: str, params: GenerationParams) -> str:
         if not prompt:
             raise ValueError("prompt must be non-empty")
-        text = normalize_text(live_input_section(prompt))
+        text = normalize_uncached(live_input_section(prompt))
         first: dict[str, int] = {}
         for m in self._scan.finditer(text):
             longest = m.group(1)

@@ -12,6 +12,8 @@ Exit codes: 0 success, 1 user/config error, 2 backend failure,
 from __future__ import annotations
 
 import argparse
+import bisect
+import contextlib
 import functools
 import itertools
 import json
@@ -31,12 +33,16 @@ from .backends import (
     RuleMockBackend,
 )
 from .datasets import (
+    AnnotatedDialogue,
     CorpusFormat,
+    CorpusReader,
     Prediction,
+    PredictionsSpool,
+    TurnKeys,
     atomic_writer,
     fixture_keywords_path,
+    iter_predictions,
     load_corpus,
-    load_predictions,
     prediction_record,
     write_predictions,
 )
@@ -58,8 +64,8 @@ from .graph import (
     write_node_table,
 )
 from .linkpred import evaluate_split, mean_embeddings, rank_candidates
-from .metrics import TurnPair, jga, slot_accuracy, slot_f1
-from .parsing import ParseOutcome, classify_errors, merge_error_reports, parse_state
+from .metrics import TrackingCounts
+from .parsing import ErrorTally, ParseOutcome, classify_value_errors, parse_state
 from .prompts import (
     PromptSpec,
     PromptStrategy,
@@ -215,8 +221,8 @@ class TurnTracker:
 
 def _user_turns(dialogues):
     """Yield ``(dialogue_id, user turn index, context)`` for every user
-    turn, in dialogue_id order and then turn order."""
-    for dialogue in sorted(dialogues, key=lambda d: d.dialogue_id):
+    turn of ``dialogues``, in their order and then turn order."""
+    for dialogue in dialogues:
         ctx = DialogueContext()
         index = itertools.count()
         for turn in dialogue.turns:
@@ -250,44 +256,41 @@ def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
         yield pending.popleft().result()
 
 
-def _fold(turns, outcomes) -> tuple[list[dict], BackendError | None]:
-    """One record per turn, each dialogue's outcomes folded in turn order;
-    at the first backend failure, the records before it and the error."""
-    records: list[dict] = []
+def _fold(turns, outcomes, write) -> BackendError | None:
+    """``write`` one record per turn, each dialogue's outcomes folded in
+    turn order; at the first backend failure, stop and return the error."""
     try:
         for (dialogue_id, index, _), outcome in zip(turns, outcomes):
             if index == 0:
                 state = DialogueState()
             state = accumulate_state(state, outcome.state.unordered())
-            records.append(
-                prediction_record(dialogue_id, index, state, outcome.diagnostics)
-            )
+            write(prediction_record(dialogue_id, index, state, outcome.diagnostics))
     except BackendError as exc:
-        return records, exc
-    return records, None
+        return exc
+    return None
 
 
-def extract_records(
-    dialogues, backend, cfg: RunConfig
-) -> tuple[list[dict], BackendError | None]:
-    """Track every user turn of every dialogue.
+def extract_records(dialogues, backend, cfg: RunConfig, write) -> BackendError | None:
+    """Track every user turn of every dialogue, passing each turn's record
+    to ``write``.
 
-    Records come out in dialogue_id order, then turn order.  Over the http
-    backend up to ``_HTTP_WORKERS`` turn requests run at once, across and
-    within dialogues, and each dialogue's states are still folded in turn
-    order, so the output is the sequential run's.  On a backend failure the
-    records of every turn before the failing one are returned with the
-    error, so the caller can flush partial output before aborting.
+    Records come out in the order of ``dialogues``, then turn order.  Over
+    the http backend up to ``_HTTP_WORKERS`` turn requests run at once,
+    across and within dialogues, and each dialogue's states are still
+    folded in turn order, so the output is the sequential run's.  On a
+    backend failure the records of every turn before the failing one have
+    been written, and the error is returned, so the caller can flush
+    partial output before aborting.
     """
     track = TurnTracker(cfg, backend).track
     # the tracker reads contexts ahead of the fold; tee keeps only the gap
     turns, ahead = itertools.tee(_user_turns(dialogues))
     contexts = (ctx for _, _, ctx in ahead)
     if not isinstance(backend, HttpBackend):
-        return _fold(turns, map(track, contexts))
+        return _fold(turns, map(track, contexts), write)
     pool = ThreadPoolExecutor(_HTTP_WORKERS)
     try:
-        return _fold(turns, _in_order(pool, track, contexts, _HTTP_WINDOW))
+        return _fold(turns, _in_order(pool, track, contexts, _HTTP_WINDOW), write)
     finally:
         # after a failure, queued turns are dropped unstarted and the
         # ones in flight run out before returning
@@ -295,62 +298,119 @@ def extract_records(
 
 
 def cmd_extract(cfg: RunConfig, echoed: list[str]) -> int:
-    result = load_corpus(cfg.corpus, _FORMATS[cfg.corpus_format])
-    backend = make_backend(cfg)
-    records, failure = extract_records(result.dialogues, backend, cfg)
-    meta = _meta(cfg, echoed, corpus_skipped=result.skipped)
-    if failure is not None:
-        meta["failure"] = str(failure)
-        write_predictions(cfg.out, records, meta=meta)
-        print(
-            f"extract aborted after {len(records)} turns: {failure}", file=sys.stderr
+    with CorpusReader(cfg.corpus, _FORMATS[cfg.corpus_format]) as corpus, \
+            PredictionsSpool(cfg.out) as spool:
+        dialogues = corpus.dialogues()
+        # a corpus with no dialogue fails here, before the backend is made
+        first = next(dialogues)
+        backend = make_backend(cfg)
+        failure = extract_records(
+            itertools.chain([first], dialogues), backend, cfg, spool.write
         )
+        for _ in dialogues:  # the dialogues left after a failure still count
+            pass
+        meta = _meta(cfg, echoed, corpus_skipped=corpus.skipped)
+        if failure is not None:
+            meta["failure"] = str(failure)
+        spool.commit(meta)
+    if failure is not None:
+        print(f"extract aborted after {spool.count} turns: {failure}", file=sys.stderr)
         raise failure
-    write_predictions(cfg.out, records, meta=meta)
-    print(f"wrote {len(records)} turn predictions to {cfg.out}")
+    print(f"wrote {spool.count} turn predictions to {cfg.out}")
     return 0
 
 
-def _pair_turns(
-    predictions: list[Prediction], dialogues
-) -> tuple[list[TurnPair], list[tuple[Turn, ...]]]:
-    """Align predictions with gold states by (dialogue_id, turn); returns
-    the pairs and, for each pair, its dialogue's turns."""
-    by_key = {(p.dialogue_id, p.turn): p for p in predictions}
-    pairs: list[TurnPair] = []
-    contexts: list[tuple[Turn, ...]] = []
-    for d in sorted(dialogues, key=lambda x: x.dialogue_id):
-        if d.gold_states is None:
-            raise UsageError(f"dialogue {d.dialogue_id} has no gold states")
-        for i, gold in enumerate(d.gold_states):
-            p = by_key.pop((d.dialogue_id, i), None)
-            if p is None:
-                raise UsageError(f"no prediction for dialogue {d.dialogue_id} turn {i}")
-            pairs.append(TurnPair(predicted=p.state, gold=gold))
-            contexts.append(d.turns)
-    if by_key:
-        raise UsageError(f"predictions reference unknown turns: {sorted(by_key)[:5]}")
-    return pairs, contexts
+# Unknown turns named in the error that reports them.
+_UNKNOWN_SHOWN = 5
+
+
+class _Scoring:
+    """Each prediction paired with its gold turn as it is read, and scored.
+
+    Pairs are keyed by (dialogue_id, turn).  ``add`` takes predictions in
+    any order; the gold dialogue of each comes from ``corpus``, which keeps
+    the last one read.  A turn's two key→value maps are built once and
+    feed the counts and the error report.  ``check`` then raises what the
+    pairing left wrong, in ``dialogue_id`` order.
+    """
+
+    def __init__(self, corpus: CorpusReader | None):
+        self.corpus = corpus
+        self.counts = TrackingCounts()
+        self.errors = ErrorTally()
+        self.parse_failures = 0
+        self.seen = TurnKeys()
+        # user-turn count of each dialogue read, None if it has no gold
+        self._gold_turns: dict[str, int | None] = {}
+        self._unknown: list[tuple[str, int]] = []  # the first few, sorted
+
+    def _dialogue(self, dialogue_id: str) -> AnnotatedDialogue | None:
+        if self.corpus is None:
+            return None
+        dialogue = self.corpus.read(dialogue_id)
+        if dialogue is not None:
+            gold = dialogue.gold_states
+            self._gold_turns[dialogue_id] = None if gold is None else len(gold)
+        return dialogue
+
+    def add(self, p: Prediction) -> None:
+        self.parse_failures += p.parse_failed
+        dialogue = self._dialogue(p.dialogue_id)
+        gold = None if dialogue is None else dialogue.gold_states
+        key = (p.dialogue_id, p.turn)
+        if gold is None or not 0 <= p.turn < len(gold):
+            # a dialogue with no gold states fails the check before these count
+            bisect.insort(self._unknown, key)
+            del self._unknown[_UNKNOWN_SHOWN:]
+            return
+        predicted, expected = p.state.value_by_key(), gold[p.turn].value_by_key()
+        self.counts.add(predicted, expected)
+        self.errors.add(key, classify_value_errors(predicted, expected, dialogue.turns))
+
+    def check(self) -> None:
+        """Raise for the first dialogue, in ``dialogue_id`` order, with no
+        gold states or with a turn no prediction covers; then for a corpus
+        none of whose records parses; then for predictions of unknown turns."""
+        for dialogue_id in self.corpus.ids:
+            if dialogue_id not in self._gold_turns and self._dialogue(dialogue_id) is None:
+                continue  # no record of the id parses
+            n_gold = self._gold_turns[dialogue_id]
+            if n_gold is None:
+                raise UsageError(f"dialogue {dialogue_id} has no gold states")
+            for i in range(n_gold):
+                if (dialogue_id, i) not in self.seen:
+                    raise UsageError(f"no prediction for dialogue {dialogue_id} turn {i}")
+        if not self._gold_turns:
+            raise self.corpus.no_valid_dialogues()
+        if self._unknown:
+            raise UsageError(f"predictions reference unknown turns: {self._unknown}")
 
 
 def cmd_evaluate(cfg: RunConfig, echoed: list[str]) -> int:
-    predictions = load_predictions(cfg.predictions)
-    result = load_corpus(cfg.corpus, _FORMATS[cfg.corpus_format])
-    pairs, contexts = _pair_turns(predictions, result.dialogues)
+    # the predictions are checked before the corpus's faults are reported
+    try:
+        corpus, corpus_error = CorpusReader(cfg.corpus, _FORMATS[cfg.corpus_format]), None
+    except (OSError, ValueError) as exc:
+        corpus, corpus_error = None, exc
+    with corpus or contextlib.nullcontext():
+        scoring = _Scoring(corpus)
+        for p in iter_predictions(cfg.predictions, scoring.seen):
+            scoring.add(p)
+        if corpus_error is not None:
+            raise corpus_error
+        scoring.check()
 
-    prf = slot_f1(pairs)
-    error_report = merge_error_reports(
-        classify_errors(pair.predicted, pair.gold, turns=turns)
-        for pair, turns in zip(pairs, contexts)
-    )
+    counts = scoring.counts
+    prf = counts.slot_f1()
+    error_report = scoring.errors.report()
     report = {
-        "jga": jga(pairs),
+        "jga": counts.jga(),
         "slot_precision": prf.precision,
         "slot_recall": prf.recall,
         "slot_f1": prf.f1,
-        "slot_accuracy": slot_accuracy(pairs),
-        "turn_count": len(pairs),
-        "parse_failure_count": sum(p.parse_failed for p in predictions),
+        "slot_accuracy": counts.slot_accuracy(),
+        "turn_count": counts.turns,
+        "parse_failure_count": scoring.parse_failures,
         "error_report": {
             "nonexistent_value_count": error_report.nonexistent_value_count,
             "synonym_count": error_report.synonym_count,
@@ -378,7 +438,7 @@ def cmd_graph(cfg: RunConfig, echoed: list[str]) -> int:
     else:
         if not cfg.predictions:
             raise UsageError("graph requires --predictions (or --from-gold)")
-        states = [p.state for p in load_predictions(cfg.predictions)]
+        states = (p.state for p in iter_predictions(cfg.predictions))
     g = build_graph(states)
     if not len(g.edges):
         raise UsageError("state graph has no edges; nothing to train on")
@@ -451,7 +511,7 @@ def cmd_predict(cfg: RunConfig, echoed: list[str]) -> int:
         raise UsageError(f"--top-k must be positive, got {cfg.top_k}")
     g, mu = _load_model(cfg)
     by_dialogue: dict[str, list[DialogueState]] = {}
-    for p in load_predictions(cfg.predictions):
+    for p in iter_predictions(cfg.predictions):
         by_dialogue.setdefault(p.dialogue_id, []).append(p.state)
 
     out_records: list[dict] = []

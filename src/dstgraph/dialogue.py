@@ -10,7 +10,6 @@ pure function, so everything in this module is safe to share across threads.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -19,17 +18,23 @@ from typing import Iterable, Iterator
 #: Stored normalized (case-folded), so comparisons use this constant.
 NONE_VALUE = "none"
 
-_WS = re.compile(r"\s+")
-
 # Domain, slot and value strings repeat across every turn of a corpus, so
-# a small memo serves nearly every call; unique turn texts cycle through.
+# a small memo serves nearly every call.
 _NORMALIZE_CACHE_SIZE = 4096
+
+
+def normalize_uncached(s: str) -> str:
+    """Case-fold, trim, and collapse internal whitespace runs to one space."""
+    return " ".join(s.split()).casefold()
 
 
 @functools.lru_cache(maxsize=_NORMALIZE_CACHE_SIZE)
 def normalize_text(s: str) -> str:
-    """Case-fold, trim, and collapse internal whitespace runs to one space."""
-    return _WS.sub(" ", s.strip()).casefold()
+    """``normalize_uncached``, memoised for the short strings that repeat
+    (domains, slots, values).  A text read once, such as an utterance or a
+    prompt's input, goes to ``normalize_uncached``: the memo would only
+    keep it alive."""
+    return normalize_uncached(s)
 
 
 class Speaker(Enum):
@@ -49,7 +54,7 @@ class Turn:
     text: str
 
     def __post_init__(self):
-        cleaned = _WS.sub(" ", self.text.strip())
+        cleaned = " ".join(self.text.split())
         if not cleaned:
             raise ValueError("utterance text must be non-empty")
         object.__setattr__(self, "text", cleaned)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -127,8 +127,8 @@ class StateGraph:
         return np.sort(self._pair_keys(d_idx, sv_idx))
 
 
-def build_graph(states: Sequence[DialogueState]) -> StateGraph:
-    """Build the state graph from a sequence of dialogue states.
+def build_graph(states: Iterable[DialogueState]) -> StateGraph:
+    """Build the state graph from dialogue states, read once in order.
 
     One Domain node per distinct domain, one SlotValue node per distinct
     (slot, value) pair with a real (non-NONE) value, one edge per observed

@@ -4,6 +4,8 @@ accuracy) and link-prediction ranking metrics (AUC, average precision).
 Every tracking metric compares each turn's predicted and gold key→value
 maps (`DialogueState.value_by_key`, NONE-valued keys left out, since the
 sentinel encodes absence); a turn's matches are the items both maps hold.
+All three are ratios of integer counts, which `TrackingCounts` keeps turn
+by turn, so a stream of turns is scored as exactly as a list of them.
 Slot F1 is micro-averaged over the whole turn sequence; slot accuracy is
 keyed by gold (domain, slot) pairs.  Both conventions are stated in every report.
 The ranking metrics score held-out edges against matched negatives, for
@@ -13,7 +15,7 @@ validation during training and for the final test evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,25 +35,65 @@ class PrfScore:
     f1: float
 
 
+@dataclass
+class TrackingCounts:
+    """Counts over the turns added so far: the turns, the turns whose maps
+    are equal, and the pooled (true positive, false positive, false
+    negative) key→value items."""
+
+    turns: int = 0
+    joint_hits: int = 0
+    tp: int = 0
+    fp: int = 0
+    fn: int = 0
+
+    def add(self, predicted: Mapping, gold: Mapping) -> None:
+        """Count one turn from its predicted and gold key→value maps."""
+        pred, ref = predicted.items(), gold.items()
+        hits = len(pred & ref)
+        self.turns += 1
+        self.joint_hits += predicted == gold
+        self.tp += hits
+        self.fp += len(pred) - hits
+        self.fn += len(ref) - hits
+
+    def jga(self) -> float:
+        """Fraction of turns whose predicted key→value map equals gold's."""
+        if not self.turns:
+            raise ValueError("jga needs at least one turn")
+        return self.joint_hits / self.turns
+
+    def slot_f1(self) -> PrfScore:
+        """Micro-averaged precision/recall/F1 over the pooled items.
+
+        When neither side predicts anything anywhere, the score is perfect
+        by convention; a 0/0 precision or recall otherwise counts as 0.
+        """
+        if not self.turns:
+            raise ValueError("slot_f1 needs at least one turn")
+        return _prf(self.tp, self.fp, self.fn)
+
+    def slot_accuracy(self) -> float:
+        """Fraction of gold (domain, slot) keys predicted with the right
+        value: slot F1's recall, from the same counts."""
+        if not self.turns:
+            raise ValueError("slot_accuracy needs at least one turn")
+        if self.tp + self.fn == 0:
+            raise ValueError("slot_accuracy needs at least one gold triple")
+        return self.tp / (self.tp + self.fn)
+
+
+def _tracking_counts(turns: Iterable[TurnPair]) -> TrackingCounts:
+    """The counts of ``turns``, each turn's two maps built once."""
+    counts = TrackingCounts()
+    for t in turns:
+        counts.add(t.predicted.value_by_key(), t.gold.value_by_key())
+    return counts
+
+
 def jga(turns: Sequence[TurnPair]) -> float:
     """Fraction of turns whose predicted key→value map equals gold's."""
-    if not turns:
-        raise ValueError("jga needs at least one turn")
-    hits = sum(1 for t in turns if t.predicted.value_by_key() == t.gold.value_by_key())
-    return hits / len(turns)
-
-
-def _slot_counts(turns: Sequence[TurnPair]) -> tuple[int, int, int]:
-    """Pooled (true positive, false positive, false negative) key→value
-    items over all turns."""
-    tp = fp = fn = 0
-    for t in turns:
-        pred, gold = t.predicted.value_by_key().items(), t.gold.value_by_key().items()
-        hits = len(pred & gold)
-        tp += hits
-        fp += len(pred) - hits
-        fn += len(gold) - hits
-    return tp, fp, fn
+    return _tracking_counts(turns).jga()
 
 
 def _prf(tp: int, fp: int, fn: int) -> PrfScore:
@@ -66,14 +108,8 @@ def _prf(tp: int, fp: int, fn: int) -> PrfScore:
 
 def slot_f1(turns: Sequence[TurnPair]) -> PrfScore:
     """Micro-averaged precision/recall/F1 over predicted vs gold key→value
-    items.
-
-    When neither side predicts anything anywhere, the score is perfect by
-    convention; a 0/0 precision or recall otherwise counts as 0.
-    """
-    if not turns:
-        raise ValueError("slot_f1 needs at least one turn")
-    return _prf(*_slot_counts(turns))
+    items (`TrackingCounts.slot_f1`)."""
+    return _tracking_counts(turns).slot_f1()
 
 
 def slot_accuracy(turns: Sequence[TurnPair]) -> float:
@@ -82,13 +118,7 @@ def slot_accuracy(turns: Sequence[TurnPair]) -> float:
     A key with no prediction counts as incorrect; predicted-only keys do
     not enter the denominator.
     """
-    if not turns:
-        raise ValueError("slot_accuracy needs at least one turn")
-    tp, _, fn = _slot_counts(turns)
-    if tp + fn == 0:
-        raise ValueError("slot_accuracy needs at least one gold triple")
-    # the gold-keyed fraction is slot F1's recall, from the same counts
-    return tp / (tp + fn)
+    return _tracking_counts(turns).slot_accuracy()
 
 
 def per_domain_f1(turns: Sequence[TurnPair]) -> dict[str, PrfScore]:

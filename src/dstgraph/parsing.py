@@ -12,10 +12,11 @@ three quote styles (LaTeX backtick-apostrophe, single, double).
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .dialogue import DialogueState, StateTriple, Turn, normalize_text, state_triple
 
@@ -142,7 +143,7 @@ def format_state(state: DialogueState) -> str:
 JUNK_TOKENS = frozenset(
     {"unknown", "n/a", "na", "null", "nil", "tbd", "placeholder", "xxx", "value"}
 )
-# samples kept by merge_error_reports
+# samples kept by merge_error_reports and ErrorTally
 MAX_ERROR_SAMPLES = 20
 
 
@@ -182,20 +183,30 @@ def classify_errors(
     a subset or superset of the predicted value's tokens.  Without turns
     the substring rule is skipped, never assumed to fail.
     """
+    return classify_value_errors(pred.value_by_key(), gold.value_by_key(), turns)
+
+
+def classify_value_errors(
+    pred: Mapping[tuple[str, str], str],
+    gold: Mapping[tuple[str, str], str],
+    turns: Sequence[Turn] | None = None,
+) -> ErrorReport:
+    """``classify_errors`` of a turn given its two key→value maps
+    (``DialogueState.value_by_key``), for a caller that already holds them."""
     nonexistent = 0
     synonym = 0
     samples: list[dict] = []
-    gold_real = gold.value_by_key()
     # (key, predicted, gold or None) in key order, for the samples; keys
     # are unique, so the sort never compares past them
     wrong = sorted(
-        (key, value, gold_real.get(key))
-        for key, value in pred.value_by_key().items() - gold_real.items()
+        (key, value, gold.get(key)) for key, value in pred.items() - gold.items()
     )
 
     turn_texts = None
     if turns is not None and wrong:
-        turn_texts = [normalize_text(t.text) for t in turns]
+        # a turn's text is already trimmed and collapsed, so folding its
+        # case normalizes it
+        turn_texts = [t.text.casefold() for t in turns]
     for (domain, slot), predicted, gold_value in wrong:
         unsupported = turn_texts is not None and not any(
             predicted in text for text in turn_texts
@@ -233,20 +244,40 @@ def _token_containment(a: str, b: str) -> bool:
     return ta <= tb or tb <= ta
 
 
+class ErrorTally:
+    """Per-turn reports merged as they come, in any order: each report is
+    added with a sort key, and the samples kept are the first
+    ``MAX_ERROR_SAMPLES`` in key order, as if the reports came sorted."""
+
+    def __init__(self):
+        self._counts = [0, 0, 0]  # nonexistent, synonym, total
+        self._samples: list[tuple[Any, int, dict]] = []  # (key, index, sample)
+
+    def add(self, key, report: ErrorReport) -> None:
+        """Add one report; no two reports may share a key."""
+        self._counts[0] += report.nonexistent_value_count
+        self._counts[1] += report.synonym_count
+        self._counts[2] += report.total_errors
+        kept = self._samples
+        for index, sample in enumerate(report.samples):
+            if len(kept) == MAX_ERROR_SAMPLES and (key, index) > kept[-1][:2]:
+                break
+            bisect.insort(kept, (key, index, sample))
+            del kept[MAX_ERROR_SAMPLES:]
+
+    def report(self) -> ErrorReport:
+        nonexistent, synonym, total = self._counts
+        return ErrorReport(
+            nonexistent_value_count=nonexistent,
+            synonym_count=synonym,
+            total_errors=total,
+            samples=tuple(sample for _, _, sample in self._samples),
+        )
+
+
 def merge_error_reports(reports: Iterable[ErrorReport]) -> ErrorReport:
     """Sum counts across per-turn reports, keeping the first few samples."""
-    nonexistent = synonym = total = 0
-    samples: list[dict] = []
-    for r in reports:
-        nonexistent += r.nonexistent_value_count
-        synonym += r.synonym_count
-        total += r.total_errors
-        for s in r.samples:
-            if len(samples) < MAX_ERROR_SAMPLES:
-                samples.append(s)
-    return ErrorReport(
-        nonexistent_value_count=nonexistent,
-        synonym_count=synonym,
-        total_errors=total,
-        samples=tuple(samples),
-    )
+    tally = ErrorTally()
+    for position, report in enumerate(reports):
+        tally.add(position, report)
+    return tally.report()

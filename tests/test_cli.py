@@ -23,8 +23,8 @@ from dstgraph.datasets import (
     fixture_corpus_path,
     fixture_keywords_path,
     fixture_replay_path,
+    iter_predictions,
     load_corpus,
-    load_predictions,
     read_predictions,
     write_corpus,
     write_json_lines,
@@ -283,7 +283,7 @@ def test_missing_corpus_file_exit_1(tmp_path, capsys):
 
 def test_internal_error_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(
-        cli, "load_corpus", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
+        cli, "CorpusReader", lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom"))
     )
     code = cli.main(
         ["extract", "--corpus", str(fixture_corpus_path()), "--out", "o.jsonl"]
@@ -631,6 +631,99 @@ def test_evaluate_rejects_unknown_turn(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown turns" in capsys.readouterr().err
+
+
+def two_turn_dialogue(dialogue_id: str, gold: bool = True) -> str:
+    """A plain corpus line: two user turns, empty gold states unless ``gold`` is off."""
+    rec = {"dialogue_id": dialogue_id,
+           "turns": [{"speaker": "user", "text": "hi"},
+                     {"speaker": "system", "text": "hello"},
+                     {"speaker": "user", "text": "bye"}]}
+    if gold:
+        rec["gold"] = [[], []]
+    return json.dumps(rec)
+
+
+def prediction_line(dialogue_id, turn) -> str:
+    return json.dumps({"dialogue_id": dialogue_id, "turn": turn, "predicted_state": []})
+
+
+_BOTH_TURNS = [prediction_line(d, t) for d in ("a", "b") for t in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "corpus, predictions, message",
+    [
+        pytest.param(
+            None, [prediction_line("a", "0"), *_BOTH_TURNS[1:]],
+            "pred.jsonl: prediction record 1: turn must be int, got '0'",
+            id="bad-record-before-missing-corpus",
+        ),
+        pytest.param(
+            ['{"dialogue_id": "a"}'], [*_BOTH_TURNS, prediction_line("a", 0)],
+            "pred.jsonl: prediction record 5: duplicate (dialogue_id, turn) ('a', 0)",
+            id="bad-record-before-no-valid-dialogues",
+        ),
+        pytest.param(
+            [two_turn_dialogue("a")], [prediction_line("a", "0"), "[1]"],
+            "pred.jsonl:2: expected a JSON object, got list",
+            id="bad-line-before-earlier-bad-record",
+        ),
+        pytest.param(
+            None, _BOTH_TURNS[:3],
+            "corpus file not found: c.jsonl",
+            id="missing-corpus-before-missing-turn",
+        ),
+        pytest.param(
+            ['{"dialogue_id": "a"}', "not json"], _BOTH_TURNS[:3],
+            "no valid dialogues in c.jsonl (2 skipped)",
+            id="no-valid-dialogues-before-missing-turn",
+        ),
+        pytest.param(
+            [two_turn_dialogue("b"), two_turn_dialogue("a")],
+            [*_BOTH_TURNS[1:], prediction_line("ghost", 0)],
+            "no prediction for dialogue a turn 0",
+            id="missing-turn-before-unknown-turn",
+        ),
+        pytest.param(
+            [two_turn_dialogue("b"), two_turn_dialogue("a", gold=False)],
+            _BOTH_TURNS[:3],
+            "dialogue a has no gold states",
+            id="no-gold-sorts-before-missing-turn",
+        ),
+        pytest.param(
+            [two_turn_dialogue("b", gold=False), two_turn_dialogue("a")],
+            _BOTH_TURNS[1:],
+            "no prediction for dialogue a turn 0",
+            id="missing-turn-sorts-before-no-gold",
+        ),
+        pytest.param(
+            [two_turn_dialogue("a"), two_turn_dialogue("b")],
+            [*_BOTH_TURNS, *(prediction_line(d, t) for d, t in
+                             [("z", 0), ("a", 2), ("b", -1), ("ghost", 1), ("c", 0),
+                              ("a", 9), ("ghost", 0)])],
+            "predictions reference unknown turns: "
+            "[('a', 2), ('a', 9), ('b', -1), ('c', 0), ('ghost', 0)]",
+            id="first-five-unknown-turns-sorted",
+        ),
+    ],
+)
+def test_evaluate_reports_the_first_fault_in_a_fixed_order(
+    corpus, predictions, message, tmp_path, monkeypatch, capsys
+):
+    # a predictions record, then the corpus file, then the pairing in
+    # dialogue_id order, then the unknown turns
+    monkeypatch.chdir(tmp_path)
+    if corpus is not None:
+        Path("c.jsonl").write_text("".join(line + "\n" for line in corpus), encoding="utf-8")
+    Path("pred.jsonl").write_text(
+        "".join(line + "\n" for line in predictions), encoding="utf-8"
+    )
+    argv = ["evaluate", "--predictions", "pred.jsonl", "--corpus", "c.jsonl",
+            "--out", "r.json"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("r.json").exists()
 
 
 # --- graph, train, predict pipeline ---
@@ -1221,7 +1314,7 @@ def test_predictions_readers_agree_on_every_record_mutation(
     copy_goldens(tmp_path)
     mutate()
     try:
-        load_predictions("pred.jsonl")
+        list(iter_predictions("pred.jsonl"))
         rejected = None
     except ValueError as exc:
         rejected = f"error: {exc}\n"

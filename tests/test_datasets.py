@@ -2,16 +2,23 @@ import copy
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dstgraph import cli
+from dstgraph import cli, datasets
 from dstgraph.datasets import (
     AnnotatedDialogue,
     CorpusFormat,
+    CorpusReader,
+    PredictionsSpool,
+    TurnKeys,
     fixture_corpus_path,
     fixture_error_cases_path,
     fixture_keywords_path,
     fixture_replay_path,
+    iter_predictions,
     load_corpus,
+    prediction_record,
     read_json_lines,
     read_predictions,
     state_from_jsonable,
@@ -21,6 +28,8 @@ from dstgraph.datasets import (
     write_predictions,
 )
 from dstgraph.dialogue import DialogueState, Speaker, StateTriple, Turn
+from dstgraph.parsing import parse_state
+from dstgraph.prompts import load_exemplars
 
 from conftest import make_state
 
@@ -529,3 +538,193 @@ def test_fixture_error_cases_shape():
     assert len(raw["cases"]) == 4
     for case in raw["cases"]:
         assert {"name", "predicted", "gold", "expected"} <= set(case)
+
+
+# --- the streamed corpus reader ---
+
+
+def messy_corpus_lines() -> list[str]:
+    """Plain corpus lines out of id order: a repeated id whose first record
+    is malformed, a repeated valid id, lines that are not records, a blank
+    line, an integer id and a dialogue with no gold."""
+    bad_speaker = plain_record("d2")
+    bad_speaker["turns"][0]["speaker"] = "narrator"
+    int_id = plain_record()
+    int_id["dialogue_id"] = 7
+    return [
+        json.dumps(plain_record("d3")),
+        json.dumps(bad_speaker),
+        "not json",
+        json.dumps(plain_record("d1", gold=False)),
+        "",
+        json.dumps(plain_record("d2")),
+        "[1, 2]",
+        json.dumps(plain_record("d3")),
+        json.dumps(int_id),
+        json.dumps({"turns": []}),
+        json.dumps(plain_record("d2")),
+    ]
+
+
+def read_streamed(path) -> tuple[list[AnnotatedDialogue], int]:
+    with CorpusReader(path) as reader:
+        dialogues = list(reader.dialogues())
+        return dialogues, reader.skipped
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_reader_reads_what_load_corpus_loads_in_dialogue_id_order(ending, tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(ending.join(messy_corpus_lines()) + ending, encoding="utf-8")
+    whole = load_corpus(path)
+    dialogues, skipped = read_streamed(path)
+    assert dialogues == sorted(whole.dialogues, key=lambda d: d.dialogue_id)
+    assert [d.dialogue_id for d in dialogues] == ["7", "d1", "d2", "d3"]
+    assert skipped == whole.skipped == 6
+
+
+def test_reader_parses_no_record_after_the_winner(tmp_path, monkeypatch):
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(line + "\n" for line in messy_corpus_lines()), encoding="utf-8")
+    parsed = []
+    parse = datasets._plain_dialogue
+    monkeypatch.setattr(datasets, "_plain_dialogue", lambda line: parsed.append(line) or parse(line))
+    with CorpusReader(path) as reader:
+        assert reader.read("d2").dialogue_id == "d2"
+        assert reader.read("d2") is reader.read("d2")  # the last one read is kept
+        assert reader.read("nope") is None
+    # d2's malformed record, then its first valid one; not its second valid one
+    assert [json.loads(line)["dialogue_id"] for line in parsed] == ["d2", "d2"]
+
+
+def test_reader_errors_match_load_corpus(tmp_path):
+    with pytest.raises(FileNotFoundError, match="corpus file not found"):
+        CorpusReader(tmp_path / "nope.jsonl")
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"dialogue_id": "d"}\nnot json\n', encoding="utf-8")
+    with pytest.raises(ValueError) as whole:
+        load_corpus(path)
+    with CorpusReader(path) as reader, pytest.raises(ValueError) as streamed:
+        list(reader.dialogues())
+    assert str(streamed.value) == str(whole.value) == f"no valid dialogues in {path} (2 skipped)"
+
+
+def test_reader_reads_json_formats_whole(tmp_path):
+    path = tmp_path / "c.json"
+    records = [sgd_record(d) for d in load_corpus(fixture_corpus_path()).dialogues]
+    path.write_text(json.dumps(records[::-1]), encoding="utf-8")
+    dialogues, skipped = read_streamed(path)
+    assert dialogues == sorted(load_corpus(path).dialogues, key=lambda d: d.dialogue_id)
+    assert skipped == 0
+
+
+@pytest.mark.parametrize("reader", ["load_corpus", "reader", "json_lines"])
+def test_a_file_that_is_not_utf8_names_the_byte_in_the_whole_file(reader, tmp_path):
+    path = tmp_path / "c.jsonl"
+    good = json.dumps(plain_record()).encode()
+    path.write_bytes(good + b"\n" + good + b"\n" + b'{"dialogue_id": "\xff"}\n')
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_bytes().decode("utf-8")
+    read = {"load_corpus": load_corpus, "reader": CorpusReader,
+            "json_lines": lambda p: list(read_json_lines(p))}[reader]
+    with pytest.raises(UnicodeDecodeError) as raised:
+        read(path)
+    assert str(raised.value) == str(whole.value)
+    assert f"position {2 * len(good) + 2 + 17}" in str(raised.value)
+
+
+# --- JSON Lines split only at "\n" ---
+
+_LINE_BREAKS = {"nel": "\u0085", "ls": "\u2028", "ps": "\u2029"}
+
+
+@pytest.mark.parametrize("char", _LINE_BREAKS.values(), ids=_LINE_BREAKS.keys())
+def test_a_line_break_character_in_a_diagnostic_round_trips(char, tmp_path):
+    # a completion is untrusted text; its diagnostic is written unescaped
+    outcome = parse_state(f"Domain : [`hotel{char}x'] , Slot : [`name'] , Value : [`']")
+    assert [d.detail for d in outcome.diagnostics] == [f"empty value for (hotel{char}x, name)"]
+    records = [prediction_record("d1", turn, outcome.state, outcome.diagnostics)
+               for turn in (0, 1)]
+    path = tmp_path / "pred.jsonl"
+    write_predictions(path, records, meta={"run": 1})
+    assert char in path.read_text(encoding="utf-8")
+    assert read_predictions(path) == (records, {"run": 1})
+    assert [p.turn for p in iter_predictions(path)] == [0, 1]
+
+
+@pytest.mark.parametrize("char", _LINE_BREAKS.values(), ids=_LINE_BREAKS.keys())
+def test_a_line_break_character_in_a_dialogue_id_round_trips(char, tmp_path):
+    dialogues = load_corpus(fixture_corpus_path()).dialogues[:3]
+    dialogues = (AnnotatedDialogue(f"d1{char}x", dialogues[0].turns, dialogues[0].gold_states),
+                 *dialogues[1:])
+    path = tmp_path / "c.jsonl"
+    write_corpus(path, dialogues)
+    result = load_corpus(path)
+    assert (result.dialogues, result.skipped) == (dialogues, 0)
+    assert read_streamed(path) == (sorted(dialogues, key=lambda d: d.dialogue_id), 0)
+
+
+@pytest.mark.parametrize("char", _LINE_BREAKS.values(), ids=_LINE_BREAKS.keys())
+def test_a_line_break_character_in_an_exemplar_round_trips(char, tmp_path):
+    path = tmp_path / "ex.jsonl"
+    pairs = [(f"USER: a{char}b", "Domain : [] , Slot : [] , Value : []"), ("USER: c", "d")]
+    write_json_lines(path, [{"input": i, "output": o} for i, o in pairs])
+    assert load_exemplars(path) == tuple(pairs)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_bad_json_line_is_named_by_the_same_number_under_either_ending(ending, tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_text(ending.join(['{"a": 1}', "", "[1]", '{"a": 2}']) + ending, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:3: expected a JSON object, got list$"):
+        list(read_json_lines(path))
+
+
+def test_a_lone_carriage_return_does_not_end_a_line(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"a": 1}\r{"a": 2}\n', encoding="utf-8", newline="")
+    with pytest.raises(ValueError, match=f"^{path}:1: Extra data"):
+        list(read_json_lines(path))
+
+
+# --- turn keys and the predictions spool ---
+
+_keys = st.tuples(st.sampled_from(["a", "b", "c"]),
+                  st.one_of(st.integers(-3, 40), st.integers(-10**12, 10**12)))
+
+
+@given(st.lists(_keys), st.lists(_keys))
+def test_turn_keys_act_as_a_set(added, probed):
+    keys, reference = TurnKeys(), set()
+    for key in added:
+        keys.add(key)
+        reference.add(key)
+    assert all((key in keys) == (key in reference) for key in added + probed)
+
+
+def test_spool_writes_the_bytes_write_predictions_writes(tmp_path):
+    records = [{"dialogue_id": "d", "turn": t, "text": "café\u2028"} for t in range(3)]
+    write_predictions(tmp_path / "direct.jsonl", records, meta={"run": 1})
+    target = tmp_path / "spooled.jsonl"
+    with PredictionsSpool(target) as spool:
+        for rec in records:
+            spool.write(rec)
+        # the spool has no name: nothing but the direct file is listed
+        assert [p.name for p in tmp_path.iterdir()] == ["direct.jsonl"]
+        spool.commit({"run": 1})
+    assert spool.count == 3
+    assert target.read_bytes() == (tmp_path / "direct.jsonl").read_bytes()
+    with PredictionsSpool(tmp_path / "empty.jsonl") as spool:
+        spool.commit({"run": 2})
+    assert read_predictions(tmp_path / "empty.jsonl") == ([], {"run": 2})
+
+
+def test_spool_closed_without_commit_keeps_the_previous_target(tmp_path):
+    target = tmp_path / "pred.jsonl"
+    write_predictions(target, [{"a": 1}], meta={"run": 1})
+    before = target.read_bytes()
+    with pytest.raises(RuntimeError), PredictionsSpool(target) as spool:
+        spool.write({"a": 2})
+        raise RuntimeError("aborted before the commit")
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pred.jsonl"]

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -41,6 +42,37 @@ def test_turn_rejects_empty_text():
 def test_turn_flattens_newlines():
     t = Turn(speaker=Speaker.USER, text="line one\nline two")
     assert t.text == "line one line two"
+
+
+def collapse_by_regex(s: str) -> str:
+    """The reference whitespace collapse: trim, then one space per run."""
+    return re.sub(r"\s+", " ", s.strip())
+
+
+_ALL_CHARS = [chr(c) for c in range(sys.maxunicode + 1)]
+_WHITESPACE = [c for c in _ALL_CHARS if c.isspace()]
+
+
+def test_split_and_regex_agree_on_what_whitespace_is():
+    # str.split() breaks at the isspace() code points; the regex's \s
+    # must match exactly those, so both collapse forms cut at the same places
+    space = re.compile(r"\s")
+    assert [c for c in _ALL_CHARS if space.match(c)] == _WHITESPACE
+    assert len(_WHITESPACE) == 29
+    for c in _WHITESPACE:
+        text = f"{c}a{c}{c}b{c}"
+        assert Turn(speaker=Speaker.USER, text=text).text == collapse_by_regex(text)
+        assert normalize_text(text) == collapse_by_regex(text).casefold() == "a b"
+
+
+@given(st.one_of(st.text(), st.text(alphabet=st.sampled_from([*_WHITESPACE, "a", "B"]))))
+def test_turn_text_matches_the_regex_collapse(text):
+    expected = collapse_by_regex(text)
+    if not expected:
+        with pytest.raises(ValueError):
+            Turn(speaker=Speaker.USER, text=text)
+    else:
+        assert Turn(speaker=Speaker.USER, text=text).text == expected
 
 
 def test_context_append_is_pure_and_counts_user_turns():

@@ -21,7 +21,7 @@ from dstgraph.graph import (
 )
 from dstgraph.vgae import Propagation
 
-from conftest import edge_set, make_state, random_bipartite_graph
+from conftest import edge_set, make_state, random_bipartite_graph, random_states
 
 
 def small_graph() -> StateGraph:
@@ -65,6 +65,15 @@ def test_build_graph_deduplicates_across_states():
     g = build_graph([make_state(("hotel", "area", "east"))] * 5)
     assert g.n_nodes == 2
     assert len(g.edges) == 1
+
+
+def test_build_graph_reads_a_generator_as_it_reads_a_list(rng):
+    # graph feeds it the states straight from the predictions file
+    states = random_states(rng, 40)
+    from_list, from_generator = build_graph(states), build_graph(s for s in states)
+    assert from_generator.nodes == from_list.nodes
+    assert from_generator.slot_values == from_list.slot_values
+    assert np.array_equal(from_generator.edges, from_list.edges)
 
 
 def test_build_graph_disambiguates_label_collisions():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from dstgraph.parsing import (
     MAX_ERROR_SAMPLES,
     Diagnostic,
     DiagnosticKind,
+    ErrorTally,
     classify_errors,
     format_state,
     merge_error_reports,
@@ -262,6 +265,26 @@ def test_merge_error_reports_sums_and_caps_samples():
     assert merged.nonexistent_value_count == 30
     assert merged.total_errors == 30
     assert len(merged.samples) == MAX_ERROR_SAMPLES == 20
+
+
+def test_error_tally_keeps_the_samples_of_the_first_keys_whatever_the_order():
+    # each turn's report has a few wrong values; added shuffled, the tally
+    # keeps what merging them in key order keeps
+    reports = {
+        (dialogue, turn): classify_errors(
+            make_state(*((dialogue, f"s{k}", f"v{turn}") for k in range(turn % 4))),
+            make_state(),
+        )
+        for dialogue in ("a", "b", "c")
+        for turn in range(6)
+    }
+    keys = list(reports)
+    random.Random(7).shuffle(keys)
+    tally = ErrorTally()
+    for key in keys:
+        tally.add(key, reports[key])
+    assert tally.report() == merge_error_reports(reports[k] for k in sorted(reports))
+    assert len(tally.report().samples) == MAX_ERROR_SAMPLES
 
 
 def reference_wrong_values(pred, gold):

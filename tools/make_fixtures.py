@@ -418,14 +418,22 @@ class _Recorder:
         return completion
 
 
+def extract(dialogues, backend) -> list[dict]:
+    """The records `extract` writes for ``dialogues``: dialogue_id order."""
+    records: list[dict] = []
+    ordered = sorted(dialogues, key=lambda d: d.dialogue_id)
+    failure = extract_records(ordered, backend, RunConfig(), records.append)
+    if failure is not None:
+        raise failure
+    return records
+
+
 def build_replay(dialogues, mock: RuleMockBackend, path: Path) -> int:
     """Write the mock's completion for every extract prompt to ``path``."""
     recorder = _Recorder(mock)
-    records, failure = extract_records(dialogues, recorder, RunConfig())
-    if failure is not None:
-        raise failure
+    n = len(extract(dialogues, recorder))
     write_json_lines(path, recorder.records)
-    return len(records)
+    return n
 
 
 def main() -> int:
@@ -457,10 +465,8 @@ def main() -> int:
     # written from, and the replay store must reproduce the mock run exactly
     loaded = load_corpus(corpus_path).dialogues
     assert loaded == tuple(dialogues), "corpus does not round-trip"
-    cfg = RunConfig()
-    mock_records, err1 = extract_records(loaded, mock, cfg)
-    replay_records, err2 = extract_records(loaded, ReplayBackend(replay_path), cfg)
-    assert err1 is None and err2 is None, (err1, err2)
+    mock_records = extract(loaded, mock)
+    replay_records = extract(loaded, ReplayBackend(replay_path))
     assert mock_records == replay_records, "replay store out of sync with mock"
 
     print(f"wrote {len(dialogues)} dialogues, {len(KEYWORDS)} keywords, {n} replays")
