@@ -16,8 +16,8 @@ from dstgraph.datasets import (
     load_corpus,
     state_from_jsonable,
 )
-from dstgraph.metrics import TurnPair, jga, per_domain_f1, slot_accuracy, slot_f1
-from dstgraph.parsing import classify_errors, merge_error_reports
+from dstgraph.metrics import TrackingCounts, per_domain_f1
+from dstgraph.parsing import ErrorTally, classify_errors
 
 corpus = load_corpus(fixture_corpus_path())
 print(f"corpus: {len(corpus.dialogues)} dialogues, gold states attached")
@@ -36,30 +36,33 @@ for d in corpus.dialogues:
     for i, gold in enumerate(d.gold_states):
         gold_by_key[(d.dialogue_id, i)] = gold
 
-pairs = []
-reports = []
+# one step per turn, as `evaluate` scores it: the turn's two key→value
+# maps are built once and feed the counts and the wrong-value taxonomy
+counts = TrackingCounts()
+errors = ErrorTally()
+map_pairs = []
 for rec in records:
-    predicted = state_from_jsonable(rec["predicted_state"])
-    gold = gold_by_key[(rec["dialogue_id"], rec["turn"])]
-    pairs.append(TurnPair(predicted=predicted, gold=gold))
-    reports.append(
-        classify_errors(predicted, gold, turns=turns_by_id[rec["dialogue_id"]])
-    )
+    key = (rec["dialogue_id"], rec["turn"])
+    predicted = state_from_jsonable(rec["predicted_state"]).value_by_key()
+    gold = gold_by_key[key].value_by_key()
+    counts.add(predicted, gold)
+    errors.add(key, classify_errors(predicted, gold, turns=turns_by_id[key[0]]))
+    map_pairs.append((predicted, gold))
 
-prf = slot_f1(pairs)
+prf = counts.slot_f1()
 print()
-print(f"joint goal accuracy  {jga(pairs):.4f}")
+print(f"joint goal accuracy  {counts.jga():.4f}")
 print(f"slot precision       {prf.precision:.4f}")
 print(f"slot recall          {prf.recall:.4f}")
 print(f"slot f1              {prf.f1:.4f}")
-print(f"slot accuracy        {slot_accuracy(pairs):.4f}")
+print(f"slot accuracy        {counts.slot_accuracy():.4f}")
 
 print()
 print("per-domain slot f1:")
-for domain, score in sorted(per_domain_f1(pairs).items()):
+for domain, score in sorted(per_domain_f1(map_pairs).items()):
     print(f"  {domain:<12} {score.f1:.4f}")
 
-merged = merge_error_reports(reports)
+merged = errors.report()
 print()
 print(f"wrong values               {merged.total_errors}")
 print(f"  invented / ungrounded    {merged.nonexistent_value_count}")

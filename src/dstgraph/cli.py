@@ -17,6 +17,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import sys
 import typing
 from collections import deque
@@ -65,7 +66,7 @@ from .graph import (
 )
 from .linkpred import evaluate_split, mean_embeddings, rank_candidates
 from .metrics import TrackingCounts
-from .parsing import ErrorTally, ParseOutcome, classify_value_errors, parse_state
+from .parsing import ErrorTally, ParseOutcome, classify_errors, parse_state
 from .prompts import (
     PromptSpec,
     PromptStrategy,
@@ -365,7 +366,7 @@ class _Scoring:
             return
         predicted, expected = p.state.value_by_key(), gold[p.turn].value_by_key()
         self.counts.add(predicted, expected)
-        self.errors.add(key, classify_value_errors(predicted, expected, dialogue.turns))
+        self.errors.add(key, classify_errors(predicted, expected, dialogue.turns))
 
     def check(self) -> None:
         """Raise for the first dialogue, in ``dialogue_id`` order, with no
@@ -576,10 +577,12 @@ def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
 
 
 def _parse_config_file(path: str) -> dict:
-    """Key-value run configuration: one `key = value` per line, # comments."""
+    """Key-value run configuration: one `key = value` per line, # comments.
+    Lines end only at a newline, so a value keeps any other line-break
+    character."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8").split("\n"), start=1
     ):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -589,6 +592,24 @@ def _parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
+
+
+def _finite_float(text: str) -> float:
+    """The value of a float setting, from its flag or its config-file key:
+    nan and the infinities are refused, since no setting means one and
+    JSON cannot write one into an output."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parser_of(kind):
+    """What parses a setting of type ``kind``, from a flag or a config file."""
+    return _finite_float if kind is float else kind
 
 
 def _coerce(key: str, value: str):
@@ -605,8 +626,8 @@ def _coerce(key: str, value: str):
             return False
         raise UsageError(f"config key {key}: expected a boolean, got {value!r}")
     try:
-        return kind(value)
-    except ValueError as exc:
+        return _parser_of(kind)(value)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"config key {key}: {exc}") from exc
 
 
@@ -620,7 +641,7 @@ def _add_setting(p, flag: str, name: str) -> None:
     config file; a switch on by default gets a ``--no-`` form too."""
     kind, meta = _FIELD_TYPES[name], _FIELDS[name].metadata
     if kind is not bool:
-        p.add_argument(flag, dest=name, type=None if kind is str else kind,
+        p.add_argument(flag, dest=name, type=None if kind is str else _parser_of(kind),
                        choices=meta.get("choices"), help=meta.get("help"))
     elif not _FIELDS[name].default:
         p.add_argument(flag, action="store_true", dest=name, default=None)

@@ -310,7 +310,7 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
     parsed: list[int] = []  # line number, i and j of each edge line
     fault = lineno = None
     try:
-        lines = Path(edge_path).read_text(encoding="utf-8").splitlines()
+        lines = Path(edge_path).read_text(encoding="utf-8").split("\n")
         for lineno, line in enumerate(lines, start=1):
             if line.strip():
                 i, j = line.split()

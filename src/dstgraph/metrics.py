@@ -4,10 +4,12 @@ accuracy) and link-prediction ranking metrics (AUC, average precision).
 Every tracking metric compares each turn's predicted and gold key→value
 maps (`DialogueState.value_by_key`, NONE-valued keys left out, since the
 sentinel encodes absence); a turn's matches are the items both maps hold.
-All three are ratios of integer counts, which `TrackingCounts` keeps turn
-by turn, so a stream of turns is scored as exactly as a list of them.
-Slot F1 is micro-averaged over the whole turn sequence; slot accuracy is
-keyed by gold (domain, slot) pairs.  Both conventions are stated in every report.
+All three are ratios of integer counts, which `TrackingCounts` keeps: a
+caller adds each turn's two maps as it reads them, then asks for the
+scores, so a stream of turns needs no list of them.  `per_domain_f1`
+takes the same map pairs.  Slot F1 is micro-averaged over the whole turn
+sequence; slot accuracy is keyed by gold (domain, slot) pairs.  Both
+conventions are stated in every report.
 The ranking metrics score held-out edges against matched negatives, for
 validation during training and for the final test evaluation.
 """
@@ -18,14 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .dialogue import DialogueState
-
-
-@dataclass(frozen=True)
-class TurnPair:
-    predicted: DialogueState
-    gold: DialogueState
 
 
 @dataclass(frozen=True)
@@ -75,25 +69,16 @@ class TrackingCounts:
 
     def slot_accuracy(self) -> float:
         """Fraction of gold (domain, slot) keys predicted with the right
-        value: slot F1's recall, from the same counts."""
+        value: slot F1's recall, from the same counts.
+
+        A key with no prediction counts as incorrect; predicted-only keys
+        do not enter the denominator.
+        """
         if not self.turns:
             raise ValueError("slot_accuracy needs at least one turn")
         if self.tp + self.fn == 0:
             raise ValueError("slot_accuracy needs at least one gold triple")
         return self.tp / (self.tp + self.fn)
-
-
-def _tracking_counts(turns: Iterable[TurnPair]) -> TrackingCounts:
-    """The counts of ``turns``, each turn's two maps built once."""
-    counts = TrackingCounts()
-    for t in turns:
-        counts.add(t.predicted.value_by_key(), t.gold.value_by_key())
-    return counts
-
-
-def jga(turns: Sequence[TurnPair]) -> float:
-    """Fraction of turns whose predicted key→value map equals gold's."""
-    return _tracking_counts(turns).jga()
 
 
 def _prf(tp: int, fp: int, fn: int) -> PrfScore:
@@ -106,27 +91,14 @@ def _prf(tp: int, fp: int, fn: int) -> PrfScore:
     return PrfScore(precision=precision, recall=recall, f1=f1)
 
 
-def slot_f1(turns: Sequence[TurnPair]) -> PrfScore:
-    """Micro-averaged precision/recall/F1 over predicted vs gold key→value
-    items (`TrackingCounts.slot_f1`)."""
-    return _tracking_counts(turns).slot_f1()
-
-
-def slot_accuracy(turns: Sequence[TurnPair]) -> float:
-    """Fraction of gold (domain, slot) keys predicted with the right value.
-
-    A key with no prediction counts as incorrect; predicted-only keys do
-    not enter the denominator.
-    """
-    return _tracking_counts(turns).slot_accuracy()
-
-
-def per_domain_f1(turns: Sequence[TurnPair]) -> dict[str, PrfScore]:
-    """Convenience group-by: micro slot F1 restricted to each domain."""
+def per_domain_f1(turns: Iterable[tuple[Mapping, Mapping]]) -> dict[str, PrfScore]:
+    """Convenience group-by: micro slot F1 restricted to each domain, over
+    each turn's (predicted, gold) key→value maps, as `TrackingCounts.add`
+    takes them."""
     # per domain: [true positives, false positives, false negatives]
     counts: dict[str, list[int]] = {}
-    for t in turns:
-        pred, gold = t.predicted.value_by_key().items(), t.gold.value_by_key().items()
+    for pred_map, gold_map in turns:
+        pred, gold = pred_map.items(), gold_map.items()
         for kind, items in enumerate((pred & gold, pred - gold, gold - pred)):
             for (domain, _), _ in items:
                 counts.setdefault(domain, [0, 0, 0])[kind] += 1

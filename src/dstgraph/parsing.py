@@ -8,6 +8,11 @@ three aligned bracketed lists:
 
 with tolerant label casing, optional commas between groups, and any of the
 three quote styles (LaTeX backtick-apostrophe, single, double).
+
+`classify_errors` sorts one turn's wrong predicted values into failure
+modes from the turn's predicted and gold key→value maps, the maps that
+`metrics.TrackingCounts.add` takes; `ErrorTally` merges the per-turn
+reports in any order.
 """
 
 from __future__ import annotations
@@ -143,7 +148,7 @@ def format_state(state: DialogueState) -> str:
 JUNK_TOKENS = frozenset(
     {"unknown", "n/a", "na", "null", "nil", "tbd", "placeholder", "xxx", "value"}
 )
-# samples kept by merge_error_reports and ErrorTally
+# samples kept by ErrorTally
 MAX_ERROR_SAMPLES = 20
 
 
@@ -168,31 +173,24 @@ def _is_junk(value: str) -> bool:
 
 
 def classify_errors(
-    pred: DialogueState,
-    gold: DialogueState,
-    turns: Sequence[Turn] | None = None,
-) -> ErrorReport:
-    """Classify wrong predicted values into the observed failure modes.
-
-    A predicted value is wrong when its (domain, slot) key is missing from
-    gold or carries a different gold value (NONE-valued triples are
-    ignored on both sides).  A wrong value is a non-existent value when it
-    matches the junk patterns (punctuation-only, one repeated character,
-    placeholder tokens) or, when turns are given, never occurs in the
-    dialogue text; it is a synonym error when the gold value's tokens are
-    a subset or superset of the predicted value's tokens.  Without turns
-    the substring rule is skipped, never assumed to fail.
-    """
-    return classify_value_errors(pred.value_by_key(), gold.value_by_key(), turns)
-
-
-def classify_value_errors(
     pred: Mapping[tuple[str, str], str],
     gold: Mapping[tuple[str, str], str],
     turns: Sequence[Turn] | None = None,
 ) -> ErrorReport:
-    """``classify_errors`` of a turn given its two key→value maps
-    (``DialogueState.value_by_key``), for a caller that already holds them."""
+    """Classify a turn's wrong predicted values into the observed failure
+    modes, from its predicted and gold key→value maps
+    (``DialogueState.value_by_key``, so NONE-valued triples are ignored on
+    both sides).
+
+    A predicted value is wrong when its (domain, slot) key is missing from
+    gold or carries a different gold value.  A wrong value is a
+    non-existent value when it matches the junk patterns
+    (punctuation-only, one repeated character, placeholder tokens) or,
+    when turns are given, never occurs in the dialogue text; it is a
+    synonym error when the gold value's tokens are a subset or superset of
+    the predicted value's tokens.  Without turns the substring rule is
+    skipped, never assumed to fail.
+    """
     nonexistent = 0
     synonym = 0
     samples: list[dict] = []
@@ -273,11 +271,3 @@ class ErrorTally:
             total_errors=total,
             samples=tuple(sample for _, _, sample in self._samples),
         )
-
-
-def merge_error_reports(reports: Iterable[ErrorReport]) -> ErrorReport:
-    """Sum counts across per-turn reports, keeping the first few samples."""
-    tally = ErrorTally()
-    for position, report in enumerate(reports):
-        tally.add(position, report)
-    return tally.report()

@@ -146,9 +146,10 @@ def load_template_overrides(path: str | Path) -> dict[str, str]:
     """Read template overrides from a sectioned UTF-8 text file.
 
     Sections open with a ``[name]`` line; the body runs to the next header.
-    Bodies are stripped and kept verbatim otherwise.  An unknown section
-    name, or text before the first header, raises ``ValueError`` naming the
-    file and the line, so typos do not silently no-op.
+    Lines end only at a newline.  Bodies are stripped and kept verbatim
+    otherwise.  An unknown section name, or text before the first header,
+    raises ``ValueError`` naming the file and the line, so typos do not
+    silently no-op.
     """
     overrides: dict[str, str] = {}
     current: str | None = None
@@ -158,7 +159,7 @@ def load_template_overrides(path: str | Path) -> dict[str, str]:
         if current is not None:
             overrides[current] = "\n".join(body).strip()
 
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if stripped.startswith("[") and stripped.endswith("]"):

@@ -8,6 +8,7 @@ from hypothesis import settings
 import dstgraph
 from dstgraph.dialogue import DialogueState, StateTriple
 from dstgraph.graph import StateGraph, build_graph
+from dstgraph.metrics import TrackingCounts
 
 # Every hypothesis test draws the same examples on every run (a seed from
 # the test itself, no example database), so a failure seen in CI reproduces
@@ -22,6 +23,15 @@ def make_triple(domain: str, slot: str, value: str) -> StateTriple:
 
 def make_state(*triples: tuple[str, str, str]) -> DialogueState:
     return DialogueState(make_triple(*t) for t in triples)
+
+
+def tracking_counts(pairs) -> TrackingCounts:
+    """The counts of (predicted, gold) state pairs, each turn added as
+    `evaluate` adds it: as the two states' key→value maps."""
+    counts = TrackingCounts()
+    for pred, gold in pairs:
+        counts.add(pred.value_by_key(), gold.value_by_key())
+    return counts
 
 
 def random_states(rng: np.random.Generator, n_states: int, max_triples: int = 10):

@@ -25,7 +25,7 @@ from dstgraph.datasets import (
 from dstgraph.dialogue import Speaker, Turn
 from dstgraph.graph import planted_graph, split_edges
 from dstgraph.linkpred import auc, average_precision, evaluate_split
-from dstgraph.metrics import TurnPair, jga, slot_accuracy, slot_f1
+from dstgraph.metrics import TrackingCounts
 from dstgraph.parsing import classify_errors, parse_state
 from dstgraph.prompts import (
     ANTI_HALLUCINATION,
@@ -61,13 +61,14 @@ def verdict(name: str, ok: bool, detail: str) -> None:
 
 
 def oracle_metric_scores(pairs):
-    """Set-arithmetic reference for jga / slot_f1 / slot_accuracy."""
+    """Set-arithmetic reference for jga / slot_f1 / slot_accuracy over
+    (predicted, gold) state pairs."""
     joint = 0
     tp = fp = fn = 0
     gold_total = gold_correct = 0
-    for p in pairs:
-        ps = {(t.domain, t.slot, t.value) for t in p.predicted if not t.is_none}
-        gs = {(t.domain, t.slot, t.value) for t in p.gold if not t.is_none}
+    for pred, gold in pairs:
+        ps = {(t.domain, t.slot, t.value) for t in pred if not t.is_none}
+        gs = {(t.domain, t.slot, t.value) for t in gold if not t.is_none}
         joint += int(ps == gs)
         tp += len(ps & gs)
         fp += len(ps - gs)
@@ -97,26 +98,27 @@ def test_01_metric_oracle_equivalence():
     turn_sets = 0
     for batch in range(200):
         n = 5
-        pairs = [
-            TurnPair(predicted=p, gold=g)
-            for p, g in zip(random_states(rng, n), random_states(rng, n))
-        ]
+        pairs = list(zip(random_states(rng, n), random_states(rng, n)))
         turn_sets += n
         want = oracle_metric_scores(pairs)
-        got_f1 = slot_f1(pairs)
-        if jga(pairs) != want["jga"]:
-            problems.append(f"batch {batch}: jga {jga(pairs)} != {want['jga']}")
+        # each turn scored as `evaluate` scores it, from its two key→value maps
+        counts = TrackingCounts()
+        for pred, gold in pairs:
+            counts.add(pred.value_by_key(), gold.value_by_key())
+        got_f1 = counts.slot_f1()
+        if counts.jga() != want["jga"]:
+            problems.append(f"batch {batch}: jga {counts.jga()} != {want['jga']}")
         if (got_f1.precision, got_f1.recall, got_f1.f1) != (
             want["precision"], want["recall"], want["f1"],
         ):
             problems.append(f"batch {batch}: slot_f1 mismatch")
         if want["accuracy"] is None:
             try:
-                slot_accuracy(pairs)
+                counts.slot_accuracy()
                 problems.append(f"batch {batch}: accuracy should reject empty gold")
             except ValueError:
                 pass
-        elif slot_accuracy(pairs) != want["accuracy"]:
+        elif counts.slot_accuracy() != want["accuracy"]:
             problems.append(f"batch {batch}: slot_accuracy mismatch")
     elapsed = time.perf_counter() - started
     ok = not problems and turn_sets == 1000 and elapsed < 10.0
@@ -500,9 +502,10 @@ def test_10_error_taxonomy():
             )
             for t in case.get("turns", [])
         ]
+        # classified as `evaluate` classifies a turn, from its two key→value maps
         report = classify_errors(
-            state_from_jsonable(case["predicted"]),
-            state_from_jsonable(case["gold"]),
+            state_from_jsonable(case["predicted"]).value_by_key(),
+            state_from_jsonable(case["gold"]).value_by_key(),
             turns=turns or None,
         )
         got = {

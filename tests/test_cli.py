@@ -104,6 +104,29 @@ def test_config_file_values_take_each_fields_annotated_type(tmp_path):
         assert value == samples[hints[name]][1], name
 
 
+@pytest.mark.parametrize(
+    "separator", ["\u2028", "\x85", "\x0c"], ids=["U+2028", "U+0085", "form-feed"]
+)
+def test_config_file_splits_only_at_newlines(separator, tmp_path):
+    # str.splitlines would also split at these, and fail the value's tail
+    conf = tmp_path / "run.cfg"
+    conf.write_text(
+        f"# prompt\ninstruction = track the state{separator}carefully\n", encoding="utf-8"
+    )
+    cfg = parse(["extract", "--config", str(conf)])
+    assert cfg.instruction == f"track the state{separator}carefully"
+
+
+def test_config_file_reads_crlf_as_its_lf_twin(tmp_path):
+    conf = tmp_path / "run.cfg"
+    conf.write_bytes(b"# training\r\nseed = 7\r\nepochs = 3\r\n")
+    cfg = parse(["train", "--config", str(conf)])
+    assert (cfg.seed, cfg.epochs) == (7, 3)
+    conf.write_bytes(b"seed = 7\r\n\r\njust a line\r\n")
+    with pytest.raises(UsageError, match=r"run\.cfg:3: expected `key = value`$"):
+        parse(["train", "--config", str(conf)])
+
+
 def test_config_file_boolean_coercion(tmp_path):
     conf = tmp_path / "run.conf"
     conf.write_text("anti_hallucination = false\n", encoding="utf-8")
@@ -146,9 +169,9 @@ _BACKEND_OPTIONS = [
     ("--keywords", "keywords", None, None, "Store",
      "keyword table JSON (rulemock backend)"),
     ("--replay", "replay", None, None, "Store", "replay fixture JSONL (replay backend)"),
-    ("--temperature", "temperature", float, None, "Store", None),
+    ("--temperature", "temperature", cli._finite_float, None, "Store", None),
     ("--max-tokens", "max_tokens", int, None, "Store", None),
-    ("--timeout", "timeout", float, None, "Store", None),
+    ("--timeout", "timeout", cli._finite_float, None, "Store", None),
     ("--retries", "retries", int, None, "Store", None),
 ]
 _PROMPT_OPTIONS = [
@@ -199,9 +222,11 @@ _PARSER_SHAPE = {
         [_HELP_OPTION, _CONFIG_OPTION, store("--graph-prefix", "out_prefix"),
          store("--checkpoint"), store("--metrics-out"), store("--seed", type=int),
          store("--epochs", type=int), store("--hidden-dim", type=int),
-         store("--latent-dim", type=int), store("--learning-rate", type=float),
-         store("--kl-weight", type=float), store("--train-frac", type=float),
-         store("--test-frac", type=float), store("--val-frac", type=float)],
+         store("--latent-dim", type=int), store("--learning-rate", type=cli._finite_float),
+         store("--kl-weight", type=cli._finite_float),
+         store("--train-frac", type=cli._finite_float),
+         store("--test-frac", type=cli._finite_float),
+         store("--val-frac", type=cli._finite_float)],
         [],
     ),
     "predict": (
@@ -1500,6 +1525,51 @@ def test_write_json_keeps_previous_report_on_failure(tmp_path):
         cli._write_json(str(out), {"jga": object()})
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+# --- float settings ---
+
+_TRAIN_ARGV = ["train", "--graph-prefix", "g", "--checkpoint", "m.json",
+               "--metrics-out", "m.metrics.json"]
+# each float setting, with a run its value would reach: the extract
+# settings through the backend's generation parameters, the train
+# settings through the split and the optimizer
+_FLOAT_SETTINGS = {
+    "temperature": _EXTRACT_ARGV,
+    "timeout": _EXTRACT_ARGV,
+    "learning_rate": _TRAIN_ARGV,
+    "kl_weight": _TRAIN_ARGV,
+    "train_frac": _TRAIN_ARGV,
+    "test_frac": _TRAIN_ARGV,
+    "val_frac": _TRAIN_ARGV,
+}
+
+
+def test_every_float_setting_is_listed():
+    hints = typing.get_type_hints(RunConfig)
+    assert {name for name, kind in hints.items() if kind is float} == set(_FLOAT_SETTINGS)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(_FLOAT_SETTINGS))
+def test_non_finite_float_setting_exits_1_and_writes_nothing(
+    name, value, source, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    argv = list(_FLOAT_SETTINGS[name])
+    if source == "flag":
+        argv += [f"{cli._flag(name)}={value}"]
+        message = f"argument {cli._flag(name)}: expected a finite number, got {value!r}"
+    else:
+        Path("run.conf").write_text(f"{name} = {value}\n", encoding="utf-8")
+        argv += ["--config", "run.conf"]
+        message = f"config key {name}: expected a finite number, got {value!r}"
+    before = sorted(tmp_path.iterdir())
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # --- top-k validation ---

@@ -482,6 +482,30 @@ def test_load_graph_names_the_first_faulty_edge_line(bad_lines, named, tmp_path)
     assert str(caught.value) == f"{edge_path}:{named}"
 
 
+@pytest.mark.parametrize(
+    "separator", ["\x0c", "\u2028", "\x85"], ids=["form-feed", "U+2028", "U+0085"]
+)
+def test_load_graph_splits_edge_lines_only_at_newlines(separator, tmp_path):
+    edge_path, node_path = write_graph(small_graph(), tmp_path)
+    first = edge_path.read_text().splitlines()[0]
+    edge_path.write_text(f"{first}{separator}\n0 0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        load_graph(edge_path, node_path)
+    assert str(caught.value) == f"{edge_path}:2: ValueError('self-loops are not allowed')"
+
+
+def test_load_graph_reads_a_crlf_edge_list_as_its_lf_twin(tmp_path):
+    g = small_graph()
+    edge_path, node_path = write_graph(g, tmp_path)
+    lines = edge_path.read_bytes().splitlines()
+    edge_path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    assert np.array_equal(load_graph(edge_path, node_path).edges, g.edges)
+    edge_path.write_bytes(b"\r\n".join([lines[0], b"", b"0 0", *lines[1:]]) + b"\r\n")
+    with pytest.raises(ValueError) as caught:
+        load_graph(edge_path, node_path)
+    assert str(caught.value) == f"{edge_path}:3: ValueError('self-loops are not allowed')"
+
+
 def test_edge_list_format(tmp_path):
     g = small_graph()
     write_edge_list(g, tmp_path / "e.txt")

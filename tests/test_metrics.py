@@ -4,13 +4,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dstgraph.dialogue import DialogueState, StateTriple
-from dstgraph.metrics import PrfScore, TurnPair, jga, per_domain_f1, slot_accuracy, slot_f1
+from dstgraph.metrics import PrfScore, TrackingCounts, per_domain_f1
 
-from conftest import make_state, random_states
+from conftest import make_state, random_states, tracking_counts
 
-
-def pair(pred, gold) -> TurnPair:
-    return TurnPair(predicted=pred, gold=gold)
+# Each turn is a (predicted, gold) pair of states; `tracking_counts` adds
+# their key→value maps to one `TrackingCounts`, as `evaluate` does.
 
 
 def test_jga_exact_match_only():
@@ -20,28 +19,32 @@ def test_jga_exact_match_only():
     over = make_state(
         ("hotel", "area", "east"), ("hotel", "stars", "4"), ("taxi", "day", "monday")
     )
-    assert jga([pair(same, gold)]) == 1.0
-    assert jga([pair(sub, gold)]) == 0.0
-    assert jga([pair(over, gold)]) == 0.0
-    assert jga([pair(same, gold), pair(sub, gold)]) == 0.5
+    assert tracking_counts([(same, gold)]).jga() == 1.0
+    assert tracking_counts([(sub, gold)]).jga() == 0.0
+    assert tracking_counts([(over, gold)]).jga() == 0.0
+    assert tracking_counts([(same, gold), (sub, gold)]).jga() == 0.5
 
 
 def test_jga_ignores_none_triples():
     gold = make_state(("hotel", "area", "east"))
     pred = make_state(("hotel", "area", "east"), ("hotel", "name", "none"))
-    assert jga([pair(pred, gold)]) == 1.0
+    assert tracking_counts([(pred, gold)]).jga() == 1.0
 
 
 def test_jga_empty_sequence_rejected():
-    with pytest.raises(ValueError):
-        jga([])
+    with pytest.raises(ValueError, match="jga needs at least one turn"):
+        TrackingCounts().jga()
+    with pytest.raises(ValueError, match="slot_f1 needs at least one turn"):
+        TrackingCounts().slot_f1()
+    with pytest.raises(ValueError, match="slot_accuracy needs at least one turn"):
+        TrackingCounts().slot_accuracy()
 
 
 def test_slot_f1_hand_case():
     # tp=1 (area), fp=1 (food), fn=1 (stars)
     gold = make_state(("hotel", "area", "east"), ("hotel", "stars", "4"))
     pred = make_state(("hotel", "area", "east"), ("restaurant", "food", "thai"))
-    score = slot_f1([pair(pred, gold)])
+    score = tracking_counts([(pred, gold)]).slot_f1()
     assert score.precision == 0.5
     assert score.recall == 0.5
     assert score.f1 == 0.5
@@ -52,7 +55,7 @@ def test_slot_f1_micro_pools_over_turns():
     gold2 = make_state(("hotel", "stars", "4"), ("hotel", "area", "east"))
     pred1 = make_state(("hotel", "area", "east"))
     pred2 = make_state(("hotel", "stars", "4"))
-    score = slot_f1([pair(pred1, gold1), pair(pred2, gold2)])
+    score = tracking_counts([(pred1, gold1), (pred2, gold2)]).slot_f1()
     # tp=2, fp=0, fn=1 pooled
     assert score.precision == 1.0
     assert score.recall == 2 / 3
@@ -60,13 +63,13 @@ def test_slot_f1_micro_pools_over_turns():
 
 
 def test_slot_f1_both_empty_is_perfect():
-    score = slot_f1([pair(DialogueState(), DialogueState())])
+    score = tracking_counts([(DialogueState(), DialogueState())]).slot_f1()
     assert score == PrfScore(precision=1.0, recall=1.0, f1=1.0)
 
 
 def test_slot_f1_empty_prediction_zero_precision_convention():
     gold = make_state(("hotel", "area", "east"))
-    score = slot_f1([pair(DialogueState(), gold)])
+    score = tracking_counts([(DialogueState(), gold)]).slot_f1()
     assert score.precision == 0.0
     assert score.recall == 0.0
     assert score.f1 == 0.0
@@ -79,18 +82,19 @@ def test_slot_accuracy_gold_keyed():
         ("hotel", "stars", "5"),
         ("taxi", "day", "monday"),  # predicted-only keys never enter
     )
-    assert slot_accuracy([pair(pred, gold)]) == 0.5
+    assert tracking_counts([(pred, gold)]).slot_accuracy() == 0.5
 
 
 def test_slot_accuracy_requires_gold_triples():
-    with pytest.raises(ValueError):
-        slot_accuracy([pair(make_state(("a", "s", "v")), DialogueState())])
+    counts = tracking_counts([(make_state(("a", "s", "v")), DialogueState())])
+    with pytest.raises(ValueError, match="slot_accuracy needs at least one gold triple"):
+        counts.slot_accuracy()
 
 
 def test_per_domain_f1_partitions_by_domain():
     gold = make_state(("hotel", "area", "east"), ("restaurant", "food", "thai"))
     pred = make_state(("hotel", "area", "east"), ("restaurant", "food", "pizza"))
-    scores = per_domain_f1([pair(pred, gold)])
+    scores = per_domain_f1([(pred.value_by_key(), gold.value_by_key())])
     assert scores["hotel"].f1 == 1.0
     assert scores["restaurant"].f1 == 0.0
     assert set(scores) == {"hotel", "restaurant"}
@@ -104,9 +108,9 @@ def oracle_scores(pairs):
     joint = 0
     tp = fp = fn = 0
     gold_total = gold_correct = 0
-    for p in pairs:
-        ps = {(t.domain, t.slot, t.value) for t in p.predicted if not t.is_none}
-        gs = {(t.domain, t.slot, t.value) for t in p.gold if not t.is_none}
+    for pred, gold in pairs:
+        ps = {(t.domain, t.slot, t.value) for t in pred if not t.is_none}
+        gs = {(t.domain, t.slot, t.value) for t in gold if not t.is_none}
         joint += int(ps == gs)
         tp += len(ps & gs)
         fp += len(ps - gs)
@@ -134,18 +138,19 @@ def test_metrics_match_oracle_on_random_turn_sets(rng):
         n = int(rng.integers(1, 12))
         preds = random_states(rng, n)
         golds = random_states(rng, n)
-        pairs = [pair(p, g) for p, g in zip(preds, golds)]
+        pairs = list(zip(preds, golds))
         want = oracle_scores(pairs)
-        assert jga(pairs) == want["jga"]
-        got = slot_f1(pairs)
+        counts = tracking_counts(pairs)
+        assert counts.jga() == want["jga"]
+        got = counts.slot_f1()
         assert got.precision == want["precision"]
         assert got.recall == want["recall"]
         assert got.f1 == want["f1"]
         if want["accuracy"] is None:
             with pytest.raises(ValueError):
-                slot_accuracy(pairs)
+                counts.slot_accuracy()
         else:
-            assert slot_accuracy(pairs) == want["accuracy"]
+            assert counts.slot_accuracy() == want["accuracy"]
 
 
 # few distinct keys, so right, wrong, missing and NONE values all occur
@@ -164,26 +169,27 @@ _turn_sets = st.lists(
 
 @given(_turn_sets)
 def test_slot_accuracy_is_slot_f1_recall(turns):
-    pairs = [pair(DialogueState(p), DialogueState(g)) for p, g in turns]
-    assume(any(not t.is_none for p in pairs for t in p.gold))
-    assert slot_accuracy(pairs).hex() == slot_f1(pairs).recall.hex()
+    pairs = [(DialogueState(p), DialogueState(g)) for p, g in turns]
+    assume(any(not t.is_none for _, gold in pairs for t in gold))
+    counts = tracking_counts(pairs)
+    assert counts.slot_accuracy().hex() == counts.slot_f1().recall.hex()
 
 
 def test_jga_builds_no_triple_set_and_equals_set_reference(rng, monkeypatch):
     from dstgraph import dialogue
 
-    turns = [pair(p, g) for p, g in zip(random_states(rng, 200), random_states(rng, 200))]
-    turns += [pair(t.gold, t.gold) for t in turns[:50]]  # exact hits
+    turns = list(zip(random_states(rng, 200), random_states(rng, 200)))
+    turns += [(gold, gold) for _, gold in turns[:50]]  # exact hits
     # the frozenset definition jga replaced, NONE triples stripped
     want = sum(
-        frozenset(x for x in t.predicted.unordered() if not x.is_none)
-        == frozenset(x for x in t.gold.unordered() if not x.is_none)
-        for t in turns
+        frozenset(x for x in pred.unordered() if not x.is_none)
+        == frozenset(x for x in gold.unordered() if not x.is_none)
+        for pred, gold in turns
     ) / len(turns)
     built = []
     monkeypatch.setattr(
         dialogue, "frozenset", lambda items: built.append(1) or frozenset(items), raising=False
     )
     assert 0.0 < want < 1.0
-    assert jga(turns) == want
+    assert tracking_counts(turns).jga() == want
     assert built == []

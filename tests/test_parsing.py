@@ -5,20 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dstgraph.dialogue import DialogueState, Speaker, StateTriple, Turn
-from dstgraph.metrics import TurnPair, slot_f1
 from dstgraph.parsing import (
     JUNK_TOKENS,
     MAX_ERROR_SAMPLES,
     Diagnostic,
     DiagnosticKind,
+    ErrorReport,
     ErrorTally,
     classify_errors,
     format_state,
-    merge_error_reports,
     parse_state,
 )
 
-from conftest import make_state, make_triple
+from conftest import make_state, make_triple, tracking_counts
 
 
 def triples_of(text: str) -> set[tuple[str, str, str]]:
@@ -169,8 +168,13 @@ def _turns(*texts):
     return [Turn(speaker=Speaker.USER, text=t) for t in texts]
 
 
+def classify(pred, gold, turns=None):
+    """``classify_errors`` of two states, given as their key→value maps."""
+    return classify_errors(pred.value_by_key(), gold.value_by_key(), turns)
+
+
 def test_classify_junk_placeholder_is_nonexistent():
-    rep = classify_errors(
+    rep = classify(
         make_state(("restaurant", "name", "XXXXX")), make_state()
     )
     assert rep.nonexistent_value_count == 1
@@ -179,17 +183,17 @@ def test_classify_junk_placeholder_is_nonexistent():
 
 
 def test_classify_punctuation_only_is_nonexistent():
-    rep = classify_errors(make_state(("taxi", "destination", "...")), make_state())
+    rep = classify(make_state(("taxi", "destination", "...")), make_state())
     assert rep.nonexistent_value_count == 1
 
 
 def test_classify_repeated_char_is_nonexistent():
-    rep = classify_errors(make_state(("taxi", "destination", "aaaa")), make_state())
+    rep = classify(make_state(("taxi", "destination", "aaaa")), make_state())
     assert rep.nonexistent_value_count == 1
 
 
 def test_classify_ungrounded_value_is_nonexistent():
-    rep = classify_errors(
+    rep = classify(
         make_state(("attraction", "area", "general")),
         make_state(("attraction", "area", "centre")),
         turns=_turns("find me a museum in the centre"),
@@ -199,7 +203,7 @@ def test_classify_ungrounded_value_is_nonexistent():
 
 
 def test_classify_surface_variant_is_synonym():
-    rep = classify_errors(
+    rep = classify(
         make_state(("hotel", "nights", "5 nights")),
         make_state(("hotel", "nights", "5")),
         turns=_turns("i will stay for 5 nights"),
@@ -217,7 +221,7 @@ def test_classify_surface_variant_is_synonym():
 
 def test_classify_synonym_without_turns():
     # no dialogue text: the substring rule must not fire
-    rep = classify_errors(
+    rep = classify(
         make_state(("hotel", "nights", "5 nights")),
         make_state(("hotel", "nights", "5")),
     )
@@ -226,7 +230,7 @@ def test_classify_synonym_without_turns():
 
 
 def test_classify_grounded_disagreement_is_unclassified():
-    rep = classify_errors(
+    rep = classify(
         make_state(("hotel", "area", "north")),
         make_state(("hotel", "area", "east")),
         turns=_turns("a hotel in the north or east"),
@@ -240,14 +244,14 @@ def test_classify_grounded_disagreement_is_unclassified():
 def test_classify_correct_and_none_triples_not_errors():
     pred = make_state(("hotel", "area", "east"), ("hotel", "name", "none"))
     gold = make_state(("hotel", "area", "east"))
-    rep = classify_errors(pred, gold, turns=_turns("hotel in the east"))
+    rep = classify(pred, gold, turns=_turns("hotel in the east"))
     assert rep.total_errors == 0
     assert rep.samples == ()
 
 
 def test_classify_missing_gold_keys_are_not_counted():
     # recall misses are not wrong predicted values
-    rep = classify_errors(
+    rep = classify(
         make_state(),
         make_state(("hotel", "area", "east")),
         turns=_turns("hotel in the east"),
@@ -259,9 +263,12 @@ def test_default_junk_tokens_include_placeholders():
     assert {"unknown", "null", "placeholder"} <= set(JUNK_TOKENS)
 
 
-def test_merge_error_reports_sums_and_caps_samples():
-    one = classify_errors(make_state(("a", "s", "xxx")), make_state())
-    merged = merge_error_reports([one] * 30)
+def test_error_tally_sums_and_caps_samples():
+    one = classify(make_state(("a", "s", "xxx")), make_state())
+    tally = ErrorTally()
+    for turn in range(30):
+        tally.add(("d", turn), one)
+    merged = tally.report()
     assert merged.nonexistent_value_count == 30
     assert merged.total_errors == 30
     assert len(merged.samples) == MAX_ERROR_SAMPLES == 20
@@ -271,7 +278,7 @@ def test_error_tally_keeps_the_samples_of_the_first_keys_whatever_the_order():
     # each turn's report has a few wrong values; added shuffled, the tally
     # keeps what merging them in key order keeps
     reports = {
-        (dialogue, turn): classify_errors(
+        (dialogue, turn): classify(
             make_state(*((dialogue, f"s{k}", f"v{turn}") for k in range(turn % 4))),
             make_state(),
         )
@@ -283,7 +290,13 @@ def test_error_tally_keeps_the_samples_of_the_first_keys_whatever_the_order():
     tally = ErrorTally()
     for key in keys:
         tally.add(key, reports[key])
-    assert tally.report() == merge_error_reports(reports[k] for k in sorted(reports))
+    ordered = [reports[k] for k in sorted(reports)]
+    assert tally.report() == ErrorReport(
+        nonexistent_value_count=sum(r.nonexistent_value_count for r in ordered),
+        synonym_count=sum(r.synonym_count for r in ordered),
+        total_errors=sum(r.total_errors for r in ordered),
+        samples=tuple(s for r in ordered for s in r.samples)[:MAX_ERROR_SAMPLES],
+    )
     assert len(tally.report().samples) == MAX_ERROR_SAMPLES
 
 
@@ -313,7 +326,7 @@ _few_keys = st.builds(
 @given(st.lists(_few_keys, max_size=9), st.lists(_few_keys, max_size=9))
 def test_classify_samples_follow_sorted_prediction_order(pred, gold):
     pred, gold = DialogueState(pred), DialogueState(gold)
-    rep = classify_errors(pred, gold)
+    rep = classify(pred, gold)
     expected = reference_wrong_values(pred, gold)
     assert rep.total_errors == len(expected)
     assert [(s["domain"], s["slot"], s["predicted"], s["gold"]) for s in rep.samples] == [
@@ -337,14 +350,14 @@ _turn_sets = st.lists(
 
 @given(_turn_sets)
 def test_classified_errors_are_slot_f1_false_positives(turns):
-    pairs = [TurnPair(DialogueState(p), DialogueState(g)) for p, g in turns]
+    pairs = [(DialogueState(p), DialogueState(g)) for p, g in turns]
     tp = fp = 0
-    for pair in pairs:
+    for predicted, expected in pairs:
         # an independent reference: the sets of non-NONE triples
-        pred = {(t.domain, t.slot, t.value) for t in pair.predicted if not t.is_none}
-        gold = {(t.domain, t.slot, t.value) for t in pair.gold if not t.is_none}
+        pred = {(t.domain, t.slot, t.value) for t in predicted if not t.is_none}
+        gold = {(t.domain, t.slot, t.value) for t in expected if not t.is_none}
         tp += len(pred & gold)
         fp += len(pred - gold)
-    assert sum(classify_errors(p.predicted, p.gold).total_errors for p in pairs) == fp
+    assert sum(classify(p, g).total_errors for p, g in pairs) == fp
     if tp + fp:
-        assert slot_f1(pairs).precision == tp / (tp + fp)
+        assert tracking_counts(pairs).slot_f1().precision == tp / (tp + fp)

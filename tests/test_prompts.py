@@ -161,6 +161,26 @@ def test_load_template_overrides_rejects_headerless_text(tmp_path):
         load_template_overrides(f)
 
 
+@pytest.mark.parametrize(
+    "separator", ["\u2028", "\x85", "\x0c"], ids=["U+2028", "U+0085", "form-feed"]
+)
+def test_load_template_overrides_splits_only_at_newlines(separator, tmp_path):
+    f = tmp_path / "templates.txt"
+    f.write_text(f"[instruction]\nTrack the state{separator}of the talk.\n", encoding="utf-8")
+    assert load_template_overrides(f) == {
+        "instruction": f"Track the state{separator}of the talk."
+    }
+
+
+def test_load_template_overrides_reads_crlf_as_its_lf_twin(tmp_path):
+    f = tmp_path / "templates.txt"
+    f.write_bytes(b"[frame]\r\nline one\r\nline two\r\n\r\n[step]\r\nThink hard.\r\n")
+    assert load_template_overrides(f) == {"frame": "line one\nline two", "step": "Think hard."}
+    f.write_bytes(b"[frame]\r\nline one\r\n[framee]\r\n")
+    with pytest.raises(ValueError, match=r"templates\.txt:3: unknown template section"):
+        load_template_overrides(f)
+
+
 def test_load_exemplars(tmp_path):
     f = tmp_path / "ex.jsonl"
     f.write_text(
