@@ -13,7 +13,7 @@ import numpy as np
 
 from dstgraph.datasets import fixture_corpus_path, load_corpus
 from dstgraph.graph import build_graph, dialogue_domains, split_edges
-from dstgraph.linkpred import evaluate_split, mean_embeddings, rank_candidates
+from dstgraph.linkpred import CandidateRanker, evaluate_split, mean_embeddings
 from dstgraph.vgae import TrainConfig, VgaeParams, train
 
 corpus = load_corpus(fixture_corpus_path())
@@ -49,8 +49,9 @@ print(f"held-out test edges: auc {scores['auc']:.4f} ap {scores['ap']:.4f}")
 
 # rank unseen pairs for one dialogue's context; the posterior means are
 # computed once, by encoding the propagation matrix built straight from
-# the graph's edge list, and can rank any number of dialogues
-mu = mean_embeddings(params, graph)
+# the graph's edge list, and one ranker over them can rank any number of
+# dialogues, scoring each domain's candidates the first time it is named
+ranker = CandidateRanker(mean_embeddings(params, graph), graph, top_k=5)
 dialogue = corpus.dialogues[0]
 domains = dialogue_domains(graph, dialogue.gold_states)
 print()
@@ -58,7 +59,7 @@ print(
     f"dialogue {dialogue.dialogue_id} names {len(domains)} known domain(s): "
     + ", ".join(graph.nodes[d].label for d in domains)
 )
-for rec in rank_candidates(mu, graph, domains, top_k=5):
+for rec in ranker.rank(domains):
     print(f"  candidate next state: ({rec['domain_label']}, "
           f"{rec['slotvalue_label']}) p={rec['probability']:.4f}")
 

@@ -64,7 +64,7 @@ from .graph import (
     write_edge_list,
     write_node_table,
 )
-from .linkpred import evaluate_split, mean_embeddings, rank_candidates
+from .linkpred import CandidateRanker, evaluate_split, mean_embeddings
 from .metrics import TrackingCounts
 from .parsing import ErrorTally, ParseOutcome, classify_errors, parse_state
 from .prompts import (
@@ -455,17 +455,19 @@ def _load_graph_prefix(prefix: str):
     return load_graph(prefix + ".edges.txt", prefix + ".nodes.jsonl")
 
 
-def _load_model(cfg: RunConfig):
-    """The graph at ``cfg.out_prefix`` and the posterior means of the
-    checkpoint ``cfg.checkpoint`` over it."""
+def _load_model(cfg: RunConfig) -> CandidateRanker:
+    """The run's one candidate ranker: the graph at ``cfg.out_prefix``, the
+    posterior means of the checkpoint ``cfg.checkpoint`` over it and
+    ``cfg.top_k``."""
     g = _load_graph_prefix(cfg.out_prefix)
     params, _ = load_checkpoint(cfg.checkpoint)
     try:
-        return g, mean_embeddings(params, g)
+        mu = mean_embeddings(params, g)
     except ValueError as exc:  # a checkpoint trained on another graph
         raise ValueError(
             f"checkpoint {cfg.checkpoint} does not fit graph {cfg.out_prefix}: {exc}"
         ) from exc
+    return CandidateRanker(mu, g, cfg.top_k)
 
 
 def cmd_train(cfg: RunConfig, echoed: list[str]) -> int:
@@ -510,7 +512,7 @@ def cmd_train(cfg: RunConfig, echoed: list[str]) -> int:
 def cmd_predict(cfg: RunConfig, echoed: list[str]) -> int:
     if cfg.top_k <= 0:
         raise UsageError(f"--top-k must be positive, got {cfg.top_k}")
-    g, mu = _load_model(cfg)
+    ranker = _load_model(cfg)
     by_dialogue: dict[str, list[DialogueState]] = {}
     for p in iter_predictions(cfg.predictions):
         by_dialogue.setdefault(p.dialogue_id, []).append(p.state)
@@ -518,13 +520,12 @@ def cmd_predict(cfg: RunConfig, echoed: list[str]) -> int:
     out_records: list[dict] = []
     skipped: list[str] = []
     for dialogue_id in sorted(by_dialogue):
-        domains = dialogue_domains(g, by_dialogue[dialogue_id])
+        domains = dialogue_domains(ranker.graph, by_dialogue[dialogue_id])
         if not domains:
             skipped.append(dialogue_id)
             continue
         out_records.extend(
-            {"dialogue_id": dialogue_id, **rec}
-            for rec in rank_candidates(mu, g, domains, cfg.top_k)
+            {"dialogue_id": dialogue_id, **rec} for rec in ranker.rank(domains)
         )
     meta = _meta(cfg, echoed, skipped_dialogues=skipped)
     write_predictions(cfg.out, out_records, meta=meta)
@@ -543,9 +544,7 @@ def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
     if cfg.top_k <= 0:
         raise UsageError(f"--top-k must be positive, got {cfg.top_k}")
     tracker = TurnTracker(cfg, make_backend(cfg))
-    g = mu = None
-    if cfg.checkpoint:
-        g, mu = _load_model(cfg)
+    ranker = _load_model(cfg) if cfg.checkpoint else None
 
     ctx = DialogueContext()
     state = DialogueState()
@@ -565,10 +564,10 @@ def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
             print(f"! {d.kind.value}: {d.detail}")
         for t in state.triples():
             print(f"({t.domain}, {t.slot}, {t.value})")
-        if mu is not None:
-            domains = dialogue_domains(g, [state])
+        if ranker is not None:
+            domains = dialogue_domains(ranker.graph, [state])
             if domains:
-                for rec in rank_candidates(mu, g, domains, cfg.top_k):
+                for rec in ranker.rank(domains):
                     print(
                         f"next: ({rec['domain_label']}, {rec['slotvalue_label']}) "
                         f"p={rec['probability']:.4f}"

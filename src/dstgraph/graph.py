@@ -24,6 +24,10 @@ class NodeKind(Enum):
     SLOT_VALUE = "slot_value"
 
 
+# a dict lookup, not the slower NodeKind(value) call, for each node line
+_KIND_BY_VALUE = {kind.value: kind for kind in NodeKind}
+
+
 @dataclass(frozen=True)
 class NodeId:
     index: int
@@ -71,20 +75,22 @@ class StateGraph:
         slot_values: dict[int, tuple[str, str]],
     ):
         self.nodes = tuple(nodes)
-        for pos, node in enumerate(self.nodes):
-            if node.index != pos:
-                raise ValueError("node indices must be 0..n-1 in order")
-        seen_labels: dict[NodeKind, set[str]] = {k: set() for k in NodeKind}
-        for node in self.nodes:
-            if node.label in seen_labels[node.kind]:
-                raise ValueError(f"duplicate {node.kind.value} label: {node.label!r}")
-            seen_labels[node.kind].add(node.label)
-        is_domain = np.array([v.kind is NodeKind.DOMAIN for v in self.nodes], dtype=bool)
+        if [node.index for node in self.nodes] != list(range(len(self.nodes))):
+            raise ValueError("node indices must be 0..n-1 in order")
+        is_domain = [node.kind is NodeKind.DOMAIN for node in self.nodes]
+        self._domain_index = {
+            n.label: n.index for n, domain in zip(self.nodes, is_domain) if domain
+        }
+        sv_labels = {n.label for n, domain in zip(self.nodes, is_domain) if not domain}
+        if len(self._domain_index) + len(sv_labels) != len(self.nodes):
+            seen: set[tuple[NodeKind, str]] = set()
+            for node in self.nodes:  # name the first repeat in node order
+                if (node.kind, node.label) in seen:
+                    raise ValueError(f"duplicate {node.kind.value} label: {node.label!r}")
+                seen.add((node.kind, node.label))
+        is_domain = np.array(is_domain, dtype=bool)
         # the slot-value node indices in node order, for vectorised candidate masks
         self.slotvalue_indices = np.flatnonzero(~is_domain)
-        self._domain_index = {
-            n.label: n.index for n in self.nodes if n.kind is NodeKind.DOMAIN
-        }
         if set(slot_values) != set(self.slotvalue_indices.tolist()):
             raise ValueError("slot_values must map exactly the slot-value node indices")
         if len(set(slot_values.values())) != len(slot_values):
@@ -296,14 +302,23 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
             index = rec["index"]
             if type(index) is not int:
                 raise ValueError(f"index must be an int, got {index!r}")
-            kind = NodeKind(rec["kind"])
-            named = ("label", "slot", "value")[: 3 if kind is NodeKind.SLOT_VALUE else 1]
-            for field in named:
-                if not isinstance(rec[field], str):
-                    raise ValueError(f"{field} must be a str, got {rec[field]!r}")
-            nodes.append(NodeId(index, kind, rec["label"]))
+            kind = rec["kind"]
+            try:
+                kind = _KIND_BY_VALUE[kind]
+            except (KeyError, TypeError):  # unknown or unhashable, as NodeKind(kind)
+                raise ValueError(f"{kind!r} is not a valid NodeKind") from None
+            label = rec["label"]
+            if not isinstance(label, str):
+                raise ValueError(f"label must be a str, got {label!r}")
             if kind is NodeKind.SLOT_VALUE:
-                slot_values[index] = (rec["slot"], rec["value"])
+                slot = rec["slot"]
+                if not isinstance(slot, str):
+                    raise ValueError(f"slot must be a str, got {slot!r}")
+                value = rec["value"]
+                if not isinstance(value, str):
+                    raise ValueError(f"value must be a str, got {value!r}")
+                slot_values[index] = (slot, value)
+            nodes.append(NodeId(index, kind, label))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{node_path}:{lineno}: {exc!r}") from exc
     nodes.sort(key=lambda n: n.index)

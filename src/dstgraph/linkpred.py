@@ -6,12 +6,16 @@ are deterministic given trained parameters and a split.  Posterior means
 are computed once per (checkpoint, graph), encoding a propagation operator
 built here from the graph's edge array, and every pair, held-out or
 candidate, is scored by the one vectorised scorer `edge_probabilities`.
-Candidates come back as plain records, the one form that `predict`
-writes and `repl` prints.  The AUC and AP themselves live in `metrics`.
+One `CandidateRanker` serves a whole `predict` run or `repl` session: it
+scores each distinct domain's candidates once per run, and then each
+dialogue costs a merge of at most k kept entries per domain.  Candidates
+come back as plain records, the one form that `predict` writes and `repl`
+prints.  The AUC and AP themselves live in `metrics`.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -45,40 +49,65 @@ def evaluate_split(
     return {"auc": auc(scores, labels), "ap": average_precision(scores, labels)}
 
 
-def rank_candidates(
-    mu: np.ndarray, graph: StateGraph, domains: Sequence[int], top_k: int
-) -> list[dict]:
-    """Top-k unobserved (Domain, SlotValue) pairs for a dialogue's domains.
+class CandidateRanker:
+    """Top-k unobserved (Domain, SlotValue) pairs at a dialogue's domains,
+    for every dialogue of a `predict` run or a `repl` session.
 
     ``mu`` holds the posterior means over the full observed adjacency
-    (`mean_embeddings`), computed once and shared by every dialogue.
-    ``domains`` are the sorted, distinct indices of the dialogue's Domain
-    nodes (`dialogue_domains`).  Candidates are the graph's
-    non-edges at those domains, as records ``{domain_label,
-    slotvalue_label, probability, rank}`` with 1-based rank, sorted by
-    descending probability; ties resolve by domain index, then slot-value
-    index.
+    (`mean_embeddings`).  A pair's score does not depend on the dialogue,
+    so a domain's non-edges are scored once, by `edge_probabilities`, the
+    first time a dialogue names the domain, and only its ``top_k`` best are
+    kept, by descending probability then slot-value index: at most
+    ``top_k`` entries per domain seen.  A dialogue's candidates are then a
+    merge of its domains' kept lists.
     """
-    if not domains:
-        raise ValueError("domains must be non-empty")
-    if list(domains) != sorted(set(domains)) or any(
-        not 0 <= d < graph.n_nodes or graph.nodes[d].kind is not NodeKind.DOMAIN
-        for d in domains
-    ):
-        raise ValueError(
-            f"domains must be sorted distinct domain node indices, got {domains}"
-        )
-    if top_k <= 0:
-        raise ValueError("top_k must be positive")
-    d_idx, sv_idx = graph.unobserved_pairs(domains)
-    scores = edge_probabilities(mu, d_idx, sv_idx)
-    best = np.lexsort((sv_idx, d_idx, -scores))[:top_k]
-    return [
-        {
-            "domain_label": graph.nodes[d_idx[k]].label,
-            "slotvalue_label": graph.nodes[sv_idx[k]].label,
-            "probability": float(scores[k]),
-            "rank": rank,
-        }
-        for rank, k in enumerate(best, start=1)
-    ]
+
+    def __init__(self, mu: np.ndarray, graph: StateGraph, top_k: int):
+        if top_k <= 0:
+            raise ValueError("top_k must be positive")
+        self.mu = mu
+        self.graph = graph
+        self.top_k = top_k
+        # domain index -> (-probability, domain, slot-value) of its kept
+        # candidates, ascending
+        self._kept: dict[int, list[tuple[float, int, int]]] = {}
+
+    def _domain_best(self, d: int) -> list[tuple[float, int, int]]:
+        kept = self._kept.get(d)
+        if kept is None:
+            d_idx, sv_idx = self.graph.unobserved_pairs([d])
+            scores = edge_probabilities(self.mu, d_idx, sv_idx)
+            # stable, so ties keep the slot values' node order
+            best = np.argsort(-scores, kind="stable")[: self.top_k]
+            kept = self._kept[d] = [
+                (-p, int(d), sv) for p, sv in zip(scores[best].tolist(), sv_idx[best].tolist())
+            ]
+        return kept
+
+    def rank(self, domains: Sequence[int]) -> list[dict]:
+        """Candidates at ``domains``, the sorted, distinct indices of a
+        dialogue's Domain nodes (`dialogue_domains`): the graph's non-edges
+        at those domains, as records ``{domain_label, slotvalue_label,
+        probability, rank}`` with 1-based rank, sorted by descending
+        probability; ties resolve by domain index, then slot-value index.
+        """
+        graph = self.graph
+        if not domains:
+            raise ValueError("domains must be non-empty")
+        if list(domains) != sorted(set(domains)) or any(
+            not 0 <= d < graph.n_nodes or graph.nodes[d].kind is not NodeKind.DOMAIN
+            for d in domains
+        ):
+            raise ValueError(
+                f"domains must be sorted distinct domain node indices, got {domains}"
+            )
+        merged = sorted(chain.from_iterable(self._domain_best(d) for d in domains))
+        return [
+            {
+                "domain_label": graph.nodes[d].label,
+                "slotvalue_label": graph.nodes[sv].label,
+                "probability": -neg_p,
+                "rank": rank,
+            }
+            for rank, (neg_p, d, sv) in enumerate(merged[: self.top_k], start=1)
+        ]

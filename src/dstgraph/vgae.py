@@ -213,7 +213,8 @@ class Propagation:
         The segmented sum runs over chunks of whole rows whose weighted
         operand rows fit in `_BLOCK_BYTES` (at least one row per chunk).
         Each row's segment is summed whole, in column order, so the product
-        does not depend on the chunking.
+        does not depend on the chunking.  Each chunk is gathered into the
+        front of one buffer allocated per call.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n_nodes:
@@ -222,16 +223,21 @@ class Propagation:
             return self.dense @ x
         out = np.empty(x.shape)
         per_chunk = _BLOCK_BYTES // (8 * max(x.shape[1], 1))
+        # a chunk holds at most per_chunk nonzeros, or one longer row
+        longest_row = int(np.diff(self.row_start).max(initial=0))
+        buffer = np.empty((min(self.row_start[-1], max(per_chunk, longest_row)), x.shape[1]))
         r0 = 0
         while r0 < self.n_nodes:
             lo = self.row_start[r0]
             r1 = int(np.searchsorted(self.row_start, lo + per_chunk, side="right")) - 1
             r1 = max(r1, r0 + 1)
             hi = self.row_start[r1]
-            terms = x[self.cols[lo:hi]]
+            terms = buffer[: hi - lo]
+            # the columns were range-checked in __init__; "clip" gathers
+            # straight into ``terms``, where "raise" would buffer the gather
+            np.take(x, self.cols[lo:hi], axis=0, out=terms, mode="clip")
             terms *= self.weights[lo:hi, None]
             np.add.reduceat(terms, self.row_start[r0:r1] - lo, out=out[r0:r1])
-            del terms  # free this chunk before the next one is gathered
             r0 = r1
         return out
 

@@ -16,7 +16,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from dstgraph.datasets import (
     fixture_error_cases_path,

@@ -31,8 +31,8 @@ from dstgraph.datasets import (
     write_predictions,
 )
 from dstgraph.dialogue import DialogueContext, Speaker, Turn, append_turn
-from dstgraph.graph import planted_graph, split_edges
-from dstgraph.vgae import TrainConfig, encode, save_checkpoint, train
+from dstgraph.graph import dialogue_domains, load_graph, planted_graph, split_edges
+from dstgraph.vgae import TrainConfig, edge_probabilities, encode, save_checkpoint, train
 
 from conftest import FakeResponse, completion_payload
 
@@ -766,6 +766,19 @@ def count_encodes(monkeypatch) -> list[int]:
     return calls
 
 
+def count_scorings(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch the pair scorer that candidate ranking uses; the list holds the
+    distinct domain indices of each call's pairs."""
+    calls = []
+
+    def counting(z, rows, cols):
+        calls.append(tuple(sorted(set(rows.tolist()))))
+        return edge_probabilities(z, rows, cols)
+
+    monkeypatch.setattr("dstgraph.linkpred.edge_probabilities", counting)
+    return calls
+
+
 def test_full_pipeline_smoke(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     corpus = str(fixture_corpus_path())
@@ -1422,6 +1435,23 @@ def test_graph_and_checkpoint_mutations_exit_0_or_1(
         assert named, err
 
 
+def test_predict_scores_each_distinct_domain_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    scorings = count_scorings(monkeypatch)
+    assert cli.main(_PREDICT_ARGV) == 0
+    capsys.readouterr()
+    g = load_graph("g.edges.txt", "g.nodes.jsonl")
+    by_dialogue: dict[str, list] = {}
+    for p in iter_predictions("pred.jsonl"):
+        by_dialogue.setdefault(p.dialogue_id, []).append(p.state)
+    named = [dialogue_domains(g, states) for states in by_dialogue.values()]
+    distinct = {d for domains in named for d in domains}
+    # the dialogues name some domains more than once between them
+    assert sum(map(len, named)) > len(distinct)
+    assert sorted(scorings) == sorted((d,) for d in distinct)
+
+
 def test_predict_skips_dialogues_that_name_no_known_domain(
     tmp_path, monkeypatch, capsys
 ):
@@ -1642,11 +1672,15 @@ def test_repl_prints_candidates_with_model(tmp_path, monkeypatch, capsys):
         "sys.stdin", io.StringIO("i want thai food\nand a cheap price range\n")
     )
     encodes = count_encodes(monkeypatch)
+    scorings = count_scorings(monkeypatch)
     code = cli.main(
         ["repl", "--graph-prefix", "g", "--checkpoint", "model.json", "--top-k", "2"]
     )
     assert code == 0
     assert encodes == [1]
+    # each domain's candidates are scored at most once across both lines
+    assert scorings and all(len(domains) == 1 for domains in scorings)
+    assert len(set(scorings)) == len(scorings)
     out = capsys.readouterr().out
     assert out.count("next: (restaurant, ") == 4
     assert "p=0." in out

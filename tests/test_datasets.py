@@ -27,7 +27,7 @@ from dstgraph.datasets import (
     write_json_lines,
     write_predictions,
 )
-from dstgraph.dialogue import DialogueState, Speaker, StateTriple, Turn
+from dstgraph.dialogue import DialogueState, Speaker, Turn
 from dstgraph.parsing import parse_state
 from dstgraph.prompts import load_exemplars
 

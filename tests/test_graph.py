@@ -1,10 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from dstgraph.datasets import fixture_corpus_path, load_corpus
-from dstgraph.dialogue import DialogueState
 from dstgraph import graph as graph_module
 from dstgraph.graph import (
     EdgeError,
@@ -104,6 +104,21 @@ def test_state_graph_validates_structure():
     for edges in ([(0, 1.0)], [(0.7, 1.2)], [("0", "1")], [(0, 1, 1)]):
         with pytest.raises(ValueError, match="edges must be integer"):
             StateGraph([d, v], edges, sv)  # never truncated to (0, 1)
+
+
+def test_state_graph_names_the_first_repeated_label_in_node_order():
+    nodes = [
+        NodeId(0, NodeKind.DOMAIN, "x"),
+        NodeId(1, NodeKind.SLOT_VALUE, "x"),  # one label may name one node of each kind
+        NodeId(2, NodeKind.SLOT_VALUE, "a"),
+        NodeId(3, NodeKind.SLOT_VALUE, "a"),
+        NodeId(4, NodeKind.DOMAIN, "x"),
+    ]
+    sv = {1: ("x", "1"), 2: ("a", "2"), 3: ("a", "3")}
+    with pytest.raises(ValueError, match=r"^duplicate slot_value label: 'a'$"):
+        StateGraph(nodes, [], sv)
+    with pytest.raises(ValueError, match=r"^duplicate domain label: 'x'$"):
+        StateGraph([*nodes[:3], dataclasses.replace(nodes[4], index=3)], [], sv)
 
 
 def reference_edge_check(nodes, i, j):
@@ -456,6 +471,22 @@ def test_load_graph_names_the_first_fault(tmp_path):
     edge_path.unlink()
     with pytest.raises(ValueError, match=node_fault):
         load_graph(edge_path, node_path)
+
+
+@pytest.mark.parametrize(
+    "kind", ["spaceship", "DOMAIN", "domain ", 1, 1.5, True, None, [1], {"a": 1}]
+)
+def test_load_graph_names_an_unknown_or_unhashable_kind_as_the_enum_does(kind, tmp_path):
+    edge_path, node_path = write_graph(small_graph(), tmp_path)
+    lines = node_path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["kind"] = kind
+    node_path.write_text("\n".join([lines[0], json.dumps(rec), *lines[2:]]) + "\n")
+    with pytest.raises(ValueError) as caught:
+        load_graph(edge_path, node_path)
+    with pytest.raises(ValueError) as enum_error:
+        NodeKind(kind)
+    assert str(caught.value) == f"{node_path}:2: {enum_error.value!r}"
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dstgraph.graph import NodeKind, split_edges
+from dstgraph.graph import NodeId, NodeKind, StateGraph, split_edges
 from dstgraph.linkpred import (
+    CandidateRanker,
     auc,
     average_precision,
     evaluate_split,
     mean_embeddings,
-    rank_candidates,
 )
-from dstgraph.vgae import TrainConfig, glorot_init, train
+from dstgraph.vgae import TrainConfig, edge_probabilities, train
 
 from conftest import edge_set, random_bipartite_graph
 
@@ -147,6 +149,34 @@ def test_evaluate_split_needs_test_edges(rng):
 # --- candidate ranking ---
 
 
+def rank_candidates(mu, graph, domains, top_k):
+    """Reference ranking: score every non-edge at the dialogue's domains in
+    one call and order them all by (-probability, domain, slot value)."""
+    if not domains:
+        raise ValueError("domains must be non-empty")
+    if list(domains) != sorted(set(domains)) or any(
+        not 0 <= d < graph.n_nodes or graph.nodes[d].kind is not NodeKind.DOMAIN
+        for d in domains
+    ):
+        raise ValueError(
+            f"domains must be sorted distinct domain node indices, got {domains}"
+        )
+    if top_k <= 0:
+        raise ValueError("top_k must be positive")
+    d_idx, sv_idx = graph.unobserved_pairs(domains)
+    scores = edge_probabilities(mu, d_idx, sv_idx)
+    best = np.lexsort((sv_idx, d_idx, -scores))[:top_k]
+    return [
+        {
+            "domain_label": graph.nodes[d_idx[k]].label,
+            "slotvalue_label": graph.nodes[sv_idx[k]].label,
+            "probability": float(scores[k]),
+            "rank": rank,
+        }
+        for rank, k in enumerate(best, start=1)
+    ]
+
+
 def indices_of(g, kind):
     """Label -> node index for the nodes of one kind."""
     return {n.label: n.index for n in g.nodes if n.kind is kind}
@@ -166,7 +196,7 @@ def ranked_fixture(rng, top_k=6):
     cfg = TrainConfig(hidden_dim=8, latent_dim=4, epochs=30, seed=2)
     params, _ = train(g, split, cfg)
     domains = sorted(indices_of(g, NodeKind.DOMAIN).values())
-    ranked = rank_candidates(mean_embeddings(params, g), g, domains[:2], top_k=top_k)
+    ranked = CandidateRanker(mean_embeddings(params, g), g, top_k).rank(domains[:2])
     return g, ranked
 
 
@@ -195,7 +225,7 @@ def test_rank_candidates_probabilities_lie_strictly_inside_unit_interval(rng):
     for scale in (1e3, -1e3):
         mu = np.full((g.n_nodes, 4), scale)
         mu[domains] = 1e3
-        ranked = rank_candidates(mu, g, domains, top_k=g.n_nodes)
+        ranked = CandidateRanker(mu, g, g.n_nodes).rank(domains)
         assert all(0.0 < rec["probability"] < 1.0 for rec in ranked)
 
 
@@ -206,7 +236,7 @@ def test_rank_candidates_rejects_slotvalue_index(rng):
     sv = min(indices_of(g, NodeKind.SLOT_VALUE).values())
     for domains in ([sv], sorted([domain, sv])):
         with pytest.raises(ValueError, match="domain node indices"):
-            rank_candidates(mu, g, domains, top_k=5)
+            CandidateRanker(mu, g, 5).rank(domains)
 
 
 def test_rank_candidates_validates_arguments(rng):
@@ -216,14 +246,14 @@ def test_rank_candidates_validates_arguments(rng):
     params, _ = train(g, split, cfg)
     mu = mean_embeddings(params, g)
     domains = sorted(indices_of(g, NodeKind.DOMAIN).values())
-    with pytest.raises(ValueError):
-        rank_candidates(mu, g, [], top_k=5)
-    with pytest.raises(ValueError):
-        rank_candidates(mu, g, domains[:1], top_k=0)
+    with pytest.raises(ValueError, match="^domains must be non-empty$"):
+        CandidateRanker(mu, g, 5).rank([])
+    with pytest.raises(ValueError, match="^top_k must be positive$"):
+        CandidateRanker(mu, g, 0).rank(domains[:1])
     # unsorted, repeated or out-of-range indices
     for bad in (domains[::-1], domains[:1] * 2, [-1], [g.n_nodes]):
-        with pytest.raises(ValueError):
-            rank_candidates(mu, g, bad, top_k=5)
+        with pytest.raises(ValueError, match="sorted distinct domain node indices"):
+            CandidateRanker(mu, g, 5).rank(bad)
 
 
 def test_rank_candidates_ties_resolve_by_domain_then_slotvalue_index(rng):
@@ -236,12 +266,87 @@ def test_rank_candidates_ties_resolve_by_domain_then_slotvalue_index(rng):
         (d, sv) for d in domains for sv in svs if (min(d, sv), max(d, sv)) not in edges
     ]
     mu = np.zeros((g.n_nodes, 4))
-    ranked = rank_candidates(mu, g, domains, top_k=10)
+    ranked = CandidateRanker(mu, g, 10).rank(domains)
     assert [pair_indices(g, rec) for rec in ranked] == non_edges[:10]
     # with top_k past the candidate count the whole list is every non-edge
-    ranked = rank_candidates(mu, g, domains, top_k=len(non_edges) + 5)
+    ranked = CandidateRanker(mu, g, len(non_edges) + 5).rank(domains)
     assert [pair_indices(g, rec) for rec in ranked] == non_edges
     assert all(rec["probability"] == 0.5 for rec in ranked)
+
+
+@st.composite
+def ranking_cases(draw):
+    """A bipartite graph with its nodes in random order, embeddings, a
+    top_k and the domain sets of a run's dialogues."""
+    n_domains = draw(st.integers(1, 4))
+    # past 16 candidates a domain's ties would come out of an unstable
+    # sort in another order
+    n_values = draw(st.integers(1, 48))
+    edge = st.sampled_from([False, False, True])
+    adjacency = draw(st.lists(
+        st.lists(edge, min_size=n_values, max_size=n_values),
+        min_size=n_domains, max_size=n_domains,
+    ))
+    if draw(st.booleans()):  # a domain whose slot values are all edges
+        adjacency[draw(st.integers(0, n_domains - 1))] = [True] * n_values
+    order = draw(st.permutations(range(n_domains + n_values)))
+    nodes, slot_values = [], {}
+    for pos, k in enumerate(order):
+        if k < n_domains:
+            nodes.append(NodeId(pos, NodeKind.DOMAIN, f"d{k}"))
+        else:
+            nodes.append(NodeId(pos, NodeKind.SLOT_VALUE, f"s{k}-v{k}"))
+            slot_values[pos] = (f"s{k}", f"v{k}")
+    edges = [
+        (order.index(d), order.index(n_domains + v))
+        for d in range(n_domains) for v in range(n_values) if adjacency[d][v]
+    ]
+    g = StateGraph(nodes, edges, slot_values)
+    # zero weights score every pair 0.5, and a coarse grid ties many pairs,
+    # so the tie order decides most places
+    weights = draw(st.sampled_from(["zero", "coarse", "normal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = {
+        "zero": np.zeros((g.n_nodes, 3)),
+        "coarse": rng.integers(-1, 2, size=(g.n_nodes, 3)).astype(float),
+        "normal": rng.standard_normal((g.n_nodes, 3)),
+    }[weights]
+    top_k = draw(st.integers(1, n_domains * n_values + 3))
+    domain_ids = [order.index(d) for d in range(n_domains)]
+    dialogues = draw(st.lists(
+        st.sets(st.sampled_from(domain_ids), min_size=1).map(sorted),
+        min_size=1, max_size=6,
+    ))
+    return g, mu, top_k, dialogues
+
+
+@given(ranking_cases())
+def test_ranker_equals_reference_ranking(case):
+    g, mu, top_k, dialogues = case
+    ranker = CandidateRanker(mu, g, top_k)
+    for domains in dialogues:
+        assert ranker.rank(domains) == rank_candidates(mu, g, domains, top_k)
+    # at most top_k kept entries per domain seen
+    seen = {d for domains in dialogues for d in domains}
+    assert set(ranker._kept) == seen
+    assert all(len(kept) <= top_k for kept in ranker._kept.values())
+
+
+def test_ranker_scores_each_domain_once(rng, monkeypatch):
+    g = random_bipartite_graph(rng, 3, 12, 0.4)
+    mu = rng.standard_normal((g.n_nodes, 4))
+    domains = sorted(indices_of(g, NodeKind.DOMAIN).values())
+    scored = []
+
+    def counting(z, rows, cols):
+        scored.append(sorted(set(np.asarray(rows).tolist())))
+        return edge_probabilities(z, rows, cols)
+
+    monkeypatch.setattr("dstgraph.linkpred.edge_probabilities", counting)
+    ranker = CandidateRanker(mu, g, 4)
+    for dialogue in (domains[:2], domains[1:], domains, domains[:1]):
+        ranker.rank(dialogue)
+    assert scored == [[d] for d in domains]
 
 
 def test_candidate_records_schema(rng):

@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,7 +7,6 @@ from dstgraph.dialogue import DialogueState, Speaker, StateTriple, Turn
 from dstgraph.parsing import (
     JUNK_TOKENS,
     MAX_ERROR_SAMPLES,
-    Diagnostic,
     DiagnosticKind,
     ErrorReport,
     ErrorTally,
@@ -17,7 +15,7 @@ from dstgraph.parsing import (
     parse_state,
 )
 
-from conftest import make_state, make_triple, tracking_counts
+from conftest import make_state, tracking_counts
 
 
 def triples_of(text: str) -> set[tuple[str, str, str]]:

@@ -11,7 +11,7 @@ import pytest
 from dstgraph import vgae
 from dstgraph.datasets import fixture_corpus_path, load_corpus
 from dstgraph.graph import NodeKind, build_graph, planted_graph, split_edges
-from dstgraph.linkpred import evaluate_split, mean_embeddings, rank_candidates
+from dstgraph.linkpred import CandidateRanker, evaluate_split, mean_embeddings
 from dstgraph.metrics import auc, average_precision
 from dstgraph.vgae import (
     EpochRecord,
@@ -406,13 +406,10 @@ def uneven_block_budget(n):
 
 def all_rankings(params, g):
     """Every domain's full candidate ranking, as (domain, slot-value) labels."""
-    mu = mean_embeddings(params, g)
+    ranker = CandidateRanker(mean_embeddings(params, g), g, g.n_nodes**2)
     domains = [v.index for v in g.nodes if v.kind is NodeKind.DOMAIN]
     return [
-        [
-            (rec["domain_label"], rec["slotvalue_label"])
-            for rec in rank_candidates(mu, g, [d], g.n_nodes**2)
-        ]
+        [(rec["domain_label"], rec["slotvalue_label"]) for rec in ranker.rank([d])]
         for d in domains
     ]
 
@@ -677,7 +674,7 @@ def test_blocked_pipeline_allocates_no_n_by_n_array():
     assert peak_bytes(lambda: train(g, split, cfg)) < n_by_n
     assert peak_bytes(lambda: evaluate_split(params, g, split)) < n_by_n
     mu = mean_embeddings(params, g)
-    assert peak_bytes(lambda: rank_candidates(mu, g, [domain], 5)) < n_by_n
+    assert peak_bytes(lambda: CandidateRanker(mu, g, 5).rank([domain])) < n_by_n
 
 
 def test_block_budget_below_one_row_raises(rng, monkeypatch):
@@ -726,9 +723,19 @@ def test_segmented_sum_chunks_match_one_reduceat_bit_for_bit(monkeypatch):
     want = np.add.reduceat(x[prop.cols] * prop.weights[:, None], prop.row_start[:-1])
     assert len(prop.cols) * 32 * 8 > 8 * vgae._BLOCK_BYTES  # at least 9 chunks
     assert (prop @ x).tobytes() == want.tobytes()
-    # a budget below one row's nonzeros still takes whole rows, one per chunk
-    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * 32 * 4)
-    assert (prop @ x).tobytes() == want.tobytes()
+    # a budget below one row's nonzeros still takes whole rows, one per
+    # chunk; at 1,000 nonzeros a domain row fills a chunk alone and a run of
+    # slot-value rows shares one, so the chunks gathered into the one
+    # buffer differ in length
+    for budget_rows in (4, 1000):
+        monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * 32 * budget_rows)
+        assert (prop @ x).tobytes() == want.tobytes()
+
+
+def test_segmented_sum_of_a_graph_without_nodes_is_empty():
+    prop = Propagation(0, np.empty((0, 2), dtype=np.int64))
+    assert prop.dense is None
+    assert (prop @ np.empty((0, 3))).shape == (0, 3)
 
 
 def test_segmented_sum_memory_is_bounded_by_the_block_budget():
