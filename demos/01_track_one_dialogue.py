@@ -20,7 +20,7 @@ from dstgraph.dialogue import (
     serialize_context,
 )
 from dstgraph.parsing import parse_state
-from dstgraph.prompts import PromptSpec, PromptStrategy, build_prompt, default_instruction
+from dstgraph.prompts import DEFAULT_INSTRUCTION, PromptSpec, PromptStrategy, build_prompt
 
 # the offline backend answers from a keyword table instead of a model,
 # so this script runs anywhere and always prints the same thing
@@ -47,7 +47,7 @@ for speaker, text in script:
     # one prompt per user turn, over the full context so far
     spec = PromptSpec(
         strategy=PromptStrategy.COT_PERSONA2,
-        instruction=default_instruction(),
+        instruction=DEFAULT_INSTRUCTION,
         input_text=serialize_context(ctx),
         anti_hallucination=True,
     )

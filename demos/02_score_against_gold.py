@@ -9,7 +9,6 @@ Run: python3 demos/02_score_against_gold.py
 """
 
 from dstgraph.backends import RuleMockBackend
-from dstgraph.cli import RunConfig, extract_records
 from dstgraph.datasets import (
     fixture_corpus_path,
     fixture_keywords_path,
@@ -18,13 +17,14 @@ from dstgraph.datasets import (
 )
 from dstgraph.metrics import TrackingCounts, per_domain_f1
 from dstgraph.parsing import ErrorTally, classify_errors
+from dstgraph.tracking import TurnTracker, extract_records
 
 corpus = load_corpus(fixture_corpus_path())
 print(f"corpus: {len(corpus.dialogues)} dialogues, gold states attached")
 
 backend = RuleMockBackend.from_json(fixture_keywords_path())
 records = []
-failure = extract_records(corpus.dialogues, backend, RunConfig(), records.append)
+failure = extract_records(corpus.dialogues, TurnTracker(backend), records.append)
 assert failure is None
 print(f"extracted {len(records)} per-turn predictions")
 

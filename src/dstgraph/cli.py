@@ -20,8 +20,6 @@ import json
 import math
 import sys
 import typing
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,8 +42,6 @@ from .datasets import (
     fixture_keywords_path,
     iter_predictions,
     load_corpus,
-    prediction_record,
-    write_predictions,
 )
 from .dialogue import (
     DialogueContext,
@@ -54,7 +50,6 @@ from .dialogue import (
     Turn,
     accumulate_state,
     append_turn,
-    serialize_context,
 )
 from .graph import (
     build_graph,
@@ -66,15 +61,14 @@ from .graph import (
 )
 from .linkpred import CandidateRanker, evaluate_split, mean_embeddings
 from .metrics import TrackingCounts
-from .parsing import ErrorTally, ParseOutcome, classify_errors, parse_state
+from .parsing import ErrorTally, classify_errors
 from .prompts import (
-    PromptSpec,
+    DEFAULT_INSTRUCTION,
     PromptStrategy,
-    build_prompt,
-    default_instruction,
     load_exemplars,
     load_template_overrides,
 )
+from .tracking import TurnTracker, extract_records
 from .vgae import TrainConfig, load_checkpoint, save_checkpoint, train
 
 
@@ -175,127 +169,31 @@ def make_backend(cfg: RunConfig):
     raise UsageError(f"unknown backend: {cfg.backend}")
 
 
-class TurnTracker:
-    """One tracking request per user turn: prompt -> completion -> parse.
-
-    Built once per run: the strategy, instruction, exemplars, template
-    overrides and generation parameters are resolved here, not per turn.
-    A request reads only the turn's context, never an earlier result, so
-    the caller may request turns in any order and fold them in order.
-    """
-
-    def __init__(self, cfg: RunConfig, backend):
-        try:
-            strategy = PromptStrategy(cfg.strategy)
-        except ValueError as exc:
-            raise UsageError(f"unknown strategy: {cfg.strategy}") from exc
-        self._spec = functools.partial(
-            PromptSpec,
-            strategy=strategy,
-            instruction=cfg.instruction or default_instruction(),
-            anti_hallucination=cfg.anti_hallucination,
-            exemplars=load_exemplars(cfg.exemplars_file) if cfg.exemplars_file else (),
-        )
-        self._overrides = (
+def make_tracker(cfg: RunConfig) -> TurnTracker:
+    """The `tracking.TurnTracker` of ``cfg``'s backend, generation and prompt settings."""
+    backend = make_backend(cfg)
+    try:
+        strategy = PromptStrategy(cfg.strategy)
+    except ValueError as exc:
+        raise UsageError(f"unknown strategy: {cfg.strategy}") from exc
+    params = GenerationParams(
+        temperature=cfg.temperature,
+        max_tokens=cfg.max_tokens,
+        model_name=cfg.model,
+        timeout=cfg.timeout,
+        retries=cfg.retries,
+    )
+    return TurnTracker(
+        backend,
+        params,
+        strategy=strategy,
+        instruction=cfg.instruction or DEFAULT_INSTRUCTION,
+        anti_hallucination=cfg.anti_hallucination,
+        exemplars=load_exemplars(cfg.exemplars_file) if cfg.exemplars_file else (),
+        overrides=(
             load_template_overrides(cfg.templates_file) if cfg.templates_file else None
-        )
-        self._params = GenerationParams(
-            temperature=cfg.temperature,
-            max_tokens=cfg.max_tokens,
-            model_name=cfg.model,
-            timeout=cfg.timeout,
-            retries=cfg.retries,
-        )
-        self._backend = backend
-
-    def prompt(self, ctx: DialogueContext) -> str:
-        spec = self._spec(input_text=serialize_context(ctx))
-        return build_prompt(spec, self._overrides)
-
-    def track(self, ctx: DialogueContext) -> ParseOutcome:
-        """The parsed state the backend gives for the last turn of ``ctx``.
-
-        A BackendError propagates; the caller decides whether to abort.
-        """
-        return parse_state(self._backend.complete(self.prompt(ctx), self._params))
-
-
-def _user_turns(dialogues):
-    """Yield ``(dialogue_id, user turn index, context)`` for every user
-    turn of ``dialogues``, in their order and then turn order."""
-    for dialogue in dialogues:
-        ctx = DialogueContext()
-        index = itertools.count()
-        for turn in dialogue.turns:
-            ctx = append_turn(ctx, turn)
-            if turn.speaker is Speaker.USER:
-                yield dialogue.dialogue_id, next(index), ctx
-
-
-# Turn requests in flight at once over the http backend, whose time is
-# spent waiting on the endpoint.  The offline backends are CPU-bound under
-# the GIL and stay sequential.
-_HTTP_WORKERS = 4
-# Turns requested ahead of the fold: eight per worker, so that while one
-# turn waits out a retry backoff the other workers stay busy.
-_HTTP_WINDOW = 8 * _HTTP_WORKERS
-
-
-def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
-    """Yield ``fn(item)`` for each item in order, computed on ``pool``.
-
-    At most ``window`` items are submitted ahead of the consumer: the next
-    one is submitted only after a result is taken, so a consumer that
-    stops early never has more than ``window - 1`` later items submitted.
-    """
-    pending: deque[Future] = deque()
-    for item in items:
-        if len(pending) == window:
-            yield pending.popleft().result()
-        pending.append(pool.submit(fn, item))
-    while pending:
-        yield pending.popleft().result()
-
-
-def _fold(turns, outcomes, write) -> BackendError | None:
-    """``write`` one record per turn, each dialogue's outcomes folded in
-    turn order; at the first backend failure, stop and return the error."""
-    try:
-        for (dialogue_id, index, _), outcome in zip(turns, outcomes):
-            if index == 0:
-                state = DialogueState()
-            state = accumulate_state(state, outcome.state.unordered())
-            write(prediction_record(dialogue_id, index, state, outcome.diagnostics))
-    except BackendError as exc:
-        return exc
-    return None
-
-
-def extract_records(dialogues, backend, cfg: RunConfig, write) -> BackendError | None:
-    """Track every user turn of every dialogue, passing each turn's record
-    to ``write``.
-
-    Records come out in the order of ``dialogues``, then turn order.  Over
-    the http backend up to ``_HTTP_WORKERS`` turn requests run at once,
-    across and within dialogues, and each dialogue's states are still
-    folded in turn order, so the output is the sequential run's.  On a
-    backend failure the records of every turn before the failing one have
-    been written, and the error is returned, so the caller can flush
-    partial output before aborting.
-    """
-    track = TurnTracker(cfg, backend).track
-    # the tracker reads contexts ahead of the fold; tee keeps only the gap
-    turns, ahead = itertools.tee(_user_turns(dialogues))
-    contexts = (ctx for _, _, ctx in ahead)
-    if not isinstance(backend, HttpBackend):
-        return _fold(turns, map(track, contexts), write)
-    pool = ThreadPoolExecutor(_HTTP_WORKERS)
-    try:
-        return _fold(turns, _in_order(pool, track, contexts, _HTTP_WINDOW), write)
-    finally:
-        # after a failure, queued turns are dropped unstarted and the
-        # ones in flight run out before returning
-        pool.shutdown(cancel_futures=True)
+        ),
+    )
 
 
 def cmd_extract(cfg: RunConfig, echoed: list[str]) -> int:
@@ -304,9 +202,8 @@ def cmd_extract(cfg: RunConfig, echoed: list[str]) -> int:
         dialogues = corpus.dialogues()
         # a corpus with no dialogue fails here, before the backend is made
         first = next(dialogues)
-        backend = make_backend(cfg)
         failure = extract_records(
-            itertools.chain([first], dialogues), backend, cfg, spool.write
+            itertools.chain([first], dialogues), make_tracker(cfg), spool.write
         )
         for _ in dialogues:  # the dialogues left after a failure still count
             pass
@@ -517,18 +414,16 @@ def cmd_predict(cfg: RunConfig, echoed: list[str]) -> int:
     for p in iter_predictions(cfg.predictions):
         by_dialogue.setdefault(p.dialogue_id, []).append(p.state)
 
-    out_records: list[dict] = []
     skipped: list[str] = []
-    for dialogue_id in sorted(by_dialogue):
-        domains = dialogue_domains(ranker.graph, by_dialogue[dialogue_id])
-        if not domains:
-            skipped.append(dialogue_id)
-            continue
-        out_records.extend(
-            {"dialogue_id": dialogue_id, **rec} for rec in ranker.rank(domains)
-        )
-    meta = _meta(cfg, echoed, skipped_dialogues=skipped)
-    write_predictions(cfg.out, out_records, meta=meta)
+    with PredictionsSpool(cfg.out) as spool:
+        for dialogue_id in sorted(by_dialogue):
+            domains = dialogue_domains(ranker.graph, by_dialogue[dialogue_id])
+            if not domains:
+                skipped.append(dialogue_id)
+                continue
+            for rec in ranker.rank(domains):
+                spool.write({"dialogue_id": dialogue_id, **rec})
+        spool.commit(_meta(cfg, echoed, skipped_dialogues=skipped))
     print(
         f"ranked candidates for {len(by_dialogue) - len(skipped)} dialogues -> {cfg.out}"
     )
@@ -543,7 +438,7 @@ def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
         raise UsageError("repl needs both --graph-prefix and --checkpoint, or neither")
     if cfg.top_k <= 0:
         raise UsageError(f"--top-k must be positive, got {cfg.top_k}")
-    tracker = TurnTracker(cfg, make_backend(cfg))
+    tracker = make_tracker(cfg)
     ranker = _load_model(cfg) if cfg.checkpoint else None
 
     ctx = DialogueContext()

@@ -29,7 +29,6 @@ from __future__ import annotations
 import codecs
 import contextlib
 import functools
-import itertools
 import json
 import os
 import shutil
@@ -389,22 +388,6 @@ META_KEY = "record_type"
 _PARSE_FAILURE = DiagnosticKind.PARSE_FAILURE.value
 
 
-def write_predictions(
-    path: str | Path, records: Iterable[dict], meta: dict | None = None
-) -> None:
-    """Write prediction records as UTF-8 JSONL, one per user turn.
-
-    When given, ``meta`` (run config, version) becomes a first line tagged
-    record_type=meta so downstream readers can separate it from data.
-    The file is replaced only once every record is written.
-    """
-    write_json_lines(path, itertools.chain(_meta_head(meta), records))
-
-
-def _meta_head(meta: dict | None) -> list[dict]:
-    return [] if meta is None else [{META_KEY: "meta", **meta}]
-
-
 class PredictionsSpool:
     """Prediction records held until the meta line that heads their file
     is known, so that no list of them is kept.
@@ -412,8 +395,8 @@ class PredictionsSpool:
     The records go to an anonymous temp file in the target's directory,
     made when the first record is written.  It has no name, so even a
     killed run leaves nothing behind.  ``commit`` writes the target
-    through ``atomic_writer``: the meta line, then the records, the bytes
-    ``write_predictions`` would write.
+    through ``atomic_writer``: the meta line, tagged record_type=meta so
+    that readers can tell it from the records, then the records.
     """
 
     def __init__(self, path: str | Path):
@@ -429,10 +412,9 @@ class PredictionsSpool:
         self._file.write(_json_line(rec))
         self.count += 1
 
-    def commit(self, meta: dict | None = None) -> None:
+    def commit(self, meta: dict) -> None:
         with atomic_writer(self.path) as f:
-            for rec in _meta_head(meta):
-                f.write(_json_line(rec))
+            f.write(_json_line({META_KEY: "meta", **meta}))
             if self._file is not None:
                 self._file.seek(0)
                 shutil.copyfileobj(self._file, f)

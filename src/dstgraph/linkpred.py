@@ -10,7 +10,7 @@ One `CandidateRanker` serves a whole `predict` run or `repl` session: it
 scores each distinct domain's candidates once per run, and then each
 dialogue costs a merge of at most k kept entries per domain.  Candidates
 come back as plain records, the one form that `predict` writes and `repl`
-prints.  The AUC and AP themselves live in `metrics`.
+prints.  The AUC and AP themselves live in `vgae`, beside the scorer.
 """
 
 from __future__ import annotations
@@ -21,8 +21,15 @@ from typing import Sequence
 import numpy as np
 
 from .graph import EdgeSplit, NodeKind, StateGraph
-from .metrics import auc, average_precision
-from .vgae import Propagation, VgaeParams, edge_probabilities, encode, held_out_scores
+from .vgae import (
+    Propagation,
+    VgaeParams,
+    auc,
+    average_precision,
+    edge_probabilities,
+    encode,
+    held_out_scores,
+)
 
 
 def mean_embeddings(params: VgaeParams, graph: StateGraph) -> np.ndarray:

@@ -1,5 +1,4 @@
-"""Dialogue state tracking metrics (joint goal accuracy, slot F1, slot
-accuracy) and link-prediction ranking metrics (AUC, average precision).
+"""Dialogue state tracking metrics: joint goal accuracy, slot F1, slot accuracy.
 
 Every tracking metric compares each turn's predicted and gold key→value
 maps (`DialogueState.value_by_key`, NONE-valued keys left out, since the
@@ -10,16 +9,12 @@ scores, so a stream of turns needs no list of them.  `per_domain_f1`
 takes the same map pairs.  Slot F1 is micro-averaged over the whole turn
 sequence; slot accuracy is keyed by gold (domain, slot) pairs.  Both
 conventions are stated in every report.
-The ranking metrics score held-out edges against matched negatives, for
-validation during training and for the final test evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -103,49 +98,3 @@ def per_domain_f1(turns: Iterable[tuple[Mapping, Mapping]]) -> dict[str, PrfScor
             for (domain, _), _ in items:
                 counts.setdefault(domain, [0, 0, 0])[kind] += 1
     return {d: _prf(*counts[d]) for d in sorted(counts)}
-
-
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks in ascending score order; ties get their average rank."""
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    last = np.cumsum(counts)
-    # a tie group spanning ranks first..last gets (first + last) / 2, exact
-    return ((last - counts + 1 + last) / 2.0)[inverse]
-
-
-def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
-    """Probability a random positive outranks a random negative, ties 0.5.
-
-    Rank-based Mann-Whitney formulation; exactly equals brute-force
-    pairwise counting because average ranks are half-integer exact.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=bool)
-    if s.shape != y.shape:
-        raise ValueError("scores and labels must have equal length")
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("auc needs at least one positive and one negative label")
-    ranks = _average_ranks(s)
-    u = ranks[y].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
-
-
-def average_precision(scores: Sequence[float], labels: Sequence[bool]) -> float:
-    """Mean precision at each positive's rank, descending score order.
-
-    Ties are broken by stable input order; AP is not tie-invariant, so the
-    policy is part of the contract.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=bool)
-    if s.shape != y.shape:
-        raise ValueError("scores and labels must have equal length")
-    if not y.any():
-        raise ValueError("average_precision needs at least one positive label")
-    order = np.argsort(-s, kind="stable")
-    hit_ranks = np.flatnonzero(y[order]) + 1
-    precisions = np.arange(1, len(hit_ranks) + 1) / hit_ranks
-    # cumsum adds in sequence; np.sum's pairwise order would change the last bits
-    return float(np.cumsum(precisions)[-1] / len(hit_ranks))

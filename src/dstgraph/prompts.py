@@ -86,6 +86,7 @@ _STRATEGY_PIECES = {
 
 _OVERRIDE_SECTIONS = {"instruction", *_PIECES}
 
+# the pinned default instruction: it names the output format, no vocabulary
 DEFAULT_INSTRUCTION = (
     "Track the dialogue state of the conversation below. Identify each topic "
     "the user talks about, the attribute they constrain, and the stated "
@@ -105,11 +106,6 @@ class PromptSpec:
     input_text: str
     anti_hallucination: bool = False
     exemplars: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-
-
-def default_instruction() -> str:
-    """The pinned default instruction; names the output format, no vocabulary."""
-    return DEFAULT_INSTRUCTION
 
 
 def build_prompt(spec: PromptSpec, overrides: dict[str, str] | None = None) -> str:

@@ -7,7 +7,8 @@ matrix Â is a read-only `Propagation` operator built from an edge array: a
 one-block graph multiplies by the dense Â, a larger one sums Â's row-sorted
 nonzeros per row.  Node features are one-hot (X = I), so the first layer
 Â X W_s is Â W_s and no feature matrix is built; one forward pass serves
-training, the gradient check and evaluation.  The training
+training, the gradient check and evaluation, where `auc` and
+`average_precision` rank held-out edges against matched negatives.  The training
 objective is the negative ELBO: weighted full-matrix reconstruction BCE
 plus a KL term against a standard-normal prior.  S = Z Z^T is symmetric,
 so the BCE scores only its blocks on and above the diagonal, one row
@@ -33,12 +34,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .datasets import atomic_writer, read_json_object
 from .graph import EdgeSplit, StateGraph, sorted_unique
-from .metrics import auc
 
 PROB_EPS = 1e-12
 # bounds of -log p for p clamped to [1e-12, 1 - 1e-12]
@@ -294,6 +295,52 @@ def held_out_scores(
     `average_precision` score in `train` and `evaluate_split`."""
     scores = edge_probabilities(z, *np.concatenate([edges, negatives]).T)
     return scores, np.arange(len(scores)) < len(edges)
+
+
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks in ascending score order; ties get their average rank."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    # a tie group spanning ranks first..last gets (first + last) / 2, exact
+    return ((last - counts + 1 + last) / 2.0)[inverse]
+
+
+def auc(scores: Sequence[float], labels: Sequence[bool]) -> float:
+    """Probability a random positive outranks a random negative, ties 0.5.
+
+    Rank-based Mann-Whitney formulation; exactly equals brute-force
+    pairwise counting because average ranks are half-integer exact.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=bool)
+    if s.shape != y.shape:
+        raise ValueError("scores and labels must have equal length")
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("auc needs at least one positive and one negative label")
+    ranks = _average_ranks(s)
+    u = ranks[y].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def average_precision(scores: Sequence[float], labels: Sequence[bool]) -> float:
+    """Mean precision at each positive's rank, descending score order.
+
+    Ties are broken by stable input order; AP is not tie-invariant, so the
+    policy is part of the contract.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels, dtype=bool)
+    if s.shape != y.shape:
+        raise ValueError("scores and labels must have equal length")
+    if not y.any():
+        raise ValueError("average_precision needs at least one positive label")
+    order = np.argsort(-s, kind="stable")
+    hit_ranks = np.flatnonzero(y[order]) + 1
+    precisions = np.arange(1, len(hit_ranks) + 1) / hit_ranks
+    # cumsum adds in sequence; np.sum's pairwise order would change the last bits
+    return float(np.cumsum(precisions)[-1] / len(hit_ranks))
 
 
 class _Workspace:

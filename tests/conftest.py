@@ -1,3 +1,4 @@
+import itertools
 import os
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 import dstgraph
+from dstgraph.datasets import META_KEY, write_json_lines
 from dstgraph.dialogue import DialogueState, StateTriple
 from dstgraph.graph import StateGraph, build_graph
 from dstgraph.metrics import TrackingCounts
@@ -94,6 +96,15 @@ class FakeResponse:
 
 def completion_payload(content):
     return {"choices": [{"message": {"content": content}}]}
+
+
+def write_predictions(path, records, meta: dict | None = None) -> None:
+    """The reference predictions writer: ``records`` as UTF-8 JSONL, headed,
+    when ``meta`` is given, by a meta line tagged record_type=meta.  The
+    file is replaced only once every record is written.  `PredictionsSpool`
+    must write the same bytes."""
+    head = [] if meta is None else [{META_KEY: "meta", **meta}]
+    write_json_lines(path, itertools.chain(head, records))
 
 
 def child_env() -> dict:

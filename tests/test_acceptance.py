@@ -28,10 +28,10 @@ from dstgraph.metrics import TrackingCounts
 from dstgraph.parsing import classify_errors, parse_state
 from dstgraph.prompts import (
     ANTI_HALLUCINATION,
+    DEFAULT_INSTRUCTION,
     PromptSpec,
     PromptStrategy,
     build_prompt,
-    default_instruction,
 )
 from dstgraph.vgae import (
     TrainConfig,
@@ -337,7 +337,7 @@ def render(strategy, anti):
     return build_prompt(
         PromptSpec(
             strategy=strategy,
-            instruction=default_instruction(),
+            instruction=DEFAULT_INSTRUCTION,
             input_text="[user] i am looking for a place to stay",
             anti_hallucination=anti,
         )

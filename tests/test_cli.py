@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dstgraph import __version__, cli, linkpred, vgae
+from dstgraph import __version__, cli, linkpred, tracking, vgae
 from dstgraph.backends import (
     GenerationParams,
     RuleMockBackend,
@@ -28,13 +28,12 @@ from dstgraph.datasets import (
     read_predictions,
     write_corpus,
     write_json_lines,
-    write_predictions,
 )
 from dstgraph.dialogue import DialogueContext, Speaker, Turn, append_turn
 from dstgraph.graph import dialogue_domains, load_graph, planted_graph, split_edges
 from dstgraph.vgae import TrainConfig, edge_probabilities, encode, save_checkpoint, train
 
-from conftest import FakeResponse, completion_payload
+from conftest import FakeResponse, completion_payload, write_predictions
 
 
 def parse(argv):
@@ -385,7 +384,7 @@ def test_extract_replay_miss_flushes_partial_output(tmp_path, capsys):
     write_corpus(corpus, [d1, d2])
 
     ctx = append_turn(DialogueContext(), d1.turns[0])
-    prompt = cli.TurnTracker(RunConfig(), backend=None).prompt(ctx)
+    prompt = cli.make_tracker(RunConfig()).prompt(ctx)
     replay_path = tmp_path / "replay.jsonl"
     completion = "Domain : [`restaurant'] , Slot : [`food'] , Value : [`thai']"
     write_json_lines(
@@ -485,7 +484,7 @@ def sequential_http_extract(tmp_path, monkeypatch, endpoint):
         make = cli.make_backend
         m.setattr(cli, "make_backend", lambda cfg: types.SimpleNamespace(
             complete=make(cfg).complete))
-        m.setattr(cli, "ThreadPoolExecutor", None)
+        m.setattr(tracking, "ThreadPoolExecutor", None)
         return http_extract(tmp_path, m, endpoint)
 
 
@@ -530,7 +529,7 @@ def test_http_extract_failure_writes_sequential_partial_output(
     # turn is held, the workers run ahead to the end of that window and no
     # further, so no request past the window is started
     turns = sequential_endpoint.turns
-    window_end = turns.index(fail_on) + cli._HTTP_WINDOW
+    window_end = turns.index(fail_on) + tracking._HTTP_WINDOW
     endpoint = CorpusEndpoint(fail_on, hold=(fail_on, turns[window_end]), hold_s=0.5)
     code, pooled = pooled_http_extract(tmp_path, monkeypatch, endpoint)
     assert code == 2
@@ -579,7 +578,7 @@ def test_offline_extraction_starts_no_thread(backend_flags, tmp_path, monkeypatc
     def no_pool(*args, **kwargs):
         raise AssertionError("offline extraction must not start a thread pool")
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(tracking, "ThreadPoolExecutor", no_pool)
     out = tmp_path / "pred.jsonl"
     code = cli.main(
         ["extract", "--corpus", str(fixture_corpus_path()), *backend_flags,
@@ -1744,7 +1743,7 @@ def test_repl_needs_graph_prefix_and_checkpoint_together(flags, monkeypatch, cap
 def test_turn_tracker_rejects_unknown_strategy():
     cfg = RunConfig(strategy="nope")
     with pytest.raises(UsageError):
-        cli.TurnTracker(cfg, backend=None)
+        cli.make_tracker(cfg)
 
 
 def test_make_backend_rejects_unknown_name():

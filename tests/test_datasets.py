@@ -25,13 +25,12 @@ from dstgraph.datasets import (
     state_to_jsonable,
     write_corpus,
     write_json_lines,
-    write_predictions,
 )
 from dstgraph.dialogue import DialogueState, Speaker, Turn
 from dstgraph.parsing import parse_state
 from dstgraph.prompts import load_exemplars
 
-from conftest import make_state
+from conftest import make_state, write_predictions
 
 
 def plain_record(dialogue_id="d1", gold=True):

@@ -1,7 +1,9 @@
 """The package's modules import their siblings at module level only, and
 those imports form no cycle, so the layers stack one way (graph, then
 vgae, then linkpred).  The package root imports nothing, so the text
-stages load no numpy.  Every file the package writes goes through
+stages, the tracking metrics and the turn pipeline load no numpy; that
+pipeline, like the demos and tools, imports no part of the command
+line.  Every file the package writes goes through
 ``datasets.atomic_writer``, and the only other file it opens is opened
 read-only by ``datasets._read_only``."""
 
@@ -17,6 +19,7 @@ import dstgraph
 
 from conftest import child_env
 
+REPO = Path(__file__).resolve().parent.parent
 MODULES = {
     p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
     for p in sorted(Path(dstgraph.__file__).parent.glob("*.py"))
@@ -65,6 +68,7 @@ def test_text_stages_leave_numpy_unimported():
     script = """
 import sys
 import dstgraph.backends, dstgraph.datasets, dstgraph.dialogue, dstgraph.parsing, dstgraph.prompts
+import dstgraph.metrics, dstgraph.tracking
 assert "numpy" not in sys.modules, "numpy was imported"
 """
     proc = subprocess.run(
@@ -75,6 +79,48 @@ assert "numpy" not in sys.modules, "numpy was imported"
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def imports_the_cli(tree) -> bool:
+    """Whether ``tree`` imports ``dstgraph.cli``, by its full name or, in
+    the package, as a sibling module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["dstgraph" * bool(node.level), node.module]))
+            names = [module, *(f"{module}.{a.name}" for a in node.names)]
+        else:
+            continue
+        if any(n == "dstgraph.cli" or n.startswith("dstgraph.cli.") for n in names):
+            return True
+    return False
+
+
+def test_library_callers_do_not_import_the_cli():
+    # the turn pipeline is library code: tracking, the demos and the tools
+    # reach it without the command line's settings
+    scripts = {
+        str(p.relative_to(REPO)): ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for folder in ("demos", "tools")
+        for p in sorted((REPO / folder).glob("*.py"))
+    }
+    assert scripts, "no demo or tool found"
+    trees = {"tracking.py": MODULES["tracking"], **scripts}
+    assert [name for name, tree in trees.items() if imports_the_cli(tree)] == []
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("from dstgraph.cli import RunConfig\n", True),
+    ("from dstgraph import cli\n", True),
+    ("import dstgraph.cli\n", True),
+    ("from . import cli\n", True),
+    ("from .cli import make_backend\n", True),
+    ("from dstgraph import tracking\n", False),
+    ("from dstgraph.client import x\n", False),
+])
+def test_the_cli_import_check_sees_every_spelling(source, flagged):
+    assert imports_the_cli(ast.parse(source)) is flagged
 
 
 def function_nodes(tree, name: str) -> set[int]:

@@ -3,6 +3,7 @@ import pytest
 from dstgraph.prompts import (
     ANTI_HALLUCINATION,
     COT_FRAME,
+    DEFAULT_INSTRUCTION,
     SELF_DISCOVER_PREAMBLE,
     STEP_SENTENCE,
     TOT_PREAMBLE,
@@ -10,7 +11,6 @@ from dstgraph.prompts import (
     PromptSpec,
     PromptStrategy,
     build_prompt,
-    default_instruction,
     load_exemplars,
     load_template_overrides,
 )
@@ -109,7 +109,7 @@ def test_empty_instruction_or_input_rejected():
 
 
 def test_default_instruction_is_vocabulary_free():
-    text = default_instruction().casefold()
+    text = DEFAULT_INSTRUCTION.casefold()
     for token in ("hotel", "restaurant", "attraction", "pricerange", "multiwoz"):
         assert token not in text
 

@@ -21,10 +21,9 @@ from dstgraph.datasets import (
     fixture_corpus_path,
     fixture_keywords_path,
     read_predictions,
-    write_predictions,
 )
 
-from conftest import FakeResponse, child_env, completion_payload
+from conftest import FakeResponse, child_env, completion_payload, write_predictions
 
 _WORDS = ["thai", "cheap", "centre", "north", "hotel", "museum", "taxi", "east"]
 

@@ -12,7 +12,6 @@ from dstgraph import vgae
 from dstgraph.datasets import fixture_corpus_path, load_corpus
 from dstgraph.graph import NodeKind, build_graph, planted_graph, split_edges
 from dstgraph.linkpred import CandidateRanker, evaluate_split, mean_embeddings
-from dstgraph.metrics import auc, average_precision
 from dstgraph.vgae import (
     EpochRecord,
     TrainConfig,
@@ -22,6 +21,8 @@ from dstgraph.vgae import (
     _bce,
     _sigmoid,
     _Workspace,
+    auc,
+    average_precision,
     edge_probabilities,
     encode,
     glorot_init,
@@ -149,13 +150,12 @@ def test_propagation_and_auc_leave_numpy_ma_unimported():
     script = """
 import sys
 import numpy as np
-from dstgraph import metrics
-from dstgraph.vgae import Propagation
+from dstgraph.vgae import Propagation, auc
 for n in (4, 400):  # one dense block, then the segmented sum
     path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     prop = Propagation(n, np.concatenate([path, path[:, ::-1]]))
     prop @ np.ones((n, 2))
-metrics.auc([0.1, 0.4, 0.4, 0.9], [False, True, False, True])
+auc([0.1, 0.4, 0.4, 0.9], [False, True, False, True])
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 """
     proc = subprocess.run(

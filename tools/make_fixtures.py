@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 from dstgraph.backends import ReplayBackend, RuleMockBackend, prompt_hash
-from dstgraph.cli import RunConfig, extract_records
 from dstgraph.datasets import (
     AnnotatedDialogue,
     load_corpus,
@@ -30,6 +29,7 @@ from dstgraph.datasets import (
     write_json_lines,
 )
 from dstgraph.dialogue import DialogueState, Speaker, StateTriple, Turn
+from dstgraph.tracking import TurnTracker, extract_records
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "dstgraph" / "fixtures"
 
@@ -422,7 +422,7 @@ def extract(dialogues, backend) -> list[dict]:
     """The records `extract` writes for ``dialogues``: dialogue_id order."""
     records: list[dict] = []
     ordered = sorted(dialogues, key=lambda d: d.dialogue_id)
-    failure = extract_records(ordered, backend, RunConfig(), records.append)
+    failure = extract_records(ordered, TurnTracker(backend), records.append)
     if failure is not None:
         raise failure
     return records

@@ -3,12 +3,13 @@
 Runs extract -> evaluate -> graph -> train -> predict on the bundled
 fixture corpus with the keyword-mock backend and seed 42, from a
 scratch directory using relative paths so no absolute path leaks into
-the outputs.  The results are deterministic; the end-to-end test
-asserts byte equality against these files.
+the outputs, then records the stdout of the pinned demos.  The results
+are deterministic; the end-to-end test and the demo test assert byte
+equality against these files.
 
-The commands, the output names and the runner are imported from that
-test (tests/test_acceptance.py), so the goldens are always written by
-the pipeline it checks.  Its CLI subprocesses import the same dstgraph
+The commands, the output names and the runner are imported from those
+tests (tests/test_acceptance.py, tests/test_demos.py), so the goldens
+are always written by the code they check.  Its CLI subprocesses import the same dstgraph
 as this script, so a relative PYTHONPATH still works from the scratch
 directory.
 
@@ -23,9 +24,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 GOLDENS = REPO / "tests" / "goldens"
 
-# the acceptance gate and the conftest it imports are top-level modules of tests/
+# the tests and the conftest they import are top-level modules of tests/
 sys.path.insert(0, str(REPO / "tests"))
 from test_acceptance import OUTPUTS, run_pipeline
+from test_demos import PINNED, demo_stdout
 
 
 def main() -> int:
@@ -35,7 +37,9 @@ def main() -> int:
         run_pipeline(workdir)
         for name in OUTPUTS:
             shutil.copy(workdir / name, GOLDENS / name)
-    print(f"regenerated {len(OUTPUTS)} goldens in {GOLDENS}")
+        for demo, name in PINNED.items():
+            (GOLDENS / name).write_bytes(demo_stdout(demo, workdir))
+    print(f"regenerated {len(OUTPUTS) + len(PINNED)} goldens in {GOLDENS}")
     return 0
 
 
