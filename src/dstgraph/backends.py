@@ -1,14 +1,20 @@
 """Completion backends: a chat-completions HTTP client plus two
 deterministic offline stand-ins (replay fixtures and a keyword-rule mock).
 
+The HTTP client posts through the standard library alone; its modules are
+imported on the first request, so the offline backends never load them.
+
 Replay and RuleMock make the whole pipeline runnable with no network and
 bit-identical across process restarts, which the golden-file tests rely on.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import json as jsonlib
+import math
 import os
 import re
 import threading
@@ -16,6 +22,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
+from urllib.parse import unquote, urlsplit
 
 from .datasets import read_json_lines, read_json_object
 from .dialogue import DialogueState, normalize_text, normalize_uncached, state_triple
@@ -49,12 +56,14 @@ class GenerationParams:
     retries: int = 2
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        # a nan or an infinity would fail only inside a request: the body's
+        # JSON cannot hold one, and a socket cannot wait that long
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError("temperature must be finite and >= 0")
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be finite and positive")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
 
@@ -67,6 +76,146 @@ def prompt_hash(prompt: str) -> str:
 TOKEN_ENV_VAR = "DSTGRAPH_API_TOKEN"
 
 
+@dataclass(frozen=True)
+class HttpReply:
+    """A finished HTTP exchange: the status and the whole body."""
+
+    status_code: int
+    content: bytes
+
+    def json(self):
+        return jsonlib.loads(self.content)
+
+
+@functools.cache
+def _tls_context():
+    """The one TLS context every https connection verifies with: the
+    system CA store, or the ``SSL_CERT_FILE`` bundle."""
+    import ssl
+
+    return ssl.create_default_context()
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How one origin is reached: the connection, whether the request
+    line carries the absolute URL (an http URL through a proxy), and the
+    headers the proxy needs on every request."""
+
+    conn: object  # http.client.HTTPConnection
+    absolute_form: bool
+    headers: dict[str, str]
+
+
+def _proxy_auth(proxy) -> dict[str, str]:
+    """The ``Proxy-Authorization`` header of the credentials in a proxy URL."""
+    import base64
+
+    if proxy.username is None:
+        return {}
+    creds = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(creds.encode()).decode()}
+
+
+def _open_route(scheme: str, host: str, port: int, netloc: str) -> _Route:
+    """A route to an origin, through the proxy that ``HTTP_PROXY`` or
+    ``HTTPS_PROXY`` names for its scheme unless ``NO_PROXY`` bypasses it."""
+    import http.client
+    import urllib.request
+
+    connection = (
+        http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+    )
+    tls = {"context": _tls_context()} if scheme == "https" else {}
+    proxy_url = urllib.request.getproxies().get(scheme)
+    if not proxy_url or urllib.request.proxy_bypass(netloc):
+        return _Route(connection(host, port, **tls), False, {})
+    proxy = urlsplit(proxy_url if "://" in proxy_url else "http://" + proxy_url)
+    if proxy.scheme != "http" or not proxy.hostname:
+        raise ValueError(f"{scheme} proxy must be an http:// URL, got {proxy.scheme}://")
+    if scheme == "https":  # a CONNECT tunnel, then TLS to the origin
+        conn = connection(proxy.hostname, proxy.port or 80, **tls)
+        conn.set_tunnel(host, port, headers=_proxy_auth(proxy))
+        return _Route(conn, False, {})
+    return _Route(connection(proxy.hostname, proxy.port or 80), True, _proxy_auth(proxy))
+
+
+def _exchange(conn, target: str, body: bytes, headers: dict) -> HttpReply | None:
+    """One POST on ``conn``, or ``None`` when ``conn`` was reused and the
+    server had already closed it: the request could not be sent, or the
+    reply ended before its first byte."""
+    import http.client
+
+    reused = conn.sock is not None
+    try:
+        conn.request("POST", target, body, headers)
+    except OSError:
+        if reused:
+            return None
+        raise
+    try:
+        resp = conn.getresponse()
+    except http.client.RemoteDisconnected:
+        if reused:
+            return None
+        raise
+    with resp:
+        return HttpReply(resp.status, resp.read())
+
+
+class KeepAliveClient:
+    """One thread's HTTP transport: a keep-alive ``http.client``
+    connection per origin.  ``post`` sends ``json`` as a UTF-8 JSON body
+    and returns the whole reply.
+
+    A reused connection that the server has closed is reopened once; every
+    other socket fault or HTTP protocol error is raised as ``OSError``.
+    Not thread-safe: each thread keeps its own client.
+    """
+
+    def __init__(self):
+        self._routes: dict[tuple[str, str, int], _Route] = {}
+
+    def post(self, url: str, json=None, headers=None, timeout=None) -> HttpReply:
+        import http.client
+
+        parts = urlsplit(url)
+        port = parts.port or (443 if parts.scheme == "https" else 80)
+        netloc = parts.netloc.rpartition("@")[2]
+        origin = (parts.scheme, parts.hostname, port)
+        route = self._routes.get(origin)
+        if route is None:
+            route = self._routes[origin] = _open_route(*origin, netloc)
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
+        if route.absolute_form:
+            target = f"{parts.scheme}://{netloc}{target}"
+        body = jsonlib.dumps(json, allow_nan=False).encode("utf-8")
+        headers = {**route.headers, **(headers or {})}
+        conn = route.conn
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        try:
+            reply = _exchange(conn, target, body, headers)
+            if reply is None:  # reopened at once: no backoff sleep is due
+                conn.close()
+                reply = _exchange(conn, target, body, headers)
+        except http.client.HTTPException as exc:
+            conn.close()
+            raise OSError(f"bad HTTP reply from {netloc}: {exc!r}") from exc
+        except OSError:
+            conn.close()
+            raise
+        return reply
+
+    def close(self) -> None:
+        """Close every connection; a later ``post`` reconnects."""
+        for route in self._routes.values():
+            route.conn.close()
+
+
 class HttpBackend:
     """Client for a chat-completions wire-protocol endpoint.
 
@@ -75,8 +224,9 @@ class HttpBackend:
     exponential backoff up to ``params.retries`` extra attempts.
 
     One backend may serve several threads: each thread posts through its
-    own ``requests.Session``, unless a ``session`` is injected, which
-    every thread then shares.
+    own `KeepAliveClient`, unless a ``session`` is injected, which every
+    thread then shares.  ``close`` closes every connection those clients
+    opened.
     """
 
     def __init__(
@@ -87,20 +237,34 @@ class HttpBackend:
     ):
         if not base_url:
             raise ValueError("base_url must be non-empty")
+        parts = urlsplit(base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL, got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self._sleep = sleep
         self._session = session
         self._local = threading.local()
+        # every thread's client, since a thread-local cannot be listed
+        self._clients: list[KeepAliveClient] = []
+        self._clients_lock = threading.Lock()
 
     def _thread_session(self):
         if self._session is not None:
             return self._session
         session = getattr(self._local, "session", None)
         if session is None:
-            import requests
-
-            session = self._local.session = requests.Session()
+            session = self._local.session = KeepAliveClient()
+            with self._clients_lock:
+                self._clients.append(session)
         return session
+
+    def close(self) -> None:
+        """Close every connection this backend's threads opened.  Call it
+        with no request in flight; a later request reconnects."""
+        with self._clients_lock:
+            clients = list(self._clients)
+        for client in clients:
+            client.close()
 
     def complete(self, prompt: str, params: GenerationParams) -> str:
         if not prompt:

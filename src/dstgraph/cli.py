@@ -169,6 +169,14 @@ def make_backend(cfg: RunConfig):
     raise UsageError(f"unknown backend: {cfg.backend}")
 
 
+def _closing(backend):
+    """A context that closes an http backend's connections as it exits;
+    the offline backends hold none."""
+    if isinstance(backend, HttpBackend):
+        return contextlib.closing(backend)
+    return contextlib.nullcontext()
+
+
 def make_tracker(cfg: RunConfig) -> TurnTracker:
     """The `tracking.TurnTracker` of ``cfg``'s backend, generation and prompt settings."""
     backend = make_backend(cfg)
@@ -202,9 +210,11 @@ def cmd_extract(cfg: RunConfig, echoed: list[str]) -> int:
         dialogues = corpus.dialogues()
         # a corpus with no dialogue fails here, before the backend is made
         first = next(dialogues)
-        failure = extract_records(
-            itertools.chain([first], dialogues), make_tracker(cfg), spool.write
-        )
+        tracker = make_tracker(cfg)
+        with _closing(tracker.backend):
+            failure = extract_records(
+                itertools.chain([first], dialogues), tracker, spool.write
+            )
         for _ in dialogues:  # the dialogues left after a failure still count
             pass
         meta = _meta(cfg, echoed, corpus_skipped=corpus.skipped)
@@ -441,32 +451,33 @@ def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
     tracker = make_tracker(cfg)
     ranker = _load_model(cfg) if cfg.checkpoint else None
 
-    ctx = DialogueContext()
-    state = DialogueState()
-    print("enter user utterances, one per line (ctrl-d to quit)")
-    for line in sys.stdin:
-        text = line.strip()
-        if not text:
-            continue
-        ctx = append_turn(ctx, Turn(speaker=Speaker.USER, text=text))
-        try:
-            outcome = tracker.track(ctx)
-        except BackendError as exc:
-            print(f"! backend error: {exc}")
-            continue
-        state = accumulate_state(state, outcome.state.unordered())
-        for d in outcome.diagnostics:
-            print(f"! {d.kind.value}: {d.detail}")
-        for t in state.triples():
-            print(f"({t.domain}, {t.slot}, {t.value})")
-        if ranker is not None:
-            domains = dialogue_domains(ranker.graph, [state])
-            if domains:
-                for rec in ranker.rank(domains):
-                    print(
-                        f"next: ({rec['domain_label']}, {rec['slotvalue_label']}) "
-                        f"p={rec['probability']:.4f}"
-                    )
+    with _closing(tracker.backend):
+        ctx = DialogueContext()
+        state = DialogueState()
+        print("enter user utterances, one per line (ctrl-d to quit)")
+        for line in sys.stdin:
+            text = line.strip()
+            if not text:
+                continue
+            ctx = append_turn(ctx, Turn(speaker=Speaker.USER, text=text))
+            try:
+                outcome = tracker.track(ctx)
+            except BackendError as exc:
+                print(f"! backend error: {exc}")
+                continue
+            state = accumulate_state(state, outcome.state.unordered())
+            for d in outcome.diagnostics:
+                print(f"! {d.kind.value}: {d.detail}")
+            for t in state.triples():
+                print(f"({t.domain}, {t.slot}, {t.value})")
+            if ranker is not None:
+                domains = dialogue_domains(ranker.graph, [state])
+                if domains:
+                    for rec in ranker.rank(domains):
+                        print(
+                            f"next: ({rec['domain_label']}, {rec['slotvalue_label']}) "
+                            f"p={rec['probability']:.4f}"
+                        )
     return 0
 
 

@@ -349,12 +349,22 @@ def atomic_writer(path: str | Path):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as f:
+        f = open(tmp, "x", encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise _missing_directory(path, exc) from None
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _missing_directory(path: Path, exc: FileNotFoundError) -> FileNotFoundError:
+    """The error of a temp file that could not be made beside ``path``,
+    naming the directory it needed rather than the temp file."""
+    return FileNotFoundError(exc.errno, exc.strerror, str(path.parent))
 
 
 def _json_line(rec: dict) -> str:
@@ -406,9 +416,12 @@ class PredictionsSpool:
 
     def write(self, rec: dict) -> None:
         if self._file is None:
-            self._file = tempfile.TemporaryFile(
-                "w+", encoding="utf-8", newline="", dir=self.path.parent
-            )
+            try:
+                self._file = tempfile.TemporaryFile(
+                    "w+", encoding="utf-8", newline="", dir=self.path.parent
+                )
+            except FileNotFoundError as exc:
+                raise _missing_directory(self.path, exc) from None
         self._file.write(_json_line(rec))
         self.count += 1
 

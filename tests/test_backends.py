@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from dstgraph import backends
 from dstgraph.backends import (
     GenerationParams,
     HttpBackend,
@@ -65,6 +66,10 @@ def test_generation_params_defaults_and_validation():
         dict(max_tokens=0),
         dict(timeout=0),
         dict(retries=-1),
+        dict(temperature=float("nan")),
+        dict(temperature=float("inf")),
+        dict(timeout=float("nan")),
+        dict(timeout=float("inf")),
     ):
         with pytest.raises(ValueError):
             GenerationParams(**bad)
@@ -165,20 +170,22 @@ def test_http_malformed_payloads(monkeypatch):
 
 
 def test_http_threads_post_through_their_own_sessions(monkeypatch):
-    import requests
-
     made = []
 
     class RecordingSession:
         def __init__(self):
             self.threads = set()
+            self.closed = 0
             made.append(self)
 
         def post(self, url, json=None, headers=None, timeout=None):
             self.threads.add(threading.get_ident())
             return FakeResponse(200, completion_payload("ok"))
 
-    monkeypatch.setattr(requests, "Session", RecordingSession)
+        def close(self):
+            self.closed += 1
+
+    monkeypatch.setattr(backends, "KeepAliveClient", RecordingSession)
     backend = HttpBackend("https://api.example.test/v1")
     both_running = threading.Barrier(2)
 
@@ -196,6 +203,9 @@ def test_http_threads_post_through_their_own_sessions(monkeypatch):
     assert len(made) == 2  # one session per thread, reused across its calls
     assert {len(s.threads) for s in made} == {1}
     assert made[0].threads != made[1].threads
+    # the threads are gone, and close still reaches both of their clients
+    backend.close()
+    assert [s.closed for s in made] == [1, 1]
 
 
 def test_http_rejects_empty_arguments():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dstgraph import __version__, cli, linkpred, tracking, vgae
+from dstgraph import __version__, backends, cli, linkpred, tracking, vgae
 from dstgraph.backends import (
     GenerationParams,
     RuleMockBackend,
@@ -462,13 +462,14 @@ class CorpusEndpoint:
         completion = self._mock.complete(prompt, GenerationParams())
         return FakeResponse(200, completion_payload(completion))
 
+    def close(self):
+        """The backend closes each thread's client as the run ends."""
+
 
 def http_extract(tmp_path, monkeypatch, endpoint):
-    """Run `extract --backend http` with every thread's session bound to
+    """Run `extract --backend http` with every thread's client bound to
     ``endpoint``; returns (exit code, output bytes)."""
-    import requests
-
-    monkeypatch.setattr(requests, "Session", lambda: endpoint)
+    monkeypatch.setattr(backends, "KeepAliveClient", lambda: endpoint)
     out = tmp_path / "pred.jsonl"
     code = cli.main(
         ["extract", "--corpus", str(fixture_corpus_path()), "--backend", "http",
@@ -949,6 +950,20 @@ _PREDICT_ARGV = ["predict", "--graph-prefix", "g", "--checkpoint", "model.json",
 _EVALUATE_ARGV = ["evaluate", "--predictions", "pred.jsonl",
                   "--corpus", str(fixture_corpus_path()), "--out", "r.json"]
 _EXTRACT_ARGV = ["extract", "--corpus", str(fixture_corpus_path()), "--out", "x.jsonl"]
+
+
+@pytest.mark.parametrize("argv", [_PREDICT_ARGV, _EXTRACT_ARGV, _EVALUATE_ARGV],
+                         ids=["predict", "extract", "evaluate"])
+def test_an_output_directory_that_does_not_exist_is_named(
+    argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert cli.main([*argv[:-1], "nodir/" + argv[-1]]) == 1
+    # the directory, not a temp file made in it
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'nodir'\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # the first golden prediction record is line 2 of pred.jsonl, after the meta line

@@ -3,21 +3,28 @@ those imports form no cycle, so the layers stack one way (graph, then
 vgae, then linkpred).  The package root imports nothing, so the text
 stages, the tracking metrics and the turn pipeline load no numpy; that
 pipeline, like the demos and tools, imports no part of the command
-line.  Every file the package writes goes through
+line.  The http backend posts through the standard library alone.  Every
+file the package writes goes through
 ``datasets.atomic_writer``, and the only other file it opens is opened
 read-only by ``datasets._read_only``."""
 
 import ast
 import graphlib
+import json
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 import dstgraph
+from dstgraph import cli
+from dstgraph.backends import GenerationParams, RuleMockBackend
+from dstgraph.datasets import fixture_corpus_path, fixture_keywords_path
 
-from conftest import child_env
+from conftest import child_env, completion_payload
 
 REPO = Path(__file__).resolve().parent.parent
 MODULES = {
@@ -79,6 +86,80 @@ assert "numpy" not in sys.modules, "numpy was imported"
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+class RuleMockEndpoint(BaseHTTPRequestHandler):
+    """Answers each chat-completions POST with the bundled keyword mock's
+    completion of its prompt."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5
+    mock = None
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        completion = self.mock.complete(body["messages"][-1]["content"], GenerationParams())
+        reply = json.dumps(completion_payload(completion)).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+
+# the third-party HTTP stack the package once needed, with its dependencies
+HTTP_STACK = ("requests", "urllib3", "charset_normalizer", "idna", "certifi")
+
+HTTP_EXTRACT = f"""
+import sys
+
+# a site hook may load one of them as the interpreter starts
+at_start = set(sys.modules)
+
+class Unimportable:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("requests", "urllib3"):
+            raise ImportError(f"{{name}} is not installed here")
+
+sys.meta_path.insert(0, Unimportable())
+from dstgraph import cli
+code = cli.main(sys.argv[1:])
+loaded = [name for name in {HTTP_STACK!r} if name in sys.modules.keys() - at_start]
+assert code == 0 and loaded == [], (code, loaded)
+"""
+
+
+def test_http_extract_runs_without_requests(tmp_path, capsys):
+    corpus = str(fixture_corpus_path())
+    reference, out = tmp_path / "rulemock.jsonl", tmp_path / "http.jsonl"
+    assert cli.main(["extract", "--corpus", corpus, "--out", str(reference)]) == 0
+    capsys.readouterr()
+    handler = type("Handler", (RuleMockEndpoint,), {
+        "mock": RuleMockBackend.from_json(fixture_keywords_path())
+    })
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        env = {k: v for k, v in child_env().items() if not k.lower().endswith("_proxy")}
+        proc = subprocess.run(
+            [sys.executable, "-c", HTTP_EXTRACT, "extract", "--corpus", corpus,
+             "--backend", "http", "--endpoint", f"http://127.0.0.1:{server.server_port}/v1",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
+    assert proc.returncode == 0, proc.stderr
+    # the meta line echoes the backend flags; every record is the mock's
+    meta, records = out.read_bytes().split(b"\n", 1)
+    assert json.loads(meta)["config"]["backend"] == "http"
+    assert records == reference.read_bytes().split(b"\n", 1)[1]
+    assert records.count(b"\n") == 41
 
 
 def imports_the_cli(tree) -> bool:

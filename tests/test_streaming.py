@@ -10,7 +10,7 @@ import types
 
 import pytest
 
-from dstgraph import cli
+from dstgraph import backends, cli
 from dstgraph.backends import (
     BackendError,
     GenerationParams,
@@ -107,12 +107,13 @@ class PromptEndpoint:
             return FakeResponse(404)
         return FakeResponse(200, completion_payload(self._mock.complete(prompt, GenerationParams())))
 
+    def close(self):
+        """The backend closes each thread's client as the run ends."""
+
 
 def http_extract_bytes(corpus, out, monkeypatch, endpoint, pooled: bool) -> tuple[int, bytes]:
-    import requests
-
     with monkeypatch.context() as m:
-        m.setattr(requests, "Session", lambda: endpoint)
+        m.setattr(backends, "KeepAliveClient", lambda: endpoint)
         if not pooled:
             # wrapped so that extract_records does not see an HttpBackend
             make = cli.make_backend
