@@ -69,7 +69,7 @@ from .prompts import (
     load_template_overrides,
 )
 from .tracking import TurnTracker, extract_records
-from .vgae import TrainConfig, load_checkpoint, save_checkpoint, train
+from .vgae import TrainConfig, TrainingDiverged, load_checkpoint, save_checkpoint, train
 
 
 class UsageError(ValueError):
@@ -387,7 +387,13 @@ def cmd_train(cfg: RunConfig, echoed: list[str]) -> int:
         )
     shared = TrainConfig.__dataclass_fields__.keys() & _FIELDS.keys()
     tc = TrainConfig(**{name: getattr(cfg, name) for name in shared})
-    params, history = train(g, split, tc)
+    try:
+        params, history = train(g, split, tc)
+    except TrainingDiverged as exc:  # a setting's fault, not the program's
+        raise UsageError(
+            f"training diverged: {exc} with --learning-rate {tc.learning_rate}; "
+            "try a smaller --learning-rate"
+        ) from None
     save_checkpoint(cfg.checkpoint, params, tc)
     result = evaluate_split(params, g, split)
     metrics = {

@@ -17,7 +17,13 @@ from exp(-|S|), with the positive terms gathered at the training edges and
 no dense 0/1 target.  Every row block is scored in one workspace of four
 float and two boolean block arrays, made once per `train` or
 `gradient_check` call and freed when it returns, so training allocates no
-fresh block arrays per block or epoch.
+fresh block arrays per block or epoch.  Beyond it, training holds the
+weights, Adam's two moments and the n x d activations still needed: the
+backward pass keeps the first layer's ReLU mask, not its pre-activation,
+and it and the Adam step work in place, each in the operation order of
+the expressions they replaced, so no bit depends on where a result is
+stored.  `save_checkpoint` turns the weights into JSON text a block of
+rows at a time.
 
 Both kinds of block are sized from one byte budget, `_BLOCK_BYTES`.  A
 graph whose n x n arrays fit in one block runs the dense expressions
@@ -246,9 +252,11 @@ class Propagation:
 def _forward(
     prop: Propagation, params: VgaeParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Encoder pass; returns (m, Âh, mu, logvar), all the backward pass needs.
+    """Encoder pass; returns (m > 0, Âh, mu, logvar), all the backward pass
+    needs: the first layer's ReLU mask, not its pre-activation m.
 
-    Features are one-hot, so the first layer Â X W_s is Â W_s.
+    Features are one-hot, so the first layer Â X W_s is Â W_s; h = relu(m)
+    overwrites m.
     """
     n = params.n_features
     if prop.n_nodes != n:
@@ -256,8 +264,10 @@ def _forward(
             f"propagation over {prop.n_nodes} nodes does not match params for {n} nodes"
         )
     m = prop @ params.w_shared
-    ah = prop @ np.maximum(m, 0.0)
-    return m, ah, ah @ params.w_mu, ah @ params.w_logvar
+    active = m > 0.0
+    ah = prop @ np.maximum(m, 0.0, out=m)
+    del m
+    return active, ah, ah @ params.w_mu, ah @ params.w_logvar
 
 
 def encode(prop: Propagation, params: VgaeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -447,12 +457,14 @@ def _bce_grad_z(
     up to the last bits.
 
     Every block is scored in ``work``, a workspace of ``block_rows`` * n
-    entries.
+    entries, and each product that rows j: gain is formed in one n x d
+    buffer made per call.
     """
     n = z.shape[0]
     rows, cols = pos_index
     bounds = np.searchsorted(rows, np.arange(0, n + block_rows, block_rows))
     g_z = np.empty_like(z)
+    below = np.empty_like(z)
     total = 0.0
     # bottom-up, so each row block of g_z is assigned before the rectangles
     # of the blocks above it add to it
@@ -473,7 +485,9 @@ def _bce_grad_z(
             t_rect, g = _bce(s, (r[rect], c[rect] - j), pos_weight, n * n, work)
             t_sum += 2.0 * t_rect
             g_zb += 2.0 * (g @ z[j:])
-            g_z[j:] += 2.0 * (g.T @ zb)
+            g_below = np.matmul(g.T, zb, out=below[: n - j])
+            g_below *= 2.0
+            g_z[j:] += g_below
         g_z[i:j] = g_zb
         total += t_sum
     return float(total / (n * n)), g_z
@@ -497,6 +511,11 @@ def loss_and_grads(
     held outside a row block of ``prop.block_rows`` rows: the blocks are
     scored in ``work``, a `_Workspace` of ``prop.block_rows`` *
     ``prop.n_nodes`` entries.  Returns (bce, kl, grads by weight name).
+
+    Each n x d array is dropped after its last use, and each gradient is
+    accumulated in an array whose value is spent, in the operation order of
+    the expressions in the comments, so the bits do not depend on where a
+    result is stored.
     """
     n = prop.n_nodes
     off_diagonal = prop.rows != prop.cols
@@ -504,23 +523,48 @@ def loss_and_grads(
     n_pos = len(pos_index[0])
     pos_weight = (n * n - n_pos) / n_pos
 
-    m, ah, mu, logvar = _forward(prop, params)
-    std = np.exp(logvar / 2.0)
-    z = mu + std * noise
+    active, ah, mu, logvar = _forward(prop, params)
+    # std = exp(logvar / 2); z = mu + std * noise
+    std = np.divide(logvar, 2.0)
+    np.exp(std, out=std)
+    z = std * noise
+    z += mu
 
     bce, g_z = _bce_grad_z(z, pos_index, pos_weight, prop.block_rows, work)
+    del z
     kl = kl_divergence(mu, logvar)
 
-    g_mu = g_z + kl_weight * mu / n
-    g_logvar = g_z * noise * 0.5 * std + kl_weight * 0.5 / n * (np.exp(logvar) - 1.0)
+    # g_logvar = g_z * noise * 0.5 * std + kl_weight * 0.5 / n * (exp(logvar) - 1)
+    g_logvar = g_z * noise
+    g_logvar *= 0.5
+    g_logvar *= std
+    prior = np.exp(logvar, out=std)
+    del std, logvar
+    prior -= 1.0
+    prior *= kl_weight * 0.5 / n
+    g_logvar += prior
+    del prior
+    # g_mu = g_z + kl_weight * mu / n
+    mu *= kl_weight
+    mu /= n
+    g_mu = g_z
+    g_mu += mu
+    del g_z, mu
 
     g_w_mu = ah.T @ g_mu
     g_w_logvar = ah.T @ g_logvar
-    g_h = prop @ (g_mu @ params.w_mu.T + g_logvar @ params.w_logvar.T)
-    g_m = g_h * (m > 0.0)
+    # g_h = Â (g_mu W_mu^T + g_logvar W_lv^T), the sum formed where Âh was
+    g_back = g_mu @ params.w_mu.T
+    del g_mu
+    g_back += np.matmul(g_logvar, params.w_logvar.T, out=ah)
+    del g_logvar, ah
+    g_h = prop @ g_back
+    del g_back
+    g_h *= active  # g_m
+    del active
     # Â is exactly symmetric (both orientations carry one weight), so
     # Â^T g_m is Â g_m
-    g_w_shared = prop @ g_m
+    g_w_shared = prop @ g_h
 
     grads = {"w_shared": g_w_shared, "w_mu": g_w_mu, "w_logvar": g_w_logvar}
     return bce, kl, grads
@@ -553,38 +597,65 @@ def train(
     weights = asdict(params)  # copies of the weights, by name
     adam_m = {k: np.zeros_like(v) for k, v in weights.items()}
     adam_v = {k: np.zeros_like(v) for k, v in weights.items()}
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
 
     history: TrainHistory = []
-    for epoch in range(1, config.epochs + 1):
-        params = VgaeParams(**weights)
-        noise = rng.standard_normal((graph.n_nodes, config.latent_dim))
-        bce, kl, grads = loss_and_grads(params, a_hat, config.kl_weight, noise, work)
-        total = bce + config.kl_weight * kl
+    # a diverging run overflows on its way to the non-finite loss or weights
+    # that raise TrainingDiverged; numpy need not warn about it as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            params = VgaeParams(**weights)
+            noise = rng.standard_normal((graph.n_nodes, config.latent_dim))
+            bce, kl, grads = loss_and_grads(params, a_hat, config.kl_weight, noise, work)
+            total = bce + config.kl_weight * kl
 
-        val_auc = None
-        if len(split.val):
-            mu, _ = encode(full_graph, params)
-            val_auc = auc(*held_out_scores(mu, split.val, split.neg_val))
+            val_auc = None
+            if len(split.val):
+                mu, _ = encode(full_graph, params)
+                val_auc = auc(*held_out_scores(mu, split.val, split.neg_val))
 
-        record = EpochRecord(epoch=epoch, bce=bce, kl=kl, total=total, val_auc=val_auc)
-        history.append(record)
-        if not np.isfinite(total):
-            raise TrainingDiverged(epoch, history)
+            record = EpochRecord(epoch=epoch, bce=bce, kl=kl, total=total, val_auc=val_auc)
+            history.append(record)
+            if not np.isfinite(total):
+                raise TrainingDiverged(epoch, history)
 
-        for name in weights:
-            g = grads[name]
-            adam_m[name] = b1 * adam_m[name] + (1.0 - b1) * g
-            adam_v[name] = b2 * adam_v[name] + (1.0 - b2) * g * g
-            m_hat = adam_m[name] / (1.0 - b1**epoch)
-            v_hat = adam_v[name] / (1.0 - b2**epoch)
-            weights[name] = weights[name] - config.learning_rate * m_hat / (
-                np.sqrt(v_hat) + eps
-            )
-        if any(not np.all(np.isfinite(w)) for w in weights.values()):
-            raise TrainingDiverged(epoch, history)
+            for name in weights:
+                weights[name] = _adam_step(
+                    weights[name], grads.pop(name), adam_m[name], adam_v[name],
+                    config, epoch,
+                )
+            if any(not np.all(np.isfinite(w)) for w in weights.values()):
+                raise TrainingDiverged(epoch, history)
 
     return VgaeParams(**weights), history
+
+
+def _adam_step(
+    w: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, config: TrainConfig, epoch: int
+) -> np.ndarray:
+    """One Adam update of ``w`` by gradient ``g``: updates the moments ``m``
+    and ``v`` in place and returns the new weights in a fresh array, with
+    ``g`` as scratch.  ``w`` itself is not written, since a `VgaeParams`
+    may hold it.  Every step keeps the operation order of
+
+        m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        w - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+    """
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    new = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += new
+    np.multiply(g, 1.0 - b2, out=new)
+    new *= g
+    v *= b2
+    v += new
+    # the denominator in ``new``, the step in ``g``, then the new weights
+    np.divide(v, 1.0 - b2**epoch, out=new)
+    np.sqrt(new, out=new)
+    new += config.adam_epsilon
+    np.divide(m, 1.0 - b1**epoch, out=g)
+    g *= config.learning_rate
+    g /= new
+    return np.subtract(w, g, out=new)
 
 
 def gradient_check(
@@ -643,23 +714,46 @@ def gradient_check(
 
 CHECKPOINT_FORMAT = "vgae-checkpoint"
 CHECKPOINT_VERSION = 1
+# rows of a weight matrix turned into Python floats and text at a time
+_SAVE_ROWS = 64
 
 
 def save_checkpoint(path: str | Path, params: VgaeParams, config: TrainConfig) -> None:
-    """Write a versioned JSON checkpoint: dims, config, weights row-major."""
-    payload = {
+    """Write a versioned JSON checkpoint: dims, config, weights row-major.
+
+    The file is exactly ``json.dumps`` of the whole payload, the header
+    first, then each weight matrix in blocks of `_SAVE_ROWS` rows, so the
+    save holds one block's floats and text, not every weight at once.
+    """
+    header = json.dumps({
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "n_features": params.n_features,
         "hidden_dim": params.hidden_dim,
         "latent_dim": params.latent_dim,
         "config": asdict(config),
-        "w_shared": params.w_shared.tolist(),
-        "w_mu": params.w_mu.tolist(),
-        "w_logvar": params.w_logvar.tolist(),
-    }
+    })
     with atomic_writer(path) as f:
-        f.write(json.dumps(payload))
+        f.write(header[:-1])  # the payload goes on after the header's keys
+        for name in ("w_shared", "w_mu", "w_logvar"):
+            w = getattr(params, name)
+            f.write(f', "{name}": [')
+            for start in range(0, len(w), _SAVE_ROWS):
+                if start:
+                    f.write(", ")
+                # the rows' list text without its brackets
+                f.write(json.dumps(w[start:start + _SAVE_ROWS].tolist())[1:-1])
+            f.write("]")
+        f.write("}")
+
+
+def _holds_bool(rows: list, w: np.ndarray) -> bool:
+    """Whether the JSON matrix ``rows``, inferred by numpy as the numbers
+    ``w``, holds a true or false.  Among numbers numpy reads one as 1 or 0,
+    so only the entries equal to 0 or 1 are looked up."""
+    if w.ndim != 2:
+        return False  # not a matrix, which `VgaeParams` rejects
+    return any(type(rows[i][j]) is bool for i, j in zip(*np.nonzero((w == 0) | (w == 1))))
 
 
 def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:
@@ -682,8 +776,11 @@ def load_checkpoint(path: str | Path) -> tuple[VgaeParams, TrainConfig]:
         except (TypeError, ValueError) as exc:
             # e.g. a ragged row: numpy's "inhomogeneous shape" text
             raise ValueError(f"{path}: weight {key!r}: {exc}") from exc
-        if w.dtype.kind not in "iuf":
-            raise ValueError(f"{path}: weight {key!r}: entries must be numbers, got {w.dtype}")
+        got = None if w.dtype.kind in "iuf" else w.dtype
+        if got is None and _holds_bool(raw[key], w):
+            got = "bool"
+        if got is not None:
+            raise ValueError(f"{path}: weight {key!r}: entries must be numbers, got {got}")
         weights[key] = w.astype(np.float64, copy=False)
     try:
         params = VgaeParams(**weights)

@@ -1561,6 +1561,24 @@ def test_train_rejects_split_without_test_edge_before_training(
     )
 
 
+def test_diverged_train_is_a_usage_error_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    Path("model.json").unlink()
+    argv = ["train", "--graph-prefix", "g", "--checkpoint", "model.json",
+            "--learning-rate", "1e150"]
+    # exit 1, not the internal error's 3, and no numpy overflow warning:
+    # tier-1 turns a warning into an error
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: training diverged: non-finite loss at epoch 2 with "
+        "--learning-rate 1e+150; try a smaller --learning-rate\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "g.edges.txt", "g.nodes.jsonl", "pred.jsonl"
+    ]
+
+
 def test_write_json_keeps_previous_report_on_failure(tmp_path):
     out = tmp_path / "report.json"
     cli._write_json(str(out), {"jga": 0.5})

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 import subprocess
@@ -677,6 +679,42 @@ def test_blocked_pipeline_allocates_no_n_by_n_array():
     assert peak_bytes(lambda: CandidateRanker(mu, g, 5).rank([domain])) < n_by_n
 
 
+def sparse_planted_graph():
+    """8,080 nodes and 462 edges: the n x d arrays and the workspace, not
+    Â, make up what one training epoch holds."""
+    return planted_graph(80, values_per_domain=100, intra_p=0.02, inter_p=0.0005, seed=1)
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_training_epoch_holds_no_per_epoch_temporaries():
+    g = sparse_planted_graph()
+    split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+    peak = traced_peak(lambda: train(g, split, TrainConfig(epochs=1, seed=1)))
+    # the weights, both Adam moments, the 4.25 MiB workspace and the live
+    # activations take about 19.9 MiB; the epoch peaked at 29.5 MiB while
+    # it held every activation, gradient and Adam temporary at once
+    assert peak < 24 * 2**20
+
+
+def test_checkpoint_save_holds_one_block_of_rows(tmp_path):
+    g = sparse_planted_graph()
+    cfg = TrainConfig(seed=1)
+    params = glorot_init(g.n_nodes, cfg, np.random.default_rng(0))
+    path = tmp_path / "model.json"
+    peak = traced_peak(lambda: save_checkpoint(path, params, cfg))
+    # the whole payload as Python floats and one text took 19.6 MiB
+    assert peak < 10**6
+    assert np.array_equal(load_checkpoint(path)[0].w_shared, params.w_shared)
+
+
 def test_block_budget_below_one_row_raises(rng, monkeypatch):
     g, split = small_setup(rng)
     monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * g.n_nodes - 1)
@@ -966,6 +1004,47 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert loaded_cfg == cfg
 
 
+def reference_checkpoint_text(params, config) -> str:
+    """The checkpoint as one ``json.dumps`` of the whole payload."""
+    return json.dumps({
+        "format": vgae.CHECKPOINT_FORMAT,
+        "version": vgae.CHECKPOINT_VERSION,
+        "n_features": params.n_features,
+        "hidden_dim": params.hidden_dim,
+        "latent_dim": params.latent_dim,
+        "config": dataclasses.asdict(config),
+        "w_shared": params.w_shared.tolist(),
+        "w_mu": params.w_mu.tolist(),
+        "w_logvar": params.w_logvar.tolist(),
+    })
+
+
+# the floats whose text json.dumps has to match: a signed zero, the least
+# subnormal, a tiny and the largest normal, a power of ten past 2**53 that
+# prints with an exponent, and one with no exact binary value
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 1e16, 0.1]
+B = vgae._SAVE_ROWS
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+def test_streamed_checkpoint_is_the_json_dumps_of_its_payload(rows, tmp_path):
+    rng = np.random.default_rng(rows)
+
+    def matrix(shape):
+        w = rng.standard_normal(shape).ravel()
+        for k, value in enumerate(SPECIAL_FLOATS[: w.size]):
+            w[k] = value if k % 2 else -value
+        return w.reshape(shape)
+
+    cfg = TrainConfig(seed=3)
+    # ``rows`` rows in the shared layer, then in both heads
+    for shared, head in [((rows, 3), (3, 2)), ((2, rows), (rows, 2))]:
+        params = VgaeParams(w_shared=matrix(shared), w_mu=matrix(head), w_logvar=matrix(head))
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, cfg)
+        assert path.read_bytes() == reference_checkpoint_text(params, cfg).encode()
+
+
 def test_checkpoint_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else", "version": 1}', encoding="utf-8")
@@ -974,8 +1053,6 @@ def test_checkpoint_rejects_foreign_json(tmp_path):
 
 
 def test_checkpoint_locates_malformed_weights(tmp_path, rng):
-    import json
-
     g, split = small_setup(rng)
     cfg = tiny_config(epochs=1)
     params, _ = train(g, split, cfg)
@@ -993,6 +1070,12 @@ def test_checkpoint_locates_malformed_weights(tmp_path, rng):
         ("w_shared", lambda w: w[1].__setitem__(1, None),
          f"weight 'w_shared': {not_numbers}object"),
         ("w_logvar", lambda w: w.__setitem__(slice(None), [[True] * len(r) for r in w]),
+         f"weight 'w_logvar': {not_numbers}bool"),
+        # numpy reads a true or false among numbers as 1.0 or 0.0
+        ("w_mu", lambda w: w[0].__setitem__(0, True), f"weight 'w_mu': {not_numbers}bool"),
+        ("w_shared", lambda w: w.__setitem__(0, [True] * len(w[0])),
+         f"weight 'w_shared': {not_numbers}bool"),
+        ("w_logvar", lambda w: w[-1].__setitem__(-1, False),
          f"weight 'w_logvar': {not_numbers}bool"),
     ]
     for key, damage, message in cases:
@@ -1013,8 +1096,6 @@ def test_checkpoint_rejects_unknown_version(tmp_path, rng):
     params, _ = train(g, split, cfg)
     path = tmp_path / "model.json"
     save_checkpoint(path, params, cfg)
-    import json
-
     raw = json.loads(path.read_text())
     raw["version"] = 99
     path.write_text(json.dumps(raw), encoding="utf-8")
