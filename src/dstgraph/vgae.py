@@ -18,11 +18,11 @@ no dense 0/1 target.  Every row block is scored in one workspace of four
 float and two boolean block arrays, made once per `train` or
 `gradient_check` call and freed when it returns, so training allocates no
 fresh block arrays per block or epoch.  Beyond it, training holds the
-weights, Adam's two moments and the n x d activations still needed: the
-backward pass keeps the first layer's ReLU mask, not its pre-activation,
-and it and the Adam step work in place, each in the operation order of
-the expressions they replaced, so no bit depends on where a result is
-stored.  `save_checkpoint` turns the weights into JSON text a block of
+weights, Adam's two moments and the n x d activations still needed, and
+nothing an epoch makes outlives it: the backward pass keeps the first
+layer's ReLU mask, not its pre-activation, and it and the Adam step work
+in place, each in the operation order of the expressions they replaced,
+so no bit depends on where a result is stored.  `save_checkpoint` turns the weights into JSON text a block of
 rows at a time.
 
 Both kinds of block are sized from one byte budget, `_BLOCK_BYTES`.  A
@@ -252,22 +252,21 @@ class Propagation:
 def _forward(
     prop: Propagation, params: VgaeParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Encoder pass; returns (m > 0, Âh, mu, logvar), all the backward pass
-    needs: the first layer's ReLU mask, not its pre-activation m.
+    """Encoder pass; returns (h, Âh, mu, logvar), all the backward pass
+    needs: h > 0 is the first layer's ReLU mask.
 
     Features are one-hot, so the first layer Â X W_s is Â W_s; h = relu(m)
-    overwrites m.
+    overwrites the pre-activation m.
     """
     n = params.n_features
     if prop.n_nodes != n:
         raise ValueError(
             f"propagation over {prop.n_nodes} nodes does not match params for {n} nodes"
         )
-    m = prop @ params.w_shared
-    active = m > 0.0
-    ah = prop @ np.maximum(m, 0.0, out=m)
-    del m
-    return active, ah, ah @ params.w_mu, ah @ params.w_logvar
+    h = prop @ params.w_shared
+    np.maximum(h, 0.0, out=h)
+    ah = prop @ h
+    return h, ah, ah @ params.w_mu, ah @ params.w_logvar
 
 
 def encode(prop: Propagation, params: VgaeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -457,14 +456,15 @@ def _bce_grad_z(
     up to the last bits.
 
     Every block is scored in ``work``, a workspace of ``block_rows`` * n
-    entries, and each product that rows j: gain is formed in one n x d
-    buffer made per call.
+    entries, and the products that rows j: gain are formed in one buffer
+    of n - ``block_rows`` rows made per call, empty when one block covers
+    all n rows.
     """
     n = z.shape[0]
     rows, cols = pos_index
     bounds = np.searchsorted(rows, np.arange(0, n + block_rows, block_rows))
     g_z = np.empty_like(z)
-    below = np.empty_like(z)
+    below = np.empty((max(n - block_rows, 0), z.shape[1]), dtype=z.dtype)
     total = 0.0
     # bottom-up, so each row block of g_z is assigned before the rectangles
     # of the blocks above it add to it
@@ -523,7 +523,9 @@ def loss_and_grads(
     n_pos = len(pos_index[0])
     pos_weight = (n * n - n_pos) / n_pos
 
-    active, ah, mu, logvar = _forward(prop, params)
+    h, ah, mu, logvar = _forward(prop, params)
+    active = h > 0.0  # relu(m) > 0 exactly where m > 0
+    del h
     # std = exp(logvar / 2); z = mu + std * noise
     std = np.divide(logvar, 2.0)
     np.exp(std, out=std)
@@ -610,8 +612,10 @@ def train(
 
             val_auc = None
             if len(split.val):
-                mu, _ = encode(full_graph, params)
+                # no name keeps the embeddings alive into the next epoch
+                mu = encode(full_graph, params)[0]
                 val_auc = auc(*held_out_scores(mu, split.val, split.neg_val))
+                del mu
 
             record = EpochRecord(epoch=epoch, bce=bce, kl=kl, total=total, val_auc=val_auc)
             history.append(record)

@@ -697,11 +697,16 @@ def traced_peak(run) -> int:
 def test_one_training_epoch_holds_no_per_epoch_temporaries():
     g = sparse_planted_graph()
     split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
-    peak = traced_peak(lambda: train(g, split, TrainConfig(epochs=1, seed=1)))
+    one, two = (
+        traced_peak(lambda: train(g, split, TrainConfig(epochs=epochs, seed=1)))
+        for epochs in (1, 2)
+    )
     # the weights, both Adam moments, the 4.25 MiB workspace and the live
     # activations take about 19.9 MiB; the epoch peaked at 29.5 MiB while
     # it held every activation, gradient and Adam temporary at once
-    assert peak < 24 * 2**20
+    assert one < 24 * 2**20
+    # nothing outlives its epoch: the validation embeddings, 2 MiB, did
+    assert two < one + 2**19
 
 
 def test_checkpoint_save_holds_one_block_of_rows(tmp_path):
