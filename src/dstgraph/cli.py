@@ -41,7 +41,6 @@ from .datasets import (
     atomic_writer,
     fixture_keywords_path,
     iter_predictions,
-    load_corpus,
 )
 from .dialogue import (
     DialogueContext,
@@ -333,21 +332,18 @@ def cmd_evaluate(cfg: RunConfig, echoed: list[str]) -> int:
 
 
 def cmd_graph(cfg: RunConfig, echoed: list[str]) -> int:
+    corpus = None
     if cfg.from_gold:
         if not cfg.corpus:
             raise UsageError("graph --from-gold requires --corpus")
-        result = load_corpus(cfg.corpus, _FORMATS[cfg.corpus_format])
-        states = [
-            s
-            for d in result.dialogues
-            if d.gold_states is not None
-            for s in d.gold_states
-        ]
+        corpus = CorpusReader(cfg.corpus, _FORMATS[cfg.corpus_format])
+        states = (s for d in corpus.dialogues() for s in d.gold_states or ())
     else:
         if not cfg.predictions:
             raise UsageError("graph requires --predictions (or --from-gold)")
         states = (p.state for p in iter_predictions(cfg.predictions))
-    g = build_graph(states)
+    with corpus or contextlib.nullcontext():
+        g = build_graph(states)
     if not len(g.edges):
         raise UsageError("state graph has no edges; nothing to train on")
     write_node_table(g, cfg.out_prefix + ".nodes.jsonl")

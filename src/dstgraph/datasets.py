@@ -4,13 +4,13 @@ Three corpus shapes normalize to AnnotatedDialogue: a plain JSONL schema
 (documented below), classic goal-oriented JSON with per-system-turn belief
 metadata, and schema-guided JSON with per-frame slot_values.  Each shape
 has one parser that turns one record (a JSONL line, an (id, object) entry,
-a list element) into one dialogue, and ``load_corpus`` runs it under one
-skip rule: a dialogue whose record is malformed at any depth, or whose
-id an earlier dialogue has, is counted instead of crashing, because corpus
-files in the wild are messy.  A file of the wrong shape is an error that
-names the file.  ``load_corpus`` reads a whole corpus at once; a
-``CorpusReader`` reads a plain JSONL corpus one dialogue at a time, under
-the same parser and skip rule.
+a list element) into one dialogue.  ``CorpusReader``, the one corpus
+reader, runs it under one skip rule: a record that is malformed at any
+depth, or that follows the first record of its id to parse, is counted
+instead of crashing, because corpus files in the wild are messy.  A file
+of the wrong shape is an error that names the file.  Every format is read
+one dialogue at a time in ``dialogue_id`` order; ``load_corpus`` is the
+list form of that reader.
 
 Plain JSONL schema, one dialogue per line:
     {"dialogue_id": str,
@@ -178,80 +178,78 @@ def _sgd_dialogue(rec: dict) -> AnnotatedDialogue:
     )
 
 
-def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadResult:
-    """Load and normalize a corpus file.  A dialogue whose record is
-    malformed (a missing key, a wrong type, an unknown speaker, a gold
-    list of the wrong length) is skipped and counted, not fatal, and so is
-    a dialogue whose id an earlier one in read order has.  Zero valid
-    dialogues is an error, as is a document of the wrong shape.
+def _dialogue_id(rec) -> str | None:
+    """The dialogue_id of a decoded record, or None if it has none."""
+    try:
+        return str(rec["dialogue_id"])
+    except _MALFORMED:
+        return None
 
-    Without a ``format``, a ``.jsonl`` file is plain JSONL; any other file
-    is parsed once as JSON, and an object is read as the classic format, a
-    list as the schema-guided one.
+
+def _plain_ids(path: Path) -> Iterator[tuple[str | None, int]]:
+    """(dialogue_id or None, byte offset) of each record of a plain JSONL file."""
+    for offset, line in _lines(path):
+        if line.strip():
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                rec = None  # not JSON
+            yield _dialogue_id(rec), offset
+
+
+def _plain_at(file: BinaryIO, offset: int) -> AnnotatedDialogue:
+    """The plain JSONL record at ``offset`` of ``file``."""
+    file.seek(offset)
+    return _plain_dialogue(file.readline().decode("utf-8"))
+
+
+def _json_entries(path: str | Path, format: CorpusFormat | None):
+    """The parser of a classic or schema-guided JSON document, decoded
+    whole, and its (dialogue_id or None, raw entry) pairs in file order.
+    A document of the wrong shape raises ``ValueError`` naming the file.
+
+    Without a ``format``, an object is read as the classic format, a list
+    as the schema-guided one.
     """
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"corpus file not found: {path}")
-    if _is_plain(p, format):
-        parse, records = _plain_dialogue, (line for _, line in _lines(p) if line.strip())
-    else:
-        last = deque(maxlen=1)  # the (key, value) pairs of the object decoded last
-        text = p.read_text(encoding="utf-8")
-        try:
-            raw = json.loads(text, object_pairs_hook=lambda kv: last.append(kv) or dict(kv))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        if format is None and isinstance(raw, dict):
-            format = CorpusFormat.MULTIWOZ_JSON
-        elif format is None and isinstance(raw, list):
-            format = CorpusFormat.SGD_JSON
-        if format is CorpusFormat.MULTIWOZ_JSON:
-            if not isinstance(raw, dict):
-                raise ValueError(
-                    f"{path}: expected a dialogue_id -> dialogue object mapping"
-                )
-            # the outermost object is decoded last: its entries in file order,
-            # a repeated id too, which the stable sort keeps after the first
-            parse, records = _multiwoz_dialogue, sorted(last[0], key=lambda kv: kv[0])
-        elif format is CorpusFormat.SGD_JSON:
-            if not isinstance(raw, list):
-                raise ValueError(f"{path}: expected a list of dialogue objects")
-            parse, records = _sgd_dialogue, raw
-        else:
-            raise ValueError(f"unrecognized corpus shape in {path}")
-    dialogues: dict[str, AnnotatedDialogue] = {}
-    skipped = 0
-    for record in records:
-        try:
-            dialogue = parse(record)
-        except _MALFORMED:
-            skipped += 1
-            continue
-        if dialogues.setdefault(dialogue.dialogue_id, dialogue) is not dialogue:
-            skipped += 1  # a repeated id: the first dialogue read keeps it
-    if not dialogues:
-        raise _no_valid_dialogues(path, skipped)
-    return LoadResult(dialogues=tuple(dialogues.values()), skipped=skipped)
-
-
-def _is_plain(path: Path, format: CorpusFormat | None) -> bool:
-    return format is CorpusFormat.PLAIN_JSONL or (format is None and path.suffix == ".jsonl")
-
-
-def _no_valid_dialogues(path, skipped: int) -> ValueError:
-    return ValueError(f"no valid dialogues in {path} ({skipped} skipped)")
+    last = deque(maxlen=1)  # the (key, value) pairs of the object decoded last
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        raw = json.loads(text, object_pairs_hook=lambda kv: last.append(kv) or dict(kv))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if format is None and isinstance(raw, dict):
+        format = CorpusFormat.MULTIWOZ_JSON
+    elif format is None and isinstance(raw, list):
+        format = CorpusFormat.SGD_JSON
+    if format is CorpusFormat.MULTIWOZ_JSON:
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: expected a dialogue_id -> dialogue object mapping")
+        # the outermost object is decoded last: its entries in file order,
+        # a repeated id too, which the decoded dict keeps only once
+        return _multiwoz_dialogue, [(kv[0], kv) for kv in last[0]]
+    if format is CorpusFormat.SGD_JSON:
+        if not isinstance(raw, list):
+            raise ValueError(f"{path}: expected a list of dialogue objects")
+        return _sgd_dialogue, [(_dialogue_id(rec), rec) for rec in raw]
+    raise ValueError(f"unrecognized corpus shape in {path}")
 
 
 class CorpusReader:
-    """A corpus read one dialogue at a time, in ``dialogue_id`` order.
+    """A corpus read one dialogue at a time, in ``dialogue_id`` order: the
+    one reader of every corpus format, under the one skip rule.
 
-    A plain JSONL file is indexed in one pass that keeps only each
-    record's ``dialogue_id`` and byte offset; a dialogue is parsed when it
-    is read.  Of the records of one id, the first in read order that
-    parses wins and every other one is skipped, as in ``load_corpus``;
-    the records after the winner are never parsed.  A classic or
-    schema-guided JSON file is one document, read whole by ``load_corpus``.
-    The file stays open until the reader is closed.
+    Opening the reader indexes the file's records by ``dialogue_id``.  A
+    plain JSONL file is indexed in one pass that keeps only each record's
+    id and byte offset, and a dialogue is parsed when it is read; the file
+    stays open until the reader is closed.  Without a ``format``, a
+    ``.jsonl`` file is plain JSONL and any other file one JSON document,
+    decoded whole, whose raw entries the index keeps.
+
+    The skip rule: a malformed record is counted, not fatal.  Of the
+    records of one id, the first in file order that parses wins and every
+    other one is skipped; the records after the winner are never parsed.
+    Zero valid dialogues is an error, as is a file that is missing or a
+    document of the wrong shape.
     """
 
     def __init__(self, path: str | Path, format: CorpusFormat | None = None):
@@ -261,50 +259,44 @@ class CorpusReader:
             raise FileNotFoundError(f"corpus file not found: {path}")
         self._file: BinaryIO | None = None
         self._last: tuple[str | None, AnnotatedDialogue | None] = (None, None)
-        if not _is_plain(p, format):
-            result = load_corpus(p, format)
-            self._whole = {d.dialogue_id: d for d in result.dialogues}
-            self.ids = sorted(self._whole)
-            self._records = result.skipped + len(result.dialogues)
-            return
-        # each id's first offset, and the offsets of its later records
-        first: dict[str, int] = {}
-        later: dict[str, list[int]] = {}
+        plain = format is CorpusFormat.PLAIN_JSONL or (format is None and p.suffix == ".jsonl")
+        if plain:
+            records = _plain_ids(p)
+        else:
+            self._parse, records = _json_entries(path, format)
+        # each id's first record locator (a byte offset or a raw entry),
+        # and the locators of its later records
+        first: dict[str, object] = {}
+        later: dict[str, list] = {}
         self._records = 0
-        for offset, line in _lines(p):
-            if not line.strip():
-                continue
+        for dialogue_id, locator in records:
             self._records += 1
-            try:
-                dialogue_id = str(json.loads(line)["dialogue_id"])
-            except _MALFORMED:
+            if dialogue_id is None:
                 continue  # no read could parse it: skipped
-            if first.setdefault(dialogue_id, offset) != offset:
-                later.setdefault(dialogue_id, []).append(offset)
+            if dialogue_id in first:
+                later.setdefault(dialogue_id, []).append(locator)
+            else:
+                first[dialogue_id] = locator
         self._first, self._later = first, later
         self.ids = sorted(first)
-        self._file = _read_only(p)
+        if plain:
+            self._file = _read_only(p)
+            self._parse = functools.partial(_plain_at, self._file)
 
     def read(self, dialogue_id: str) -> AnnotatedDialogue | None:
         """The dialogue of ``dialogue_id``, or None if no record of that id
         parses.  The last dialogue read is kept, so reading it again is free."""
-        last_id, last = self._last
-        if dialogue_id == last_id:
-            return last
-        if self._file is None:
-            dialogue = self._whole.get(dialogue_id)
-        else:
-            dialogue = self._parse(dialogue_id)
-        self._last = (dialogue_id, dialogue)
-        return dialogue
+        if dialogue_id != self._last[0]:
+            self._last = (dialogue_id, self._first_parsed(dialogue_id))
+        return self._last[1]
 
-    def _parse(self, dialogue_id: str) -> AnnotatedDialogue | None:
-        first = self._first.get(dialogue_id)
-        offsets = () if first is None else (first, *self._later.get(dialogue_id, ()))
-        for offset in offsets:
-            self._file.seek(offset)
+    def _first_parsed(self, dialogue_id: str) -> AnnotatedDialogue | None:
+        """The first record of ``dialogue_id`` that parses, or None."""
+        if dialogue_id not in self._first:
+            return None
+        for locator in (self._first[dialogue_id], *self._later.get(dialogue_id, ())):
             try:
-                return _plain_dialogue(self._file.readline().decode("utf-8"))
+                return self._parse(locator)
             except _MALFORMED:
                 continue
         return None
@@ -324,7 +316,7 @@ class CorpusReader:
 
     def no_valid_dialogues(self) -> ValueError:
         """The error for a corpus none of whose records parses."""
-        return _no_valid_dialogues(self.path, self._records)
+        return ValueError(f"no valid dialogues in {self.path} ({self._records} skipped)")
 
     def close(self) -> None:
         if self._file is not None:
@@ -335,6 +327,13 @@ class CorpusReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def load_corpus(path: str | Path, format: CorpusFormat | None = None) -> LoadResult:
+    """A whole corpus at once: the dialogues a ``CorpusReader`` reads, in
+    ``dialogue_id`` order, and the count of records it skipped."""
+    with CorpusReader(path, format) as reader:
+        return LoadResult(dialogues=tuple(reader.dialogues()), skipped=reader.skipped)
 
 
 @contextlib.contextmanager

@@ -1,5 +1,7 @@
 import itertools
+import json
 import os
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +9,15 @@ import pytest
 from hypothesis import settings
 
 import dstgraph
-from dstgraph.datasets import META_KEY, write_json_lines
-from dstgraph.dialogue import DialogueState, StateTriple
+from dstgraph import datasets
+from dstgraph.datasets import (
+    META_KEY,
+    AnnotatedDialogue,
+    CorpusFormat,
+    LoadResult,
+    write_json_lines,
+)
+from dstgraph.dialogue import DialogueState, Speaker, StateTriple
 from dstgraph.graph import StateGraph, build_graph
 from dstgraph.metrics import TrackingCounts
 
@@ -105,6 +114,75 @@ def write_predictions(path, records, meta: dict | None = None) -> None:
     must write the same bytes."""
     head = [] if meta is None else [{META_KEY: "meta", **meta}]
     write_json_lines(path, itertools.chain(head, records))
+
+
+def reference_load_corpus(path, format: CorpusFormat | None = None) -> LoadResult:
+    """The reference corpus loader: the whole file read at once, each
+    record parsed in file order (a classic document's entries sorted by
+    id), a record that does not parse skipped and counted, and so is a
+    dialogue whose id an earlier one has.  `CorpusReader` must read these
+    dialogues in dialogue_id order, skip as many records and raise the
+    same errors."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"corpus file not found: {path}")
+    if format is CorpusFormat.PLAIN_JSONL or (format is None and p.suffix == ".jsonl"):
+        parse = datasets._plain_dialogue
+        records = (line for _, line in datasets._lines(p) if line.strip())
+    else:
+        last = deque(maxlen=1)  # the (key, value) pairs of the object decoded last
+        text = p.read_text(encoding="utf-8")
+        try:
+            raw = json.loads(text, object_pairs_hook=lambda kv: last.append(kv) or dict(kv))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if format is None and isinstance(raw, dict):
+            format = CorpusFormat.MULTIWOZ_JSON
+        elif format is None and isinstance(raw, list):
+            format = CorpusFormat.SGD_JSON
+        if format is CorpusFormat.MULTIWOZ_JSON:
+            if not isinstance(raw, dict):
+                raise ValueError(f"{path}: expected a dialogue_id -> dialogue object mapping")
+            # the outermost object is decoded last: its entries in file order,
+            # a repeated id too, which the stable sort keeps after the first
+            parse, records = datasets._multiwoz_dialogue, sorted(last[0], key=lambda kv: kv[0])
+        elif format is CorpusFormat.SGD_JSON:
+            if not isinstance(raw, list):
+                raise ValueError(f"{path}: expected a list of dialogue objects")
+            parse, records = datasets._sgd_dialogue, raw
+        else:
+            raise ValueError(f"unrecognized corpus shape in {path}")
+    dialogues = {}
+    skipped = 0
+    for record in records:
+        try:
+            dialogue = parse(record)
+        except datasets._MALFORMED:
+            skipped += 1
+            continue
+        if dialogues.setdefault(dialogue.dialogue_id, dialogue) is not dialogue:
+            skipped += 1  # a repeated id: the first dialogue read keeps it
+    if not dialogues:
+        raise ValueError(f"no valid dialogues in {path} ({skipped} skipped)")
+    return LoadResult(dialogues=tuple(dialogues.values()), skipped=skipped)
+
+
+def sgd_record(d: AnnotatedDialogue) -> dict:
+    """``d`` as a schema-guided record: one frame per domain of each gold state."""
+    gold = iter(d.gold_states)
+    turns = []
+    for turn in d.turns:
+        entry = {"speaker": turn.speaker.value.upper(), "utterance": turn.text}
+        if turn.speaker is Speaker.USER:
+            frames: dict[str, dict] = {}
+            for t in next(gold).triples():
+                frames.setdefault(t.domain, {})[t.slot] = [t.value]
+            entry["frames"] = [
+                {"service": domain, "state": {"slot_values": values}}
+                for domain, values in frames.items()
+            ]
+        turns.append(entry)
+    return {"dialogue_id": d.dialogue_id, "turns": turns}
 
 
 def child_env() -> dict:

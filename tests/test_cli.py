@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import io
 import json
+import random
 import sys
 import threading
 import types
@@ -33,7 +34,7 @@ from dstgraph.dialogue import DialogueContext, Speaker, Turn, append_turn
 from dstgraph.graph import dialogue_domains, load_graph, planted_graph, split_edges
 from dstgraph.vgae import TrainConfig, edge_probabilities, encode, save_checkpoint, train
 
-from conftest import FakeResponse, completion_payload, write_predictions
+from conftest import FakeResponse, completion_payload, sgd_record, write_predictions
 
 
 def parse(argv):
@@ -859,15 +860,27 @@ def test_repl_rejects_checkpoint_of_other_node_count(tmp_path, monkeypatch, caps
 
 
 def test_graph_from_gold(tmp_path, monkeypatch, capsys):
+    # the gold states are read in dialogue_id order: neither the order of
+    # the corpus's records nor its format changes a byte of the graph
     monkeypatch.chdir(tmp_path)
-    code = cli.main(
-        ["graph", "--from-gold", "--corpus", str(fixture_corpus_path()),
-         "--out-prefix", "gold"]
+    lines = fixture_corpus_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    order = random.Random(1).sample(range(len(lines)), len(lines))
+    Path("shuffled.jsonl").write_text("".join(lines[i] for i in order), encoding="utf-8")
+    dialogues = load_corpus(fixture_corpus_path()).dialogues
+    Path("shuffled.json").write_text(
+        json.dumps([sgd_record(dialogues[i]) for i in order]), encoding="utf-8"
     )
-    assert code == 0
+    for prefix, corpus in [("gold", fixture_corpus_path()), ("shuffled", "shuffled.jsonl"),
+                           ("sgd", "shuffled.json")]:
+        argv = ["graph", "--from-gold", "--corpus", str(corpus), "--out-prefix", prefix]
+        assert cli.main(argv) == 0
     manifest = json.loads(Path("gold.manifest.json").read_text())
     assert manifest["config"]["from_gold"] is True
     assert manifest["n_edges"] > 0
+    for suffix in (".nodes.jsonl", ".edges.txt"):
+        golden = Path("gold" + suffix).read_bytes()
+        assert Path("shuffled" + suffix).read_bytes() == golden, suffix
+        assert Path("sgd" + suffix).read_bytes() == golden, suffix
     capsys.readouterr()
 
 

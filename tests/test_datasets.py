@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from dstgraph.datasets import (
     AnnotatedDialogue,
     CorpusFormat,
     CorpusReader,
+    LoadResult,
     PredictionsSpool,
     TurnKeys,
     fixture_corpus_path,
@@ -30,7 +32,7 @@ from dstgraph.dialogue import DialogueState, Speaker, Turn
 from dstgraph.parsing import parse_state
 from dstgraph.prompts import load_exemplars
 
-from conftest import make_state, write_predictions
+from conftest import make_state, reference_load_corpus, sgd_record, write_predictions
 
 
 def plain_record(dialogue_id="d1", gold=True):
@@ -339,6 +341,23 @@ def corpus_text(fmt: CorpusFormat, records: list) -> str:
     return json.dumps(records)
 
 
+def read_streamed(path, fmt=None) -> tuple[list[AnnotatedDialogue], int]:
+    with CorpusReader(path, fmt) as reader:
+        dialogues = list(reader.dialogues())
+        return dialogues, reader.skipped
+
+
+def assert_reads_the_reference(path, fmt=None) -> LoadResult:
+    """``path`` read by ``CorpusReader`` and by ``load_corpus`` is the
+    reference's corpus sorted by id, with as many records skipped."""
+    reference = reference_load_corpus(path, fmt)
+    expected = (sorted(reference.dialogues, key=lambda d: d.dialogue_id), reference.skipped)
+    assert read_streamed(path, fmt) == expected
+    result = load_corpus(path, fmt)
+    assert (list(result.dialogues), result.skipped) == expected
+    return result
+
+
 @pytest.mark.parametrize("fmt", _GOOD_AND_BAD, ids=lambda fmt: fmt.value)
 def test_every_format_skips_and_counts_each_malformed_dialogue(fmt, tmp_path):
     # one skip rule for every format, a list where an object belongs at
@@ -348,9 +367,14 @@ def test_every_format_skips_and_counts_each_malformed_dialogue(fmt, tmp_path):
     alone.write_text(corpus_text(fmt, [good]), encoding="utf-8")
     mixed = tmp_path / "mixed.json"
     mixed.write_text(corpus_text(fmt, [good, *bad]), encoding="utf-8")
-    result = load_corpus(mixed, fmt)
+    result = assert_reads_the_reference(mixed, fmt)
     assert result.dialogues == load_corpus(alone, fmt).dialogues
     assert result.skipped == len(bad)
+    # the malformed records first, the good one last: in a classic
+    # document it repeats the id of an earlier entry that parses, which wins
+    last = ("d00.json", good) if fmt is CorpusFormat.MULTIWOZ_JSON else good
+    mixed.write_text(corpus_text(fmt, [*bad, last]), encoding="utf-8")
+    assert assert_reads_the_reference(mixed, fmt).skipped == len(bad)
 
 
 def test_extract_skips_classic_dialogues_with_nested_lists(tmp_path, capsys):
@@ -365,24 +389,6 @@ def test_extract_skips_classic_dialogues_with_nested_lists(tmp_path, capsys):
     predictions, meta = read_predictions(out)
     assert meta["corpus_skipped"] == 2
     assert {r["dialogue_id"] for r in predictions} == {"d00.json"}
-
-
-def sgd_record(d: AnnotatedDialogue) -> dict:
-    """``d`` as a schema-guided record: one frame per domain of each gold state."""
-    gold = iter(d.gold_states)
-    turns = []
-    for turn in d.turns:
-        entry = {"speaker": turn.speaker.value.upper(), "utterance": turn.text}
-        if turn.speaker is Speaker.USER:
-            frames: dict[str, dict] = {}
-            for t in next(gold).triples():
-                frames.setdefault(t.domain, {})[t.slot] = [t.value]
-            entry["frames"] = [
-                {"service": domain, "state": {"slot_values": values}}
-                for domain, values in frames.items()
-            ]
-        turns.append(entry)
-    return {"dialogue_id": d.dialogue_id, "turns": turns}
 
 
 @pytest.mark.parametrize("fmt", [CorpusFormat.PLAIN_JSONL, CorpusFormat.SGD_JSON],
@@ -565,21 +571,13 @@ def messy_corpus_lines() -> list[str]:
     ]
 
 
-def read_streamed(path) -> tuple[list[AnnotatedDialogue], int]:
-    with CorpusReader(path) as reader:
-        dialogues = list(reader.dialogues())
-        return dialogues, reader.skipped
-
-
 @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_reader_reads_what_load_corpus_loads_in_dialogue_id_order(ending, tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(ending.join(messy_corpus_lines()) + ending, encoding="utf-8")
-    whole = load_corpus(path)
-    dialogues, skipped = read_streamed(path)
-    assert dialogues == sorted(whole.dialogues, key=lambda d: d.dialogue_id)
-    assert [d.dialogue_id for d in dialogues] == ["7", "d1", "d2", "d3"]
-    assert skipped == whole.skipped == 6
+    result = assert_reads_the_reference(path)
+    assert [d.dialogue_id for d in result.dialogues] == ["7", "d1", "d2", "d3"]
+    assert result.skipped == 6
 
 
 def test_reader_parses_no_record_after_the_winner(tmp_path, monkeypatch):
@@ -596,25 +594,65 @@ def test_reader_parses_no_record_after_the_winner(tmp_path, monkeypatch):
     assert [json.loads(line)["dialogue_id"] for line in parsed] == ["d2", "d2"]
 
 
+def raised(read, *args) -> BaseException:
+    with pytest.raises((OSError, ValueError)) as info:
+        read(*args)
+    return info.value
+
+
 def test_reader_errors_match_load_corpus(tmp_path):
-    with pytest.raises(FileNotFoundError, match="corpus file not found"):
-        CorpusReader(tmp_path / "nope.jsonl")
-    path = tmp_path / "c.jsonl"
-    path.write_text('{"dialogue_id": "d"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(ValueError) as whole:
-        load_corpus(path)
-    with CorpusReader(path) as reader, pytest.raises(ValueError) as streamed:
-        list(reader.dialogues())
-    assert str(streamed.value) == str(whole.value) == f"no valid dialogues in {path} (2 skipped)"
+    # a missing file, a corpus none of whose records parses, and each
+    # document that is not JSON or of the wrong shape, under every format
+    cases = {
+        "nope.jsonl": None,
+        "c.jsonl": '{"dialogue_id": "d"}\nnot json\n',
+        "classic.json": corpus_text(CorpusFormat.MULTIWOZ_JSON, [{"log": 1}, [], "x"]),
+        "sgd.json": corpus_text(CorpusFormat.SGD_JSON, [{"dialogue_id": "d"}, [], "x"]),
+        "empty.json": "[]",
+        "broken.json": '{"d": [',
+        "string.json": '"just a string"',
+    }
+    messages = set()
+    for (name, text), fmt in itertools.product(cases.items(), [None, *CorpusFormat]):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        reference = raised(reference_load_corpus, path, fmt)
+        for read in (load_corpus, read_streamed):
+            error = raised(read, path, fmt)
+            assert (type(error), str(error)) == (type(reference), str(reference)), (name, fmt)
+        messages.add(str(reference).replace(str(tmp_path), "~"))
+    assert messages >= {
+        "corpus file not found: ~/nope.jsonl",
+        "no valid dialogues in ~/c.jsonl (2 skipped)",
+        "no valid dialogues in ~/classic.json (3 skipped)",
+        "no valid dialogues in ~/sgd.json (3 skipped)",
+        "no valid dialogues in ~/empty.json (0 skipped)",
+        "~/sgd.json: expected a dialogue_id -> dialogue object mapping",
+        "~/classic.json: expected a list of dialogue objects",
+        "unrecognized corpus shape in ~/string.json",
+    }
 
 
 def test_reader_reads_json_formats_whole(tmp_path):
-    path = tmp_path / "c.json"
-    records = [sgd_record(d) for d in load_corpus(fixture_corpus_path()).dialogues]
-    path.write_text(json.dumps(records[::-1]), encoding="utf-8")
-    dialogues, skipped = read_streamed(path)
-    assert dialogues == sorted(load_corpus(path).dialogues, key=lambda d: d.dialogue_id)
-    assert skipped == 0
+    # each JSON format out of id order, with a repeated id whose first
+    # record is malformed, a repeated valid id and records that are not objects
+    fixture = [sgd_record(d) for d in load_corpus(fixture_corpus_path()).dialogues]
+    bad_speaker = edited(fixture[3], "turns", 0, speaker="NARRATOR")
+    again = edited(fixture[5], "turns", 0, utterance="read again")
+    sgd = [*fixture[:3:-1], bad_speaker, *_NOT_OBJECTS, *fixture[:4], again]
+    no_text = edited(_CLASSIC, "log", 2, drop="text")
+    classic = [("m2", _CLASSIC), ("m1", no_text), ("m0", []), ("m1", _CLASSIC),
+               ("m2", edited(_CLASSIC, "log", 0, text="read again")), ("m3", no_text)]
+    cases = [
+        (CorpusFormat.SGD_JSON, sgd, sorted(r["dialogue_id"] for r in fixture), 5),
+        (CorpusFormat.MULTIWOZ_JSON, classic, ["m1", "m2"], 4),
+    ]
+    for fmt, records, ids, n_skipped in cases:
+        path = tmp_path / f"{fmt.value}.json"
+        path.write_text(corpus_text(fmt, records), encoding="utf-8")
+        result = assert_reads_the_reference(path)
+        assert ([d.dialogue_id for d in result.dialogues], result.skipped) == (ids, n_skipped)
 
 
 @pytest.mark.parametrize("reader", ["load_corpus", "reader", "json_lines"])

@@ -20,6 +20,8 @@ GOLDENS = REPO / "tests" / "goldens"
 PINNED = {
     "01_track_one_dialogue.py": "demo_01.out",
     "02_score_against_gold.py": "demo_02.out",
+    "03_predict_next_states.py": "demo_03.out",
+    "04_verify_the_model.py": "demo_04.out",
 }
 
 

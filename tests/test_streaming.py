@@ -1,6 +1,7 @@
 """extract and evaluate hold one dialogue at a time: their outputs are the
 bytes a whole-corpus run writes, a failure or a kill at any point leaves
-the right file behind, and their peak memory does not grow with the corpus."""
+the right file behind, and their peak memory, like that of
+graph --from-gold, does not grow with the corpus."""
 
 import json
 import subprocess
@@ -226,8 +227,9 @@ def traced_peak(argv) -> int:
 # and a 100 kB corpus).  What grows is the corpus index and, in evaluate,
 # each dialogue's turn bits and gold-turn count, under 0.3 kB a dialogue,
 # plus the 64 KiB read and copy buffers that the smaller files do not fill:
-# about 240 kB for extract and 100 kB for evaluate.  Holding every
-# dialogue or every record instead grows extract by 820 kB here.
+# about 200 kB for extract, 100 kB for evaluate and 50 kB for
+# graph --from-gold.  Holding every dialogue or every record instead grows
+# extract by 820 kB here, and graph --from-gold by 500 kB.
 _GROWTH_BOUND = 400_000
 
 
@@ -242,7 +244,9 @@ def test_extract_and_evaluate_peak_memory_does_not_grow_with_the_corpus(
             traced_peak(extract_argv(corpus, pred)),
             traced_peak(["evaluate", "--predictions", str(pred), "--corpus", str(corpus),
                          "--out", str(tmp_path / f"r{n}.json")]),
+            traced_peak(["graph", "--from-gold", "--corpus", str(corpus),
+                         "--out-prefix", str(tmp_path / f"g{n}")]),
         )
     capsys.readouterr()
-    for command, small, large in zip(("extract", "evaluate"), peaks[50], peaks[400]):
+    for command, small, large in zip(("extract", "evaluate", "graph"), peaks[50], peaks[400]):
         assert large - small < _GROWTH_BOUND, (command, small, large)
