@@ -349,6 +349,9 @@ def cmd_graph(cfg: RunConfig, echoed: list[str]) -> int:
     write_node_table(g, cfg.out_prefix + ".nodes.jsonl")
     write_edge_list(g, cfg.out_prefix + ".edges.txt")
     manifest = _meta(cfg, echoed, n_nodes=g.n_nodes, n_edges=len(g.edges))
+    if corpus is not None:
+        # malformed corpus records, counted as `extract` counts them
+        manifest["corpus_skipped"] = corpus.skipped
     _write_json(cfg.out_prefix + ".manifest.json", manifest)
     print(f"graph: {g.n_nodes} nodes, {len(g.edges)} edges -> {cfg.out_prefix}.*")
     return 0

@@ -1,38 +1,40 @@
 """From-scratch variational graph auto-encoder on numpy arrays, with no
-n x n array held outside a row block.
+n x n array held outside one small tile.
 
 Two-layer GCN encoder (shared ReLU layer, linear mean and log-variance
 heads), reparameterization trick, inner-product decoder.  The propagation
 matrix Â is a read-only `Propagation` operator built from an edge array: a
-one-block graph multiplies by the dense Â, a larger one sums Â's row-sorted
-nonzeros per row.  Node features are one-hot (X = I), so the first layer
-Â X W_s is Â W_s and no feature matrix is built; one forward pass serves
-training, the gradient check and evaluation, where `auc` and
-`average_precision` rank held-out edges against matched negatives.  The training
-objective is the negative ELBO: weighted full-matrix reconstruction BCE
-plus a KL term against a standard-normal prior.  S = Z Z^T is symmetric,
-so the BCE scores only its blocks on and above the diagonal, one row
-block at a time, and counts each pair off the diagonal twice.  It works
-from exp(-|S|), with the positive terms gathered at the training edges and
-no dense 0/1 target.  Every row block is scored in one workspace of four
-float and two boolean block arrays, made once per `train` or
-`gradient_check` call and freed when it returns, so training allocates no
-fresh block arrays per block or epoch.  Beyond it, training holds the
-weights, Adam's two moments and the n x d activations still needed, and
-nothing an epoch makes outlives it: the backward pass keeps the first
-layer's ReLU mask, not its pre-activation, and it and the Adam step work
-in place, each in the operation order of the expressions they replaced,
-so no bit depends on where a result is stored.  `save_checkpoint` turns the weights into JSON text a block of
-rows at a time.
+graph whose dense Â fits in `_BLOCK_BYTES` multiplies by it, a larger one
+sums Â's row-sorted nonzeros per row.  Node features are one-hot (X = I),
+so the first layer Â X W_s is Â W_s and no feature matrix is built; one
+forward pass serves training, the gradient check and evaluation, where
+`auc` and `average_precision` rank held-out edges against matched
+negatives.  The training objective is the negative ELBO: weighted
+full-matrix reconstruction BCE plus a KL term against a standard-normal
+prior.  S = Z Z^T is symmetric, so the BCE scores only its tiles on and
+right of the diagonal and counts each pair off the diagonal twice: each
+band of `_TILE_ROWS` rows scores its square on the diagonal, then the rest
+of its rows left to right in tiles `_TILE_COLS` wide.  It works from
+exp(-|S|), with the positive terms gathered at the training edges and no
+dense 0/1 target.  Every tile is scored in one workspace of four float and
+two boolean arrays of one tile (1.06 MiB, whatever n is), made once per
+`train` or `gradient_check` call and freed when it returns, so training
+allocates no fresh tile arrays per tile or epoch.  Beyond it, training
+holds the weights, Adam's two moments and the n x d activations still
+needed, and nothing an epoch makes outlives it: the backward pass keeps
+the first layer's ReLU mask, not its pre-activation, and it and the Adam
+step work in place, each in the operation order of the expressions they
+replaced, so no bit depends on where a result is stored.
+`save_checkpoint` turns the weights into JSON text a block of rows at a
+time.
 
-Both kinds of block are sized from one byte budget, `_BLOCK_BYTES`.  A
-graph whose n x n arrays fit in one block runs the dense expressions
-exactly, bit for bit; larger graphs agree with them to the last bits
-only, as they sum in another order; their propagation does not depend on
-the budget, but the blocks of S do.  A graph whose single row exceeds the
-budget raises ValueError.  Backpropagation is hand-derived and verified
-against central finite differences, so all arithmetic stays in double
-precision.
+A graph of at most `_TILE_ROWS` nodes is one tile and runs the dense
+expressions exactly, bit for bit; larger graphs agree with them to the
+last bits only, as they sum in another order.  That order is fixed by the
+tile shape and the segmented sum's rows, so no bit depends on the byte
+budget `_BLOCK_BYTES`, and no graph is too large for it.
+Backpropagation is hand-derived and verified against central finite
+differences, so all arithmetic stays in double precision.
 """
 
 from __future__ import annotations
@@ -51,13 +53,16 @@ PROB_EPS = 1e-12
 # bounds of -log p for p clamped to [1e-12, 1 - 1e-12]
 _SP_LO = -float(np.log1p(-PROB_EPS))
 _SP_HI = -float(np.log(PROB_EPS))
-# bytes of one row block of an n-column float64 array: the most that
-# `Propagation` holds densely or gathers for one chunk of its segmented
-# sum, and a bound on the scores of one row block in `loss_and_grads`,
-# whose square and rectangle together are at most one such block.  The
-# BCE's workspace holds four float arrays of one block, so 1 MiB keeps
-# its working set near the size of a core's L2 cache.
+# bytes of float64 arrays that `Propagation` holds densely (a graph of at
+# most 362 nodes) or gathers for one chunk of its segmented sum; neither
+# moves a bit of a product
 _BLOCK_BYTES = 1 << 20
+# rows of one band of S = Z Z^T and columns of one tile right of a band's
+# diagonal square.  The objective's workspace holds four float and two
+# boolean arrays of one 64 x 512 tile, 1.06 MiB, near the size of a core's
+# L2 cache; the tile shape alone fixes the order of the objective's sums.
+_TILE_ROWS = 64
+_TILE_COLS = 512
 
 
 class TrainingDiverged(RuntimeError):
@@ -151,18 +156,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_rows(n_nodes: int) -> int:
-    """Rows per block of an n-column float64 array within `_BLOCK_BYTES`;
-    ``n_nodes`` when every row fits at once."""
-    rows = _BLOCK_BYTES // (8 * max(n_nodes, 1))
-    if rows < 1:
-        raise ValueError(
-            f"one row of {n_nodes} float64 entries exceeds the "
-            f"{_BLOCK_BYTES}-byte block budget"
-        )
-    return min(rows, max(n_nodes, 1))
-
-
 class Propagation:
     """The symmetric GCN propagation matrix Â = D^(-1/2) (A + I) D^(-1/2) of
     an integer (E, 2) array of (i, j) edges over ``n_nodes`` nodes, applied
@@ -177,9 +170,10 @@ class Propagation:
     endpoint outside [0, n) or a self-loop raise ValueError; duplicate or
     reversed pairs describe the same edge.
 
-    A graph whose n x n array fits in one block (``block_rows == n``) also
-    keeps the dense, read-only Â and multiplies by it; a larger one sums
-    each row's weighted operand rows, in column order, and never holds Â.
+    A graph of at least one node whose n x n array fits in `_BLOCK_BYTES`
+    also keeps the dense, read-only Â and multiplies by it; a larger one
+    sums each row's weighted operand rows, in column order, and never holds
+    Â, however many nodes it has.
     """
 
     def __init__(self, n_nodes: int, edges: np.ndarray):
@@ -201,12 +195,11 @@ class Propagation:
         inv_sqrt_deg = 1.0 / np.sqrt(np.bincount(self.rows, minlength=n_nodes))
         self.weights = inv_sqrt_deg[self.rows] * inv_sqrt_deg[self.cols]
         self.n_nodes = n_nodes
-        self.block_rows = _block_rows(n_nodes)
         # start of each row's segment, then nnz; every row holds its
         # diagonal, so no segment is empty
         self.row_start = np.searchsorted(self.rows, np.arange(n_nodes + 1))
         self.dense = None
-        if self.block_rows == n_nodes:
+        if 0 < n_nodes and 8 * n_nodes * n_nodes <= _BLOCK_BYTES:
             self.dense = np.zeros((n_nodes, n_nodes))
             self.dense[self.rows, self.cols] = self.weights
         for a in (self.rows, self.cols, self.weights, self.row_start, self.dense):
@@ -214,8 +207,8 @@ class Propagation:
                 a.flags.writeable = False
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Â @ X: the dense gemm on a one-block graph, otherwise a segmented
-        sum over the row-sorted nonzeros, whatever the block height.
+        """Â @ X: the dense gemm on a graph that keeps the dense Â, otherwise
+        a segmented sum over the row-sorted nonzeros.
 
         The segmented sum runs over chunks of whole rows whose weighted
         operand rows fit in `_BLOCK_BYTES` (at least one row per chunk).
@@ -353,17 +346,17 @@ def average_precision(scores: Sequence[float], labels: Sequence[bool]) -> float:
 
 
 class _Workspace:
-    """Flat scratch arrays for the objective's row blocks, each ``size``
-    entries long: the scores S, exp(-|S|), sigma(S) (turned into dBCE/dS)
-    and 1 + exp(-|S|), plus two boolean masks.  One workspace serves every
-    block of every `loss_and_grads` call it is handed; it holds the block
-    being scored, so two threads must not share one."""
+    """Flat scratch arrays for the objective's tiles, each ``size`` entries
+    long: the scores S, exp(-|S|), sigma(S) (turned into dBCE/dS) and
+    1 + exp(-|S|), plus two boolean masks.  One workspace serves every tile
+    of every `loss_and_grads` call it is handed; it holds the tile being
+    scored, so two threads must not share one."""
 
     def __init__(self, size: int):
         self.s, self.e, self.g, self.w = (np.empty(size) for _ in range(4))
         self.mask, self.mask2 = (np.empty(size, dtype=bool) for _ in range(2))
 
-    def block(self, buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    def tile(self, buf: np.ndarray, rows: int, cols: int) -> np.ndarray:
         """A C-contiguous rows x cols view of the front of ``buf``."""
         return buf[: rows * cols].reshape(rows, cols)
 
@@ -378,7 +371,7 @@ def _bce(
     """Weighted BCE terms of the scores S against the 0/1 target that is one
     exactly at ``pos_index`` (a (rows, cols) pair of index arrays), summed
     over S, and the gradient of their mean over ``n_pairs`` ordered pairs,
-    dBCE/dS.  S may be a row block of the n x n scores, with n_pairs = n * n.
+    dBCE/dS.  S may be a tile of the n x n scores, with n_pairs = n * n.
 
     Positive terms are scaled by pos_weight to counter edge sparsity.  The
     log-probabilities are clamped to [log 1e-12, log(1 - 1e-12)], which
@@ -394,7 +387,7 @@ def _bce(
     if pos_weight <= 0:
         raise ValueError("pos_weight must be positive")
     t, g, w, ok, ok2 = (
-        work.block(a, *s.shape) for a in (work.e, work.g, work.w, work.mask, work.mask2)
+        work.tile(a, *s.shape) for a in (work.e, work.g, work.w, work.mask, work.mask2)
     )
     np.abs(s, out=t)
     np.exp(np.negative(t, out=t), out=t)
@@ -439,56 +432,62 @@ def glorot_init(n_features: int, config: TrainConfig, rng: np.random.Generator) 
 
 
 def _bce_grad_z(
-    z: np.ndarray, pos_index, pos_weight: float, block_rows: int, work: _Workspace
+    z: np.ndarray, pos_index, pos_weight: float, work: _Workspace
 ) -> tuple[float, np.ndarray]:
-    """BCE over S = Z Z^T and dBCE/dZ, scoring only the blocks of S on and
-    above the diagonal, ``block_rows`` rows at a time.
+    """BCE over S = Z Z^T and dBCE/dZ, scoring only the tiles of S on and
+    right of the diagonal, one band of `_TILE_ROWS` rows at a time.
 
     S is symmetric, so pair (a, b) has the loss term and gradient of (b, a).
-    Row block i:j scores the square S[i:j, i:j] = Z[i:j] Z[i:j]^T, a
-    symmetric (syrk) product, and, when j < n, the rectangle S[i:j, j:];
-    S[i:j, :i] is the transpose of earlier rectangles and is never scored.
-    With G = dBCE/dS, the BCE sum is t_square + 2 t_rect, row block i:j of
-    dBCE/dZ gets 2 G_sq Z[i:j] + 2 G_rect Z[j:], and rows j: gain
-    2 G_rect^T Z[i:j].  A block that covers all n rows has no rectangle and
-    is the dense expression bit for bit: S and G are exactly symmetric, so
-    G + G^T is 2G.  Smaller blocks sum in another order and agree with it
-    up to the last bits.
+    Band i:j scores the square S[i:j, i:j] = Z[i:j] Z[i:j]^T, a symmetric
+    (syrk) product, then the rest of its rows S[i:j, j:], left to right,
+    in tiles S[i:j, J] of at most `_TILE_COLS` columns (general products);
+    S[i:j, :i] is the transpose of earlier bands' tiles and is never scored.
+    With G = dBCE/dS, the BCE sum is t_square + 2 t_J summed over the tiles
+    in order, band i:j of dBCE/dZ gets 2 G_sq Z[i:j] then each 2 G_J Z[J],
+    and rows J gain 2 G_J^T Z[i:j].  The bands run bottom-up, so each band
+    of the result is assigned before the bands above add to it.
 
-    Every block is scored in ``work``, a workspace of ``block_rows`` * n
-    entries, and the products that rows j: gain are formed in one buffer
-    of n - ``block_rows`` rows made per call, empty when one block covers
-    all n rows.
+    The tile shape alone fixes the summation order, so the bits do not
+    depend on any byte budget.  A graph of at most `_TILE_ROWS` nodes is one
+    square tile and the dense expression bit for bit: S and G are exactly
+    symmetric, so G + G^T is 2G.  Larger graphs sum in another order and
+    agree with it up to the last bits.
+
+    Every tile is scored in ``work``, a workspace of at least `_TILE_ROWS`
+    * `_TILE_COLS` entries; a tile's two products with Z have at most
+    `_TILE_ROWS` and `_TILE_COLS` rows.
     """
     n = z.shape[0]
     rows, cols = pos_index
-    bounds = np.searchsorted(rows, np.arange(0, n + block_rows, block_rows))
+    bounds = np.searchsorted(rows, np.arange(0, n + _TILE_ROWS, _TILE_ROWS))
     g_z = np.empty_like(z)
-    below = np.empty((max(n - block_rows, 0), z.shape[1]), dtype=z.dtype)
     total = 0.0
-    # bottom-up, so each row block of g_z is assigned before the rectangles
-    # of the blocks above it add to it
     for k in reversed(range(len(bounds) - 1)):
-        i = k * block_rows
-        j = min(i + block_rows, n)
+        i = k * _TILE_ROWS
+        j = min(i + _TILE_ROWS, n)
         zb = z[i:j]
         r, c = rows[bounds[k]:bounds[k + 1]] - i, cols[bounds[k]:bounds[k + 1]]
-        # a column left of the block (c < i) is the mirror of a pair in an
-        # earlier block's rectangle
-        sq, rect = (c >= i) & (c < j), c >= j
-        s = np.matmul(zb, zb.T, out=work.block(work.s, j - i, j - i))
+        # the band's positives by column, cut at the square and each tile;
+        # a column left of the square (c < i) is the mirror of a pair in an
+        # earlier band's tile
+        by_col = np.argsort(c, kind="stable")
+        r, c = r[by_col], c[by_col]
+        col_bounds = [i, *range(j, n, _TILE_COLS), n]
+        cuts = np.searchsorted(c, col_bounds).tolist()
+        s = np.matmul(zb, zb.T, out=work.tile(work.s, j - i, j - i))
+        sq = slice(cuts[0], cuts[1])
         t_sum, g = _bce(s, (r[sq], c[sq] - i), pos_weight, n * n, work)
         g *= 2.0
-        g_zb = g @ zb
-        if j < n:
-            s = np.matmul(zb, z[j:].T, out=work.block(work.s, j - i, n - j))
-            t_rect, g = _bce(s, (r[rect], c[rect] - j), pos_weight, n * n, work)
-            t_sum += 2.0 * t_rect
-            g_zb += 2.0 * (g @ z[j:])
-            g_below = np.matmul(g.T, zb, out=below[: n - j])
-            g_below *= 2.0
-            g_z[j:] += g_below
-        g_z[i:j] = g_zb
+        np.matmul(g, zb, out=g_z[i:j])
+        for t in range(1, len(col_bounds) - 1):
+            c0, c1 = col_bounds[t], col_bounds[t + 1]
+            zt = z[c0:c1]
+            s = np.matmul(zb, zt.T, out=work.tile(work.s, j - i, c1 - c0))
+            pos = slice(cuts[t], cuts[t + 1])
+            t_tile, g = _bce(s, (r[pos], c[pos] - c0), pos_weight, n * n, work)
+            t_sum += 2.0 * t_tile
+            g_z[i:j] += 2.0 * (g @ zt)
+            g_z[c0:c1] += 2.0 * (g.T @ zb)
         total += t_sum
     return float(total / (n * n)), g_z
 
@@ -508,9 +507,9 @@ def loss_and_grads(
     non-edge to edge entries of the n x n target.  ``noise`` is the frozen
     standard-normal draw used by the reparameterization, so the function
     is pure and checkable against finite differences.  No n x n array is
-    held outside a row block of ``prop.block_rows`` rows: the blocks are
-    scored in ``work``, a `_Workspace` of ``prop.block_rows`` *
-    ``prop.n_nodes`` entries.  Returns (bce, kl, grads by weight name).
+    held: the tiles of S are scored in ``work``, a `_Workspace` of at least
+    `_TILE_ROWS` * `_TILE_COLS` entries.  Returns (bce, kl, grads by
+    weight name).
 
     Each n x d array is dropped after its last use, and each gradient is
     accumulated in an array whose value is spent, in the operation order of
@@ -532,7 +531,7 @@ def loss_and_grads(
     z = std * noise
     z += mu
 
-    bce, g_z = _bce_grad_z(z, pos_index, pos_weight, prop.block_rows, work)
+    bce, g_z = _bce_grad_z(z, pos_index, pos_weight, work)
     del z
     kl = kl_divergence(mu, logvar)
 
@@ -590,8 +589,8 @@ def train(
     params = glorot_init(graph.n_nodes, config, rng)
 
     a_hat = Propagation(graph.n_nodes, split.train)
-    # one workspace for every row block of every epoch, freed on return
-    work = _Workspace(a_hat.block_rows * graph.n_nodes)
+    # one workspace for every tile of every epoch, freed on return
+    work = _Workspace(_TILE_ROWS * _TILE_COLS)
     # validation monitoring mirrors evaluate_split: encode the full graph
     if len(split.val):
         full_graph = Propagation(graph.n_nodes, graph.edges)
@@ -682,7 +681,7 @@ def gradient_check(
     rng = np.random.default_rng(config.seed)
     a_hat = Propagation(graph.n_nodes, split.train)
     noise = rng.standard_normal((graph.n_nodes, params.latent_dim))
-    work = _Workspace(a_hat.block_rows * graph.n_nodes)
+    work = _Workspace(_TILE_ROWS * _TILE_COLS)
 
     _, _, grads = loss_and_grads(params, a_hat, config.kl_weight, noise, work)
 

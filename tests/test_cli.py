@@ -884,6 +884,19 @@ def test_graph_from_gold(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_graph_from_gold_counts_skipped_corpus_records(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = fixture_corpus_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    bad_turns = json.dumps({**json.loads(lines[3]), "turns": 5})
+    Path("c.jsonl").write_text("".join(lines[:3]) + "not json\n" + bad_turns + "\n",
+                               encoding="utf-8")
+    assert cli.main(["graph", "--from-gold", "--corpus", "c.jsonl", "--out-prefix", "m"]) == 0
+    manifest = json.loads(Path("m.manifest.json").read_text())
+    assert manifest["corpus_skipped"] == 2
+    assert manifest["n_nodes"] == 9 and manifest["n_edges"] == 8
+    capsys.readouterr()
+
+
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 

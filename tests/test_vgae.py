@@ -52,10 +52,10 @@ def small_setup(rng, seed=5):
     return g, split
 
 
-def workspace(prop: Propagation) -> _Workspace:
-    """A fresh workspace of the size `loss_and_grads` scores ``prop``'s
-    row blocks in."""
-    return _Workspace(prop.block_rows * prop.n_nodes)
+def workspace() -> _Workspace:
+    """A fresh workspace of the size `loss_and_grads` scores its tiles in,
+    under the tile constants in force."""
+    return _Workspace(vgae._TILE_ROWS * vgae._TILE_COLS)
 
 
 # --- propagation matrix ---
@@ -361,7 +361,7 @@ def test_loss_and_grads_equals_dense_reference_bit_for_bit(rng):
             bce, kl, grads, s, logp_raw, log1mp_raw = dense_loss_reference(
                 params, a_hat, a, pos_weight, 0.5, noise
             )
-            got = loss_and_grads(params, prop, 0.5, noise, workspace(prop))
+            got = loss_and_grads(params, prop, 0.5, noise, workspace())
             assert got[0] == bce and got[1] == kl
             for name, want in grads.items():
                 # tobytes also tells -0.0 from 0.0
@@ -390,7 +390,7 @@ def test_kl_divergence_nonnegative(rng):
         assert kl_divergence(mu, logvar) >= 0.0
 
 
-# --- row blocks ---
+# --- tiles of the objective ---
 
 
 def fixture_graph():
@@ -399,11 +399,26 @@ def fixture_graph():
 
 
 def uneven_block_budget(n):
-    """A block budget that splits n rows into at least 3 blocks, the last
-    one shorter than the others."""
+    """A block budget of n // 3 - 1 rows of n floats, the last of at least
+    3 such blocks shorter: below the dense n x n array, so `Propagation`
+    takes its segmented sum."""
     rows = n // 3 - 1
     assert rows >= 1 and n % rows and n // rows >= 3
     return 8 * n * rows
+
+
+def uneven_tiles(monkeypatch, n, narrow=True):
+    """Patch the tile constants to bands of n // 3 - 1 rows, at least 3 of
+    them and the last shorter.  A ``narrow`` tile is one column wider than
+    a band is high, so the rest of a band's rows spans several tiles;
+    otherwise it is n columns wide, one tile, and the objective is the row
+    block objective of `reference_bce_grad_z` bit for bit."""
+    rows = n // 3 - 1
+    assert rows >= 1 and n % rows and n // rows >= 3
+    cols = rows + 1 if narrow else n
+    assert not narrow or (n - rows) % cols and (n - rows) // cols >= 2
+    monkeypatch.setattr("dstgraph.vgae._TILE_ROWS", rows)
+    monkeypatch.setattr("dstgraph.vgae._TILE_COLS", cols)
 
 
 def all_rankings(params, g):
@@ -416,6 +431,15 @@ def all_rankings(params, g):
     ]
 
 
+def assert_within_1e_12(got, want):
+    """Loss terms within 1e-12 relative; each gradient within 1e-12 of its
+    largest entry."""
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+    for name, w in want[2].items():
+        assert np.max(np.abs(got[2][name] - w)) <= 1e-12 * np.max(np.abs(w)), name
+
+
 @pytest.mark.parametrize("make_graph", [fixture_graph, planted_graph])
 def test_blocked_loss_and_grads_match_one_block(make_graph, monkeypatch):
     g = make_graph()
@@ -424,23 +448,22 @@ def test_blocked_loss_and_grads_match_one_block(make_graph, monkeypatch):
     cfg = tiny_config()
     base = glorot_init(n, cfg, np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
+    # 300 drives both clamps, at training edges too
+    params = [
+        VgaeParams(w_shared=scale * base.w_shared, w_mu=base.w_mu, w_logvar=base.w_logvar)
+        for scale in (1, 300)
+    ]
     one_block = Propagation(n, split.train)
-    assert one_block.block_rows == n
+    assert one_block.dense is not None and n <= vgae._TILE_ROWS
+    want = [loss_and_grads(p, one_block, 0.5, noise, workspace()) for p in params]
     monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(n))
+    uneven_tiles(monkeypatch, n)
     blocked = Propagation(n, split.train)
-    assert blocked.block_rows <= n // 3 and n % blocked.block_rows
+    assert blocked.dense is None
     eye = np.eye(n)
     assert (blocked @ eye).tobytes() == (one_block @ eye).tobytes()
-    for scale in (1, 300):  # 300 drives both clamps, at training edges too
-        params = VgaeParams(
-            w_shared=scale * base.w_shared, w_mu=base.w_mu, w_logvar=base.w_logvar
-        )
-        want = loss_and_grads(params, one_block, 0.5, noise, workspace(one_block))
-        got = loss_and_grads(params, blocked, 0.5, noise, workspace(blocked))
-        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
-        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
-        for name, w in want[2].items():
-            assert np.max(np.abs(got[2][name] - w)) <= 1e-12 * np.max(np.abs(w)), name
+    for p, w in zip(params, want):
+        assert_within_1e_12(loss_and_grads(p, blocked, 0.5, noise, workspace()), w)
 
 
 @pytest.mark.parametrize("make_graph", [fixture_graph, planted_graph])
@@ -451,9 +474,11 @@ def test_blocked_training_matches_one_block(make_graph, monkeypatch):
     want, want_history = train(g, split, cfg)
     want_rankings = all_rankings(want, g)
 
-    # every operator built from here on is blocked, on the same graph
+    # every operator built from here on is blocked, and S is scored in
+    # several tiles per band, on the same graph
     monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(g.n_nodes))
-    assert Propagation(g.n_nodes, g.edges).block_rows <= g.n_nodes // 3
+    uneven_tiles(monkeypatch, g.n_nodes)
+    assert Propagation(g.n_nodes, g.edges).dense is None
     got, history = train(g, split, cfg)
     for name in ("w_shared", "w_mu", "w_logvar"):
         assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
@@ -482,10 +507,14 @@ def reference_bce(s, pos_index, pos_weight, n_pairs):
     return t.sum(), g
 
 
-def reference_bce_grad_z(z, pos_index, pos_weight, block_rows, work=None):
-    """The blocked objective as it was before its workspace: each block's
-    scores are a new array.  ``work`` is ignored."""
+def reference_bce_grad_z(z, pos_index, pos_weight, work=None):
+    """The objective in row blocks, as it was before its tiles and its
+    workspace: block i:j scores its square and the whole rectangle right of
+    it, each a new array.  Blocks are `_TILE_ROWS` high, so that with tiles
+    as wide as S each band is one block and the tiled objective is this one
+    bit for bit.  ``work`` is ignored."""
     n = z.shape[0]
+    block_rows = vgae._TILE_ROWS
     rows, cols = pos_index
     bounds = np.searchsorted(rows, np.arange(0, n + block_rows, block_rows))
     g_z = np.empty_like(z)
@@ -534,55 +563,92 @@ def graph_case(make_graph):
 )
 def test_loss_and_grads_equals_allocating_reference_bit_for_bit(case, uneven, monkeypatch):
     n, train_edges = case()
+    # bands of the shipped height or of an uneven one, each scored in one
+    # tile as wide as S, as the reference scores a row block
     if uneven:
-        monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(n))
+        uneven_tiles(monkeypatch, n, narrow=False)
+    else:
+        monkeypatch.setattr("dstgraph.vgae._TILE_COLS", n)
+    assert vgae._TILE_ROWS <= n // 3
     prop = Propagation(n, train_edges)
-    assert prop.block_rows <= n // 3
     cfg = tiny_config()
     base = glorot_init(n, cfg, np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
-    work = workspace(prop)  # reused by every call below
+    work = workspace()  # reused by every call below
     for scale in (1, 30, 300):  # 30 and 300 drive both clamps
         params = VgaeParams(
             w_shared=scale * base.w_shared, w_mu=base.w_mu, w_logvar=base.w_logvar
         )
         with monkeypatch.context() as m:
             m.setattr("dstgraph.vgae._bce_grad_z", reference_bce_grad_z)
-            want = loss_and_grads(params, prop, 0.5, noise, workspace(prop))
+            want = loss_and_grads(params, prop, 0.5, noise, workspace())
         # the reused workspace, and a fresh one
         for got in (loss_and_grads(params, prop, 0.5, noise, work),
-                    loss_and_grads(params, prop, 0.5, noise, workspace(prop))):
+                    loss_and_grads(params, prop, 0.5, noise, workspace())):
             assert got[0] == want[0] and got[1] == want[1]
             for name, w in want[2].items():
                 assert got[2][name].tobytes() == w.tobytes(), name
 
 
-def test_objective_allocates_less_than_one_block_given_its_workspace():
+@pytest.mark.parametrize(
+    "case",
+    [lambda: graph_case(fixture_graph), lambda: graph_case(planted_graph),
+     isolated_nodes_case, lambda: graph_case(multi_block_graph)],
+    ids=["fixture-uneven", "planted-uneven", "isolated-uneven", "multi-block-shipped"],
+)
+def test_tiled_loss_and_grads_match_row_block_reference(case, monkeypatch):
+    # several tiles right of each band's square; the small graphs in
+    # uneven tiles, the large one in the shipped tiles
+    n, train_edges = case()
+    if n <= vgae._TILE_ROWS:
+        uneven_tiles(monkeypatch, n)
+    assert vgae._TILE_ROWS <= n // 3 and n - vgae._TILE_ROWS > 2 * vgae._TILE_COLS
+    prop = Propagation(n, train_edges)
+    cfg = tiny_config()
+    base = glorot_init(n, cfg, np.random.default_rng(0))
+    noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
+    for scale in (1, 30, 300):  # 30 and 300 drive both clamps
+        params = VgaeParams(
+            w_shared=scale * base.w_shared, w_mu=base.w_mu, w_logvar=base.w_logvar
+        )
+        with monkeypatch.context() as m:
+            m.setattr("dstgraph.vgae._bce_grad_z", reference_bce_grad_z)
+            want = loss_and_grads(params, prop, 0.5, noise, workspace())
+        assert_within_1e_12(loss_and_grads(params, prop, 0.5, noise, workspace()), want)
+
+
+def test_objective_allocates_less_than_one_block_given_its_workspace(monkeypatch):
     g = multi_block_graph()
     n = g.n_nodes
     prop = Propagation(n, g.edges)
-    assert prop.block_rows <= n // 3
     off_diagonal = prop.rows != prop.cols
     pos_index = (prop.rows[off_diagonal], prop.cols[off_diagonal])
     pos_weight = (n * n - len(pos_index[0])) / len(pos_index[0])
     z = np.random.default_rng(0).standard_normal((n, 16))
-    work = workspace(prop)
-    want = reference_bce_grad_z(z, pos_index, pos_weight, prop.block_rows)
-    tracemalloc.start()
-    try:
-        got = vgae._bce_grad_z(z, pos_index, pos_weight, prop.block_rows, work)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the n x 16 gradient and a few block-row slices of it; one block's
-    # allocating BCE alone takes several times the budget
-    assert peak < vgae._BLOCK_BYTES
-    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    want = reference_bce_grad_z(z, pos_index, pos_weight)
+    # the shipped tiles, then tiles as wide as S, whose bands are the
+    # reference's row blocks
+    for cols in (vgae._TILE_COLS, n):
+        monkeypatch.setattr("dstgraph.vgae._TILE_COLS", cols)
+        work = workspace()
+        tracemalloc.start()
+        try:
+            got = vgae._bce_grad_z(z, pos_index, pos_weight, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the n x 16 gradient, a tile's two products of at most n x 16 and the
+        # small index arrays; one block's allocating BCE alone takes several
+        # times the budget
+        assert peak < vgae._BLOCK_BYTES
+        if cols == n:
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+            assert np.max(np.abs(got[1] - want[1])) <= 1e-12 * np.max(np.abs(want[1]))
 
 
 def test_train_and_gradient_check_make_one_workspace_each(rng, monkeypatch):
-    g, split = small_setup(rng)
-    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(g.n_nodes))
     made = []
 
     class Counting(vgae._Workspace):
@@ -591,12 +657,19 @@ def test_train_and_gradient_check_make_one_workspace_each(rng, monkeypatch):
             super().__init__(size)
 
     monkeypatch.setattr("dstgraph.vgae._Workspace", Counting)
+    tile = vgae._TILE_ROWS * vgae._TILE_COLS
+    # one tile's entries, whatever n is
+    for g in (multi_block_graph(), sparse_planted_graph()):
+        made.clear()
+        train(g, split_edges(g, 0.85, 0.10, 0.05, seed=1), tiny_config(epochs=1))
+        assert made == [tile], g.n_nodes
+    g, split = small_setup(rng)
     cfg = tiny_config(epochs=5)
-    rows = Propagation(g.n_nodes, split.train).block_rows
+    made.clear()
     params, _ = train(g, split, cfg)
-    assert made == [rows * g.n_nodes]
+    assert made == [tile]
     gradient_check(params, g, split, cfg, n_samples=4)
-    assert made == [rows * g.n_nodes] * 2
+    assert made == [tile] * 2
 
 
 def test_concurrent_trainings_match_sequential_bit_for_bit():
@@ -619,14 +692,14 @@ def test_concurrent_trainings_match_sequential_bit_for_bit():
 
 
 def test_objective_scores_each_pair_once(monkeypatch):
-    # at the shipped block budget, on a graph that spans many blocks
+    # in the shipped tiles, on a graph that spans many bands and tiles
     g = multi_block_graph()
     n = g.n_nodes
     split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
     cfg = TrainConfig(seed=1)
     prop = Propagation(n, split.train)
-    b = prop.block_rows
-    assert b <= n // 3
+    b, w = vgae._TILE_ROWS, vgae._TILE_COLS
+    assert b <= n // 3 and n - b > 2 * w
     params = glorot_init(n, cfg, np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
     scored = []
@@ -636,24 +709,27 @@ def test_objective_scores_each_pair_once(monkeypatch):
         return _bce(s, *args)
 
     monkeypatch.setattr("dstgraph.vgae._bce", counting_bce)
-    loss_and_grads(params, prop, 1.0, noise, workspace(prop))
-    # the square on the diagonal and the rectangle right of it, per block
-    want = 0
+    loss_and_grads(params, prop, 1.0, noise, workspace())
+    # the square on the diagonal and the rest of the band right of it, in
+    # tiles at most w wide, per band
+    want, tiles = 0, 0
     for i in range(0, n, b):
         j = min(i + b, n)
         want += (j - i) ** 2 + (j - i) * (n - j)
-    assert sum(scored) == want
+        tiles += 1 + -(-(n - j) // w)
+    assert sum(scored) == want and len(scored) == tiles
+    assert max(scored) <= b * w
     assert want <= n * (n + b) / 2
 
 
 def test_blocked_pipeline_allocates_no_n_by_n_array():
-    # at the shipped block budget, on a graph that spans many blocks
+    # at the shipped budget and tiles, on a graph that spans many tiles
     g = planted_graph(n_domains=30, values_per_domain=50, intra_p=0.1, inter_p=0.002)
     n = g.n_nodes
     split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
     cfg = TrainConfig(epochs=2, seed=1)
     prop = Propagation(n, split.train)
-    assert prop.block_rows <= n // 3
+    assert prop.dense is None and vgae._TILE_ROWS <= n // 3
     params = glorot_init(n, cfg, np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
     domain = next(v.index for v in g.nodes if v.kind is NodeKind.DOMAIN)
@@ -669,7 +745,7 @@ def test_blocked_pipeline_allocates_no_n_by_n_array():
     n_by_n = 8 * n * n
 
     def one_loss():
-        loss_and_grads(params, prop, 1.0, noise, workspace(prop))
+        loss_and_grads(params, prop, 1.0, noise, workspace())
 
     assert peak_bytes(one_loss) < n_by_n
     assert peak_bytes(lambda: encode(Propagation(n, g.edges), params)) < n_by_n
@@ -701,10 +777,11 @@ def test_one_training_epoch_holds_no_per_epoch_temporaries():
         traced_peak(lambda: train(g, split, TrainConfig(epochs=epochs, seed=1)))
         for epochs in (1, 2)
     )
-    # the weights, both Adam moments, the 4.25 MiB workspace and the live
-    # activations take about 19.9 MiB; the epoch peaked at 29.5 MiB while
-    # it held every activation, gradient and Adam temporary at once
-    assert one < 24 * 2**20
+    # the weights, both Adam moments, the 1.06 MiB workspace and the live
+    # activations take about 16.7 MiB; the epoch peaked at 19.9 MiB with
+    # a 4.25 MiB workspace of row blocks, and at 29.5 MiB while it held
+    # every activation, gradient and Adam temporary at once
+    assert one < 19 * 2**20
     # nothing outlives its epoch: the validation embeddings, 2 MiB, did
     assert two < one + 2**19
 
@@ -720,20 +797,58 @@ def test_checkpoint_save_holds_one_block_of_rows(tmp_path):
     assert np.array_equal(load_checkpoint(path)[0].w_shared, params.w_shared)
 
 
-def test_block_budget_below_one_row_raises(rng, monkeypatch):
-    g, split = small_setup(rng)
-    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * g.n_nodes - 1)
-    budget = f"{g.n_nodes} float64 entries exceeds the {8 * g.n_nodes - 1}-byte"
-    with pytest.raises(ValueError, match=budget):
-        Propagation(g.n_nodes, g.edges)
-    with pytest.raises(ValueError, match=budget):
-        train(g, split, tiny_config(epochs=1))
-    monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * g.n_nodes)
-    assert Propagation(g.n_nodes, g.edges).block_rows == 1
+def test_propagation_and_encode_run_past_131072_nodes():
+    # one row of 131,073 float64 entries exceeds the 1 MiB block budget;
+    # nothing of a model stage is sized by such a row
+    n = 140_000
+    edges = np.array([[0, 1], [2, n - 1], [n - 3, 5]])
+    cfg = TrainConfig(hidden_dim=4, latent_dim=2)
+    params = glorot_init(n, cfg, np.random.default_rng(0))
+    got = []
+    peak = traced_peak(lambda: got.append(encode(Propagation(n, edges), params)))
+    # the operator's four n-long arrays and the four n x d activations
+    # take 128 bytes a node; an n x n array would take 157 GB
+    assert peak < 160 * n
+    mu, logvar = got[0]
+    # an isolated node's Â row is its own: mu = relu(W_s[k]) W_mu
+    k = n // 2
+    want = np.maximum(params.w_shared[k:k + 1], 0.0) @ params.w_mu
+    assert np.allclose(mu[k:k + 1], want, rtol=1e-15, atol=0.0)
+    assert mu.shape == logvar.shape == (n, 2) and np.all(np.isfinite(logvar))
+
+
+def test_dense_propagation_serves_graphs_of_1_to_362_nodes():
+    # the dense n x n Â fits the block budget; a graph without nodes has
+    # nothing to multiply
+    none = np.empty((0, 2), dtype=np.int64)
+    assert Propagation(0, none).dense is None
+    for n in (1, 362):
+        assert Propagation(n, none).dense is not None
+    assert Propagation(363, none).dense is None
+
+
+def test_training_bits_do_not_depend_on_the_block_budget(tmp_path, monkeypatch):
+    # 1,008 nodes: 16 bands of S, most with two tiles right of the square;
+    # under every budget below the dense n x n array, Â's segmented sum is
+    # chunked differently and S is scored in the same tiles
+    g = planted_graph(n_domains=8, values_per_domain=125, intra_p=0.1, inter_p=0.005)
+    n = g.n_nodes
+    split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+    cfg = TrainConfig(epochs=5, seed=1)
+    checkpoints = set()
+    for budget in (1 << 20, 1 << 22, 3 * 8 * n * 37):
+        assert budget < 8 * n * n
+        monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", budget)
+        params, _ = train(g, split, cfg)
+        path = tmp_path / f"model-{budget}.json"
+        save_checkpoint(path, params, cfg)
+        checkpoints.add(path.read_bytes())
+    assert len(checkpoints) == 1
 
 
 def multi_block_graph():
-    """1,530 nodes: more than one block at the shipped budget."""
+    """1,530 nodes: more than one block at the shipped budget, and 24 bands
+    of S with two or three tiles right of most squares."""
     return planted_graph(n_domains=30, values_per_domain=50, intra_p=0.1, inter_p=0.002)
 
 
@@ -745,7 +860,7 @@ def test_multi_block_propagation_does_not_depend_on_block_budget(monkeypatch):
     for rows in (100, 64, 8):
         monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * n * rows)
         prop = Propagation(n, g.edges)
-        assert prop.block_rows == rows
+        assert prop.dense is None
         products.add((prop @ w).tobytes())
     assert len(products) == 1
     got = np.frombuffer(products.pop()).reshape(n, 32)
@@ -818,7 +933,6 @@ def test_one_operator_serves_threads_bit_for_bit(make_graph):
 def test_propagation_arrays_are_read_only(rng):
     g, _ = small_setup(rng)
     one_block = Propagation(g.n_nodes, g.edges)
-    assert one_block.block_rows == g.n_nodes
     assert one_block.dense.tobytes() == dense_reference(g.n_nodes, g.edges).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         one_block.dense[0, 0] = 1.0
@@ -944,7 +1058,7 @@ def test_train_adjacency_contains_only_train_edges(rng):
     params = glorot_init(n, tiny_config(), np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, params.latent_dim))
     want = dense_loss_reference(params, dense, a, pos_weight, 0.5, noise)[0]
-    assert loss_and_grads(params, a_hat, 0.5, noise, workspace(a_hat))[0] == want
+    assert loss_and_grads(params, a_hat, 0.5, noise, workspace())[0] == want
     other = dense_loss_reference(params, dense, a, 2 * pos_weight, 0.5, noise)[0]
     assert other != want
 
@@ -974,10 +1088,11 @@ def test_gradient_check_small_graph(rng):
 
 
 def test_gradient_check_multi_block(rng, monkeypatch):
-    # reaches the rows that gain the transposed rectangles of earlier blocks
+    # reaches the rows that gain the transposed tiles of earlier bands
     g, split = small_setup(rng)
     monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(g.n_nodes))
-    assert Propagation(g.n_nodes, split.train).block_rows <= g.n_nodes // 3
+    uneven_tiles(monkeypatch, g.n_nodes)
+    assert Propagation(g.n_nodes, split.train).dense is None
     cfg = tiny_config(seed=11)
     params = glorot_init(g.n_nodes, cfg, np.random.default_rng(11))
     assert gradient_check(params, g, split, cfg, n_samples=60) < 1e-4
