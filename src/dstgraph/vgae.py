@@ -3,18 +3,18 @@ n x n array held outside one small tile.
 
 Two-layer GCN encoder (shared ReLU layer, linear mean and log-variance
 heads), reparameterization trick, inner-product decoder.  The propagation
-matrix Â is a read-only `Propagation` operator built from an edge array: a
-graph whose dense Â fits in `_BLOCK_BYTES` multiplies by it, a larger one
-sums Â's row-sorted nonzeros per row.  Node features are one-hot (X = I),
-so the first layer Â X W_s is Â W_s and no feature matrix is built; one
-forward pass serves training, the gradient check and evaluation, where
-`auc` and `average_precision` rank held-out edges against matched
-negatives.  The training objective is the negative ELBO: weighted
-full-matrix reconstruction BCE plus a KL term against a standard-normal
-prior.  S = Z Z^T is symmetric, so the BCE scores only its tiles on and
-right of the diagonal and counts each pair off the diagonal twice: each
-band of `_TILE_ROWS` rows scores its square on the diagonal, then the rest
-of its rows left to right in tiles `_TILE_COLS` wide.  It works from
+matrix Â is a read-only `Propagation` operator built from an edge array,
+which sums Â's row-sorted nonzeros per row.  Node features are one-hot
+(X = I), so the first layer Â X W_s is Â W_s and no feature matrix is
+built; one forward pass serves training, the gradient check and
+evaluation, where `auc` and `average_precision` rank held-out edges
+against matched negatives.  The training objective is the negative
+ELBO: weighted full-matrix reconstruction BCE plus a KL term against a
+standard-normal prior.  S = Z Z^T is symmetric, so the BCE scores only
+its tiles on and right of the diagonal and counts each pair off the
+diagonal twice: each band of `_TILE_ROWS` rows scores its square on the
+diagonal, then the rest of its rows left to right in tiles `_TILE_COLS`
+wide.  It works from
 exp(-|S|), with the positive terms gathered at the training edges and no
 dense 0/1 target.  Every tile is scored in one workspace of four float and
 two boolean arrays of one tile (1.06 MiB, whatever n is), made once per
@@ -28,11 +28,11 @@ replaced, so no bit depends on where a result is stored.
 `save_checkpoint` turns the weights into JSON text a block of rows at a
 time.
 
-A graph of at most `_TILE_ROWS` nodes is one tile and runs the dense
-expressions exactly, bit for bit; larger graphs agree with them to the
-last bits only, as they sum in another order.  That order is fixed by the
-tile shape and the segmented sum's rows, so no bit depends on the byte
-budget `_BLOCK_BYTES`, and no graph is too large for it.
+A graph of at most `_TILE_ROWS` nodes is one tile and scores S by the
+dense expressions exactly; larger graphs agree with them to the last bits
+only, as they sum in another order.  That order is fixed by the tile
+shape and the segmented sum's rows, so no bit depends on the byte budget
+`_BLOCK_BYTES`, and no graph is too large for it.
 Backpropagation is hand-derived and verified against central finite
 differences, so all arithmetic stays in double precision.
 """
@@ -53,9 +53,8 @@ PROB_EPS = 1e-12
 # bounds of -log p for p clamped to [1e-12, 1 - 1e-12]
 _SP_LO = -float(np.log1p(-PROB_EPS))
 _SP_HI = -float(np.log(PROB_EPS))
-# bytes of float64 arrays that `Propagation` holds densely (a graph of at
-# most 362 nodes) or gathers for one chunk of its segmented sum; neither
-# moves a bit of a product
+# bytes of the weighted operand rows that `Propagation` gathers for one
+# chunk of its segmented sum; the chunking moves no bit of a product
 _BLOCK_BYTES = 1 << 20
 # rows of one band of S = Z Z^T and columns of one tile right of a band's
 # diagonal square.  The objective's workspace holds four float and two
@@ -170,10 +169,8 @@ class Propagation:
     endpoint outside [0, n) or a self-loop raise ValueError; duplicate or
     reversed pairs describe the same edge.
 
-    A graph of at least one node whose n x n array fits in `_BLOCK_BYTES`
-    also keeps the dense, read-only Â and multiplies by it; a larger one
-    sums each row's weighted operand rows, in column order, and never holds
-    Â, however many nodes it has.
+    The product sums each row's weighted operand rows and never holds the
+    n x n Â, however many nodes the graph has.
     """
 
     def __init__(self, n_nodes: int, edges: np.ndarray):
@@ -198,34 +195,30 @@ class Propagation:
         # start of each row's segment, then nnz; every row holds its
         # diagonal, so no segment is empty
         self.row_start = np.searchsorted(self.rows, np.arange(n_nodes + 1))
-        self.dense = None
-        if 0 < n_nodes and 8 * n_nodes * n_nodes <= _BLOCK_BYTES:
-            self.dense = np.zeros((n_nodes, n_nodes))
-            self.dense[self.rows, self.cols] = self.weights
-        for a in (self.rows, self.cols, self.weights, self.row_start, self.dense):
-            if a is not None:
-                a.flags.writeable = False
+        self.longest_row = int(np.diff(self.row_start).max(initial=0))
+        for a in (self.rows, self.cols, self.weights, self.row_start):
+            a.flags.writeable = False
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """Â @ X: the dense gemm on a graph that keeps the dense Â, otherwise
-        a segmented sum over the row-sorted nonzeros.
+        """Â @ X: a segmented sum of the weighted operand rows over the
+        row-sorted nonzeros.
 
-        The segmented sum runs over chunks of whole rows whose weighted
-        operand rows fit in `_BLOCK_BYTES` (at least one row per chunk).
-        Each row's segment is summed whole, in column order, so the product
-        does not depend on the chunking.  Each chunk is gathered into the
-        front of one buffer allocated per call.
+        The sum runs over chunks of whole rows whose weighted operand rows
+        fit in `_BLOCK_BYTES` (at least one row per chunk).  Each row is
+        one segment of one `np.add.reduceat`, so its sum depends only on
+        that row's terms, in column order, and never on the chunking; the
+        order in which reduceat adds them is numpy's, not left to right.
+        Each chunk is gathered into the front of one buffer allocated per
+        call.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n_nodes:
             raise ValueError(f"operand {x.shape} does not have {self.n_nodes} rows")
-        if self.dense is not None:
-            return self.dense @ x
         out = np.empty(x.shape)
         per_chunk = _BLOCK_BYTES // (8 * max(x.shape[1], 1))
         # a chunk holds at most per_chunk nonzeros, or one longer row
-        longest_row = int(np.diff(self.row_start).max(initial=0))
-        buffer = np.empty((min(self.row_start[-1], max(per_chunk, longest_row)), x.shape[1]))
+        chunk_rows = min(self.row_start[-1], max(per_chunk, self.longest_row))
+        buffer = np.empty((chunk_rows, x.shape[1]))
         r0 = 0
         while r0 < self.n_nodes:
             lo = self.row_start[r0]

@@ -78,6 +78,26 @@ def dense_reference(n, edges):
     return a_hat * inv_sqrt_deg[:, None] * inv_sqrt_deg[None, :]
 
 
+class SegmentedReference:
+    """A dense matrix that multiplies as `Propagation` sums: one
+    np.add.reduceat over its row-sorted nonzeros, each operand row weighted
+    by its nonzero and cut at each row's start.  Every row needs a nonzero,
+    as the diagonal of Â gives it."""
+
+    def __init__(self, dense):
+        self.dense = dense
+        rows, self.cols = np.nonzero(dense)
+        self.weights = dense[rows, self.cols]
+        self.starts = np.searchsorted(rows, np.arange(len(dense)))
+
+    @property
+    def T(self):
+        return SegmentedReference(self.dense.T)
+
+    def __matmul__(self, x):
+        return np.add.reduceat(x[self.cols] * self.weights[:, None], self.starts)
+
+
 def test_normalize_adjacency_two_node_hand_value():
     want = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert np.allclose(normalize_adjacency(2, [(0, 1)]), want, atol=1e-15)
@@ -153,10 +173,8 @@ def test_propagation_and_auc_leave_numpy_ma_unimported():
 import sys
 import numpy as np
 from dstgraph.vgae import Propagation, auc
-for n in (4, 400):  # one dense block, then the segmented sum
-    path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
-    prop = Propagation(n, np.concatenate([path, path[:, ::-1]]))
-    prop @ np.ones((n, 2))
+path = np.stack([np.arange(3), np.arange(1, 4)], axis=1)
+Propagation(4, np.concatenate([path, path[:, ::-1]])) @ np.ones((4, 2))
 auc([0.1, 0.4, 0.4, 0.9], [False, True, False, True])
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 """
@@ -192,9 +210,9 @@ def test_encode_shapes_and_relu(rng):
 def test_encode_equals_one_hot_reference_chain(rng):
     g, _ = small_setup(rng)
     params = glorot_init(g.n_nodes, tiny_config(), np.random.default_rng(0))
-    a_hat = dense_reference(g.n_nodes, g.edges)
+    a_hat = SegmentedReference(dense_reference(g.n_nodes, g.edges))
     x = np.eye(g.n_nodes)
-    h = np.maximum(a_hat @ x @ params.w_shared, 0.0)
+    h = np.maximum(a_hat @ (x @ params.w_shared), 0.0)
     mu, logvar = encode(Propagation(g.n_nodes, g.edges), params)
     assert np.array_equal(mu, a_hat @ h @ params.w_mu)
     assert np.array_equal(logvar, a_hat @ h @ params.w_logvar)
@@ -306,8 +324,8 @@ def softplus(x):
 
 def dense_loss_reference(params, a_hat, a, pos_weight, kl_weight, noise):
     """The full-matrix objective against a dense 0/1 target ``a``, as it
-    was before the one-pass form, with a dense Â; also returns S and both
-    log terms."""
+    was before the one-pass form, with Â a `SegmentedReference`; also
+    returns S and both log terms."""
     n = a.shape[0]
     m = a_hat @ params.w_shared
     ah = a_hat @ np.maximum(m, 0.0)
@@ -347,7 +365,7 @@ def test_loss_and_grads_equals_dense_reference_bit_for_bit(rng):
         n = g.n_nodes + n_isolated
         split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
         prop = Propagation(n, split.train)
-        a_hat = dense_reference(n, split.train)
+        a_hat = SegmentedReference(dense_reference(n, split.train))
         a = np.zeros((n, n))
         for i, j in split.train:
             a[i, j] = a[j, i] = 1.0
@@ -400,8 +418,9 @@ def fixture_graph():
 
 def uneven_block_budget(n):
     """A block budget of n // 3 - 1 rows of n floats, the last of at least
-    3 such blocks shorter: below the dense n x n array, so `Propagation`
-    takes its segmented sum."""
+    3 such blocks shorter: `Propagation` cuts its segmented sum of an
+    operand of d <= n columns into chunks of at most n * (n // 3 - 1) / d
+    nonzeros."""
     rows = n // 3 - 1
     assert rows >= 1 and n % rows and n // rows >= 3
     return 8 * n * rows
@@ -454,12 +473,11 @@ def test_blocked_loss_and_grads_match_one_block(make_graph, monkeypatch):
         for scale in (1, 300)
     ]
     one_block = Propagation(n, split.train)
-    assert one_block.dense is not None and n <= vgae._TILE_ROWS
+    assert n <= vgae._TILE_ROWS
     want = [loss_and_grads(p, one_block, 0.5, noise, workspace()) for p in params]
     monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(n))
     uneven_tiles(monkeypatch, n)
     blocked = Propagation(n, split.train)
-    assert blocked.dense is None
     eye = np.eye(n)
     assert (blocked @ eye).tobytes() == (one_block @ eye).tobytes()
     for p, w in zip(params, want):
@@ -478,7 +496,6 @@ def test_blocked_training_matches_one_block(make_graph, monkeypatch):
     # several tiles per band, on the same graph
     monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(g.n_nodes))
     uneven_tiles(monkeypatch, g.n_nodes)
-    assert Propagation(g.n_nodes, g.edges).dense is None
     got, history = train(g, split, cfg)
     for name in ("w_shared", "w_mu", "w_logvar"):
         assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
@@ -729,7 +746,7 @@ def test_blocked_pipeline_allocates_no_n_by_n_array():
     split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
     cfg = TrainConfig(epochs=2, seed=1)
     prop = Propagation(n, split.train)
-    assert prop.dense is None and vgae._TILE_ROWS <= n // 3
+    assert vgae._TILE_ROWS <= n // 3
     params = glorot_init(n, cfg, np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, cfg.latent_dim))
     domain = next(v.index for v in g.nodes if v.kind is NodeKind.DOMAIN)
@@ -817,33 +834,31 @@ def test_propagation_and_encode_run_past_131072_nodes():
     assert mu.shape == logvar.shape == (n, 2) and np.all(np.isfinite(logvar))
 
 
-def test_dense_propagation_serves_graphs_of_1_to_362_nodes():
-    # the dense n x n Â fits the block budget; a graph without nodes has
-    # nothing to multiply
-    none = np.empty((0, 2), dtype=np.int64)
-    assert Propagation(0, none).dense is None
-    for n in (1, 362):
-        assert Propagation(n, none).dense is not None
-    assert Propagation(363, none).dense is None
-
-
 def test_training_bits_do_not_depend_on_the_block_budget(tmp_path, monkeypatch):
-    # 1,008 nodes: 16 bands of S, most with two tiles right of the square;
-    # under every budget below the dense n x n array, Â's segmented sum is
-    # chunked differently and S is scored in the same tiles
-    g = planted_graph(n_domains=8, values_per_domain=125, intra_p=0.1, inter_p=0.005)
-    n = g.n_nodes
-    split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+    # under every budget, Â's segmented sum is chunked differently and S is
+    # scored in the same tiles.  The goldens' 28-node fixture graph: the 82
+    # nonzeros of its full Â, and the fewer of its training Â, in one chunk
+    # of an n x 32 operand, then in chunks of 20 nonzeros and of one row.
+    # Then 1,008 nodes: 16 bands of S, most with two tiles right of the
+    # square.
+    fixture = fixture_graph()
+    assert len(Propagation(fixture.n_nodes, fixture.edges).cols) == 82
+    large = planted_graph(n_domains=8, values_per_domain=125, intra_p=0.1, inter_p=0.005)
+    cases = [
+        (fixture, (1 << 20, 8 * 32 * 20, 8)),
+        (large, (1 << 20, 1 << 22, 3 * 8 * large.n_nodes * 37)),
+    ]
     cfg = TrainConfig(epochs=5, seed=1)
-    checkpoints = set()
-    for budget in (1 << 20, 1 << 22, 3 * 8 * n * 37):
-        assert budget < 8 * n * n
-        monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", budget)
-        params, _ = train(g, split, cfg)
-        path = tmp_path / f"model-{budget}.json"
-        save_checkpoint(path, params, cfg)
-        checkpoints.add(path.read_bytes())
-    assert len(checkpoints) == 1
+    for g, budgets in cases:
+        split = split_edges(g, 0.85, 0.10, 0.05, seed=1)
+        checkpoints = set()
+        for budget in budgets:
+            monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", budget)
+            params, _ = train(g, split, cfg)
+            path = tmp_path / f"model-{g.n_nodes}-{budget}.json"
+            save_checkpoint(path, params, cfg)
+            checkpoints.add(path.read_bytes())
+        assert len(checkpoints) == 1, g.n_nodes
 
 
 def multi_block_graph():
@@ -860,7 +875,6 @@ def test_multi_block_propagation_does_not_depend_on_block_budget(monkeypatch):
     for rows in (100, 64, 8):
         monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", 8 * n * rows)
         prop = Propagation(n, g.edges)
-        assert prop.dense is None
         products.add((prop @ w).tobytes())
     assert len(products) == 1
     got = np.frombuffer(products.pop()).reshape(n, 32)
@@ -876,7 +890,6 @@ def dense_bipartite_graph():
 def test_segmented_sum_chunks_match_one_reduceat_bit_for_bit(monkeypatch):
     g = dense_bipartite_graph()
     prop = Propagation(g.n_nodes, g.edges)
-    assert prop.dense is None
     x = np.random.default_rng(0).standard_normal((g.n_nodes, 32))
     want = np.add.reduceat(x[prop.cols] * prop.weights[:, None], prop.row_start[:-1])
     assert len(prop.cols) * 32 * 8 > 8 * vgae._BLOCK_BYTES  # at least 9 chunks
@@ -892,7 +905,6 @@ def test_segmented_sum_chunks_match_one_reduceat_bit_for_bit(monkeypatch):
 
 def test_segmented_sum_of_a_graph_without_nodes_is_empty():
     prop = Propagation(0, np.empty((0, 2), dtype=np.int64))
-    assert prop.dense is None
     assert (prop @ np.empty((0, 3))).shape == (0, 3)
 
 
@@ -932,16 +944,13 @@ def test_one_operator_serves_threads_bit_for_bit(make_graph):
 
 def test_propagation_arrays_are_read_only(rng):
     g, _ = small_setup(rng)
-    one_block = Propagation(g.n_nodes, g.edges)
-    assert one_block.dense.tobytes() == dense_reference(g.n_nodes, g.edges).tobytes()
-    with pytest.raises(ValueError, match="read-only"):
-        one_block.dense[0, 0] = 1.0
     big = multi_block_graph()
-    blocked = Propagation(big.n_nodes, big.edges)
-    assert blocked.dense is None
-    for prop in (one_block, blocked):
+    for graph in (g, big):
+        prop = Propagation(graph.n_nodes, graph.edges)
         for a in (prop.rows, prop.cols, prop.weights, prop.row_start):
             assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            prop.weights[0] = 1.0
 
 
 # --- initialization ---
@@ -1041,6 +1050,7 @@ def test_train_adjacency_contains_only_train_edges(rng):
     a_hat = Propagation(n, split.train)
     dense = a_hat @ np.eye(n)
     assert dense.tobytes() == dense_reference(n, split.train).tobytes()
+    reference = SegmentedReference(dense)
     # the loss's positives are Â's off-diagonal nonzeros, sorted by row
     off_diagonal = a_hat.rows != a_hat.cols
     rows, cols = a_hat.rows[off_diagonal], a_hat.cols[off_diagonal]
@@ -1057,9 +1067,9 @@ def test_train_adjacency_contains_only_train_edges(rng):
     pos_weight = (n**2 - n_pos) / n_pos
     params = glorot_init(n, tiny_config(), np.random.default_rng(0))
     noise = np.random.default_rng(1).standard_normal((n, params.latent_dim))
-    want = dense_loss_reference(params, dense, a, pos_weight, 0.5, noise)[0]
+    want = dense_loss_reference(params, reference, a, pos_weight, 0.5, noise)[0]
     assert loss_and_grads(params, a_hat, 0.5, noise, workspace())[0] == want
-    other = dense_loss_reference(params, dense, a, 2 * pos_weight, 0.5, noise)[0]
+    other = dense_loss_reference(params, reference, a, 2 * pos_weight, 0.5, noise)[0]
     assert other != want
 
 
@@ -1092,7 +1102,6 @@ def test_gradient_check_multi_block(rng, monkeypatch):
     g, split = small_setup(rng)
     monkeypatch.setattr("dstgraph.vgae._BLOCK_BYTES", uneven_block_budget(g.n_nodes))
     uneven_tiles(monkeypatch, g.n_nodes)
-    assert Propagation(g.n_nodes, split.train).dense is None
     cfg = tiny_config(seed=11)
     params = glorot_init(g.n_nodes, cfg, np.random.default_rng(11))
     assert gradient_check(params, g, split, cfg, n_samples=60) < 1e-4
