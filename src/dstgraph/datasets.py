@@ -80,7 +80,11 @@ def state_to_jsonable(state: DialogueState) -> list[dict]:
 
 
 def state_from_jsonable(items: Sequence[dict]) -> DialogueState:
-    return DialogueState(state_triple(i["domain"], i["slot"], i["value"]) for i in items)
+    by_key = {}
+    for item in items:
+        t = state_triple(item["domain"], item["slot"], item["value"])
+        by_key[t.domain, t.slot] = t  # latest wins, as DialogueState(...)
+    return DialogueState.from_keyed(by_key)
 
 
 # an unknown speaker is a KeyError, which the skip rule counts
@@ -91,9 +95,28 @@ _SPEAKERS = {s.value: s for s in Speaker}
 _MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
 
 
+_RAW_DECODE = json.JSONDecoder().raw_decode
+# what may follow a value for json.loads to read the text as that value
+_LINE_ENDS = ("\n", "\r\n", "")
+
+
+def _json_value(text: str):
+    """``json.loads(text)``.  A text that is one value and a line end is
+    read by the decoder's ``raw_decode`` alone, at half the cost; any
+    other goes to ``json.loads``, which reads a value padded with
+    whitespace or raises its own error."""
+    try:
+        value, end = _RAW_DECODE(text)
+        if text[end:] in _LINE_ENDS:
+            return value
+    except json.JSONDecodeError:
+        pass
+    return json.loads(text)
+
+
 def _plain_dialogue(line: str) -> AnnotatedDialogue:
     """One line of the plain JSONL schema."""
-    rec = json.loads(line)
+    rec = _json_value(line)
     turns = tuple(
         Turn(speaker=_SPEAKERS[str(t["speaker"]).lower()], text=str(t["text"]))
         for t in rec["turns"]
@@ -191,7 +214,7 @@ def _plain_ids(path: Path) -> Iterator[tuple[str | None, int]]:
     for offset, line in _lines(path):
         if line.strip():
             try:
-                rec = json.loads(line)
+                rec = _json_value(line)
             except ValueError:
                 rec = None  # not JSON
             yield _dialogue_id(rec), offset
@@ -366,16 +389,20 @@ def _missing_directory(path: Path, exc: FileNotFoundError) -> FileNotFoundError:
     return FileNotFoundError(exc.errno, exc.strerror, str(path.parent))
 
 
-def _json_line(rec: dict) -> str:
-    return json.dumps(rec, ensure_ascii=False) + "\n"
+# json.dumps(rec, ensure_ascii=False) without a new encoder for each record
+_ENCODE = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def json_line(rec: dict) -> str:
+    """One record as a line of a JSON Lines file, non-ASCII unescaped."""
+    return _ENCODE(rec) + "\n"
 
 
 def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
     """Write each record as one UTF-8 JSON line, non-ASCII unescaped (the
     mirror of ``read_json_lines``); the file is replaced once all are written."""
     with atomic_writer(path) as f:
-        for rec in records:
-            f.write(_json_line(rec))
+        f.writelines(map(json_line, records))
 
 
 def _corpus_record(d: AnnotatedDialogue) -> dict:
@@ -421,12 +448,12 @@ class PredictionsSpool:
                 )
             except FileNotFoundError as exc:
                 raise _missing_directory(self.path, exc) from None
-        self._file.write(_json_line(rec))
+        self._file.write(json_line(rec))
         self.count += 1
 
     def commit(self, meta: dict) -> None:
         with atomic_writer(self.path) as f:
-            f.write(_json_line({META_KEY: "meta", **meta}))
+            f.write(json_line({META_KEY: "meta", **meta}))
             if self._file is not None:
                 self._file.seek(0)
                 shutil.copyfileobj(self._file, f)
@@ -445,7 +472,7 @@ class PredictionsSpool:
 def _json_object(text: str) -> dict:
     """The JSON object in ``text``; anything else raises an unlocated
     ``ValueError``, which the caller locates."""
-    rec = json.loads(text)
+    rec = _json_value(text)
     if not isinstance(rec, dict):
         raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
     return rec
@@ -470,13 +497,15 @@ def _read_only(path: str | Path) -> BinaryIO:
 _CHECK_CHUNK = 1 << 16
 
 
-def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield (byte offset, text) for each line of a UTF-8 file, read one
-    line at a time and split only at "\n"; "\r\n" leaves a "\r", which
-    JSON reads as whitespace.
+@contextlib.contextmanager
+def _utf8_file(path: str | Path) -> Iterator[BinaryIO]:
+    """``path`` opened to read bytes, at its start, once the whole file is
+    checked to be UTF-8; its lines split only at "\n".
 
     A file that is not UTF-8 raises the whole-file decoder's error, naming
-    the byte's position in the file, before any line is yielded.
+    the byte's position in the file, before the block is entered: so a
+    reader of its lines raises before it yields any.  The check costs
+    little next to decoding the lines' JSON.
     """
     with _read_only(path) as f:
         decoder = codecs.getincrementaldecoder("utf-8")()
@@ -488,6 +517,13 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
             Path(path).read_text(encoding="utf-8")  # raises, placed in the file
             raise
         f.seek(0)
+        yield f
+
+
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (byte offset, text) for each line of a UTF-8 file, read one
+    line at a time; "\r\n" leaves a "\r", which JSON reads as whitespace."""
+    with _utf8_file(path) as f:
         offset = 0
         for raw in f:
             yield offset, raw.decode("utf-8")
@@ -497,14 +533,17 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
 def read_json_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line of a JSONL file;
     a line that is not a JSON object raises ``ValueError`` naming the file
-    and the line."""
-    for lineno, (_, line) in enumerate(_lines(path), start=1):
-        if line.strip():
-            try:
-                rec = _json_object(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            yield lineno, rec
+    and the line.  The lines are read as ``_lines`` reads them."""
+    with _utf8_file(path) as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.decode("utf-8")
+            # a line read from a file is never empty: blank is all whitespace
+            if not line.isspace():
+                try:
+                    rec = _json_object(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                yield lineno, rec
 
 
 def read_predictions(path: str | Path) -> tuple[list[dict], dict | None]:
@@ -527,6 +566,15 @@ class Prediction:
     turn: int
     state: DialogueState
     parse_failed: bool
+
+    # written out: the instance dict takes each field for half the cost
+    # of the generated frozen __init__'s object.__setattr__ calls
+    def __init__(self, dialogue_id: str, turn: int, state: DialogueState, parse_failed: bool):
+        fields = self.__dict__
+        fields["dialogue_id"] = dialogue_id
+        fields["turn"] = turn
+        fields["state"] = state
+        fields["parse_failed"] = parse_failed
 
 
 def prediction_record(
@@ -562,12 +610,17 @@ class TurnKeys:
             return bool(self._masks.get(dialogue_id, 0) >> turn & 1)
         return key in self._others
 
-    def add(self, key: tuple[str, int]) -> None:
+    def add(self, key: tuple[str, int]) -> bool:
+        """Add ``key``; False if it was already in the set."""
         dialogue_id, turn = key
         if 0 <= turn < _MASK_TURNS:
-            self._masks[dialogue_id] = self._masks.get(dialogue_id, 0) | 1 << turn
-        else:
-            self._others.add(key)
+            mask = self._masks.get(dialogue_id, 0)
+            self._masks[dialogue_id] = mask | 1 << turn
+            return not mask >> turn & 1
+        if key in self._others:
+            return False
+        self._others.add(key)
+        return True
 
 
 def iter_predictions(path: str | Path, seen: TurnKeys | None = None) -> Iterator[Prediction]:
@@ -602,27 +655,29 @@ def iter_predictions(path: str | Path, seen: TurnKeys | None = None) -> Iterator
 def _prediction(rec: dict, seen: TurnKeys) -> Prediction:
     """One checked predictions record, its key added to ``seen``; a broken
     rule raises ``ValueError`` naming the field, which the caller locates."""
-    for field in ("dialogue_id", "turn", "predicted_state"):
-        if field not in rec:
-            raise ValueError(f"no {field!r} key")
-    key = dialogue_id, turn = rec["dialogue_id"], rec["turn"]
+    try:  # the first of the three keys missing is named
+        key = dialogue_id, turn = rec["dialogue_id"], rec["turn"]
+        items = rec["predicted_state"]
+    except KeyError as exc:
+        raise ValueError(f"no {exc.args[0]!r} key") from None
     if not isinstance(dialogue_id, str):
         raise ValueError(f"dialogue_id must be str, got {dialogue_id!r}")
     if type(turn) is not int:
         raise ValueError(f"turn must be int, got {turn!r}")
-    if key in seen:
+    if not seen.add(key):
         raise ValueError(f"duplicate (dialogue_id, turn) {key}")
-    seen.add(key)
     try:
-        state = state_from_jsonable(rec["predicted_state"])
+        state = state_from_jsonable(items)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed predicted_state: {exc!r}") from exc
     diagnostics = rec.get("diagnostics", [])
-    if not isinstance(diagnostics, list) or not all(
-        isinstance(d, dict) and "kind" in d for d in diagnostics
-    ):
+    if not isinstance(diagnostics, list):
         raise ValueError(f"malformed diagnostics: {diagnostics!r}")
-    parse_failed = any(d["kind"] == _PARSE_FAILURE for d in diagnostics)
+    parse_failed = False
+    for d in diagnostics:
+        if not isinstance(d, dict) or "kind" not in d:
+            raise ValueError(f"malformed diagnostics: {diagnostics!r}")
+        parse_failed = parse_failed or d["kind"] == _PARSE_FAILURE
     return Prediction(dialogue_id, turn, state, parse_failed)
 
 

@@ -94,21 +94,25 @@ class StateTriple:
     slot: str
     value: str
 
-    def __post_init__(self):
-        domain, slot, value = self.domain, self.slot, self.value
+    # written out, not generated: a frozen dataclass's __init__ sets each
+    # field through object.__setattr__, and a __post_init__ would set it
+    # again, normalized; the instance dict takes each field once, for half
+    def __init__(self, domain: str, slot: str, value: str):
         if not (
             isinstance(domain, str) and isinstance(slot, str) and isinstance(value, str)
         ):
             raise TypeError(
                 f"triple fields must be str, got ({domain!r}, {slot!r}, {value!r})"
             )
-        object.__setattr__(self, "domain", normalize_text(domain))
-        object.__setattr__(self, "slot", normalize_text(slot))
-        object.__setattr__(self, "value", normalize_text(value))
-        if not self.domain:
+        domain, slot = normalize_text(domain), normalize_text(slot)
+        if not domain:
             raise ValueError("triple domain must be non-empty")
-        if not self.slot:
+        if not slot:
             raise ValueError("triple slot must be non-empty")
+        fields = self.__dict__
+        fields["domain"] = domain
+        fields["slot"] = slot
+        fields["value"] = normalize_text(value)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -152,6 +156,15 @@ class DialogueState:
         by_key = {(t.domain, t.slot): t for t in triples}
         object.__setattr__(self, "_by_key", by_key)
 
+    @classmethod
+    def from_keyed(cls, by_key: dict[tuple[str, str], StateTriple]) -> "DialogueState":
+        """The state of a map from each triple's (domain, slot) key to the
+        triple, which it takes over uncopied: for a caller that keys the
+        triples as it makes them and drops the map."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "_by_key", by_key)
+        return state
+
     def __setattr__(self, name, value):
         raise AttributeError("DialogueState is immutable")
 
@@ -163,6 +176,11 @@ class DialogueState:
         """Read-only view of the triples in no fixed order; iterate the
         state itself where the order is observed."""
         return self._by_key.values()
+
+    def unordered_items(self) -> Iterable[tuple[tuple[str, str], StateTriple]]:
+        """Read-only view of the ((domain, slot), triple) pairs in no fixed
+        order."""
+        return self._by_key.items()
 
     def value_by_key(self) -> dict[tuple[str, str], str]:
         """Each (domain, slot) key's value, sentinel-valued keys left out."""
@@ -210,4 +228,4 @@ def accumulate_state(
         if t.value == NONE_VALUE:
             continue
         merged[(t.domain, t.slot)] = t
-    return DialogueState(merged.values())
+    return DialogueState.from_keyed(merged)

@@ -8,6 +8,10 @@ each edge set is one read-only int64 (E, 2) array.  Splits take a seed.
 
 from __future__ import annotations
 
+import itertools
+import json
+import operator
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -15,8 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datasets import atomic_writer, read_json_lines, write_json_lines
-from .dialogue import DialogueState
+from .datasets import atomic_writer, json_line, read_json_lines
+from .dialogue import NONE_VALUE, DialogueState
 
 
 class NodeKind(Enum):
@@ -33,6 +37,14 @@ class NodeId:
     index: int
     kind: NodeKind
     label: str
+
+    # written out: the instance dict takes each field for half the cost
+    # of the generated frozen __init__'s object.__setattr__ calls
+    def __init__(self, index: int, kind: NodeKind, label: str):
+        fields = self.__dict__
+        fields["index"] = index
+        fields["kind"] = kind
+        fields["label"] = label
 
 
 class EdgeError(ValueError):
@@ -140,6 +152,9 @@ def build_graph(states: Iterable[DialogueState]) -> StateGraph:
     (slot, value) pair with a real (non-NONE) value, one edge per observed
     triple.  Duplicates collapse; node indices follow first-seen order,
     with triples visited in sorted order within each state.
+
+    A triple that the state before restates adds nothing, so only the
+    others are visited: a dialogue's states each restate the one before.
     """
     nodes: list[NodeId] = []
     domain_index: dict[str, int] = {}
@@ -147,29 +162,37 @@ def build_graph(states: Iterable[DialogueState]) -> StateGraph:
     used_sv_labels: set[str] = set()
     edges: set[tuple[int, int]] = set()
 
+    before: Iterable = ()  # the previous state's (key, triple) pairs
     for state in states:
-        for t in state.triples():
-            if t.is_none:
+        items = state.unordered_items()
+        new = [item for item in items if item not in before]
+        new.sort()  # keys are unique within a state: no triple is compared
+        for _, t in new:
+            domain, slot, value = t.domain, t.slot, t.value
+            if value == NONE_VALUE:
                 continue
-            if t.domain not in domain_index:
-                domain_index[t.domain] = len(nodes)
-                nodes.append(NodeId(len(nodes), NodeKind.DOMAIN, t.domain))
-            pair = (t.slot, t.value)
-            if pair not in slotvalue_index:
-                label = f"{t.slot}-{t.value}"
+            d = domain_index.get(domain)
+            if d is None:
+                d = domain_index[domain] = len(nodes)
+                nodes.append(NodeId(d, NodeKind.DOMAIN, domain))
+            pair = (slot, value)
+            v = slotvalue_index.get(pair)
+            if v is None:
+                label = f"{slot}-{value}"
                 # distinct pairs can collide on the composite label
                 k = 2
                 while label in used_sv_labels:
-                    label = f"{t.slot}-{t.value}#{k}"
+                    label = f"{slot}-{value}#{k}"
                     k += 1
                 used_sv_labels.add(label)
-                slotvalue_index[pair] = len(nodes)
-                nodes.append(NodeId(len(nodes), NodeKind.SLOT_VALUE, label))
-            d, v = domain_index[t.domain], slotvalue_index[pair]
+                v = slotvalue_index[pair] = len(nodes)
+                nodes.append(NodeId(v, NodeKind.SLOT_VALUE, label))
             edges.add((d, v) if d < v else (v, d))
+        before = items
 
     slot_values = {idx: pair for pair, idx in slotvalue_index.items()}
-    return StateGraph(nodes, list(edges), slot_values)
+    ends = np.fromiter(itertools.chain.from_iterable(edges), np.int64, 2 * len(edges))
+    return StateGraph(nodes, ends.reshape(-1, 2), slot_values)
 
 
 @dataclass(frozen=True)
@@ -272,29 +295,46 @@ def write_edge_list(g: StateGraph, path: str | Path) -> None:
         f.write("".join(f"{i} {j}\n" for i, j in g.edges.tolist()))
 
 
-def _node_record(g: StateGraph, node: NodeId) -> dict:
-    rec: dict = {"index": node.index, "kind": node.kind.value, "label": node.label}
-    if node.kind is NodeKind.SLOT_VALUE:
-        slot, value = g.slot_values[node.index]
-        rec["slot"] = slot
-        rec["value"] = value
-    return rec
+# the text json.dumps(text, ensure_ascii=False) writes for a str
+_JSON_STR = json.encoder.encode_basestring
+
+
+def _node_line(g: StateGraph, node: NodeId) -> str:
+    """The node-table line of ``node``: the `json_line` of its record
+    {index, kind, label}, plus slot and value for a slot-value node.  A
+    record of an int index and str texts, as every graph built here has,
+    is formatted field by field, at a third of the encoder's cost."""
+    index, kind, label = node.index, node.kind, node.label
+    if type(index) is int and type(label) is str:
+        if kind is NodeKind.DOMAIN:
+            return f'{{"index": {index}, "kind": "domain", "label": {_JSON_STR(label)}}}\n'
+        slot, value = g.slot_values[index]
+        if kind is NodeKind.SLOT_VALUE and type(slot) is str and type(value) is str:
+            return (
+                f'{{"index": {index}, "kind": "slot_value", "label": {_JSON_STR(label)}, '
+                f'"slot": {_JSON_STR(slot)}, "value": {_JSON_STR(value)}}}\n'
+            )
+    rec: dict = {"index": index, "kind": kind.value, "label": label}
+    if kind is NodeKind.SLOT_VALUE:
+        rec["slot"], rec["value"] = g.slot_values[index]
+    return json_line(rec)
 
 
 def write_node_table(g: StateGraph, path: str | Path) -> None:
     """Write the node table as JSONL: {index, kind, label} plus identity fields."""
-    write_json_lines(path, (_node_record(g, node) for node in g.nodes))
+    with atomic_writer(path) as f:
+        f.writelines(_node_line(g, node) for node in g.nodes)
 
 
-def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
-    """Rebuild a StateGraph from its edge-list and node-table exports.
+# an edge list as `write_edge_list` writes it: each line two decimals below
+# 2**63 and "\n", which numpy's text parser reads as int() reads them
+_WRITTEN_EDGES = re.compile(r"(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+_NODE_INDEX = operator.attrgetter("index")
 
-    A malformed node-table or edge-list line, or an edge that `StateGraph`
-    rejects, raises ``ValueError`` naming the file and the line, the first
-    faulty edge line in file order; a node table that `StateGraph` rejects
-    names the file, ahead of any edge line or an unreadable edge list.
-    `StateGraph` builds and checks the graph once.
-    """
+
+def _node_table(node_path: str | Path) -> tuple[list[NodeId], dict[int, tuple[str, str]]]:
+    """The nodes of a node table, by index, and its slot-value pairs; a
+    malformed line raises ``ValueError`` naming the file and the line."""
     nodes: list[NodeId] = []
     slot_values: dict[int, tuple[str, str]] = {}
     for lineno, rec in read_json_lines(node_path):
@@ -321,26 +361,56 @@ def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
             nodes.append(NodeId(index, kind, label))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{node_path}:{lineno}: {exc!r}") from exc
-    nodes.sort(key=lambda n: n.index)
-    parsed: list[int] = []  # line number, i and j of each edge line
-    fault = lineno = None
-    try:
-        lines = Path(edge_path).read_text(encoding="utf-8").split("\n")
-        for lineno, line in enumerate(lines, start=1):
-            if line.strip():
+    nodes.sort(key=_NODE_INDEX)
+    return nodes, slot_values
+
+
+def _edge_lines(text: str, nodes: Sequence[NodeId]):
+    """The (line number, i, j) rows of the edge-list lines that parse, in
+    file order, up to the first that does not, and that line's number and
+    error, or (None, None) if none fails.  Lines split only at "\n" and
+    blank ones are skipped."""
+    parsed: list[int] = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.strip():
+            try:
                 i, j = line.split()
                 i, j = int(i), int(j)
                 # past int64, so past every node
                 if not (-(2**63) <= i < 2**63 and -(2**63) <= j < 2**63):
                     raise EdgeError(nodes, i, j, row=len(parsed) // 3)
-                parsed += lineno, i, j
-    except (OSError, ValueError) as exc:
-        fault = exc  # the lines before it are checked first
-    rows = np.array(parsed, dtype=np.int64).reshape(-1, 3)
+            except ValueError as exc:
+                return np.array(parsed, dtype=np.int64).reshape(-1, 3), lineno, exc
+            parsed += lineno, i, j
+    return np.array(parsed, dtype=np.int64).reshape(-1, 3), None, None
+
+
+def load_graph(edge_path: str | Path, node_path: str | Path) -> StateGraph:
+    """Rebuild a StateGraph from its edge-list and node-table exports.
+
+    A malformed node-table or edge-list line, or an edge that `StateGraph`
+    rejects, raises ``ValueError`` naming the file and the line, the first
+    faulty edge line in file order; a node table that `StateGraph` rejects
+    names the file, ahead of any edge line or an unreadable edge list.
+    `StateGraph` builds and checks the graph once.  An edge list as
+    `write_edge_list` writes it is parsed by numpy in one call.
+    """
+    nodes, slot_values = _node_table(node_path)
+    fault = lineno = linenos = None
     try:
-        graph = StateGraph(nodes, rows[:, 1:], slot_values)
+        text = Path(edge_path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        text, fault = "", exc  # raised after the node table's faults
+    if _WRITTEN_EDGES.fullmatch(text):
+        edges = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2)
+    else:
+        rows, lineno, fault = _edge_lines(text, nodes)
+        linenos, edges = rows[:, 0], rows[:, 1:]
+    try:
+        graph = StateGraph(nodes, edges, slot_values)
     except EdgeError as exc:
-        fault, lineno = exc, rows[exc.row, 0]
+        fault = exc
+        lineno = exc.row + 1 if linenos is None else linenos[exc.row]
     except ValueError as exc:
         raise ValueError(f"{node_path}: {exc}") from exc
     if fault is None:

@@ -17,14 +17,18 @@ from dstgraph.datasets import (
     LoadResult,
     write_json_lines,
 )
-from dstgraph.dialogue import DialogueState, Speaker, StateTriple
-from dstgraph.graph import StateGraph, build_graph
+from dstgraph.dialogue import DialogueState, Speaker, StateTriple, state_triple
+from dstgraph.graph import EdgeError, NodeId, NodeKind, StateGraph, build_graph
 from dstgraph.metrics import TrackingCounts
 
 # Every hypothesis test draws the same examples on every run (a seed from
 # the test itself, no example database), so a failure seen in CI reproduces
-# locally; each test keeps its default example count.
+# locally; each test keeps its default example count.  The deep profile,
+# chosen with --hypothesis-profile=deep, draws 20 times as many.
 settings.register_profile("deterministic", derandomize=True)
+settings.register_profile(
+    "deep", derandomize=True, max_examples=20 * settings.default.max_examples
+)
 settings.load_profile("deterministic")
 
 
@@ -165,6 +169,174 @@ def reference_load_corpus(path, format: CorpusFormat | None = None) -> LoadResul
     if not dialogues:
         raise ValueError(f"no valid dialogues in {path} ({skipped} skipped)")
     return LoadResult(dialogues=tuple(dialogues.values()), skipped=skipped)
+
+
+# The reference readers and writers below are the straightforward forms
+# of the package's own: each record decoded by json.loads and checked
+# field by field, each state's triples visited in sorted order, each node
+# record encoded by json.dumps.  The package's forms must return equal
+# objects, write the same bytes and raise the same errors.
+
+
+def reference_read_json_lines(path):
+    """The reference JSONL reader: (line number, object) for each
+    non-blank line, each decoded by json.loads."""
+    for lineno, (_, line) in enumerate(datasets._lines(path), start=1):
+        if line.strip():
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError(f"expected a JSON object, got {type(rec).__name__}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield lineno, rec
+
+
+def reference_state_from_jsonable(items) -> DialogueState:
+    """The reference state decoder: one triple per item, latest key wins."""
+    return DialogueState(state_triple(i["domain"], i["slot"], i["value"]) for i in items)
+
+
+def _reference_prediction(rec: dict, seen) -> datasets.Prediction:
+    for field in ("dialogue_id", "turn", "predicted_state"):
+        if field not in rec:
+            raise ValueError(f"no {field!r} key")
+    key = dialogue_id, turn = rec["dialogue_id"], rec["turn"]
+    if not isinstance(dialogue_id, str):
+        raise ValueError(f"dialogue_id must be str, got {dialogue_id!r}")
+    if type(turn) is not int:
+        raise ValueError(f"turn must be int, got {turn!r}")
+    if key in seen:
+        raise ValueError(f"duplicate (dialogue_id, turn) {key}")
+    seen.add(key)
+    try:
+        state = reference_state_from_jsonable(rec["predicted_state"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed predicted_state: {exc!r}") from exc
+    diagnostics = rec.get("diagnostics", [])
+    if not isinstance(diagnostics, list) or not all(
+        isinstance(d, dict) and "kind" in d for d in diagnostics
+    ):
+        raise ValueError(f"malformed diagnostics: {diagnostics!r}")
+    parse_failed = any(d["kind"] == "parse_failure" for d in diagnostics)
+    return datasets.Prediction(dialogue_id, turn, state, parse_failed)
+
+
+def reference_iter_predictions(path, seen=None):
+    """The reference predictions reader: every record checked in file
+    order; a line that is not a JSON object is named ahead of any broken
+    record, wherever it is."""
+    seen = set() if seen is None else seen
+    lines = reference_read_json_lines(path)
+    number = 0
+    for _, rec in lines:
+        if rec.get(META_KEY) == "meta":
+            continue
+        number += 1
+        try:
+            prediction = _reference_prediction(rec, seen)
+        except ValueError as exc:
+            for _ in lines:
+                pass
+            raise ValueError(f"{path}: prediction record {number}: {exc}") from exc
+        yield prediction
+
+
+def reference_build_graph(states) -> StateGraph:
+    """The reference graph builder: every triple of every state visited,
+    in sorted order within each state."""
+    nodes: list[NodeId] = []
+    domain_index: dict[str, int] = {}
+    slotvalue_index: dict[tuple[str, str], int] = {}
+    used_sv_labels: set[str] = set()
+    edges: set[tuple[int, int]] = set()
+    for state in states:
+        for t in state.triples():
+            if t.is_none:
+                continue
+            if t.domain not in domain_index:
+                domain_index[t.domain] = len(nodes)
+                nodes.append(NodeId(len(nodes), NodeKind.DOMAIN, t.domain))
+            pair = (t.slot, t.value)
+            if pair not in slotvalue_index:
+                label = f"{t.slot}-{t.value}"
+                k = 2
+                while label in used_sv_labels:
+                    label = f"{t.slot}-{t.value}#{k}"
+                    k += 1
+                used_sv_labels.add(label)
+                slotvalue_index[pair] = len(nodes)
+                nodes.append(NodeId(len(nodes), NodeKind.SLOT_VALUE, label))
+            d, v = domain_index[t.domain], slotvalue_index[pair]
+            edges.add((d, v) if d < v else (v, d))
+    slot_values = {idx: pair for pair, idx in slotvalue_index.items()}
+    return StateGraph(nodes, list(edges), slot_values)
+
+
+def reference_write_node_table(g: StateGraph, path) -> None:
+    """The reference node-table writer: each node's record by json.dumps."""
+    lines = []
+    for node in g.nodes:
+        rec: dict = {"index": node.index, "kind": node.kind.value, "label": node.label}
+        if node.kind is NodeKind.SLOT_VALUE:
+            slot, value = g.slot_values[node.index]
+            rec["slot"] = slot
+            rec["value"] = value
+        lines.append(json.dumps(rec, ensure_ascii=False) + "\n")
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+def reference_load_graph(edge_path, node_path) -> StateGraph:
+    """The reference graph loader: each node line checked field by field,
+    each edge line split and parsed by int(), one StateGraph build."""
+    nodes: list[NodeId] = []
+    slot_values: dict[int, tuple[str, str]] = {}
+    for lineno, rec in reference_read_json_lines(node_path):
+        try:
+            index = rec["index"]
+            if type(index) is not int:
+                raise ValueError(f"index must be an int, got {index!r}")
+            kind = NodeKind(rec["kind"])
+            label = rec["label"]
+            if not isinstance(label, str):
+                raise ValueError(f"label must be a str, got {label!r}")
+            if kind is NodeKind.SLOT_VALUE:
+                slot = rec["slot"]
+                if not isinstance(slot, str):
+                    raise ValueError(f"slot must be a str, got {slot!r}")
+                value = rec["value"]
+                if not isinstance(value, str):
+                    raise ValueError(f"value must be a str, got {value!r}")
+                slot_values[index] = (slot, value)
+            nodes.append(NodeId(index, kind, label))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{node_path}:{lineno}: {exc!r}") from exc
+    nodes.sort(key=lambda n: n.index)
+    parsed: list[int] = []  # line number, i and j of each edge line
+    fault = lineno = None
+    try:
+        lines = Path(edge_path).read_text(encoding="utf-8").split("\n")
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                i, j = line.split()
+                i, j = int(i), int(j)
+                if not (-(2**63) <= i < 2**63 and -(2**63) <= j < 2**63):
+                    raise EdgeError(nodes, i, j, row=len(parsed) // 3)
+                parsed += lineno, i, j
+    except (OSError, ValueError) as exc:
+        fault = exc
+    rows = np.array(parsed, dtype=np.int64).reshape(-1, 3)
+    try:
+        graph = StateGraph(nodes, rows[:, 1:], slot_values)
+    except EdgeError as exc:
+        fault, lineno = exc, rows[exc.row, 0]
+    except ValueError as exc:
+        raise ValueError(f"{node_path}: {exc}") from exc
+    if fault is None:
+        return graph
+    if lineno is None:
+        raise fault
+    raise ValueError(f"{edge_path}:{lineno}: {ValueError(*fault.args)!r}") from fault
 
 
 def sgd_record(d: AnnotatedDialogue) -> dict:

@@ -734,7 +734,7 @@ _keys = st.tuples(st.sampled_from(["a", "b", "c"]),
 def test_turn_keys_act_as_a_set(added, probed):
     keys, reference = TurnKeys(), set()
     for key in added:
-        keys.add(key)
+        assert keys.add(key) == (key not in reference)
         reference.add(key)
     assert all((key in keys) == (key in reference) for key in added + probed)
 
