@@ -46,9 +46,10 @@ def outcome(run):
         return "raised", type(exc), str(exc)
 
 
-def _drain(items, got):
-    """``got`` filled with what ``items`` yields, and the type and text of
-    the exception that ended it, or None."""
+def drained(items):
+    """What ``items`` yields before it ends or raises, and the type and
+    text of the exception that ended it, or None."""
+    got = []
     try:
         for item in items:
             got.append(item)
@@ -255,17 +256,16 @@ def write_bytes(directory, name, data: bytes) -> Path:
 def test_predictions_are_read_as_the_reference_reads_them(data):
     with tempfile.TemporaryDirectory() as d:
         path = write_bytes(d, "pred.jsonl", data)
-        got = _drain(iter_predictions(path), [])
-        want = _drain(reference_iter_predictions(path), [])
+        got = drained(iter_predictions(path))
+        want = drained(reference_iter_predictions(path))
     assert got == want
     assert [p.state.triples() for p in got[0]] == [p.state.triples() for p in want[0]]
 
 
-def test_a_file_of_every_fault_names_the_same_first_fault(tmp_path):
-    # a broken record, then a line that is not JSON: the line is named first
-    records = [{"dialogue_id": "d", "turn": 0, "predicted_state": [{"domain": "x"}]}]
+def test_a_line_that_is_not_json_is_named_ahead_of_an_earlier_broken_record(tmp_path):
+    record = {"dialogue_id": "d", "turn": 0, "predicted_state": [{"domain": "x"}]}
     path = tmp_path / "pred.jsonl"
-    path.write_text(json.dumps(records[0]) + "\nnot json\n", encoding="utf-8")
+    path.write_text(json.dumps(record) + "\nnot json\n", encoding="utf-8")
     got = outcome(lambda: list(iter_predictions(path)))
     assert got == outcome(lambda: list(reference_iter_predictions(path)))
     assert got[1:] == (ValueError, f"{path}:2: Expecting value: line 1 column 1 (char 0)")
@@ -285,7 +285,8 @@ def dialogue_states(draw):
     for _ in range(draw(st.integers(0, 5))):
         by_key: dict = {}
         for _ in range(draw(st.integers(1, 4))):
-            for t in map(lambda f: StateTriple(*f), triples_of(draw, draw(st.integers(0, 3)))):
+            for fields in triples_of(draw, draw(st.integers(0, 3))):
+                t = StateTriple(*fields)
                 by_key[t.key] = t
             if draw(st.booleans()):  # equal triples, not the same objects
                 states.append(DialogueState(StateTriple(*k, t.value) for k, t in by_key.items()))
