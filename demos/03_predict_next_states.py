@@ -53,7 +53,9 @@ print(f"held-out test edges: auc {scores['auc']:.4f} ap {scores['ap']:.4f}")
 # dialogues, scoring each domain's candidates the first time it is named
 ranker = CandidateRanker(mean_embeddings(params, graph), graph, top_k=5)
 dialogue = corpus.dialogues[0]
-domains = dialogue_domains(graph, dialogue.gold_states)
+# ranking reads only the domain names the dialogue's states mention
+named = {t.domain for state in dialogue.gold_states for t in state.unordered()}
+domains = dialogue_domains(graph, named)
 print()
 print(
     f"dialogue {dialogue.dialogue_id} names {len(domains)} known domain(s): "

@@ -425,9 +425,12 @@ def cmd_predict(cfg: RunConfig, echoed: list[str]) -> int:
     if cfg.top_k <= 0:
         raise UsageError(f"--top-k must be positive, got {cfg.top_k}")
     ranker = _load_model(cfg)
-    by_dialogue: dict[str, list[DialogueState]] = {}
+    # ranking reads only the domains a dialogue's states name, NONE-valued
+    # triples' included, so those names are all that is kept of them
+    by_dialogue: dict[str, set[str]] = {}
     for p in iter_predictions(cfg.predictions):
-        by_dialogue.setdefault(p.dialogue_id, []).append(p.state)
+        named = by_dialogue.setdefault(p.dialogue_id, set())
+        named.update(t.domain for t in p.state.unordered())
 
     skipped: list[str] = []
     with PredictionsSpool(cfg.out) as spool:
@@ -476,7 +479,7 @@ def cmd_repl(cfg: RunConfig, echoed: list[str]) -> int:
             for t in state.triples():
                 print(f"({t.domain}, {t.slot}, {t.value})")
             if ranker is not None:
-                domains = dialogue_domains(ranker.graph, [state])
+                domains = dialogue_domains(ranker.graph, (t.domain for t in state))
                 if domains:
                     for rec in ranker.rank(domains):
                         print(

@@ -253,14 +253,11 @@ def split_edges(
     return EdgeSplit(train, val, test, neg_val, neg_test)
 
 
-def dialogue_domains(g: StateGraph, states: Sequence[DialogueState]) -> list[int]:
-    """Sorted indices of the Domain nodes of ``g`` that any triple of the
-    given states names, a NONE-valued one included.
-
-    Domains the graph has never seen are skipped.
-    """
-    named = {t.domain for state in states for t in state.triples()}
-    return sorted(g._domain_index[d] for d in named if d in g._domain_index)
+def dialogue_domains(g: StateGraph, names: Iterable[str]) -> list[int]:
+    """Sorted, distinct indices of the Domain nodes of ``g`` for the given
+    domain names; names the graph has never seen are skipped."""
+    index = g._domain_index
+    return sorted({index[d] for d in names if d in index})
 
 
 def planted_graph(

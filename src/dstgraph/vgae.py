@@ -679,14 +679,11 @@ def gradient_check(
     _, _, grads = loss_and_grads(params, a_hat, config.kl_weight, noise, work)
 
     mats = asdict(params)  # copies of the weights, by name
-    flat_index = [
-        (name, i, j)
-        for name, w in mats.items()
-        for i in range(w.shape[0])
-        for j in range(w.shape[1])
-    ]
-    k = min(n_samples, len(flat_index))
-    picks = rng.choice(len(flat_index), size=k, replace=False)
+    # a pick is a row-major offset into the weights laid end to end
+    names = list(mats)
+    starts = np.cumsum([0] + [w.size for w in mats.values()])
+    total = int(starts[-1])
+    picks = rng.choice(total, size=min(n_samples, total), replace=False)
 
     def total_loss() -> float:
         bce, kl, _ = loss_and_grads(VgaeParams(**mats), a_hat, config.kl_weight, noise, work)
@@ -694,7 +691,9 @@ def gradient_check(
 
     max_rel = 0.0
     for pick in picks:
-        name, i, j = flat_index[pick]
+        m = int(np.searchsorted(starts, pick, side="right")) - 1
+        name = names[m]
+        i, j = divmod(int(pick - starts[m]), mats[name].shape[1])
         orig = mats[name][i, j]
         mats[name][i, j] = orig + epsilon
         up = total_loss()

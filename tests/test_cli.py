@@ -1482,10 +1482,10 @@ def test_predict_scores_each_distinct_domain_once(tmp_path, monkeypatch, capsys)
     assert cli.main(_PREDICT_ARGV) == 0
     capsys.readouterr()
     g = load_graph("g.edges.txt", "g.nodes.jsonl")
-    by_dialogue: dict[str, list] = {}
+    by_dialogue: dict[str, set] = {}
     for p in iter_predictions("pred.jsonl"):
-        by_dialogue.setdefault(p.dialogue_id, []).append(p.state)
-    named = [dialogue_domains(g, states) for states in by_dialogue.values()]
+        by_dialogue.setdefault(p.dialogue_id, set()).update(t.domain for t in p.state)
+    named = [dialogue_domains(g, names) for names in by_dialogue.values()]
     distinct = {d for domains in named for d in domains}
     # the dialogues name some domains more than once between them
     assert sum(map(len, named)) > len(distinct)
@@ -1510,6 +1510,45 @@ def test_predict_skips_dialogues_that_name_no_known_domain(
     ranked, meta = read_predictions(Path("cand.jsonl"))
     assert ranked == []
     assert meta["skipped_dialogues"] == ["zy", "zz"]
+
+
+def test_predict_ranks_a_domain_named_only_by_a_none_value(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    # zn's only triple at a known domain has the NONE value; its other
+    # triple is at a domain the graph does not know
+    write_predictions("pred.jsonl", [
+        {"dialogue_id": "zn", "turn": 0, "diagnostics": [],
+         "predicted_state": [{"domain": "hotel", "slot": "name", "value": "none"},
+                             {"domain": "spaceship", "slot": "area", "value": "centre"}]},
+    ])
+    assert cli.main(_PREDICT_ARGV) == 0
+    assert "ranked candidates for 1 dialogues" in capsys.readouterr().out
+    ranked, meta = read_predictions(Path("cand.jsonl"))
+    assert meta["skipped_dialogues"] == []
+    assert ranked and {r["domain_label"] for r in ranked} == {"hotel"}
+    assert {r["dialogue_id"] for r in ranked} == {"zn"}
+
+
+def test_predict_on_an_ungrouped_file_writes_the_grouped_records(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    copy_goldens(tmp_path)
+    assert cli.main(_PREDICT_ARGV) == 0
+    grouped = Path("cand.jsonl").read_bytes()
+    head, *records = Path("pred.jsonl").read_text(encoding="utf-8").splitlines()
+    random.Random(7).shuffle(records)
+    ids = [json.loads(line)["dialogue_id"] for line in records]
+    # more runs of equal ids than ids: some dialogue's records are apart
+    assert sum(a != b for a, b in zip([None, *ids], ids)) > len(set(ids))
+    Path("pred.jsonl").write_text("\n".join([head, *records]) + "\n", encoding="utf-8")
+    # the same paths, so the meta lines match too
+    assert cli.main(_PREDICT_ARGV) == 0
+    capsys.readouterr()
+    assert Path("cand.jsonl").read_bytes() == grouped
 
 
 def test_train_default_metrics_path(tmp_path, monkeypatch, capsys):

@@ -371,22 +371,12 @@ def test_split_edges_validates_inputs(rng):
 def test_dialogue_domains_found_and_missing():
     g = small_graph()
     index = {n.label: n.index for n in g.nodes}
-    found = dialogue_domains(
-        g,
-        [
-            make_state(("restaurant", "food", "thai"), ("spa", "service", "massage")),
-            make_state(("hotel", "area", "east")),
-        ],
-    )
+    # repeated names count once, unknown ones are skipped, any order goes
+    found = dialogue_domains(g, iter(["restaurant", "spa", "hotel", "restaurant"]))
     assert found == sorted([index["hotel"], index["restaurant"]])
-    # a known slot-value under an unknown domain names no domain
-    assert dialogue_domains(g, [make_state(("spa", "area", "east"))]) == []
-
-
-def test_dialogue_domains_none_names_the_domain():
-    g = small_graph()
-    found = dialogue_domains(g, [make_state(("hotel", "name", "none"))])
-    assert [g.nodes[i].label for i in found] == ["hotel"]
+    # a slot-value node's label is not a domain name
+    assert dialogue_domains(g, ["spa", "area-east"]) == []
+    assert dialogue_domains(g, []) == []
 
 
 def test_planted_graph_shape_and_determinism():

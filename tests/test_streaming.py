@@ -1,13 +1,16 @@
 """extract and evaluate hold one dialogue at a time: their outputs are the
 bytes a whole-corpus run writes, a failure or a kill at any point leaves
 the right file behind, and their peak memory, like that of
-graph --from-gold, does not grow with the corpus."""
+graph --from-gold, does not grow with the corpus.  predict keeps only the
+domain names of each dialogue's states, so its peak does not grow with
+the turns a dialogue has."""
 
 import json
 import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,8 @@ from dstgraph.datasets import (
 )
 
 from conftest import FakeResponse, child_env, completion_payload, write_predictions
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 _WORDS = ["thai", "cheap", "centre", "north", "hotel", "museum", "taxi", "east"]
 
@@ -250,3 +255,39 @@ def test_extract_and_evaluate_peak_memory_does_not_grow_with_the_corpus(
     capsys.readouterr()
     for command, small, large in zip(("extract", "evaluate", "graph"), peaks[50], peaks[400]):
         assert large - small < _GROWTH_BOUND, (command, small, large)
+
+
+# Peak growth allowed from 1 to 20 turns in each of 200 dialogues, every
+# turn's state 6 triples whose values no other turn repeats.  What grows is
+# the bounded normalize_text and state_triple memos filling (the 20-turn
+# file names far more distinct strings than they hold), about 0.35 MB.
+# Keeping every dialogue's states instead grows the peak by 8 MB here.
+_TURN_GROWTH_BOUND = 1_500_000
+
+
+def write_turns_predictions(path, n_dialogues: int, n_turns: int) -> None:
+    slots = [("restaurant", "area"), ("restaurant", "food"), ("restaurant", "price"),
+             ("hotel", "area"), ("hotel", "stars"), ("hotel", "name")]
+    write_predictions(path, (
+        {"dialogue_id": f"d{i:03d}", "turn": t, "diagnostics": [],
+         "predicted_state": [{"domain": domain, "slot": slot, "value": f"v{i}-{t}-{k}"}
+                             for k, (domain, slot) in enumerate(slots)]}
+        for i in range(n_dialogues) for t in range(n_turns)
+    ))
+
+
+def test_predict_peak_memory_does_not_grow_with_the_turns(tmp_path, capsys):
+    peaks = {}
+    for turns in (1, 20, 1, 20):  # the first two fill the process's caches
+        pred = tmp_path / f"p{turns}.jsonl"
+        write_turns_predictions(pred, 200, turns)
+        peaks[turns] = traced_peak(
+            ["predict", "--graph-prefix", str(GOLDENS / "graph"),
+             "--checkpoint", str(GOLDENS / "checkpoint.json"),
+             "--predictions", str(pred), "--out", str(tmp_path / f"c{turns}.jsonl")]
+        )
+    assert "ranked candidates for 200 dialogues" in capsys.readouterr().out
+    # both files name restaurant and hotel in every dialogue
+    assert (tmp_path / "c1.jsonl").read_bytes().splitlines()[1:] == (
+        (tmp_path / "c20.jsonl").read_bytes().splitlines()[1:])
+    assert peaks[20] - peaks[1] < _TURN_GROWTH_BOUND, peaks
